@@ -1,16 +1,16 @@
-"""Alignment-phase training loops.
+"""Alignment-phase losses and the students trained with them.
 
-The main loop pulls a student's embedding of each composite toward a fixed
+The main student pulls its embedding of each composite toward a fixed
 per-foreground anchor with the loss 1 - cos.  Variants swap the target
-(per-class orthogonal vectors) or the objective (cross-entropy on the same
-data stream, for a budget-matched control), and a fine-tuning protocol
-measures how correlated-label training erodes worst-group accuracy.
+(per-class orthogonal vectors) or the loss (cross-entropy on the same data
+stream, for a budget-matched control), and a fine-tuning protocol measures
+how correlated-label training erodes worst-group accuracy.  Every run goes
+through the one minibatch loop, `tensor.fit`.
 """
 
 from __future__ import annotations
 
 import csv
-import time
 import warnings
 from dataclasses import dataclass, field
 
@@ -22,13 +22,18 @@ from .encoders import (
     EncoderModel,
     clone_unfrozen,
     encode_batch,
+    encode_np,
     freeze,
     init_encoder,
 )
 from .errors import ConfigError, ManifestError
 from .rng import derive_seed, rng
 from .scene import GroupedDataset, make_composite
-from .tensor import GradTape, Tensor
+from .tensor import Tensor
+
+
+# epochs that train_control spends updating its head alone
+CONTROL_WARMUP_EPOCHS = 10
 
 
 @dataclass(frozen=True)
@@ -40,7 +45,6 @@ class AlignConfig:
     warmup_frac: float = 0.10
     M: int = 5  # contexts per foreground per epoch
     regenerate_per_epoch: bool = True
-    early_stop: bool = False
     degradation: str = "perfect"
     seed: int = 0
 
@@ -52,14 +56,9 @@ class AlignConfig:
 
 
 @dataclass
-class TrainLog:
-    epoch_loss: list[float] = field(default_factory=list)
-    epoch_lr: list[float] = field(default_factory=list)
-    epoch_wall_ms: list[float] = field(default_factory=list)
-    lr_steps: list[float] = field(default_factory=list)
+class TrainLog(T.FitLog):
     data_ids: list[str] = field(default_factory=list)
     final_checksum: str = ""
-    early_stopped: bool = False
 
 
 def write_trainlog_csv(path, log: TrainLog) -> None:
@@ -69,21 +68,6 @@ def write_trainlog_csv(path, log: TrainLog) -> None:
         for i, (loss, lr, ms) in enumerate(zip(log.epoch_loss, log.epoch_lr,
                                                log.epoch_wall_ms), start=1):
             w.writerow([i, f"{loss:.6f}", f"{lr:.8g}", f"{ms:.1f}"])
-
-
-def align_loss(student: EncoderModel, composite: np.ndarray, anchor: np.ndarray) -> Tensor:
-    """1 - cos(student embedding, anchor) for a single composite."""
-    emb = encode_batch(student, composite[None])
-    a = Tensor(anchor.reshape(1, -1))
-    cos = T.tsum(T.mul(emb, a))
-    return Tensor(np.float32(1.0)) - cos
-
-
-def _align_loss_batch(student: EncoderModel, rasters: np.ndarray,
-                      anchors_mat: np.ndarray) -> Tensor:
-    embs = encode_batch(student, rasters)
-    cos = T.tsum(T.mul(embs, Tensor(anchors_mat)), axis=1)
-    return T.tmean(Tensor(np.float32(1.0)) - cos)
 
 
 def composite_stream(foregrounds, bg_pool, M: int, seed: int, epoch: int):
@@ -104,84 +88,69 @@ def composite_stream(foregrounds, bg_pool, M: int, seed: int, epoch: int):
     return [items[i] for i in order]
 
 
-def _zero_all_grads(params: dict[str, Tensor]) -> None:
-    for p in params.values():
-        p.grad = None
+# ---------------------------------------------------------------------------
+# losses over a batch of stream items and their rasters
 
 
-def _train_loop(student: EncoderModel, target_fn, foregrounds, bg_pool,
-                cfg: AlignConfig, extra_params: dict[str, Tensor] | None = None,
-                objective: str = "align", labels_fn=None,
-                update_encoder: bool = True,
+def cosine_loss(student: EncoderModel, target_of):
+    """Loss for `fit`: mean 1 - cos(student embedding, target_of(fg))."""
+
+    def loss(items, rasters) -> Tensor:
+        targets = np.stack([target_of(fg) for fg, _, _, _ in items])
+        cos = T.tsum(T.mul(encode_batch(student, rasters), Tensor(targets)), axis=1)
+        return T.tmean(Tensor(np.float32(1.0)) - cos)
+
+    return loss
+
+
+def head_cross_entropy(student: EncoderModel, head: dict[str, Tensor],
+                       rasters: np.ndarray, ys: np.ndarray) -> Tensor:
+    logits = T.matmul(encode_batch(student, rasters), head["head_W"]) + head["head_b"]
+    return T.softmax_cross_entropy(logits, ys)
+
+
+def ce_loss(student: EncoderModel, head: dict[str, Tensor], label_of):
+    """Loss for `fit`: cross-entropy of a linear head on label_of(fg, bg)."""
+
+    def loss(items, rasters) -> Tensor:
+        ys = np.array([label_of(fg, bg) for fg, bg, _, _ in items])
+        if len(np.unique(ys)) < 2:
+            warnings.warn("single-class batch in the label stream")
+        return head_cross_entropy(student, head, rasters, ys)
+
+    return loss
+
+
+def _train_loop(student: EncoderModel, loss_fn, foregrounds, bg_pool, cfg: AlignConfig,
+                head: dict[str, Tensor] | None = None,
                 head_only_epochs: int = 0) -> TrainLog:
-    """Shared epoch/batch/step loop for the alignment-style objectives.
+    """Render each epoch's composite stream and fit the student on it.
 
-    The first `head_only_epochs` epochs update only `extra_params` (frozen
-    encoder warm-up); remaining epochs update everything.
+    Epochs are rendered one at a time; with a fixed stream the first epoch's
+    composites are reused.
     """
-    log = TrainLog()
-    steps_per_epoch = max(1, -(-len(foregrounds) * cfg.M // cfg.batch_size))
-    total_steps = cfg.epochs * steps_per_epoch
-    sched = T.LrSchedule(cfg.lr, cfg.warmup_frac, total_steps, cfg.lr / 10)
-    params = dict(student.trainable_params()) if update_encoder else {}
-    if extra_params:
-        params.update(extra_params)
-    head_opt = None
-    if head_only_epochs > 0:
-        head_opt = T.AdamW(dict(extra_params or {}), lr=cfg.lr,
-                           weight_decay=cfg.weight_decay)
-    opt = T.AdamW(params, lr=cfg.lr, weight_decay=cfg.weight_decay)
-    all_params = {**student.params, **(extra_params or {})}
-    step = 0
-    fixed_rasters: np.ndarray | None = None
-    for epoch in range(cfg.epochs):
-        t0 = time.perf_counter()
-        stream_epoch = epoch if cfg.regenerate_per_epoch else 0
-        stream = composite_stream(foregrounds, bg_pool, cfg.M, cfg.seed, stream_epoch)
-        if epoch == 0 or cfg.regenerate_per_epoch:
-            log.data_ids.extend(cid for _, _, _, cid in stream)
-        if cfg.regenerate_per_epoch:
-            epoch_rasters = np.stack([make_composite(fg, bg, s, degradation=cfg.degradation).raster
-                                      for fg, bg, s, _ in stream])
-        else:
-            if fixed_rasters is None:
-                fixed_rasters = np.stack([make_composite(fg, bg, s, degradation=cfg.degradation).raster
-                                          for fg, bg, s, _ in stream])
-            epoch_rasters = fixed_rasters
-        losses = []
-        for b0 in range(0, len(stream), cfg.batch_size):
-            batch = stream[b0 : b0 + cfg.batch_size]
-            rasters = epoch_rasters[b0 : b0 + cfg.batch_size]
-            step += 1
-            lr = sched.lr_at(step)
-            log.lr_steps.append(lr)
-            active_opt = head_opt if (head_opt is not None and epoch < head_only_epochs) else opt
-            active_opt.lr = lr
-            _zero_all_grads(all_params)
-            with GradTape() as tape:
-                if objective == "align":
-                    targets = np.stack([target_fn(fg) for fg, _, _, _ in batch])
-                    loss = _align_loss_batch(student, rasters, targets)
-                else:
-                    ys = np.array([labels_fn(fg, bg) for fg, bg, _, _ in batch])
-                    if len(np.unique(ys)) < 2:
-                        warnings.warn("single-class batch in the label stream")
-                    embs = encode_batch(student, rasters)
-                    logits = T.matmul(embs, extra_params["head_W"]) + extra_params["head_b"]
-                    loss = T.softmax_cross_entropy(logits, ys)
-                tape.backward(loss)
-            active_opt.step()
-            losses.append(float(loss.data))
-        log.epoch_loss.append(float(np.mean(losses)))
-        log.epoch_lr.append(log.lr_steps[-1])
-        log.epoch_wall_ms.append((time.perf_counter() - t0) * 1e3)
-        if cfg.early_stop and len(log.epoch_loss) >= 4:
-            past = log.epoch_loss[-4]
-            if past > 0 and (past - log.epoch_loss[-1]) / past < 1e-3:
-                log.early_stopped = True
-                break
-    log.final_checksum = student.param_checksum()
-    return log
+    data_ids: list[str] = []
+    fixed = None
+
+    def epoch_data(epoch):
+        nonlocal fixed
+        if fixed is not None:
+            return fixed
+        stream = composite_stream(foregrounds, bg_pool, cfg.M, cfg.seed, epoch)
+        data_ids.extend(cid for _, _, _, cid in stream)
+        rasters = np.stack([make_composite(fg, bg, s, degradation=cfg.degradation).raster
+                            for fg, bg, s, _ in stream])
+        if not cfg.regenerate_per_epoch:
+            fixed = stream, rasters
+        return stream, rasters
+
+    fitted = T.fit({**student.params, **(head or {})}, epoch_data, loss_fn,
+                   n=len(foregrounds) * cfg.M, batch_size=cfg.batch_size,
+                   epochs=cfg.epochs, lr=cfg.lr, weight_decay=cfg.weight_decay,
+                   warmup_frac=cfg.warmup_frac, head=head,
+                   head_only_epochs=head_only_epochs)
+    return TrainLog(**vars(fitted), data_ids=data_ids,
+                    final_checksum=student.param_checksum())
 
 
 def train_bap(teacher: EncoderModel, anchors: AnchorSet, foregrounds, bg_pool,
@@ -191,12 +160,8 @@ def train_bap(teacher: EncoderModel, anchors: AnchorSet, foregrounds, bg_pool,
         if fg.id not in anchors.anchors:
             raise ManifestError(f"no anchor for foreground {fg.id}")
     student = clone_unfrozen(teacher)
-
-    def target_fn(fg):
-        return anchors.anchors[fg.id]
-
-    log = _train_loop(student, target_fn, foregrounds, bg_pool, cfg)
-    return student, log
+    loss = cosine_loss(student, lambda fg: anchors.anchors[fg.id])
+    return student, _train_loop(student, loss, foregrounds, bg_pool, cfg)
 
 
 def train_orthogonal(teacher: EncoderModel, targets: list[np.ndarray],
@@ -207,12 +172,8 @@ def train_orthogonal(teacher: EncoderModel, targets: list[np.ndarray],
         if fg.y not in class_to_target:
             raise ManifestError(f"class {fg.y} has no target vector assigned")
     student = clone_unfrozen(teacher)
-
-    def target_fn(fg):
-        return targets[class_to_target[fg.y]]
-
-    log = _train_loop(student, target_fn, foregrounds, bg_pool, cfg)
-    return student, log
+    loss = cosine_loss(student, lambda fg: targets[class_to_target[fg.y]])
+    return student, _train_loop(student, loss, foregrounds, bg_pool, cfg)
 
 
 def _head_params(d: int, num_classes: int, seed: int) -> dict[str, Tensor]:
@@ -224,7 +185,7 @@ def _head_params(d: int, num_classes: int, seed: int) -> dict[str, Tensor]:
 
 
 def train_control(teacher: EncoderModel, foregrounds, bg_pool, cfg: AlignConfig,
-                  probe_epochs: int = 10) -> tuple[EncoderModel, TrainLog]:
+                  probe_epochs: int = CONTROL_WARMUP_EPOCHS) -> tuple[EncoderModel, TrainLog]:
     """Budget-matched cross-entropy control on the exact same composite stream.
 
     Consumes exactly the epochs an alignment run would, in two stages within
@@ -237,15 +198,9 @@ def train_control(teacher: EncoderModel, foregrounds, bg_pool, cfg: AlignConfig,
     student = clone_unfrozen(teacher)
     head = _head_params(student.d, len({fg.y for fg in foregrounds}),
                         derive_seed(cfg.seed, "control-head"))
-
-    def labels_fn(fg, bg):
-        return fg.y
-
-    log = _train_loop(student, None, foregrounds, bg_pool, cfg,
-                      extra_params=head, objective="ce", labels_fn=labels_fn,
-                      head_only_epochs=probe_epochs)
-    log.final_checksum = student.param_checksum()
-    return student, log
+    loss = ce_loss(student, head, lambda fg, bg: fg.y)
+    return student, _train_loop(student, loss, foregrounds, bg_pool, cfg, head=head,
+                                head_only_epochs=probe_epochs)
 
 
 def pretrain_teacher(foregrounds, backgrounds, seed: int, epochs: int = 6,
@@ -267,8 +222,8 @@ def pretrain_teacher(foregrounds, backgrounds, seed: int, epochs: int = 6,
     cfg = AlignConfig(epochs=epochs, batch_size=128, lr=lr, M=M,
                       degradation=degradation,
                       seed=derive_seed(seed, "teacher-train"))
-    _train_loop(model, None, foregrounds, backgrounds, cfg, extra_params=head,
-                objective="ce", labels_fn=lambda fg, bg: fg.y * num_groups + bg.g)
+    loss = ce_loss(model, head, lambda fg, bg: fg.y * num_groups + bg.g)
+    _train_loop(model, loss, foregrounds, backgrounds, cfg, head=head)
     return freeze(model)
 
 
@@ -282,9 +237,8 @@ def finetune_on_correlated(student: EncoderModel, train: GroupedDataset,
     """
     from .evaluation import group_metrics, train_probe
 
-    model = clone_unfrozen(freeze(student))
-    frozen_view = freeze(model)
-    probe = train_probe(frozen_view, train,
+    model = clone_unfrozen(student)
+    probe = train_probe(freeze(model), train,
                         seed=derive_seed(cfg.seed, "ft-probe"))
     head = {"head_W": Tensor(probe.W.copy(), requires_grad=True),
             "head_b": Tensor(probe.b.copy(), requires_grad=True)}
@@ -292,41 +246,22 @@ def finetune_on_correlated(student: EncoderModel, train: GroupedDataset,
     ys = train.labels()
     test_rasters = test.rasters()
     test_y, test_g = test.labels(), test.groups()
+    traces: dict[str, list[float]] = {"wga": [], "avg": []}
 
-    def eval_now():
-        from .encoders import encode_np
-
+    def evaluate(epoch=None):
         embs = encode_np(model, test_rasters)
         logits = embs @ head["head_W"].data + head["head_b"].data
-        preds = logits.argmax(axis=1)
-        gm = group_metrics(preds, test_y, test_g)
-        return gm.wga, gm.avg
+        gm = group_metrics(logits.argmax(axis=1), test_y, test_g)
+        traces["wga"].append(gm.wga)
+        traces["avg"].append(gm.avg)
 
-    wga0, avg0 = eval_now()
-    traces = {"wga": [wga0], "avg": [avg0]}
+    evaluate()
     n = len(rasters)
-    steps_per_epoch = max(1, -(-n // cfg.batch_size))
-    sched = T.LrSchedule(cfg.lr, cfg.warmup_frac, cfg.epochs * steps_per_epoch,
-                         cfg.lr / 10)
-    opt = T.AdamW({**model.trainable_params(), **head}, lr=cfg.lr,
-                  weight_decay=cfg.weight_decay)
-    all_params = {**model.params, **head}
-    step = 0
-    for epoch in range(cfg.epochs):
-        order = rng(cfg.seed, "ft-order", epoch).permutation(n)
-        for b0 in range(0, n, cfg.batch_size):
-            idx = order[b0 : b0 + cfg.batch_size]
-            step += 1
-            opt.lr = sched.lr_at(step)
-            _zero_all_grads(all_params)
-            with GradTape() as tape:
-                embs = encode_batch(model, rasters[idx])
-                logits = T.matmul(embs, head["head_W"]) + head["head_b"]
-                loss = T.softmax_cross_entropy(logits, ys[idx])
-                tape.backward(loss)
-            opt.step()
-        w, a = eval_now()
-        traces["wga"].append(w)
-        traces["avg"].append(a)
+    T.fit({**model.params, **head},
+          lambda epoch: (rng(cfg.seed, "ft-order", epoch).permutation(n),),
+          lambda idx: head_cross_entropy(model, head, rasters[idx], ys[idx]),
+          n=n, batch_size=cfg.batch_size, epochs=cfg.epochs, lr=cfg.lr,
+          weight_decay=cfg.weight_decay, warmup_frac=cfg.warmup_frac,
+          after_epoch=evaluate)
     head_np = {"head_W": head["head_W"].data.copy(), "head_b": head["head_b"].data.copy()}
     return model, head_np, traces

@@ -8,7 +8,6 @@ which the K-sweep report makes visible.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -134,17 +133,15 @@ def estimate_mu_bg(teacher: EncoderModel, bg_pool, n_samples: int, seed: int) ->
     return BackgroundMean(vector=acc / n_samples, count=n_samples)
 
 
-def residual_variance(teacher: EncoderModel, fg, bg_pool, K: int, trials: int,
+def residual_variance(teacher: EncoderModel, bg_pool, K: int, trials: int,
                       mu_bg: BackgroundMean, seed: int,
                       replace: bool = True,
                       bg_embs: np.ndarray | None = None) -> float:
     """Mean squared distance between a K-sample background mean and mu_bg.
 
-    The residual lives entirely in the background embeddings, so the
-    foreground argument is accepted for signature parity but unused.
-    Embeddings may be passed in precomputed to amortize sweeps.
+    The residual lives entirely in the background embeddings, which may be
+    passed in precomputed to amortize sweeps.
     """
-    del fg
     if trials < 2:
         raise ConfigError("trials must be >= 2")
     if not replace and K > len(bg_pool):
@@ -219,19 +216,10 @@ def k_sweep(teacher: EncoderModel, foregrounds, bg_pool, k_grid, prototypes: Pro
             b_acc.append(float((bg_proto_mat @ a).max()))
         fg_sims.append(float(np.mean(f_acc)))
         bg_sims.append(float(np.mean(b_acc)))
-        var_eps.append(residual_variance(teacher, None, bg_pool, K, var_trials, mu,
+        var_eps.append(residual_variance(teacher, bg_pool, K, var_trials, mu,
                                          derive_seed(seed, "var", K), bg_embs=bg_embs))
     return KSweepReport(k_grid=k_grid, fg_sim=tuple(fg_sims),
                         bg_sim_max=tuple(bg_sims), var_eps=tuple(var_eps))
-
-
-def write_ksweep_csv(path, report: KSweepReport) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["K", "fg_sim", "bg_sim_max", "var_eps"])
-        for k, f, b, v in zip(report.k_grid, report.fg_sim, report.bg_sim_max,
-                              report.var_eps):
-            w.writerow([k, f"{f:.6f}", f"{b:.6f}", f"{v:.8g}"])
 
 
 def orthogonal_targets(d: int, num_targets: int, seed: int) -> list[np.ndarray]:

@@ -30,6 +30,7 @@ from .rng import derive_seed
 from .scene import DatasetSizes, GroupedDataset, build_grouped_dataset, gen_world
 
 ALL_METHODS = ("native-zs", "native-lp", "lp-ft", "control", "bap-lp", "bap-zs", "ortho")
+TEACHERS = ("learned-mlp", "planted")
 
 
 @dataclass(frozen=True)
@@ -71,6 +72,20 @@ class ExperimentConfig:
     # matrix
     methods: tuple[str, ...] = ALL_METHODS
     num_seeds: int = 5
+
+    def __post_init__(self):
+        unknown = [m for m in self.methods if m not in ALL_METHODS]
+        if unknown:
+            raise ConfigError(f"unknown method tags {unknown}")
+        if any(not 0.5 <= rho <= 1.0 for rho in self.rhos):
+            raise ConfigError(f"correlation rates must lie in [0.5, 1], got {self.rhos}")
+        if self.degradation not in scene.DEGRADATIONS:
+            raise ConfigError(f"unknown degradation mode {self.degradation!r}")
+        if self.teacher not in TEACHERS:
+            raise ConfigError(f"unknown teacher {self.teacher!r}")
+        if "control" in self.methods and self.epochs <= alignment.CONTROL_WARMUP_EPOCHS:
+            raise ConfigError(f"control needs more than {alignment.CONTROL_WARMUP_EPOCHS} "
+                              f"epochs, its head-only warm-up; got {self.epochs}")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, indent=2)
@@ -160,8 +175,6 @@ class SeedContext:
                 return planted_teacher(PlantedConfig(seed=derive_seed(self.seed, "planted"),
                                                      alpha=c.planted_alpha),
                                        d=c.d, input_hw=(c.hw, c.hw))
-            if c.teacher != "learned-mlp":
-                raise ConfigError(f"unknown teacher {c.teacher!r}")
             return alignment.pretrain_teacher(fgs, bg_train,
                                               derive_seed(self.seed, "teacher"),
                                               epochs=c.teacher_epochs, d=c.d,
@@ -423,12 +436,10 @@ def _write_run_record(out: Path, run_id: str, cfg: ExperimentConfig, seed: int,
 
 def cmd_run_matrix(cfg: ExperimentConfig, seed: int, out,
                    methods=None, rhos=None) -> Path:
-    out = _ensure_out(out)
     methods = tuple(methods or cfg.methods)
     rhos = tuple(rhos or cfg.rhos)
-    for m in methods:
-        if m not in ALL_METHODS:
-            raise ConfigError(f"unknown method tag {m!r}")
+    replace(cfg, methods=methods, rhos=rhos)  # raises ConfigError on a bad override
+    out = _ensure_out(out)
     rows = []
     for run_idx, run_seed in enumerate(run_seeds(cfg, seed)):
         ctx = SeedContext(cfg, run_seed)
@@ -449,11 +460,11 @@ def cmd_run_matrix(cfg: ExperimentConfig, seed: int, out,
                     "wall_s": round(time.perf_counter() - t0, 3)})
     path = out / "metrics.csv"
     evaluation.write_metrics_csv(path, rows)
-    _write_summary(out, rows, len(list(run_seeds(cfg, seed))))
+    _write_summary(out, rows)
     return path
 
 
-def _write_summary(out: Path, rows: list[dict], n_seeds: int) -> None:
+def _write_summary(out: Path, rows: list[dict]) -> None:
     by_key: dict[tuple[str, str], list[dict]] = {}
     for row in rows:
         by_key.setdefault((row["method"], row["rho"]), []).append(row)
@@ -482,7 +493,7 @@ def cmd_ablate(cfg: ExperimentConfig, seed: int, out, which: str) -> Path:
         return gm.wga, gm.avg
 
     if which == "seg":
-        for mode in ("perfect", "noisy", "botched", "bbox"):
+        for mode in scene.DEGRADATIONS:
             ctx = SeedContext(replace(cfg, degradation=mode), run_seed)
             wga, avg = bap_wga(ctx)
             rows.append({"param": "degradation", "value": mode,
@@ -534,6 +545,7 @@ def cmd_report(out) -> Path:
         "ablate_seg": out / "ablate_seg.csv",
         "ablate_n_sweep": out / "ablate_n_sweep.csv",
         "ablate_m_sweep": out / "ablate_m_sweep.csv",
+        "ablate_k_train_sweep": out / "ablate_k_train_sweep.csv",
     }
     for name, path in artifacts.items():
         if path.exists():

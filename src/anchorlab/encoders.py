@@ -217,11 +217,6 @@ def encode_batch(model: EncoderModel, batch) -> Tensor:
     return T.l2_normalize(z, axis=-1)
 
 
-def encode(model: EncoderModel, image: np.ndarray) -> Tensor:
-    """Unit-norm embedding of a single H x W x 3 raster."""
-    return T.reshape(encode_batch(model, image), (model.d,))
-
-
 def encode_np(model: EncoderModel, batch: np.ndarray) -> np.ndarray:
     """Embeddings as a plain ndarray (evaluation path, no tape)."""
     return encode_batch(model, batch).data
@@ -245,7 +240,7 @@ def clone_unfrozen(teacher: EncoderModel) -> EncoderModel:
 
 
 def freeze(model: EncoderModel) -> EncoderModel:
-    """Frozen view of a trained encoder (shares arrays, drops grad flags)."""
+    """Frozen copy of a trained encoder (copies arrays, drops grad flags)."""
     params = {k: Tensor(v.data.copy(), requires_grad=False) for k, v in model.params.items()}
     return EncoderModel(arch=model.arch, d=model.d, input_hw=model.input_hw,
                         params=params, consts={k: v.copy() for k, v in model.consts.items()},

@@ -29,9 +29,5 @@ class DegenerateMaskError(AnchorlabError, ValueError):
     """A mask degradation emptied the mask support."""
 
 
-class SamplingError(AnchorlabError, ValueError):
-    """A sampling operation has an empty candidate pool."""
-
-
 class ManifestError(AnchorlabError, ValueError):
     """A dataset/anchor manifest is missing a required entry."""

@@ -18,7 +18,7 @@ from .encoders import EncoderModel, encode_np
 from .errors import ConfigError, ContractError
 from .rng import derive_seed, rng
 from .scene import ANCHOR_SCALE, GroupedDataset, composite
-from .tensor import GradTape, Tensor
+from .tensor import Tensor
 
 PROBE_EPOCHS = 30
 PROBE_LR = 5e-4
@@ -71,21 +71,14 @@ def fit_linear_head(embs: np.ndarray, labels: np.ndarray, num_classes: int,
     g = rng(seed, "probe-init")
     Wp = Tensor(0.01 * g.standard_normal((d, num_classes)), requires_grad=True)
     bp = Tensor(np.zeros(num_classes), requires_grad=True)
-    steps_per_epoch = max(1, -(-n // batch))
-    sched = T.LrSchedule(lr, 0.10, epochs * steps_per_epoch, lr / 10)
-    opt = T.AdamW({"W": Wp, "b": bp}, lr=lr, weight_decay=0.0)
-    step = 0
-    for epoch in range(epochs):
-        order = rng(seed, "probe-order", epoch).permutation(n)
-        for b0 in range(0, n, batch):
-            idx = order[b0 : b0 + batch]
-            step += 1
-            opt.lr = sched.lr_at(step)
-            with GradTape() as tape:
-                logits = T.matmul(Tensor(embs[idx]), Wp) + bp
-                loss = T.softmax_cross_entropy(logits, labels[idx], weights)
-                tape.backward(loss)
-            opt.step()
+
+    def loss(idx):
+        logits = T.matmul(Tensor(embs[idx]), Wp) + bp
+        return T.softmax_cross_entropy(logits, labels[idx], weights)
+
+    T.fit({"W": Wp, "b": bp}, lambda epoch: (rng(seed, "probe-order", epoch).permutation(n),),
+          loss, n=n, batch_size=batch, epochs=epochs, lr=lr, weight_decay=0.0,
+          warmup_frac=0.10)
     return ProbeHead(W=Wp.data.copy(), b=bp.data.copy(),
                      config={"epochs": epochs, "lr": lr, "batch": batch,
                              "weighted": weighted, "seed": seed})

@@ -21,19 +21,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DegenerateMaskError,
-    DimensionError,
-    PlacementError,
-    SamplingError,
-)
+from .errors import ConfigError, DegenerateMaskError, DimensionError, PlacementError
 from .rng import derive_seed, rng
 
 NEUTRAL_GRAY = 0.5
 MASK_THRESHOLD = 100
 BLUR_SIGMA = 1.0
 BLUR_RADIUS = 3  # 3 sigma truncation
+
+# segmentation-mask degradation modes, see degrade_mask
+DEGRADATIONS = ("perfect", "noisy", "botched", "bbox")
 
 # degradation radii at the reference resolution; scaled by H/224 below
 NOISY_RADIUS_REF = 15
@@ -321,10 +318,7 @@ def degrade_mask(m: np.ndarray, mode: str, radius: int | None = None,
         return np.where(binary, 255, 0).astype(np.uint8)
     elem = _disk_element(radius)
     k = 2 * radius + 1
-    if mode == "noisy":
-        padded = np.pad(binary, radius, mode="constant", constant_values=False)
-    else:
-        padded = np.pad(binary, radius, mode="constant", constant_values=False)
+    padded = np.pad(binary, radius, mode="constant", constant_values=False)
     win = np.lib.stride_tricks.sliding_window_view(padded, (k, k))
     if mode == "noisy":
         out = (win & elem).any(axis=(2, 3))
@@ -544,54 +538,6 @@ def build_grouped_dataset(foregrounds: list[ForegroundInstance],
                 test_items.append(_make(fg, bg, i))
     return (GroupedDataset(train_items, rho, "train"),
             GroupedDataset(test_items, rho, "test"))
-
-
-# ---------------------------------------------------------------------------
-# margin-binned flattened sampling
-
-
-def flattened_margin_sample(pool, bounds: tuple[float, float], bins: int,
-                            target: int, seed: int):
-    """Uniform-difficulty subset via equal-width margin bins and round-robin draws.
-
-    `pool` is a sequence of (item, margin) pairs.  Items whose |margin| falls
-    outside `bounds` are excluded; survivors are stratified into `bins`
-    equal-width bins and drawn one per bin per pass until `target` is reached
-    or the pool runs out (shortfall reported, not raised).
-    """
-    lo, hi = bounds
-    if not (lo < hi):
-        raise ConfigError("margin bounds must satisfy lo < hi")
-    if bins < 1:
-        raise ConfigError("bins must be >= 1")
-    bounded = [(item, abs(float(m))) for item, m in pool if lo <= abs(float(m)) <= hi]
-    if not bounded:
-        raise SamplingError("no pool items inside the margin bounds")
-    width = (hi - lo) / bins
-    binned: list[list] = [[] for _ in range(bins)]
-    for item, m in bounded:
-        idx = min(bins - 1, int((m - lo) / width))
-        binned[idx].append(item)
-    g = rng(seed, "flattened")
-    for b in binned:
-        g.shuffle(b)
-    chosen = []
-    cursor = [0] * bins
-    while len(chosen) < target:
-        progressed = False
-        for i in range(bins):
-            if len(chosen) >= target:
-                break
-            if cursor[i] < len(binned[i]):
-                chosen.append(binned[i][cursor[i]])
-                cursor[i] += 1
-                progressed = True
-        if not progressed:
-            break
-    report = {"target": target, "selected": len(chosen),
-              "shortfall": max(0, target - len(chosen)),
-              "bin_counts": [c for c in cursor]}
-    return chosen, report
 
 
 # ---------------------------------------------------------------------------

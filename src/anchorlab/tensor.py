@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -431,6 +432,63 @@ class LrSchedule:
         span = max(1, self.total_steps - warm)
         frac = (step - warm) / span
         return self.floor + (self.base - self.floor) * 0.5 * (1.0 + math.cos(math.pi * frac))
+
+
+# ---------------------------------------------------------------------------
+# the minibatch training loop
+
+
+@dataclass
+class FitLog:
+    """Per-epoch mean loss, final LR and wall time, plus the LR of every step."""
+
+    epoch_loss: list[float] = field(default_factory=list)
+    epoch_lr: list[float] = field(default_factory=list)
+    epoch_wall_ms: list[float] = field(default_factory=list)
+    lr_steps: list[float] = field(default_factory=list)
+
+
+def fit(params: dict[str, Tensor], epoch_data, loss_fn, *, n: int, batch_size: int,
+        epochs: int, lr: float, weight_decay: float, warmup_frac: float,
+        head: dict[str, Tensor] | None = None, head_only_epochs: int = 0,
+        after_epoch=None) -> FitLog:
+    """Minibatch AdamW on `params` under warmup plus cosine decay to lr/10.
+
+    `epoch_data(epoch)` returns the epoch's `n` items as a tuple of aligned
+    sequences; each step hands their next `batch_size` slices to `loss_fn`,
+    which builds a scalar loss on the active tape.  During the first
+    `head_only_epochs` epochs only `head`, a subset of `params`, steps, with
+    its own optimizer state, while the schedule runs on.  `after_epoch(epoch)`
+    runs when each epoch ends.
+    """
+    steps_per_epoch = max(1, -(-n // batch_size))
+    sched = LrSchedule(lr, warmup_frac, epochs * steps_per_epoch, lr / 10)
+    head_opt = AdamW(head, lr=lr, weight_decay=weight_decay) if head_only_epochs else None
+    opt = AdamW(params, lr=lr, weight_decay=weight_decay)
+    log = FitLog()
+    step = 0
+    for epoch in range(epochs):
+        t0 = time.perf_counter()
+        data = epoch_data(epoch)
+        active = head_opt if epoch < head_only_epochs else opt
+        losses = []
+        for b0 in range(0, n, batch_size):
+            step += 1
+            active.lr = sched.lr_at(step)
+            log.lr_steps.append(active.lr)
+            for p in params.values():
+                p.grad = None
+            with GradTape() as tape:
+                loss = loss_fn(*(seq[b0 : b0 + batch_size] for seq in data))
+                tape.backward(loss)
+            active.step()
+            losses.append(float(loss.data))
+        log.epoch_loss.append(float(np.mean(losses)))
+        log.epoch_lr.append(log.lr_steps[-1])
+        log.epoch_wall_ms.append((time.perf_counter() - t0) * 1e3)
+        if after_epoch is not None:
+            after_epoch(epoch)
+    return log
 
 
 # ---------------------------------------------------------------------------

@@ -258,7 +258,7 @@ def test_residual_variance_decays_one_over_k(probe_world):
     mu = anchors.estimate_mu_bg(teacher, bgs, 20000, derive_seed(GLOBAL_SEED, "mu-bg"))
     bg_embs = anchors.background_embeddings(teacher, bgs)
     k_grid = (1, 2, 4, 8, 16, 32, 64)
-    variances = [anchors.residual_variance(teacher, None, bgs, k, 200, mu,
+    variances = [anchors.residual_variance(teacher, bgs, k, 200, mu,
                                            derive_seed(GLOBAL_SEED, "resvar", k),
                                            bg_embs=bg_embs)
                  for k in k_grid]

@@ -6,8 +6,8 @@ import pytest
 from anchorlab import tensor as T
 from anchorlab.alignment import (
     AlignConfig,
-    align_loss,
     composite_stream,
+    cosine_loss,
     finetune_on_correlated,
     pretrain_teacher,
     train_bap,
@@ -35,17 +35,22 @@ def test_align_loss_oracles(micro_teacher, micro_world):
     fgs, bgs = micro_world
     raster = bgs[0].raster
     emb = encode_np(micro_teacher, raster[None])[0]
+    items = [(fgs[0], bgs[0], 0, "c")]
+
+    def align_loss(anchor):
+        return cosine_loss(micro_teacher, lambda fg: anchor)(items, raster[None])
+
     # anchor equal to the embedding: perfect alignment, loss 0
-    assert align_loss(micro_teacher, raster, emb).item() == pytest.approx(0.0, abs=1e-5)
+    assert align_loss(emb).item() == pytest.approx(0.0, abs=1e-5)
     # antipodal anchor: loss 2
-    assert align_loss(micro_teacher, raster, -emb).item() == pytest.approx(2.0, abs=1e-5)
+    assert align_loss(-emb).item() == pytest.approx(2.0, abs=1e-5)
     # orthogonal anchor: loss 1
     ortho = np.zeros_like(emb)
     j = int(np.argmin(np.abs(emb)))
     ortho[j] = 1.0
     ortho = ortho - (ortho @ emb) * emb
     ortho /= np.linalg.norm(ortho)
-    assert align_loss(micro_teacher, raster, ortho).item() == pytest.approx(1.0, abs=1e-4)
+    assert align_loss(ortho).item() == pytest.approx(1.0, abs=1e-4)
 
 
 # ---------------------------------------------------------------------------

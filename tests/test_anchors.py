@@ -17,7 +17,6 @@ from anchorlab.anchors import (
     orthogonal_targets,
     residual_variance,
     save_anchor_set,
-    write_ksweep_csv,
 )
 from anchorlab.encoders import encode_np
 from anchorlab.errors import ConfigError, DimensionError, ManifestError
@@ -86,13 +85,13 @@ def test_residual_variance_decreases_with_k(micro_world, micro_teacher):
     _, bgs = micro_world
     embs = background_embeddings(micro_teacher, bgs)
     mu = BackgroundMean(vector=embs.astype(np.float64).mean(axis=0), count=len(bgs))
-    v1 = residual_variance(micro_teacher, None, bgs, 1, 400, mu, 9, bg_embs=embs)
-    v8 = residual_variance(micro_teacher, None, bgs, 8, 400, mu, 9, bg_embs=embs)
+    v1 = residual_variance(micro_teacher, bgs, 1, 400, mu, 9, bg_embs=embs)
+    v8 = residual_variance(micro_teacher, bgs, 8, 400, mu, 9, bg_embs=embs)
     assert v8 < v1
     with pytest.raises(ConfigError):
-        residual_variance(micro_teacher, None, bgs, 2, 1, mu, 9)
+        residual_variance(micro_teacher, bgs, 2, 1, mu, 9)
     with pytest.raises(ConfigError):
-        residual_variance(micro_teacher, None, bgs, len(bgs) + 1, 5, mu, 9, replace=False)
+        residual_variance(micro_teacher, bgs, len(bgs) + 1, 5, mu, 9, replace=False)
 
 
 def test_compute_prototypes(micro_world, micro_teacher):
@@ -118,17 +117,6 @@ def test_k_sweep_report_and_errors(micro_world, micro_teacher):
     with pytest.raises(ConfigError):
         k_sweep(micro_teacher, fgs[:2], bgs, (1,),
                 Prototypes(by_class={}, by_group=protos.by_group), 6)
-
-
-def test_write_ksweep_csv(tmp_path, micro_world, micro_teacher):
-    fgs, bgs = micro_world
-    protos = compute_prototypes(micro_teacher, fgs, bgs, seed=2)
-    report = k_sweep(micro_teacher, fgs[:1], bgs, (1, 2), protos, 6, var_trials=20)
-    path = tmp_path / "sweep.csv"
-    write_ksweep_csv(path, report)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "K,fg_sim,bg_sim_max,var_eps"
-    assert len(lines) == 3
 
 
 def test_orthogonal_targets_properties():

@@ -60,6 +60,29 @@ def test_config_load(tmp_path, mini_cfg):
     assert ExperimentConfig.load(path) == mini_cfg
 
 
+@pytest.mark.parametrize("override", [
+    {"methods": ("native-lp", "dro")},
+    {"rhos": (1.0, 0.4)},
+    {"rhos": (1.05,)},
+    {"degradation": "blurry"},
+    {"teacher": "resnet"},
+    {"methods": ("control",), "epochs": 10},
+])
+def test_config_rejects_unrunnable(override):
+    with pytest.raises(ConfigError):
+        ExperimentConfig(**{**MINI, **override})
+
+
+def test_run_matrix_fails_before_any_run(tmp_path, mini_cfg):
+    # control cannot run at 2 epochs: the override fails before the first seed
+    with pytest.raises(ConfigError):
+        cmd_run_matrix(mini_cfg, 3, tmp_path, methods=("native-lp", "bap-lp", "control"))
+    with pytest.raises(ConfigError):
+        cmd_run_matrix(mini_cfg, 3, tmp_path, rhos=(0.3,))
+    assert not (tmp_path / "runs").exists()
+    assert not (tmp_path / "metrics.csv").exists()
+
+
 def test_run_seeds_deterministic():
     cfg = ExperimentConfig(num_seeds=5)
     seeds = run_seeds(cfg, 0)
@@ -161,10 +184,12 @@ def test_ablate_seg(tmp_path, mini_cfg):
 def test_report_collects_artifacts(tmp_path, mini_cfg):
     cmd_run_matrix(mini_cfg, 3, tmp_path, methods=("lp-ft",))
     cmd_k_ablation(mini_cfg, 3, tmp_path)
+    cmd_ablate(mini_cfg, 3, tmp_path, "k_train_sweep")
     path = cmd_report(tmp_path)
     text = path.read_text()
     assert "metrics: metrics.csv" in text
     assert "k_ablation: k_ablation.csv" in text
+    assert "ablate_k_train_sweep: ablate_k_train_sweep.csv" in text
     assert (tmp_path / "plots" / "fig_anchor_purification.csv").exists()
     assert (tmp_path / "plots" / "fig_finetune_degradation.csv").exists()
 

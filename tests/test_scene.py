@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from anchorlab.errors import ConfigError, DegenerateMaskError, SamplingError
+from anchorlab.errors import ConfigError, DegenerateMaskError
 from anchorlab.rng import derive_seed
 from anchorlab.scene import (
     CLASS_STYLES,
@@ -16,7 +16,6 @@ from anchorlab.scene import (
     composite,
     degrade_mask,
     draw_scale,
-    flattened_margin_sample,
     gaussian_blur,
     gen_world,
     make_background,
@@ -291,32 +290,6 @@ def test_dataset_accessors(micro_world):
     assert train.labels().shape == (8,)
     assert train.groups().shape == (8,)
     assert train.rho == 1.0 and train.split == "train"
-
-
-# ---------------------------------------------------------------------------
-# flattened sampling
-
-
-def test_flattened_margin_sample_round_robin():
-    pool = [(f"lo{i}", 0.1) for i in range(10)] + [(f"hi{i}", 0.9) for i in range(10)]
-    chosen, report = flattened_margin_sample(pool, (0.0, 1.0), bins=2, target=10, seed=1)
-    assert len(chosen) == 10
-    lo = sum(1 for c in chosen if c.startswith("lo"))
-    assert lo == 5  # equal draw from both difficulty bins
-    assert report["shortfall"] == 0
-
-
-def test_flattened_margin_sample_bounds_and_shortfall():
-    pool = [("in", 0.5), ("out", 2.0)]
-    chosen, report = flattened_margin_sample(pool, (0.0, 1.0), bins=1, target=5, seed=1)
-    assert chosen == ["in"]
-    assert report["shortfall"] == 4
-    with pytest.raises(SamplingError):
-        flattened_margin_sample([("x", 5.0)], (0.0, 1.0), bins=1, target=1, seed=1)
-    with pytest.raises(ConfigError):
-        flattened_margin_sample(pool, (1.0, 0.0), bins=1, target=1, seed=1)
-    with pytest.raises(ConfigError):
-        flattened_margin_sample(pool, (0.0, 1.0), bins=0, target=1, seed=1)
 
 
 # ---------------------------------------------------------------------------

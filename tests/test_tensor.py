@@ -229,6 +229,49 @@ def test_lr_schedule_shape():
         LrSchedule(base=0.1, warmup_frac=1.0, total_steps=10)
 
 
+# ---------------------------------------------------------------------------
+# the fit loop
+
+
+def _fit_problem():
+    """A linear body and head fitted for 4 epochs of 3 steps, the first 2 head-only."""
+    g = np.random.default_rng(0)
+    x = g.standard_normal((10, 3)).astype(np.float32)
+    y = np.array([0, 1] * 5)
+    body = Tensor(g.standard_normal((3, 4)), requires_grad=True)
+    head = {"H": Tensor(g.standard_normal((4, 2)), requires_grad=True)}
+    snapshots = [(body.data.copy(), head["H"].data.copy())]
+
+    def loss(xb, yb):
+        return T.softmax_cross_entropy(T.matmul(T.matmul(Tensor(xb), body), head["H"]), yb)
+
+    log = T.fit({"body": body, **head}, lambda epoch: (x, y), loss, n=10, batch_size=4,
+                epochs=4, lr=0.05, weight_decay=0.01, warmup_frac=0.25, head=head,
+                head_only_epochs=2,
+                after_epoch=lambda epoch: snapshots.append(
+                    (body.data.copy(), head["H"].data.copy())))
+    return log, snapshots
+
+
+def test_fit_head_only_warmup_freezes_the_rest():
+    log, snaps = _fit_problem()
+    assert len(log.epoch_loss) == 4 and len(snaps) == 5
+    (body0, head0), (body1, head1), (body2, head2), (body3, _) = snaps[:4]
+    # the body stays bitwise fixed through both warm-up epochs while the head moves
+    assert np.array_equal(body1, body0) and np.array_equal(body2, body0)
+    assert not np.array_equal(head1, head0) and not np.array_equal(head2, head1)
+    # once the warm-up ends, everything trains
+    assert not np.array_equal(body3, body0)
+
+
+def test_fit_lr_steps_follow_one_schedule():
+    log, _ = _fit_problem()
+    sched = LrSchedule(0.05, 0.25, 12, 0.005)
+    assert log.lr_steps == [sched.lr_at(s) for s in range(1, 13)]
+    assert log.epoch_lr == log.lr_steps[2::3]
+    assert len(log.epoch_wall_ms) == 4
+
+
 @given(st.integers(0, 2**31 - 1))
 @settings(max_examples=25, deadline=None)
 def test_l2_normalize_unit_property(seed):
