@@ -18,7 +18,6 @@ from .errors import ConfigError, DegenerateInputError
 from .rng import derive_seed, rng
 from .scene import (
     NEUTRAL_GRAY,
-    SCENE_SCALE_RANGE,
     BackgroundImage,
     ForegroundInstance,
     _prepare_foreground,
@@ -34,8 +33,6 @@ class AdditivityTriple:
     v_a: np.ndarray
     v_b: np.ndarray
     v_ab: np.ndarray
-    id_a: str = ""
-    id_b: str = ""
 
 
 @dataclass(frozen=True)
@@ -63,9 +60,8 @@ def neutral_background(hw: tuple[int, int] = (64, 64)) -> BackgroundImage:
                            raster=np.full((*hw, 3), NEUTRAL_GRAY, dtype=np.float32))
 
 
-def triple_rasters(fg: ForegroundInstance, bg: BackgroundImage, seed: int,
-                   scale_range=SCENE_SCALE_RANGE,
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def triple_rasters(fg: ForegroundInstance, bg: BackgroundImage,
+                   seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Standard probe triple: object on a neutral canvas, background, composite.
 
     The isolated-object raster uses the same scale draw and placement as the

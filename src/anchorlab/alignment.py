@@ -10,7 +10,6 @@ through the one minibatch loop, `tensor.fit`.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass, field
 
@@ -44,7 +43,6 @@ class AlignConfig:
     weight_decay: float = 0.01
     warmup_frac: float = 0.10
     M: int = 5  # contexts per foreground per epoch
-    regenerate_per_epoch: bool = True
     degradation: str = "perfect"
     seed: int = 0
 
@@ -53,21 +51,14 @@ class AlignConfig:
             raise ConfigError("epochs, batch size and M must all be >= 1")
         if self.lr <= 0:
             raise ConfigError("learning rate must be positive")
+        if not 0.0 <= self.warmup_frac < 1.0:
+            raise ConfigError("warmup fraction must lie in [0, 1)")
 
 
 @dataclass
 class TrainLog(T.FitLog):
     data_ids: list[str] = field(default_factory=list)
     final_checksum: str = ""
-
-
-def write_trainlog_csv(path, log: TrainLog) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["epoch", "loss", "lr", "wall_ms"])
-        for i, (loss, lr, ms) in enumerate(zip(log.epoch_loss, log.epoch_lr,
-                                               log.epoch_wall_ms), start=1):
-            w.writerow([i, f"{loss:.6f}", f"{lr:.8g}", f"{ms:.1f}"])
 
 
 def composite_stream(foregrounds, bg_pool, M: int, seed: int, epoch: int):
@@ -124,24 +115,14 @@ def ce_loss(student: EncoderModel, head: dict[str, Tensor], label_of):
 def _train_loop(student: EncoderModel, loss_fn, foregrounds, bg_pool, cfg: AlignConfig,
                 head: dict[str, Tensor] | None = None,
                 head_only_epochs: int = 0) -> TrainLog:
-    """Render each epoch's composite stream and fit the student on it.
-
-    Epochs are rendered one at a time; with a fixed stream the first epoch's
-    composites are reused.
-    """
+    """Fit the student on each epoch's composite stream, rendered as the epoch starts."""
     data_ids: list[str] = []
-    fixed = None
 
     def epoch_data(epoch):
-        nonlocal fixed
-        if fixed is not None:
-            return fixed
         stream = composite_stream(foregrounds, bg_pool, cfg.M, cfg.seed, epoch)
         data_ids.extend(cid for _, _, _, cid in stream)
         rasters = np.stack([make_composite(fg, bg, s, degradation=cfg.degradation).raster
                             for fg, bg, s, _ in stream])
-        if not cfg.regenerate_per_epoch:
-            fixed = stream, rasters
         return stream, rasters
 
     fitted = T.fit({**student.params, **(head or {})}, epoch_data, loss_fn,

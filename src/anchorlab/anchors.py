@@ -8,15 +8,13 @@ which the K-sweep report makes visible.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import tensor as T
 from .encoders import EncoderModel, encode_np
-from .errors import ConfigError, DegenerateInputError, DimensionError, ManifestError
+from .errors import ConfigError, DegenerateInputError, DimensionError
 from .rng import derive_seed, rng
 from .scene import ANCHOR_SCALE, BackgroundImage, ForegroundInstance, composite
 
@@ -30,8 +28,6 @@ _EPS = 1e-8
 class AnchorSet:
     anchors: dict[str, np.ndarray]
     K: int
-    teacher_tag: str
-    bg_pool_id: str
     with_replacement: bool = False
 
 
@@ -94,13 +90,11 @@ def extract_anchor(teacher: EncoderModel, fg: ForegroundInstance,
 
 
 def build_anchor_set(teacher: EncoderModel, foregrounds, bg_pool, K: int,
-                     seed: int, teacher_tag: str = "teacher",
-                     bg_pool_id: str = "pool", degradation: str = "perfect") -> AnchorSet:
+                     seed: int, degradation: str = "perfect") -> AnchorSet:
     anchors = {fg.id: extract_anchor(teacher, fg, bg_pool, K, derive_seed(seed, fg.id),
                                      degradation)
                for fg in foregrounds}
-    return AnchorSet(anchors=anchors, K=K, teacher_tag=teacher_tag,
-                     bg_pool_id=bg_pool_id, with_replacement=len(bg_pool) < K)
+    return AnchorSet(anchors=anchors, K=K, with_replacement=len(bg_pool) < K)
 
 
 def background_embeddings(teacher: EncoderModel, backgrounds, batch: int = 256) -> np.ndarray:
@@ -237,51 +231,3 @@ def orthogonal_targets(d: int, num_targets: int, seed: int) -> list[np.ndarray]:
             continue
         basis.append(v / n)
     return [b.astype(np.float32) for b in basis]
-
-
-# ---------------------------------------------------------------------------
-# persistence
-
-
-def save_anchor_set(aset: AnchorSet, directory) -> None:
-    """One BAPT record per anchor plus a JSONL manifest, in sorted id order."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    order = sorted(aset.anchors)
-    with open(directory / "anchors.bapt", "wb") as fh:
-        for fg_id in order:
-            T.write_record(fh, aset.anchors[fg_id])
-    with open(directory / "manifest.jsonl", "w") as fh:
-        fh.write(json.dumps({"kind": "header", "K": aset.K,
-                             "teacher_tag": aset.teacher_tag,
-                             "bg_pool_id": aset.bg_pool_id,
-                             "with_replacement": aset.with_replacement},
-                            sort_keys=True) + "\n")
-        for fg_id in order:
-            fh.write(json.dumps({"fg_id": fg_id, "K": aset.K,
-                                 "teacher_tag": aset.teacher_tag},
-                                sort_keys=True) + "\n")
-
-
-def load_anchor_set(directory) -> AnchorSet:
-    directory = Path(directory)
-    header = None
-    ids = []
-    with open(directory / "manifest.jsonl") as fh:
-        for line in fh:
-            rec = json.loads(line)
-            if rec.get("kind") == "header":
-                header = rec
-            else:
-                ids.append(rec["fg_id"])
-    if header is None:
-        raise ManifestError("anchor manifest missing header")
-    anchors = {}
-    with open(directory / "anchors.bapt", "rb") as fh:
-        for fg_id in ids:
-            anchors[fg_id] = T.read_record(fh)
-    if len(anchors) != len(ids):
-        raise ManifestError("anchor count does not match manifest")
-    return AnchorSet(anchors=anchors, K=header["K"], teacher_tag=header["teacher_tag"],
-                     bg_pool_id=header["bg_pool_id"],
-                     with_replacement=header["with_replacement"])

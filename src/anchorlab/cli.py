@@ -54,7 +54,6 @@ class ExperimentConfig:
     lr: float = 1e-3
     weight_decay: float = 0.01
     warmup_frac: float = 0.10
-    regenerate_per_epoch: bool = True
     degradation: str = "perfect"
     # downstream benchmark
     train_per_class: int = 800
@@ -86,6 +85,17 @@ class ExperimentConfig:
         if "control" in self.methods and self.epochs <= alignment.CONTROL_WARMUP_EPOCHS:
             raise ConfigError(f"control needs more than {alignment.CONTROL_WARMUP_EPOCHS} "
                               f"epochs, its head-only warm-up; got {self.epochs}")
+        if "ortho" in self.methods and self.d < self.num_classes:
+            raise ConfigError(f"ortho needs d >= num_classes to fit one orthogonal target "
+                              f"per class; got d={self.d}")
+        if min(self.K, self.probe_epochs, self.train_per_class, self.test_per_cell,
+               self.num_seeds) < 1:
+            raise ConfigError("K, probe_epochs, train_per_class, test_per_cell and "
+                              "num_seeds must all be >= 1")
+        # the alignment and lp-ft phases run under these settings
+        for epochs in (self.epochs, self.ft_epochs):
+            alignment.AlignConfig(epochs=epochs, batch_size=self.batch_size, lr=self.lr,
+                                  warmup_frac=self.warmup_frac, M=self.M)
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, indent=2)
@@ -187,7 +197,6 @@ class SeedContext:
         base = alignment.AlignConfig(
             epochs=c.epochs, batch_size=c.batch_size, lr=c.lr,
             weight_decay=c.weight_decay, warmup_frac=c.warmup_frac, M=c.M,
-            regenerate_per_epoch=c.regenerate_per_epoch,
             degradation=c.degradation, seed=derive_seed(self.seed, "align"))
         return replace(base, **overrides) if overrides else base
 
@@ -320,7 +329,7 @@ def evaluate_method(ctx: SeedContext, method: str, rho: float):
         preds = lp(ctx.teacher, "probe-native")
         enc_tag, encoder = "teacher", ctx.teacher
     elif method == "lp-ft":
-        model, head, _traces = ctx.lp_ft(rho)
+        model, head, _ = ctx.lp_ft(rho)
         frozen = freeze(model)
         embs = encode_np(frozen, test_rasters)
         preds = (embs @ head["head_W"] + head["head_b"]).argmax(axis=1)
@@ -344,6 +353,24 @@ def evaluate_method(ctx: SeedContext, method: str, rho: float):
     gm = evaluation.group_metrics(preds, test_y, test_g)
     bsi_value = ctx.bsi_of(enc_tag, encoder)
     return gm, bsi_value
+
+
+_STUDENT_OF = {"bap-lp": "bap_student", "bap-zs": "bap_student",
+               "control": "control_student", "ortho": "ortho_student"}
+
+
+def _training_trace(ctx: SeedContext, method: str, rho: float) -> dict | None:
+    """Per-epoch traces of the training run behind a method, None for native ones.
+
+    Students give their loss and LR per epoch; lp-ft gives WGA and AVG on the
+    balanced test split, from the frozen-probe baseline (epoch 0) on.
+    """
+    if method == "lp-ft":
+        return ctx.lp_ft(rho)[2]
+    if method in _STUDENT_OF:
+        log = getattr(ctx, _STUDENT_OF[method])[1]
+        return {"epoch_loss": log.epoch_loss, "epoch_lr": log.epoch_lr}
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +484,7 @@ def cmd_run_matrix(cfg: ExperimentConfig, seed: int, out,
                     "metrics": {"avg": gm.avg, "wga": gm.wga,
                                 "per_group": {f"{y}{g}": a for (y, g), a in gm.per_group.items()},
                                 "bsi": bsi_value},
+                    "trace": _training_trace(ctx, method, rho),
                     "wall_s": round(time.perf_counter() - t0, 3)})
     path = out / "metrics.csv"
     evaluation.write_metrics_csv(path, rows)
@@ -567,13 +595,14 @@ def cmd_report(out) -> Path:
     if runs_dir.exists():
         for rec_path in sorted(runs_dir.glob("lp-ft-*.json")):
             rec = json.loads(rec_path.read_text())
-            ft_rows.append(rec)
+            trace = rec["trace"]
+            ft_rows.extend([rec["run_id"], epoch, wga, avg]
+                           for epoch, (wga, avg) in enumerate(zip(trace["wga"], trace["avg"])))
     if ft_rows:
         with open(plots / "fig_finetune_degradation.csv", "w", newline="") as fh:
             w = csv.writer(fh)
-            w.writerow(["run_id", "wga", "avg"])
-            for rec in ft_rows:
-                w.writerow([rec["run_id"], rec["metrics"]["wga"], rec["metrics"]["avg"]])
+            w.writerow(["run_id", "epoch", "wga", "avg"])
+            w.writerows(ft_rows)
     else:
         missing.append("fig_finetune_degradation")
     report_path = out / "report.txt"

@@ -18,9 +18,7 @@ gradients and are safe to share across workers.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -63,9 +61,6 @@ class EncoderModel:
         self.consts = consts
         self.frozen = frozen
         self.meta = dict(meta or {})
-
-    def trainable_params(self) -> dict[str, Tensor]:
-        return {} if self.frozen else self.params
 
     def param_checksum(self) -> str:
         import hashlib
@@ -245,45 +240,3 @@ def freeze(model: EncoderModel) -> EncoderModel:
     return EncoderModel(arch=model.arch, d=model.d, input_hw=model.input_hw,
                         params=params, consts={k: v.copy() for k, v in model.consts.items()},
                         frozen=True, meta=dict(model.meta))
-
-
-# ---------------------------------------------------------------------------
-# persistence: structured-text header + BAPT parameter container
-
-
-def save_model(model: EncoderModel, directory) -> None:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    order = sorted(model.params) + [f"const:{k}" for k in sorted(model.consts)]
-    header = {
-        "arch": model.arch,
-        "d": model.d,
-        "input_hw": list(model.input_hw),
-        "frozen": model.frozen,
-        "meta": model.meta,
-        "tensors": order,
-    }
-    (directory / "header.json").write_text(json.dumps(header, indent=2, sort_keys=True))
-    with open(directory / "params.bapt", "wb") as fh:
-        for name in order:
-            if name.startswith("const:"):
-                T.write_record(fh, model.consts[name[6:]])
-            else:
-                T.write_record(fh, model.params[name].data)
-
-
-def load_model(directory) -> EncoderModel:
-    directory = Path(directory)
-    header = json.loads((directory / "header.json").read_text())
-    params: dict[str, Tensor] = {}
-    consts: dict[str, np.ndarray] = {}
-    with open(directory / "params.bapt", "rb") as fh:
-        for name in header["tensors"]:
-            arr = T.read_record(fh)
-            if name.startswith("const:"):
-                consts[name[6:]] = arr
-            else:
-                params[name] = Tensor(arr, requires_grad=not header["frozen"])
-    return EncoderModel(arch=header["arch"], d=header["d"],
-                        input_hw=tuple(header["input_hw"]), params=params,
-                        consts=consts, frozen=header["frozen"], meta=header["meta"])

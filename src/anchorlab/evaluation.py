@@ -8,7 +8,7 @@ cells) and BSI (how far embeddings move when only the background changes).
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +31,6 @@ _BSI_EPS = 1e-8
 class ProbeHead:
     W: np.ndarray  # d x num_classes
     b: np.ndarray
-    config: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -79,9 +78,7 @@ def fit_linear_head(embs: np.ndarray, labels: np.ndarray, num_classes: int,
     T.fit({"W": Wp, "b": bp}, lambda epoch: (rng(seed, "probe-order", epoch).permutation(n),),
           loss, n=n, batch_size=batch, epochs=epochs, lr=lr, weight_decay=0.0,
           warmup_frac=0.10)
-    return ProbeHead(W=Wp.data.copy(), b=bp.data.copy(),
-                     config={"epochs": epochs, "lr": lr, "batch": batch,
-                             "weighted": weighted, "seed": seed})
+    return ProbeHead(W=Wp.data.copy(), b=bp.data.copy())
 
 
 def train_probe(encoder: EncoderModel, train: GroupedDataset, seed: int = 0,
@@ -104,22 +101,11 @@ def probe_predict(encoder: EncoderModel, head: ProbeHead, rasters: np.ndarray) -
 # prototype classification
 
 
-def prototype_classify(embedding: np.ndarray, prototypes: dict[int, np.ndarray],
-                       tie_counter: list | None = None) -> int:
+def prototype_predict(encoder: EncoderModel, prototypes: dict[int, np.ndarray],
+                      rasters: np.ndarray) -> np.ndarray:
     """Argmax cosine over class prototypes; ties break to the lowest class."""
     if len(prototypes) < 2:
         raise ConfigError("need at least two class prototypes")
-    classes = sorted(prototypes)
-    sims = np.array([T.cosine_sim_np(embedding, prototypes[c]) for c in classes])
-    best = float(sims.max())
-    winners = [c for c, s in zip(classes, sims) if s == best]
-    if len(winners) > 1 and tie_counter is not None:
-        tie_counter.append(tuple(winners))
-    return winners[0]
-
-
-def prototype_predict(encoder: EncoderModel, prototypes: dict[int, np.ndarray],
-                      rasters: np.ndarray) -> np.ndarray:
     embs = encode_np(encoder, rasters)
     classes = sorted(prototypes)
     proto = np.stack([prototypes[c] for c in classes])

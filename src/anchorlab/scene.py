@@ -276,12 +276,6 @@ def threshold_mask(m: np.ndarray) -> np.ndarray:
     return np.where(np.asarray(m) > MASK_THRESHOLD, 255, 0).astype(np.uint8)
 
 
-def refine_mask(m: np.ndarray) -> np.ndarray:
-    """Threshold then blur: binary solidification followed by a soft alpha edge."""
-    binary = threshold_mask(m)
-    return np.clip(gaussian_blur(binary.astype(np.float32)), 0.0, 255.0)
-
-
 def _disk_element(radius: int) -> np.ndarray:
     r = np.arange(-radius, radius + 1)
     return (r[:, None] ** 2 + r[None, :] ** 2) <= radius * radius
@@ -385,28 +379,25 @@ def resize_sinc(img: np.ndarray, out_hw: tuple[int, int]) -> np.ndarray:
 # compositing
 
 
-def _prepare_foreground(fg: ForegroundInstance, degradation: str,
-                        radius: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _prepare_foreground(fg: ForegroundInstance, degradation: str) -> tuple[np.ndarray, np.ndarray]:
     """Cropped foreground raster + refined alpha for a degradation mode (cached)."""
-    key = (degradation, radius)
-    cached = fg._prepared.get(key)
+    cached = fg._prepared.get(degradation)
     if cached is not None:
         return cached
     binary = threshold_mask(fg.mask)
-    binary = degrade_mask(binary, degradation, radius)
+    binary = degrade_mask(binary, degradation)
     alpha = np.clip(gaussian_blur(binary.astype(np.float32)), 0.0, 255.0)
     support = alpha > 0
     rows = np.flatnonzero(support.any(axis=1))
     cols = np.flatnonzero(support.any(axis=0))
     r0, r1, c0, c1 = rows[0], rows[-1] + 1, cols[0], cols[-1] + 1
     crop = (fg.raster[r0:r1, c0:c1].copy(), alpha[r0:r1, c0:c1].copy())
-    fg._prepared[key] = crop
+    fg._prepared[degradation] = crop
     return crop
 
 
 def composite(fg: ForegroundInstance, bg: BackgroundImage, scale: float,
-              placement: str, seed: int, degradation: str = "perfect",
-              radius: int | None = None) -> CompositeRecord:
+              placement: str, seed: int, degradation: str = "perfect") -> CompositeRecord:
     """Alpha-blend a rescaled foreground onto a background.
 
     `scale` is the target long-side fraction of the canvas; `placement` is
@@ -418,7 +409,7 @@ def composite(fg: ForegroundInstance, bg: BackgroundImage, scale: float,
     if placement not in ("center", "random"):
         raise ConfigError(f"unknown placement {placement!r}")
     H, W = bg.raster.shape[:2]
-    crop, alpha = _prepare_foreground(fg, degradation, radius)
+    crop, alpha = _prepare_foreground(fg, degradation)
     h, w = crop.shape[:2]
     long_side = max(h, w)
     target_long = max(1, round(scale * min(H, W)))
@@ -451,11 +442,9 @@ def draw_scale(seed: int, scale_range: tuple[float, float]) -> float:
 
 def make_composite(fg: ForegroundInstance, bg: BackgroundImage, seed: int,
                    scale_range: tuple[float, float] = SCENE_SCALE_RANGE,
-                   placement: str = "center", degradation: str = "perfect",
-                   radius: int | None = None) -> CompositeRecord:
+                   placement: str = "center", degradation: str = "perfect") -> CompositeRecord:
     """Composite with the scale drawn from `scale_range` by the item seed."""
-    return composite(fg, bg, draw_scale(seed, scale_range), placement, seed,
-                     degradation, radius)
+    return composite(fg, bg, draw_scale(seed, scale_range), placement, seed, degradation)
 
 
 # ---------------------------------------------------------------------------
@@ -489,9 +478,6 @@ class DatasetSizes:
 def build_grouped_dataset(foregrounds: list[ForegroundInstance],
                           backgrounds: list[BackgroundImage],
                           rho: float, sizes: DatasetSizes, seed: int,
-                          degradation: str = "perfect",
-                          placement: str = "center",
-                          scale_range: tuple[float, float] = SCENE_SCALE_RANGE,
                           ) -> tuple[GroupedDataset, GroupedDataset]:
     """Two-class / two-group correlated train split plus a balanced test split.
 
@@ -512,7 +498,7 @@ def build_grouped_dataset(foregrounds: list[ForegroundInstance],
 
     def _make(fg, bg, rep):
         item_seed = derive_seed(seed, fg.id, bg.id, rep)
-        comp = make_composite(fg, bg, item_seed, scale_range, placement, degradation)
+        comp = make_composite(fg, bg, item_seed)
         return GroupedItem(comp=comp, y=fg.y, g=bg.g)
 
     train_items = []

@@ -13,7 +13,6 @@ float64 before being cast back, to avoid drift in long-running estimates.
 from __future__ import annotations
 
 import math
-import struct
 import time
 from dataclasses import dataclass, field
 
@@ -54,9 +53,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def zero_grad(self):
-        self.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -458,19 +454,24 @@ def fit(params: dict[str, Tensor], epoch_data, loss_fn, *, n: int, batch_size: i
     sequences; each step hands their next `batch_size` slices to `loss_fn`,
     which builds a scalar loss on the active tape.  During the first
     `head_only_epochs` epochs only `head`, a subset of `params`, steps, with
-    its own optimizer state, while the schedule runs on.  `after_epoch(epoch)`
-    runs when each epoch ends.
+    its own optimizer state, while the schedule runs on; the other parameters
+    are untracked meanwhile, so no gradient is computed for them.
+    `after_epoch(epoch)` runs when each epoch ends.
     """
     steps_per_epoch = max(1, -(-n // batch_size))
     sched = LrSchedule(lr, warmup_frac, epochs * steps_per_epoch, lr / 10)
     head_opt = AdamW(head, lr=lr, weight_decay=weight_decay) if head_only_epochs else None
     opt = AdamW(params, lr=lr, weight_decay=weight_decay)
+    rest = [p for k, p in params.items() if k not in head] if head_only_epochs else []
     log = FitLog()
     step = 0
     for epoch in range(epochs):
         t0 = time.perf_counter()
         data = epoch_data(epoch)
-        active = head_opt if epoch < head_only_epochs else opt
+        warm = epoch < head_only_epochs
+        for p in rest:
+            p.requires_grad = p._tracked = not warm
+        active = head_opt if warm else opt
         losses = []
         for b0 in range(0, n, batch_size):
             step += 1
@@ -488,43 +489,6 @@ def fit(params: dict[str, Tensor], epoch_data, loss_fn, *, n: int, batch_size: i
         log.epoch_wall_ms.append((time.perf_counter() - t0) * 1e3)
         if after_epoch is not None:
             after_epoch(epoch)
+    for p in rest:
+        p.requires_grad = p._tracked = True
     return log
-
-
-# ---------------------------------------------------------------------------
-# binary tensor container ("BAPT")
-
-_MAGIC = b"BAPT"
-_VERSION = 1
-
-
-def write_record(fh, arr: np.ndarray) -> None:
-    arr = np.asarray(arr, dtype=np.float32)
-    fh.write(_MAGIC)
-    fh.write(struct.pack("<BB", _VERSION, arr.ndim))
-    for extent in arr.shape:
-        fh.write(struct.pack("<I", extent))
-    fh.write(arr.astype("<f4").tobytes(order="C"))
-
-
-def read_record(fh) -> np.ndarray:
-    magic = fh.read(4)
-    if magic != _MAGIC:
-        raise ContractError(f"bad tensor magic {magic!r}")
-    version, rank = struct.unpack("<BB", fh.read(2))
-    if version != _VERSION:
-        raise ContractError(f"unsupported tensor container version {version}")
-    shape = tuple(struct.unpack("<I", fh.read(4))[0] for _ in range(rank))
-    count = int(np.prod(shape)) if shape else 1
-    data = np.frombuffer(fh.read(4 * count), dtype="<f4").reshape(shape)
-    return data.astype(np.float32)
-
-
-def save_tensor(path, arr: np.ndarray) -> None:
-    with open(path, "wb") as fh:
-        write_record(fh, arr)
-
-
-def load_tensor(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        return read_record(fh)

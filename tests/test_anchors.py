@@ -1,4 +1,4 @@
-"""Anchor extraction, background-mean diagnostics, K sweeps, persistence."""
+"""Anchor extraction, background-mean diagnostics, K sweeps, orthogonal targets."""
 
 import numpy as np
 import pytest
@@ -13,13 +13,11 @@ from anchorlab.anchors import (
     estimate_mu_bg,
     extract_anchor,
     k_sweep,
-    load_anchor_set,
     orthogonal_targets,
     residual_variance,
-    save_anchor_set,
 )
 from anchorlab.encoders import encode_np
-from anchorlab.errors import ConfigError, DimensionError, ManifestError
+from anchorlab.errors import ConfigError, DimensionError
 from anchorlab.rng import rng
 
 
@@ -129,24 +127,3 @@ def test_orthogonal_targets_properties():
     assert all(np.array_equal(a, b) for a, b in zip(vecs, again))
     with pytest.raises(DimensionError):
         orthogonal_targets(3, 4, 1)
-
-
-def test_anchor_set_roundtrip(tmp_path, micro_world, micro_teacher):
-    fgs, bgs = micro_world
-    aset = build_anchor_set(micro_teacher, fgs, bgs, 4, 21, teacher_tag="tt",
-                            bg_pool_id="train-pool")
-    save_anchor_set(aset, tmp_path / "aset")
-    back = load_anchor_set(tmp_path / "aset")
-    assert back.K == 4 and back.teacher_tag == "tt" and back.bg_pool_id == "train-pool"
-    assert set(back.anchors) == set(aset.anchors)
-    for fg_id in aset.anchors:
-        assert np.array_equal(back.anchors[fg_id], aset.anchors[fg_id])
-
-
-def test_load_anchor_set_missing_header(tmp_path):
-    d = tmp_path / "broken"
-    d.mkdir()
-    (d / "manifest.jsonl").write_text('{"fg_id": "x", "K": 1, "teacher_tag": "t"}\n')
-    (d / "anchors.bapt").write_bytes(b"")
-    with pytest.raises(ManifestError):
-        load_anchor_set(d)

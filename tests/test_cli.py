@@ -67,6 +67,17 @@ def test_config_load(tmp_path, mini_cfg):
     {"degradation": "blurry"},
     {"teacher": "resnet"},
     {"methods": ("control",), "epochs": 10},
+    {"methods": ("native-lp", "ortho"), "d": 1},
+    {"M": 0},
+    {"K": 0},
+    {"ft_epochs": 0},
+    {"batch_size": 0},
+    {"num_seeds": 0},
+    {"probe_epochs": 0},
+    {"train_per_class": 0},
+    {"test_per_cell": 0},
+    {"lr": 0.0},
+    {"warmup_frac": 1.0},
 ])
 def test_config_rejects_unrunnable(override):
     with pytest.raises(ConfigError):
@@ -155,6 +166,11 @@ def test_run_matrix_outputs(tmp_path, mini_cfg):
     rec = json.loads(records[0].read_text())
     assert rec["code_hash"] == code_hash()
     assert "metrics" in rec and "config" in rec
+    # the aligned student's per-epoch training trace rides along; native runs have none
+    bap = json.loads((tmp_path / "runs" / "bap-zs-rho1-s0.json").read_text())
+    assert len(bap["trace"]["epoch_loss"]) == len(bap["trace"]["epoch_lr"]) == mini_cfg.epochs
+    native = json.loads((tmp_path / "runs" / "native-lp-rho1-s0.json").read_text())
+    assert native["trace"] is None
 
 
 def test_run_matrix_rejects_unknown_method(tmp_path, mini_cfg):
@@ -191,7 +207,11 @@ def test_report_collects_artifacts(tmp_path, mini_cfg):
     assert "k_ablation: k_ablation.csv" in text
     assert "ablate_k_train_sweep: ablate_k_train_sweep.csv" in text
     assert (tmp_path / "plots" / "fig_anchor_purification.csv").exists()
-    assert (tmp_path / "plots" / "fig_finetune_degradation.csv").exists()
+    lines = (tmp_path / "plots" / "fig_finetune_degradation.csv").read_text().splitlines()
+    assert lines[0] == "run_id,epoch,wga,avg"
+    # one row per epoch of the single lp-ft run, epoch 0 being the frozen-probe baseline
+    assert [line.split(",")[:2] for line in lines[1:]] == [
+        ["lp-ft-rho1-s0", str(epoch)] for epoch in range(mini_cfg.ft_epochs + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Encoder architectures: linearity of the planted map, cloning, persistence."""
+"""Encoder architectures: linearity of the planted map, cloning, freezing."""
 
 import numpy as np
 import pytest
@@ -11,10 +11,8 @@ from anchorlab.encoders import (
     encode_np,
     freeze,
     init_encoder,
-    load_model,
     planted_teacher,
     pre_embedding,
-    save_model,
 )
 from anchorlab.errors import ConfigError, DimensionError
 from anchorlab.tensor import GradTape, Tensor
@@ -47,7 +45,7 @@ def test_planted_alpha_breaks_linearity():
 def test_planted_is_frozen_and_deterministic():
     a = planted_teacher(PlantedConfig(seed=3), d=8, input_hw=(32, 32))
     b = planted_teacher(PlantedConfig(seed=3), d=8, input_hw=(32, 32))
-    assert a.frozen and not a.trainable_params()
+    assert a.frozen and not a.params
     assert a.param_checksum() == b.param_checksum()
     with pytest.raises(ConfigError):
         planted_teacher(PlantedConfig(seed=3), d=8, input_hw=(30, 30))
@@ -113,7 +111,8 @@ def test_freeze_preserves_outputs():
     model = init_encoder("mlp", 8, d=8, input_hw=(16, 16))
     frozen = freeze(model)
     batch = _rand_raster(4, hw=(16, 16), n=2)
-    assert frozen.frozen and not frozen.trainable_params()
+    assert frozen.frozen
+    assert not any(p.requires_grad for p in frozen.params.values())
     assert np.allclose(encode_np(model, batch), encode_np(frozen, batch))
 
 
@@ -125,22 +124,3 @@ def test_bad_inputs():
         init_encoder("transformer", 1)
     with pytest.raises(ConfigError):
         init_encoder("cnn", 1, input_hw=(8, 8))
-
-
-@pytest.mark.parametrize("arch", ["linear", "mlp", "cnn"])
-def test_save_load_roundtrip(tmp_path, arch):
-    hw = (32, 32) if arch == "cnn" else (16, 16)
-    model = init_encoder(arch, 77, d=8, input_hw=hw)
-    save_model(model, tmp_path / arch)
-    back = load_model(tmp_path / arch)
-    assert back.param_checksum() == model.param_checksum()
-    batch = _rand_raster(5, hw=hw, n=2)
-    assert np.array_equal(encode_np(back, batch), encode_np(model, batch))
-
-
-def test_save_load_planted(tmp_path, micro_teacher):
-    save_model(micro_teacher, tmp_path / "planted")
-    back = load_model(tmp_path / "planted")
-    assert back.frozen and back.meta["alpha"] == 0.0
-    batch = _rand_raster(6, n=2)
-    assert np.array_equal(encode_np(back, batch), encode_np(micro_teacher, batch))

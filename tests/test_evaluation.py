@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from anchorlab.encoders import freeze, init_encoder
+from anchorlab.encoders import encode_np, freeze, init_encoder
 from anchorlab.errors import ConfigError, ContractError
 from anchorlab.evaluation import (
     METRICS_FIELDS,
@@ -14,7 +14,6 @@ from anchorlab.evaluation import (
     group_metrics,
     metrics_row,
     probe_predict,
-    prototype_classify,
     prototype_predict,
     retention_eval,
     train_probe,
@@ -67,24 +66,28 @@ def test_train_probe_requires_frozen(micro_world, micro_teacher):
 # prototype classification
 
 
-def test_prototype_tie_breaks_low_and_errors():
-    protos = {0: np.array([1.0, 0.0]), 1: np.array([1.0, 0.0])}
-    ties = []
-    assert prototype_classify(np.array([1.0, 0.0]), protos, tie_counter=ties) == 0
-    assert ties == [(0, 1)]
+def test_prototype_tie_breaks_low_and_errors(micro_world, micro_teacher):
+    _, bgs = micro_world
+    raster = bgs[0].raster[None]
+    emb = encode_np(micro_teacher, raster)[0]
+    # two identical prototypes tie exactly: the lower class wins
+    assert prototype_predict(micro_teacher, {1: emb, 0: emb.copy()}, raster).tolist() == [0]
     with pytest.raises(ConfigError):
-        prototype_classify(np.array([1.0]), {0: np.array([1.0])})
+        prototype_predict(micro_teacher, {0: emb}, raster)
 
 
-def test_prototype_scale_invariance():
-    protos = {0: np.array([1.0, 0.0]), 1: np.array([0.0, 1.0])}
-    v = np.array([0.9, 0.3])
-    assert prototype_classify(v, protos) == prototype_classify(5.0 * v, protos) == 0
+def test_prototype_scale_invariance(micro_world, micro_teacher):
+    _, bgs = micro_world
+    rasters = np.stack([bg.raster for bg in bgs])
+    embs = encode_np(micro_teacher, rasters)
+    protos = {0: embs[0], 1: embs[-1]}
+    preds = prototype_predict(micro_teacher, protos, rasters)
+    assert set(preds.tolist()) == {0, 1}
+    scaled = {0: 5.0 * embs[0], 1: embs[-1]}
+    assert np.array_equal(prototype_predict(micro_teacher, scaled, rasters), preds)
 
 
 def test_prototype_predict_self_retrieval(micro_world, micro_teacher):
-    from anchorlab.encoders import encode_np
-
     _, bgs = micro_world
     rasters = np.stack([bgs[0].raster, bgs[1].raster])
     embs = encode_np(micro_teacher, rasters)

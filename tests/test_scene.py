@@ -10,8 +10,10 @@ from anchorlab.errors import ConfigError, DegenerateMaskError
 from anchorlab.rng import derive_seed
 from anchorlab.scene import (
     CLASS_STYLES,
+    DEGRADATIONS,
     GROUP_STYLES,
     DatasetSizes,
+    ForegroundInstance,
     build_grouped_dataset,
     composite,
     degrade_mask,
@@ -238,6 +240,22 @@ def test_make_composite_modes(micro_world):
     box = make_composite(fgs[0], bgs[0], 5, degradation="bbox")
     assert not np.array_equal(perfect.raster, box.raster)
     assert box.degradation == "bbox"
+
+
+@pytest.mark.parametrize("mode", DEGRADATIONS)
+def test_crop_cache_is_keyed_by_degradation(micro_world, mode):
+    fgs, bgs = micro_world
+
+    def fresh():
+        fg = fgs[0]
+        return ForegroundInstance(fg.id, fg.y, fg.raster, fg.mask, fg.bbox)
+
+    used = fresh()
+    for other in DEGRADATIONS:
+        if other != mode:
+            make_composite(used, bgs[0], 5, degradation=other)
+    got = make_composite(used, bgs[0], 5, degradation=mode).raster
+    assert np.array_equal(got, make_composite(fresh(), bgs[0], 5, degradation=mode).raster)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,5 @@
-"""Autodiff core: primitive gradients, optimizer, schedule, tensor files."""
+"""Autodiff core: primitive gradients, optimizer, schedule, the fit loop."""
 
-import io
 import math
 
 import numpy as np
@@ -240,7 +239,7 @@ def _fit_problem():
     y = np.array([0, 1] * 5)
     body = Tensor(g.standard_normal((3, 4)), requires_grad=True)
     head = {"H": Tensor(g.standard_normal((4, 2)), requires_grad=True)}
-    snapshots = [(body.data.copy(), head["H"].data.copy())]
+    snapshots = [(body.data.copy(), head["H"].data.copy(), body.grad is None)]
 
     def loss(xb, yb):
         return T.softmax_cross_entropy(T.matmul(T.matmul(Tensor(xb), body), head["H"]), yb)
@@ -249,17 +248,19 @@ def _fit_problem():
                 epochs=4, lr=0.05, weight_decay=0.01, warmup_frac=0.25, head=head,
                 head_only_epochs=2,
                 after_epoch=lambda epoch: snapshots.append(
-                    (body.data.copy(), head["H"].data.copy())))
+                    (body.data.copy(), head["H"].data.copy(), body.grad is None)))
     return log, snapshots
 
 
 def test_fit_head_only_warmup_freezes_the_rest():
     log, snaps = _fit_problem()
     assert len(log.epoch_loss) == 4 and len(snaps) == 5
-    (body0, head0), (body1, head1), (body2, head2), (body3, _) = snaps[:4]
+    (body0, head0, _), (body1, head1, nograd1), (body2, head2, nograd2), (body3, _, _) = snaps[:4]
     # the body stays bitwise fixed through both warm-up epochs while the head moves
     assert np.array_equal(body1, body0) and np.array_equal(body2, body0)
     assert not np.array_equal(head1, head0) and not np.array_equal(head2, head1)
+    # no gradient is computed for the body during the warm-up
+    assert nograd1 and nograd2
     # once the warm-up ends, everything trains
     assert not np.array_equal(body3, body0)
 
@@ -281,21 +282,3 @@ def test_l2_normalize_unit_property(seed):
         return
     out = T.l2_normalize(Tensor(v))
     assert np.linalg.norm(out.data) == pytest.approx(1.0, abs=1e-5)
-
-
-def test_bapt_roundtrip():
-    g = np.random.default_rng(0)
-    for shape in [(), (3,), (2, 3), (2, 3, 4)]:
-        arr = g.standard_normal(shape).astype(np.float32)
-        buf = io.BytesIO()
-        T.write_record(buf, arr)
-        buf.seek(0)
-        back = T.read_record(buf)
-        assert back.shape == arr.shape
-        assert np.array_equal(back, arr)
-
-
-def test_bapt_bad_magic():
-    buf = io.BytesIO(b"NOPE" + b"\x00" * 16)
-    with pytest.raises(ContractError):
-        T.read_record(buf)
