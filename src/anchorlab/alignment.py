@@ -51,6 +51,8 @@ class AlignConfig:
             raise ConfigError("epochs, batch size and M must all be >= 1")
         if self.lr <= 0:
             raise ConfigError("learning rate must be positive")
+        if self.weight_decay < 0:
+            raise ConfigError("weight decay must be >= 0")
         if not 0.0 <= self.warmup_frac < 1.0:
             raise ConfigError("warmup fraction must lie in [0, 1)")
 

@@ -92,9 +92,15 @@ class ExperimentConfig:
                self.num_seeds) < 1:
             raise ConfigError("K, probe_epochs, train_per_class, test_per_cell and "
                               "num_seeds must all be >= 1")
+        if self.teacher == "learned-mlp" and self.teacher_epochs < 1:
+            raise ConfigError(f"the learned-mlp teacher needs teacher_epochs >= 1, "
+                              f"got {self.teacher_epochs}")
+        if self.probe_lr <= 0:
+            raise ConfigError(f"probe_lr must be positive, got {self.probe_lr}")
         # the alignment and lp-ft phases run under these settings
         for epochs in (self.epochs, self.ft_epochs):
             alignment.AlignConfig(epochs=epochs, batch_size=self.batch_size, lr=self.lr,
+                                  weight_decay=self.weight_decay,
                                   warmup_frac=self.warmup_frac, M=self.M)
 
     def to_json(self) -> str:

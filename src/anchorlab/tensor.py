@@ -200,7 +200,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul inner extents differ: {a.shape} x {b.shape}")
     out = Tensor(a.data @ b.data)
-    return _maybe_record(out, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
+    # an untracked input (the raster batch, a frozen layer) gets no gradient
+    return _maybe_record(out, (a, b), lambda g: (g @ b.data.T if a._tracked else None,
+                                                 a.data.T @ g if b._tracked else None))
 
 
 def power(a: Tensor, exponent: float) -> Tensor:
@@ -363,14 +365,23 @@ def cosine_sim_np(u: np.ndarray, v: np.ndarray) -> float:
 # optimizer and schedule
 
 
+_CHUNK = 32768  # elements per AdamW block: 128 KB per float32 array, so a block stays in L2
+
+
 class AdamW:
     """AdamW with decoupled weight decay and standard bias correction.
 
     Betas and epsilon are fixed package-wide defaults (0.9 / 0.999 / 1e-8).
+    The step updates each parameter and its moments in place, block by block
+    through two scratch buffers, so it allocates nothing per step.
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float, weight_decay: float = 0.0,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+        for name, p in params.items():
+            # a flat view of a non-contiguous array is a copy, and the update would be lost
+            if not p.data.flags.c_contiguous:
+                raise ContractError(f"AdamW parameter '{name}' is not C-contiguous")
         self.params = params
         self.lr = float(lr)
         self.weight_decay = float(weight_decay)
@@ -378,29 +389,48 @@ class AdamW:
         self.step_count = 0
         self._m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self._v = {k: np.zeros_like(p.data) for k, p in params.items()}
+        block = min(_CHUNK, max((p.data.size for p in params.values()), default=0))
+        self._scratch = (np.empty(block, np.float32), np.empty(block, np.float32))
 
     def step(self) -> None:
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1**t
-        bc2 = 1.0 - self.beta2**t
+        b1, b2 = self.beta1, self.beta2
+        bc1 = 1.0 - b1**t
+        bc2 = 1.0 - b2**t
+        lr = np.float32(self.lr)
+        decay = np.float32(self.lr * self.weight_decay) if self.weight_decay else None
         for name, p in self.params.items():
             g = p.grad
             if g is None:
                 continue
             if not np.all(np.isfinite(g)):
                 raise ContractError(f"NaN/Inf gradient for parameter '{name}'")
-            m = self._m[name]
-            v = self._v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            mhat = m / bc1
-            vhat = v / bc2
-            if self.weight_decay:
-                p.data -= np.float32(self.lr * self.weight_decay) * p.data
-            p.data -= np.float32(self.lr) * (mhat / (np.sqrt(vhat) + self.eps)).astype(np.float32)
+            pf, gf = p.data.reshape(-1), g.reshape(-1)
+            mf, vf = self._m[name].reshape(-1), self._v[name].reshape(-1)
+            for i in range(0, pf.size, _CHUNK):
+                j = min(i + _CHUNK, pf.size)
+                pb, gb, mb, vb = pf[i:j], gf[i:j], mf[i:j], vf[i:j]
+                s, u = self._scratch[0][: j - i], self._scratch[1][: j - i]
+                # m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
+                mb *= b1
+                np.multiply(gb, 1.0 - b1, out=s)
+                mb += s
+                vb *= b2
+                np.multiply(gb, 1.0 - b2, out=s)
+                s *= gb
+                vb += s
+                # s = (m/bc1) / (sqrt(v/bc2) + eps)
+                np.divide(mb, bc1, out=s)
+                np.divide(vb, bc2, out=u)
+                np.sqrt(u, out=u)
+                u += self.eps
+                s /= u
+                if decay is not None:
+                    np.multiply(pb, decay, out=u)
+                    pb -= u
+                s *= lr
+                pb -= s
             p.grad = None
 
 
@@ -465,30 +495,33 @@ def fit(params: dict[str, Tensor], epoch_data, loss_fn, *, n: int, batch_size: i
     rest = [p for k, p in params.items() if k not in head] if head_only_epochs else []
     log = FitLog()
     step = 0
-    for epoch in range(epochs):
-        t0 = time.perf_counter()
-        data = epoch_data(epoch)
-        warm = epoch < head_only_epochs
+    try:
+        for epoch in range(epochs):
+            t0 = time.perf_counter()
+            data = epoch_data(epoch)
+            warm = epoch < head_only_epochs
+            for p in rest:
+                p.requires_grad = p._tracked = not warm
+            active = head_opt if warm else opt
+            losses = []
+            for b0 in range(0, n, batch_size):
+                step += 1
+                active.lr = sched.lr_at(step)
+                log.lr_steps.append(active.lr)
+                for p in params.values():
+                    p.grad = None
+                with GradTape() as tape:
+                    loss = loss_fn(*(seq[b0 : b0 + batch_size] for seq in data))
+                    tape.backward(loss)
+                active.step()
+                losses.append(float(loss.data))
+            log.epoch_loss.append(float(np.mean(losses)))
+            log.epoch_lr.append(log.lr_steps[-1])
+            log.epoch_wall_ms.append((time.perf_counter() - t0) * 1e3)
+            if after_epoch is not None:
+                after_epoch(epoch)
+    finally:
+        # tracked again even when a step raises during the warm-up
         for p in rest:
-            p.requires_grad = p._tracked = not warm
-        active = head_opt if warm else opt
-        losses = []
-        for b0 in range(0, n, batch_size):
-            step += 1
-            active.lr = sched.lr_at(step)
-            log.lr_steps.append(active.lr)
-            for p in params.values():
-                p.grad = None
-            with GradTape() as tape:
-                loss = loss_fn(*(seq[b0 : b0 + batch_size] for seq in data))
-                tape.backward(loss)
-            active.step()
-            losses.append(float(loss.data))
-        log.epoch_loss.append(float(np.mean(losses)))
-        log.epoch_lr.append(log.lr_steps[-1])
-        log.epoch_wall_ms.append((time.perf_counter() - t0) * 1e3)
-        if after_epoch is not None:
-            after_epoch(epoch)
-    for p in rest:
-        p.requires_grad = p._tracked = True
+            p.requires_grad = p._tracked = True
     return log

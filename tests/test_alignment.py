@@ -149,6 +149,8 @@ def test_align_config_validation():
         AlignConfig(M=0)
     with pytest.raises(ConfigError):
         AlignConfig(warmup_frac=1.0)
+    with pytest.raises(ConfigError):
+        AlignConfig(weight_decay=-0.01)
 
 
 # ---------------------------------------------------------------------------

@@ -78,10 +78,20 @@ def test_config_load(tmp_path, mini_cfg):
     {"test_per_cell": 0},
     {"lr": 0.0},
     {"warmup_frac": 1.0},
+    {"probe_lr": 0.0},
+    {"probe_lr": -1e-3},
+    {"weight_decay": -0.01},
 ])
 def test_config_rejects_unrunnable(override):
     with pytest.raises(ConfigError):
         ExperimentConfig(**{**MINI, **override})
+
+
+def test_config_rejects_untrainable_teacher():
+    with pytest.raises(ConfigError, match="teacher_epochs"):
+        ExperimentConfig(**{**MINI, "teacher": "learned-mlp", "teacher_epochs": 0})
+    # the planted teacher is built, not trained, so its epochs are never read
+    ExperimentConfig(**{**MINI, "teacher": "planted", "teacher_epochs": 0})
 
 
 def test_run_matrix_fails_before_any_run(tmp_path, mini_cfg):

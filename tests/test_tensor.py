@@ -212,6 +212,79 @@ def test_adamw_rejects_nan_grad():
         AdamW({"p": p}, lr=0.1).step()
 
 
+def _reference_adamw_step(p, g, m, v, t, lr, wd, b1=0.9, b2=0.999, eps=1e-8):
+    """The out-of-place AdamW expression the blocked in-place step must reproduce bit for bit."""
+    bc1 = 1.0 - b1**t
+    bc2 = 1.0 - b2**t
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * g * g
+    mhat = m / bc1
+    vhat = v / bc2
+    if wd:
+        p -= np.float32(lr * wd) * p
+    p -= np.float32(lr) * (mhat / (np.sqrt(vhat) + eps)).astype(np.float32)
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+@pytest.mark.parametrize("size", [1, T._CHUNK, 2 * T._CHUNK + 7])
+def test_adamw_blocked_step_matches_reference(size, weight_decay):
+    g = np.random.default_rng(size)
+    p = Tensor(g.standard_normal(size), requires_grad=True)
+    ref_p, ref_m, ref_v = p.data.copy(), np.zeros(size, np.float32), np.zeros(size, np.float32)
+    opt = AdamW({"p": p}, lr=0.0, weight_decay=weight_decay)
+    for t in range(1, 6):
+        grad = (g.standard_normal(size) * 10.0 ** g.integers(-4, 3)).astype(np.float32)
+        lr = 1e-3 * t
+        _reference_adamw_step(ref_p, grad, ref_m, ref_v, t, lr, weight_decay)
+        p.grad, opt.lr = grad, lr
+        opt.step()
+        assert np.array_equal(p.data, ref_p)
+        assert np.array_equal(opt._m["p"], ref_m) and np.array_equal(opt._v["p"], ref_v)
+
+
+def test_adamw_nan_in_last_block_changes_nothing():
+    size = 2 * T._CHUNK + 7
+    g = np.random.default_rng(1)
+    p = Tensor(g.standard_normal(size), requires_grad=True)
+    opt = AdamW({"p": p}, lr=1e-2, weight_decay=0.01)
+    p.grad = g.standard_normal(size).astype(np.float32)
+    opt.step()
+    before = p.data.copy(), opt._m["p"].copy(), opt._v["p"].copy()
+    bad = g.standard_normal(size).astype(np.float32)
+    bad[-1] = np.nan
+    p.grad = bad
+    with pytest.raises(ContractError):
+        opt.step()
+    for now, then in zip((p.data, opt._m["p"], opt._v["p"]), before):
+        assert np.array_equal(now, then)
+
+
+def test_adamw_rejects_non_contiguous_param():
+    w = Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
+    w.data = w.data.T
+    with pytest.raises(ContractError, match="contiguous"):
+        AdamW({"w": w}, lr=0.1)
+
+
+def test_matmul_backward_skips_untracked_input():
+    g = np.random.default_rng(3)
+    x = Tensor(g.standard_normal((5, 4)))
+    w = Tensor(g.standard_normal((4, 3)), requires_grad=True)
+    upstream = g.standard_normal((5, 3)).astype(np.float32)
+    with GradTape() as tape:
+        out = T.matmul(x, w)
+        loss = T.tsum(T.mul(out, Tensor(upstream)))
+        (rec_out, rec_inputs, bwd), = [n for n in tape._nodes if n[0] is out]
+        assert rec_inputs == (x, w)
+        gx, gw = bwd(upstream)
+        assert gx is None and np.array_equal(gw, x.data.T @ upstream)
+        tape.backward(loss)
+    assert x.grad is None
+    assert np.array_equal(w.grad, x.data.T @ upstream)
+
+
 def test_lr_schedule_shape():
     sched = LrSchedule(base=1.0, warmup_frac=0.1, total_steps=100, floor=0.1)
     assert sched.lr_at(0) == 0.0
@@ -263,6 +336,20 @@ def test_fit_head_only_warmup_freezes_the_rest():
     assert nograd1 and nograd2
     # once the warm-up ends, everything trains
     assert not np.array_equal(body3, body0)
+
+
+def test_fit_restores_tracking_when_the_warmup_raises():
+    body = Tensor(np.ones((3, 4)), requires_grad=True)
+    head = {"H": Tensor(np.ones((4, 2)), requires_grad=True)}
+
+    def loss(xb):
+        raise ContractError("NaN/Inf gradient for parameter 'H'")
+
+    with pytest.raises(ContractError):
+        T.fit({"body": body, **head}, lambda epoch: (np.zeros((4, 3)),), loss, n=4,
+              batch_size=4, epochs=2, lr=0.05, weight_decay=0.0, warmup_frac=0.0, head=head,
+              head_only_epochs=1)
+    assert body.requires_grad and body._tracked
 
 
 def test_fit_lr_steps_follow_one_schedule():
