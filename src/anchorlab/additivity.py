@@ -20,9 +20,8 @@ from .scene import (
     NEUTRAL_GRAY,
     BackgroundImage,
     ForegroundInstance,
-    _prepare_foreground,
     make_composite,
-    resize_sinc,
+    scaled_foreground,
 )
 
 _EPS = 1e-8
@@ -83,18 +82,12 @@ def exact_triple_rasters(fg: ForegroundInstance, bg: BackgroundImage, seed: int,
     the normalized parts parallel to the composite embedding.
     """
     H, W = bg.raster.shape[:2]
-    crop, alpha = _prepare_foreground(fg, "perfect")
-    h, w = crop.shape[:2]
-    target = max(1, round(0.45 * min(H, W)))
-    long_side = max(h, w)
-    oh = max(1, round(h * target / long_side))
-    ow = max(1, round(w * target / long_side))
-    fg_scaled = np.clip(resize_sinc(crop, (oh, ow)), 0.0, 1.0)
-    a_scaled = np.clip(resize_sinc(alpha, (oh, ow)), 0.0, 255.0)[:, :, None] / 255.0
+    fg_scaled, a = scaled_foreground(fg, 0.45, (H, W))
+    oh, ow = a.shape[:2]
     I_a = np.zeros((H, W, 3), dtype=np.float32)
     r0 = (H - oh) // 2
     c0 = max(0, W // 4 - ow // 2)
-    I_a[r0 : r0 + oh, c0 : c0 + ow] = a_scaled * fg_scaled
+    I_a[r0 : r0 + oh, c0 : c0 + ow] = a * fg_scaled
     I_b = bg.raster.copy()
     I_b[:, : W // 2] = 0.0
     z_a = pre_embedding(teacher, I_a)[0].astype(np.float64)
@@ -155,6 +148,8 @@ def sample_pairs(foregrounds, backgrounds, n: int, seed: int):
 def run_probe(model: EncoderModel, foregrounds, backgrounds, n: int, seed: int,
               encoder_tag: str = "", mode: str = "standard") -> AdditivityReport:
     """Sample n triples from the world and evaluate the probe."""
+    if mode not in ("standard", "exact"):
+        raise ConfigError(f"unknown additivity probe mode {mode!r}")
     pairs = sample_pairs(foregrounds, backgrounds, n, seed)
 
     def gen():

@@ -21,11 +21,11 @@ from .encoders import (
     EncoderModel,
     clone_unfrozen,
     encode_batch,
-    encode_np,
     freeze,
     init_encoder,
 )
 from .errors import ConfigError, ManifestError
+from .evaluation import ProbeHead, group_metrics, probe_predict, train_probe
 from .rng import derive_seed, rng
 from .scene import GroupedDataset, make_composite
 from .tensor import Tensor
@@ -212,14 +212,12 @@ def pretrain_teacher(foregrounds, backgrounds, seed: int, epochs: int = 6,
 
 def finetune_on_correlated(student: EncoderModel, train: GroupedDataset,
                            test: GroupedDataset, cfg: AlignConfig,
-                           ) -> tuple[EncoderModel, dict[str, np.ndarray], dict[str, list[float]]]:
+                           ) -> tuple[EncoderModel, ProbeHead, dict[str, list[float]]]:
     """Full-parameter cross-entropy fine-tuning on a correlated set.
 
     Epoch 0 of the returned traces is the frozen-probe baseline (no encoder
     update yet); later entries track the balanced test set after each epoch.
     """
-    from .evaluation import group_metrics, train_probe
-
     model = clone_unfrozen(student)
     probe = train_probe(freeze(model), train,
                         seed=derive_seed(cfg.seed, "ft-probe"))
@@ -232,9 +230,9 @@ def finetune_on_correlated(student: EncoderModel, train: GroupedDataset,
     traces: dict[str, list[float]] = {"wga": [], "avg": []}
 
     def evaluate(epoch=None):
-        embs = encode_np(model, test_rasters)
-        logits = embs @ head["head_W"].data + head["head_b"].data
-        gm = group_metrics(logits.argmax(axis=1), test_y, test_g)
+        preds = probe_predict(model, ProbeHead(head["head_W"].data, head["head_b"].data),
+                              test_rasters)
+        gm = group_metrics(preds, test_y, test_g)
         traces["wga"].append(gm.wga)
         traces["avg"].append(gm.avg)
 
@@ -246,5 +244,4 @@ def finetune_on_correlated(student: EncoderModel, train: GroupedDataset,
           n=n, batch_size=cfg.batch_size, epochs=cfg.epochs, lr=cfg.lr,
           weight_decay=cfg.weight_decay, warmup_frac=cfg.warmup_frac,
           after_epoch=evaluate)
-    head_np = {"head_W": head["head_W"].data.copy(), "head_b": head["head_b"].data.copy()}
-    return model, head_np, traces
+    return model, ProbeHead(head["head_W"].data.copy(), head["head_b"].data.copy()), traces

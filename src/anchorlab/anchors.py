@@ -54,7 +54,7 @@ class Prototypes:
 def anchor_composite(fg: ForegroundInstance, bg: BackgroundImage, seed: int,
                      degradation: str = "perfect") -> np.ndarray:
     """Anchor-construction composite: fixed 0.8 scale, centered."""
-    return composite(fg, bg, ANCHOR_SCALE, "center", seed, degradation).raster
+    return composite(fg, bg, ANCHOR_SCALE, seed, degradation).raster
 
 
 def _sample_pool(pool, K: int, g: np.random.Generator) -> tuple[list, bool]:
@@ -167,7 +167,7 @@ def compute_prototypes(teacher: EncoderModel, foregrounds, backgrounds,
     hw = teacher.input_hw
     neutral = neutral_background(hw)
     for fg in foregrounds:
-        raster = composite(fg, neutral, ANCHOR_SCALE, "center", derive_seed(seed, fg.id)).raster
+        raster = composite(fg, neutral, ANCHOR_SCALE, derive_seed(seed, fg.id)).raster
         by_class.setdefault(fg.y, []).append(raster)
     class_protos = {}
     for y, rasters in sorted(by_class.items()):

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import alignment, anchors, evaluation, scene
 from .additivity import run_probe, write_additivity_csv
-from .encoders import EncoderModel, PlantedConfig, encode_np, freeze, planted_teacher
+from .encoders import EncoderModel, PlantedConfig, freeze, planted_teacher
 from .errors import ConfigError
 from .rng import derive_seed
 from .scene import DatasetSizes, GroupedDataset, build_grouped_dataset, gen_world
@@ -88,10 +88,22 @@ class ExperimentConfig:
         if "ortho" in self.methods and self.d < self.num_classes:
             raise ConfigError(f"ortho needs d >= num_classes to fit one orthogonal target "
                               f"per class; got d={self.d}")
-        if min(self.K, self.probe_epochs, self.train_per_class, self.test_per_cell,
-               self.num_seeds) < 1:
-            raise ConfigError("K, probe_epochs, train_per_class, test_per_cell and "
-                              "num_seeds must all be >= 1")
+        if min(self.d, self.fg_per_class, self.K, self.probe_epochs, self.train_per_class,
+               self.test_per_cell, self.additivity_n, self.num_seeds) < 1:
+            raise ConfigError("d, fg_per_class, K, probe_epochs, train_per_class, "
+                              "test_per_cell, additivity_n and num_seeds must all be >= 1")
+        if self.bg_per_group < 2:
+            raise ConfigError(f"bg_per_group must be >= 2 for a disjoint train/test split, "
+                              f"got {self.bg_per_group}")
+        if self.hw < 8 or self.hw % 4:
+            raise ConfigError(f"hw must be >= 8 and a multiple of 4, got {self.hw}")
+        if not self.k_grid or list(self.k_grid) != sorted(self.k_grid) or self.k_grid[0] < 1:
+            raise ConfigError(f"k_grid must be a non-empty ascending grid of K >= 1, "
+                              f"got {self.k_grid}")
+        if self.var_trials < 2:
+            raise ConfigError(f"var_trials must be >= 2, got {self.var_trials}")
+        if any(alpha < 0 for alpha in self.additivity_alphas):
+            raise ConfigError(f"additivity alphas must be >= 0, got {self.additivity_alphas}")
         if self.teacher == "learned-mlp" and self.teacher_epochs < 1:
             raise ConfigError(f"the learned-mlp teacher needs teacher_epochs >= 1, "
                               f"got {self.teacher_epochs}")
@@ -337,8 +349,7 @@ def evaluate_method(ctx: SeedContext, method: str, rho: float):
     elif method == "lp-ft":
         model, head, _ = ctx.lp_ft(rho)
         frozen = freeze(model)
-        embs = encode_np(frozen, test_rasters)
-        preds = (embs @ head["head_W"] + head["head_b"]).argmax(axis=1)
+        preds = evaluation.probe_predict(frozen, head, test_rasters)
         enc_tag, encoder = f"lp-ft-{rho:g}", frozen
     elif method == "control":
         preds = lp(ctx.control_student[0], "probe-control")
@@ -407,9 +418,7 @@ def cmd_gen_data(cfg: ExperimentConfig, seed: int, out) -> list[Path]:
         header = {"world_seed": derive_seed(ctx.seed, "world"),
                   "num_classes": cfg.num_classes, "num_bg_groups": cfg.num_bg_groups,
                   "fg_per_class": cfg.fg_per_class, "bg_per_group": cfg.bg_per_group,
-                  "hw": [cfg.hw, cfg.hw], "rho": rho, "placement": "center",
-                  "scale_range": list(scene.SCENE_SCALE_RANGE),
-                  "data_seed": ctx.data_seed}
+                  "hw": [cfg.hw, cfg.hw], "rho": rho, "data_seed": ctx.data_seed}
         path = out / f"dataset-rho{rho:g}.jsonl"
         scene.write_manifest(path, train, test, header)
         paths.append(path)
@@ -532,13 +541,15 @@ def cmd_ablate(cfg: ExperimentConfig, seed: int, out, which: str) -> Path:
             wga, avg = bap_wga(ctx)
             rows.append({"param": "degradation", "value": mode,
                          "wga": f"{wga:.4f}", "avg": f"{avg:.4f}"})
-        ctx = SeedContext(cfg, run_seed)
-        gm, _ = evaluate_method(ctx, "native-lp", rho)
+            if mode == cfg.degradation:
+                baseline_ctx = ctx
+        gm, _ = evaluate_method(baseline_ctx, "native-lp", rho)
         rows.append({"param": "degradation", "value": "native-lp-baseline",
                      "wga": f"{gm.wga:.4f}", "avg": f"{gm.avg:.4f}"})
     elif which == "n_sweep":
-        for n in (25, 50, 100, cfg.fg_per_class):
-            ctx = SeedContext(replace(cfg, fg_per_class=min(n, cfg.fg_per_class)), run_seed)
+        sizes = {min(size, cfg.fg_per_class) for size in (25, 50, 100, cfg.fg_per_class)}
+        for n in sorted(sizes):
+            ctx = SeedContext(replace(cfg, fg_per_class=n), run_seed)
             wga, avg = bap_wga(ctx)
             rows.append({"param": "N_per_class", "value": n,
                          "wga": f"{wga:.4f}", "avg": f"{avg:.4f}"})

@@ -39,13 +39,10 @@ class PlantedConfig:
 
     seed: int
     alpha: float = 0.0
-    nonlinearity: str = "square-pool"
 
     def __post_init__(self):
         if self.alpha < 0:
             raise ConfigError("non-additivity coefficient alpha must be >= 0")
-        if self.nonlinearity != "square-pool":
-            raise ConfigError(f"unknown nonlinearity {self.nonlinearity!r}")
 
 
 class EncoderModel:

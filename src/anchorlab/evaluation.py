@@ -188,8 +188,8 @@ def bsi_protocol(encoder: EncoderModel, foregrounds, backgrounds,
             bg_a = pool[groups[0]][int(g.integers(0, len(pool[groups[0]])))]
             bg_b = pool[groups[1]][int(g.integers(0, len(pool[groups[1]])))]
             item_seed = derive_seed(seed, "bsi", y, i)
-            ras_a.append(composite(fg, bg_a, ANCHOR_SCALE, "center", item_seed).raster)
-            ras_b.append(composite(fg, bg_b, ANCHOR_SCALE, "center", item_seed).raster)
+            ras_a.append(composite(fg, bg_a, ANCHOR_SCALE, item_seed).raster)
+            ras_b.append(composite(fg, bg_b, ANCHOR_SCALE, item_seed).raster)
         emb_a = encode_np(encoder, np.stack(ras_a))
         emb_b = encode_np(encoder, np.stack(ras_b))
         per_class[y] = bsi(emb_a, emb_b)
@@ -236,13 +236,10 @@ def _background_probe_accuracy(encoder: EncoderModel, backgrounds, foregrounds,
 
     X_tr, y_tr = scenes(train_bgs, n_train, "train")
     X_te, y_te = scenes(test_bgs, n_test, "test")
-    emb_tr = encode_np(encoder, X_tr)
-    emb_te = encode_np(encoder, X_te)
-    head = fit_linear_head(emb_tr, y_tr, int(y_tr.max()) + 1,
+    head = fit_linear_head(encode_np(encoder, X_tr), y_tr, int(y_tr.max()) + 1,
                            derive_seed(seed, "retention-head"), epochs=20,
                            weighted=False)
-    preds = (emb_te @ head.W + head.b).argmax(axis=1)
-    return float((preds == y_te).mean())
+    return float((probe_predict(encoder, head, X_te) == y_te).mean())
 
 
 def retention_eval(encoder_before: EncoderModel, encoder_after: EncoderModel,

@@ -8,9 +8,9 @@ spurious cue to latch onto.
 
 Compositing: crop to the mask's bounding box, threshold the mask, optionally
 degrade it (dilate / erode / bounding box), soften the edge with a Gaussian
-blur, rescale with a 3-lobe windowed-sinc filter, and alpha-blend onto the
-background.  Every composite is fully determined by (ids, per-item seed,
-config), so generation is order-independent.
+blur, rescale with a 3-lobe windowed-sinc filter, and alpha-blend it onto
+the background, always centred.  Every composite is fully determined by
+(ids, per-item seed, config), so generation is order-independent.
 """
 
 from __future__ import annotations
@@ -39,6 +39,8 @@ REF_RESOLUTION = 224
 
 SCENE_SCALE_RANGE = (0.6, 0.8)
 ANCHOR_SCALE = 0.8
+
+TEST_FRACTION = 0.2  # share of each background group held out for testing
 
 # (shape, base RGB): consecutive classes share a similar palette so the
 # foreground cue is subtler than the background one
@@ -86,7 +88,6 @@ class CompositeRecord:
     fg_id: str
     bg_id: str
     scale: float
-    offset: tuple[int, int]
     degradation: str
     seed: int
 
@@ -250,21 +251,18 @@ def gen_world(seed: int, num_classes: int, num_bg_groups: int,
 # mask pipeline
 
 
-def _gaussian_kernel(sigma: float, radius: int) -> np.ndarray:
-    x = np.arange(-radius, radius + 1, dtype=np.float64)
-    k = np.exp(-0.5 * (x / sigma) ** 2)
-    return (k / k.sum()).astype(np.float32)
-
-
-def gaussian_blur(img: np.ndarray, sigma: float = BLUR_SIGMA, radius: int = BLUR_RADIUS) -> np.ndarray:
-    """Separable Gaussian blur, kernel truncated at `radius`, edge-clamped borders."""
-    k = _gaussian_kernel(sigma, radius)
+def gaussian_blur(img: np.ndarray) -> np.ndarray:
+    """Separable Gaussian blur, sigma BLUR_SIGMA truncated at BLUR_RADIUS, edge-clamped."""
+    x = np.arange(-BLUR_RADIUS, BLUR_RADIUS + 1, dtype=np.float64)
+    k = np.exp(-0.5 * (x / BLUR_SIGMA) ** 2)
+    k = (k / k.sum()).astype(np.float32)
+    pad = (BLUR_RADIUS, BLUR_RADIUS)
     out = np.asarray(img, dtype=np.float32)
-    padded = np.pad(out, [(radius, radius)] + [(0, 0)] * (out.ndim - 1), mode="edge")
+    padded = np.pad(out, [pad] + [(0, 0)] * (out.ndim - 1), mode="edge")
     out = np.zeros_like(img, dtype=np.float32)
     for i, w in enumerate(k):
         out += w * padded[i : i + img.shape[0]]
-    padded = np.pad(out, [(0, 0), (radius, radius)] + [(0, 0)] * (out.ndim - 2), mode="edge")
+    padded = np.pad(out, [(0, 0), pad] + [(0, 0)] * (out.ndim - 2), mode="edge")
     res = np.zeros_like(out)
     for i, w in enumerate(k):
         res += w * padded[:, i : i + img.shape[1]]
@@ -281,8 +279,7 @@ def _disk_element(radius: int) -> np.ndarray:
     return (r[:, None] ** 2 + r[None, :] ** 2) <= radius * radius
 
 
-def degrade_mask(m: np.ndarray, mode: str, radius: int | None = None,
-                 hw_scale_from: int | None = None) -> np.ndarray:
+def degrade_mask(m: np.ndarray, mode: str, radius: int | None = None) -> np.ndarray:
     """Segmentation-quality degradations on a binary (0/255) mask.
 
     noisy = dilation, botched = erosion, both with a Euclidean-disk element;
@@ -396,19 +393,13 @@ def _prepare_foreground(fg: ForegroundInstance, degradation: str) -> tuple[np.nd
     return crop
 
 
-def composite(fg: ForegroundInstance, bg: BackgroundImage, scale: float,
-              placement: str, seed: int, degradation: str = "perfect") -> CompositeRecord:
-    """Alpha-blend a rescaled foreground onto a background.
-
-    `scale` is the target long-side fraction of the canvas; `placement` is
-    "center" or "random".  The per-record seed drives the placement draw only,
-    so a record regenerates bitwise from (ids, seed, config).
-    """
+def scaled_foreground(fg: ForegroundInstance, scale: float, hw: tuple[int, int],
+                      degradation: str = "perfect") -> tuple[np.ndarray, np.ndarray]:
+    """Foreground crop and its [0, 1] alpha (oh x ow x 1), long side rescaled to
+    `scale` of the `hw` canvas's shorter extent: the one place a foreground is resized."""
     if not (0.0 < scale <= 1.0):
         raise ConfigError(f"scale {scale} outside (0, 1]")
-    if placement not in ("center", "random"):
-        raise ConfigError(f"unknown placement {placement!r}")
-    H, W = bg.raster.shape[:2]
+    H, W = hw
     crop, alpha = _prepare_foreground(fg, degradation)
     h, w = crop.shape[:2]
     long_side = max(h, w)
@@ -418,41 +409,40 @@ def composite(fg: ForegroundInstance, bg: BackgroundImage, scale: float,
     if oh > H or ow > W:
         raise PlacementError(f"scaled foreground {oh}x{ow} exceeds canvas {H}x{W}")
     fg_scaled = np.clip(resize_sinc(crop, (oh, ow)), 0.0, 1.0)
-    a_scaled = np.clip(resize_sinc(alpha, (oh, ow)), 0.0, 255.0) / 255.0
-    if placement == "center":
-        r0, c0 = (H - oh) // 2, (W - ow) // 2
-    else:
-        g = rng(seed, "placement")
-        r0 = int(g.integers(0, H - oh + 1))
-        c0 = int(g.integers(0, W - ow + 1))
+    a_scaled = np.clip(resize_sinc(alpha, (oh, ow)), 0.0, 255.0)[:, :, None] / 255.0
+    return fg_scaled, a_scaled
+
+
+def composite(fg: ForegroundInstance, bg: BackgroundImage, scale: float,
+              seed: int, degradation: str = "perfect") -> CompositeRecord:
+    """Alpha-blend a rescaled foreground onto the centre of a background.
+
+    The record keeps `seed`, so it regenerates bitwise from (ids, seed, config).
+    """
+    H, W = bg.raster.shape[:2]
+    fg_scaled, a = scaled_foreground(fg, scale, (H, W), degradation)
+    oh, ow = a.shape[:2]
+    r0, c0 = (H - oh) // 2, (W - ow) // 2
     out = bg.raster.copy()
     region = out[r0 : r0 + oh, c0 : c0 + ow]
-    a = a_scaled[:, :, None]
     out[r0 : r0 + oh, c0 : c0 + ow] = a * fg_scaled + (1.0 - a) * region
     return CompositeRecord(raster=out, fg_id=fg.id, bg_id=bg.id, scale=scale,
-                           offset=(r0, c0), degradation=degradation, seed=seed)
-
-
-def draw_scale(seed: int, scale_range: tuple[float, float]) -> float:
-    lo, hi = scale_range
-    if lo == hi:
-        return lo
-    return float(rng(seed, "scale").uniform(lo, hi))
+                           degradation=degradation, seed=seed)
 
 
 def make_composite(fg: ForegroundInstance, bg: BackgroundImage, seed: int,
-                   scale_range: tuple[float, float] = SCENE_SCALE_RANGE,
-                   placement: str = "center", degradation: str = "perfect") -> CompositeRecord:
-    """Composite with the scale drawn from `scale_range` by the item seed."""
-    return composite(fg, bg, draw_scale(seed, scale_range), placement, seed, degradation)
+                   degradation: str = "perfect") -> CompositeRecord:
+    """Composite with the scale drawn from SCENE_SCALE_RANGE by the item seed."""
+    scale = float(rng(seed, "scale").uniform(*SCENE_SCALE_RANGE))
+    return composite(fg, bg, scale, seed, degradation)
 
 
 # ---------------------------------------------------------------------------
 # grouped spurious-correlation datasets
 
 
-def split_backgrounds(backgrounds: list[BackgroundImage], seed: int,
-                      test_fraction: float = 0.2) -> tuple[list[BackgroundImage], list[BackgroundImage]]:
+def split_backgrounds(backgrounds: list[BackgroundImage],
+                      seed: int) -> tuple[list[BackgroundImage], list[BackgroundImage]]:
     """Disjoint train/test background pools, stratified per group."""
     by_group: dict[int, list[BackgroundImage]] = {}
     for bg in backgrounds:
@@ -461,7 +451,7 @@ def split_backgrounds(backgrounds: list[BackgroundImage], seed: int,
     for grp in sorted(by_group):
         pool = sorted(by_group[grp], key=lambda b: b.id)
         order = rng(seed, "bg-split", grp).permutation(len(pool))
-        n_test = max(1, round(test_fraction * len(pool)))
+        n_test = max(1, round(TEST_FRACTION * len(pool)))
         if n_test >= len(pool):
             raise ConfigError(f"group {grp} has too few backgrounds for a disjoint split")
         test.extend(pool[i] for i in order[:n_test])
@@ -568,11 +558,10 @@ def regenerate_from_manifest(path) -> tuple[GroupedDataset, GroupedDataset]:
                          header["bg_per_group"], tuple(header["hw"]))
     fg_map = {f.id: f for f in fgs}
     bg_map = {b.id: b for b in bgs}
-    scale_range = tuple(header["scale_range"])
     out = {"train": [], "test": []}
     for rec in items:
         comp = make_composite(fg_map[rec["fg_id"]], bg_map[rec["bg_id"]], rec["seed"],
-                              scale_range, header["placement"], rec["degradation"])
+                              rec["degradation"])
         out[rec["split"]].append(GroupedItem(comp=comp, y=rec["y"], g=rec["g"]))
     return (GroupedDataset(out["train"], header["rho"], "train"),
             GroupedDataset(out["test"], header["rho"], "test"))

@@ -16,6 +16,7 @@ from anchorlab.additivity import (
 )
 from anchorlab.encoders import PlantedConfig, planted_teacher, pre_embedding
 from anchorlab.errors import ConfigError, DegenerateInputError
+from anchorlab.scene import BackgroundImage, scaled_foreground
 
 
 def _triple(v_a, v_b, v_ab):
@@ -98,6 +99,29 @@ def test_exact_triple_disjoint_support(micro_world, micro_teacher):
     assert np.linalg.norm(za) == pytest.approx(np.linalg.norm(zb), rel=1e-4)
 
 
+def test_exact_triple_object_is_the_scaled_foreground(micro_world, micro_teacher):
+    fgs, bgs = micro_world
+    # a dim background makes the object the larger-norm part, the one rescaled
+    dim = BackgroundImage(id="dim", g=0, raster=np.full((32, 32, 3), 0.02, dtype=np.float32))
+    factors = set()
+    for fg, bg in [(fg, bgs[3 * i]) for i, fg in enumerate(fgs[:4])] + [(fgs[5], dim)]:
+        I_a, _, _ = exact_triple_rasters(fg, bg, 3, micro_teacher)
+        H, W = bg.raster.shape[:2]
+        fg_scaled, a = scaled_foreground(fg, 0.45, (H, W))
+        oh, ow = a.shape[:2]
+        r0, c0 = (H - oh) // 2, max(0, W // 4 - ow // 2)
+        placed = np.zeros((H, W, 3), dtype=np.float32)
+        placed[r0 : r0 + oh, c0 : c0 + ow] = a * fg_scaled
+        bg_half = bg.raster.copy()
+        bg_half[:, : W // 2] = 0.0
+        ratio = (np.linalg.norm(pre_embedding(micro_teacher, placed)[0].astype(np.float64))
+                 / np.linalg.norm(pre_embedding(micro_teacher, bg_half)[0].astype(np.float64)))
+        factor = np.float32(1.0) if ratio <= 1.0 else np.float32(1.0 / ratio)
+        assert np.array_equal(I_a, placed * factor)
+        factors.add(factor == 1.0)
+    assert factors == {True, False}
+
+
 def test_standard_triple_geometry(micro_world):
     fgs, bgs = micro_world
     iso, bg, comp = triple_rasters(fgs[0], bgs[0], 5)
@@ -130,6 +154,12 @@ def test_sample_pairs_distinct_and_seeded(micro_world):
     assert len(many) == 5
     with pytest.raises(ConfigError):
         sample_pairs([], bgs, 1, 0)
+
+
+def test_run_probe_rejects_unknown_mode(micro_world, micro_teacher):
+    fgs, bgs = micro_world
+    with pytest.raises(ConfigError, match="mode"):
+        run_probe(micro_teacher, fgs, bgs, 4, 8, mode="Exact")
 
 
 def test_run_probe_deterministic(micro_world, micro_teacher):

@@ -17,6 +17,7 @@ from anchorlab.alignment import (
 from anchorlab.anchors import AnchorSet, build_anchor_set, orthogonal_targets
 from anchorlab.encoders import encode_np
 from anchorlab.errors import ConfigError, ManifestError
+from anchorlab.evaluation import ProbeHead, group_metrics, probe_predict
 from anchorlab.scene import DatasetSizes, build_grouped_dataset
 
 
@@ -176,6 +177,10 @@ def test_finetune_traces(micro_world, micro_teacher):
     assert len(traces["avg"]) == cfg.epochs + 1
     for key in ("wga", "avg"):
         assert all(0.0 <= v <= 1.0 for v in traces[key])
-    assert head["head_W"].shape == (micro_teacher.d, 2)
+    assert isinstance(head, ProbeHead)
+    assert head.W.shape == (micro_teacher.d, 2) and head.b.shape == (2,)
+    # the returned head is the one the last traced epoch was scored with
+    gm = group_metrics(probe_predict(model, head, test.rasters()), test.labels(), test.groups())
+    assert (gm.wga, gm.avg) == (traces["wga"][-1], traces["avg"][-1])
     assert not model.frozen
     assert model.param_checksum() != micro_teacher.param_checksum()

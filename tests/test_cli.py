@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from anchorlab import cli
 from anchorlab.cli import (
     ALL_METHODS,
     ExperimentConfig,
@@ -20,7 +21,7 @@ from anchorlab.cli import (
     run_seeds,
 )
 from anchorlab.errors import ConfigError
-from anchorlab.scene import read_manifest
+from anchorlab.scene import DEGRADATIONS, gen_world, read_manifest
 
 MINI = dict(
     fg_per_class=4, bg_per_group=10, hw=32,
@@ -81,6 +82,17 @@ def test_config_load(tmp_path, mini_cfg):
     {"probe_lr": 0.0},
     {"probe_lr": -1e-3},
     {"weight_decay": -0.01},
+    {"d": 0},
+    {"hw": 4},
+    {"hw": 30},
+    {"fg_per_class": 0},
+    {"bg_per_group": 1},
+    {"k_grid": ()},
+    {"k_grid": (2, 1)},
+    {"k_grid": (0, 1)},
+    {"var_trials": 1},
+    {"additivity_n": 0},
+    {"additivity_alphas": (0.0, -0.5)},
 ])
 def test_config_rejects_unrunnable(override):
     with pytest.raises(ConfigError):
@@ -197,14 +209,30 @@ def test_run_matrix_byte_identical(tmp_path, mini_cfg):
     assert (a / "summary.csv").read_bytes() == (b / "summary.csv").read_bytes()
 
 
-def test_ablate_seg(tmp_path, mini_cfg):
+def test_ablate_seg(tmp_path, mini_cfg, monkeypatch):
+    worlds = []
+
+    def counting_gen_world(*args):
+        worlds.append(args)
+        return gen_world(*args)
+
+    monkeypatch.setattr(cli, "gen_world", counting_gen_world)
     path = cmd_ablate(mini_cfg, 3, tmp_path, "seg")
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "param,value,wga,avg"
     values = [line.split(",")[1] for line in lines[1:]]
     assert values == ["perfect", "noisy", "botched", "bbox", "native-lp-baseline"]
+    # the native-lp baseline is scored on the loop's context for cfg.degradation
+    assert len(worlds) == len(DEGRADATIONS)
     with pytest.raises(ConfigError):
         cmd_ablate(mini_cfg, 3, tmp_path, "lr_sweep")
+
+
+def test_ablate_n_sweep_runs_each_size_once(tmp_path, mini_cfg):
+    # 25, 50 and 100 all exceed MINI's 4 foregrounds per class: one run, labeled 4
+    path = cmd_ablate(mini_cfg, 3, tmp_path, "n_sweep")
+    rows = [line.split(",") for line in path.read_text().strip().splitlines()[1:]]
+    assert [row[:2] for row in rows] == [["N_per_class", str(mini_cfg.fg_per_class)]]
 
 
 def test_report_collects_artifacts(tmp_path, mini_cfg):

@@ -6,18 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from anchorlab.errors import ConfigError, DegenerateMaskError
+from anchorlab.errors import ConfigError, DegenerateMaskError, PlacementError
 from anchorlab.rng import derive_seed
 from anchorlab.scene import (
     CLASS_STYLES,
     DEGRADATIONS,
     GROUP_STYLES,
+    SCENE_SCALE_RANGE,
     DatasetSizes,
     ForegroundInstance,
     build_grouped_dataset,
     composite,
     degrade_mask,
-    draw_scale,
     gaussian_blur,
     gen_world,
     make_background,
@@ -25,6 +25,7 @@ from anchorlab.scene import (
     read_manifest,
     regenerate_from_manifest,
     resize_sinc,
+    scaled_foreground,
     split_backgrounds,
     threshold_mask,
     write_manifest,
@@ -198,40 +199,48 @@ def test_background_families_differ():
 
 def test_composite_center_and_determinism(micro_world):
     fgs, bgs = micro_world
-    rec = composite(fgs[0], bgs[0], 0.6, "center", 123)
+    rec = composite(fgs[0], bgs[0], 0.6, 123)
     assert rec.raster.shape == bgs[0].raster.shape
     assert rec.fg_id == fgs[0].id and rec.bg_id == bgs[0].id
-    again = composite(fgs[0], bgs[0], 0.6, "center", 123)
+    again = composite(fgs[0], bgs[0], 0.6, 123)
     assert np.array_equal(rec.raster, again.raster)
     # far corners are untouched background
     assert np.array_equal(rec.raster[0, 0], bgs[0].raster[0, 0])
 
 
-def test_composite_random_placement_seeded(micro_world):
+@pytest.mark.parametrize("mode", ["perfect", "bbox"])
+def test_composite_is_the_centred_blend_of_scaled_foreground(micro_world, mode):
     fgs, bgs = micro_world
-    a = composite(fgs[0], bgs[0], 0.5, "random", 1)
-    b = composite(fgs[0], bgs[0], 0.5, "random", 1)
-    c = composite(fgs[0], bgs[0], 0.5, "random", 2)
-    assert a.offset == b.offset
-    assert np.array_equal(a.raster, b.raster)
-    assert a.offset != c.offset or not np.array_equal(a.raster, c.raster)
+    bg = bgs[3]
+    H, W = bg.raster.shape[:2]
+    fg_scaled, a = scaled_foreground(fgs[1], 0.65, (H, W), mode)
+    oh, ow = a.shape[:2]
+    assert a.shape == (oh, ow, 1) and fg_scaled.shape == (oh, ow, 3)
+    assert a.min() >= 0.0 and a.max() <= 1.0
+    expected = bg.raster.copy()
+    r0, c0 = (H - oh) // 2, (W - ow) // 2
+    region = expected[r0 : r0 + oh, c0 : c0 + ow]
+    expected[r0 : r0 + oh, c0 : c0 + ow] = a * fg_scaled + (1.0 - a) * region
+    assert np.array_equal(composite(fgs[1], bg, 0.65, 9, mode).raster, expected)
 
 
 def test_composite_config_errors(micro_world):
     fgs, bgs = micro_world
-    with pytest.raises(ConfigError):
-        composite(fgs[0], bgs[0], 0.0, "center", 1)
-    with pytest.raises(ConfigError):
-        composite(fgs[0], bgs[0], 1.5, "center", 1)
-    with pytest.raises(ConfigError):
-        composite(fgs[0], bgs[0], 0.5, "tiled", 1)
+    for scale in (0.0, -0.2, 1.5):
+        with pytest.raises((ConfigError, PlacementError)):
+            scaled_foreground(fgs[0], scale, (32, 32))
+        with pytest.raises((ConfigError, PlacementError)):
+            composite(fgs[0], bgs[0], scale, 1)
 
 
-def test_draw_scale_range():
-    s = draw_scale(9, (0.6, 0.8))
-    assert 0.6 <= s <= 0.8
-    assert draw_scale(9, (0.6, 0.8)) == s
-    assert draw_scale(1, (0.7, 0.7)) == 0.7
+def test_make_composite_scale_in_range_and_seeded(micro_world):
+    fgs, bgs = micro_world
+    scales = [make_composite(fgs[0], bgs[0], seed).scale for seed in range(20)]
+    assert all(SCENE_SCALE_RANGE[0] <= s <= SCENE_SCALE_RANGE[1] for s in scales)
+    assert len(set(scales)) > 1
+    again = make_composite(fgs[0], bgs[0], 9)
+    assert again.scale == scales[9]
+    assert np.array_equal(again.raster, make_composite(fgs[0], bgs[0], 9).raster)
 
 
 def test_make_composite_modes(micro_world):
@@ -269,8 +278,9 @@ def test_split_backgrounds_disjoint_stratified(micro_world):
     assert len(train) + len(test) == len(bgs)
     for grp in (0, 1):
         assert any(b.g == grp for b in test)
+    one_per_group = [next(b for b in bgs if b.g == grp) for grp in (0, 1)]
     with pytest.raises(ConfigError):
-        split_backgrounds(bgs[:2], 3, test_fraction=0.9)
+        split_backgrounds(one_per_group, 3)
 
 
 def test_build_grouped_dataset_counts(micro_world):
@@ -320,7 +330,7 @@ def test_manifest_bitwise_regeneration(tmp_path):
     train, test = build_grouped_dataset(fgs, bgs, 1.0, sizes, 55)
     header = {"world_seed": 31, "num_classes": 2, "num_bg_groups": 2,
               "fg_per_class": 2, "bg_per_group": 5, "hw": [32, 32], "rho": 1.0,
-              "placement": "center", "scale_range": [0.6, 0.8], "data_seed": 55}
+              "data_seed": 55}
     path = tmp_path / "manifest.jsonl"
     write_manifest(path, train, test, header)
     got_header, items = read_manifest(path)
