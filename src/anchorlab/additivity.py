@@ -16,12 +16,14 @@ import numpy as np
 from .encoders import EncoderModel, encode_np, pre_embedding
 from .errors import ConfigError, DegenerateInputError
 from .rng import derive_seed, rng
-from .scene import (
+from .scene import (  # make_composite is re-exported for callers of this module
     NEUTRAL_GRAY,
     BackgroundImage,
     ForegroundInstance,
-    make_composite,
+    make_composite,  # noqa: F401
+    render,
     scaled_foreground,
+    scene_scale,
 )
 
 _EPS = 1e-8
@@ -64,12 +66,13 @@ def triple_rasters(fg: ForegroundInstance, bg: BackgroundImage,
     """Standard probe triple: object on a neutral canvas, background, composite.
 
     The isolated-object raster uses the same scale draw and placement as the
-    composite, so the two differ only in what sits behind the object.
+    composite, so the two differ only in what sits behind the object, and
+    one `render` call resizes the object once for both.
     """
-    hw = bg.raster.shape[:2]
-    comp = make_composite(fg, bg, seed)
-    iso = make_composite(fg, neutral_background(hw), seed)
-    return iso.raster, bg.raster, comp.raster
+    scale = scene_scale(seed)
+    iso, comp = render([(fg, neutral_background(bg.raster.shape[:2]), scale),
+                        (fg, bg, scale)])
+    return iso, bg.raster, comp
 
 
 def exact_triple_rasters(fg: ForegroundInstance, bg: BackgroundImage, seed: int,

@@ -27,12 +27,20 @@ from .encoders import (
 from .errors import ConfigError, ManifestError
 from .evaluation import ProbeHead, group_metrics, probe_predict, train_probe
 from .rng import derive_seed, rng
-from .scene import GroupedDataset, make_composite
+from .scene import (  # make_composite is re-exported for callers of this module
+    GroupedDataset,
+    RenderMemo,
+    make_composite,  # noqa: F401
+    render,
+    scene_scale,
+)
 from .tensor import Tensor
 
 
 # epochs that train_control spends updating its head alone
 CONTROL_WARMUP_EPOCHS = 10
+
+TEACHER_LR = 1e-3
 
 
 @dataclass(frozen=True)
@@ -116,15 +124,16 @@ def ce_loss(student: EncoderModel, head: dict[str, Tensor], label_of):
 
 def _train_loop(student: EncoderModel, loss_fn, foregrounds, bg_pool, cfg: AlignConfig,
                 head: dict[str, Tensor] | None = None,
-                head_only_epochs: int = 0) -> TrainLog:
+                head_only_epochs: int = 0, memo: RenderMemo | None = None) -> TrainLog:
     """Fit the student on each epoch's composite stream, rendered as the epoch starts."""
     data_ids: list[str] = []
+    memo = RenderMemo() if memo is None else memo
 
     def epoch_data(epoch):
         stream = composite_stream(foregrounds, bg_pool, cfg.M, cfg.seed, epoch)
         data_ids.extend(cid for _, _, _, cid in stream)
-        rasters = np.stack([make_composite(fg, bg, s, degradation=cfg.degradation).raster
-                            for fg, bg, s, _ in stream])
+        rasters = render([(fg, bg, scene_scale(s)) for fg, bg, s, _ in stream],
+                         cfg.degradation, memo)
         return stream, rasters
 
     fitted = T.fit({**student.params, **(head or {})}, epoch_data, loss_fn,
@@ -137,26 +146,27 @@ def _train_loop(student: EncoderModel, loss_fn, foregrounds, bg_pool, cfg: Align
 
 
 def train_bap(teacher: EncoderModel, anchors: AnchorSet, foregrounds, bg_pool,
-              cfg: AlignConfig) -> tuple[EncoderModel, TrainLog]:
+              cfg: AlignConfig, memo: RenderMemo | None = None) -> tuple[EncoderModel, TrainLog]:
     """Anchor-alignment training of a student cloned from the teacher."""
     for fg in foregrounds:
         if fg.id not in anchors.anchors:
             raise ManifestError(f"no anchor for foreground {fg.id}")
     student = clone_unfrozen(teacher)
     loss = cosine_loss(student, lambda fg: anchors.anchors[fg.id])
-    return student, _train_loop(student, loss, foregrounds, bg_pool, cfg)
+    return student, _train_loop(student, loss, foregrounds, bg_pool, cfg, memo=memo)
 
 
 def train_orthogonal(teacher: EncoderModel, targets: list[np.ndarray],
                      class_to_target: dict[int, int], foregrounds, bg_pool,
-                     cfg: AlignConfig) -> tuple[EncoderModel, TrainLog]:
+                     cfg: AlignConfig, memo: RenderMemo | None = None,
+                     ) -> tuple[EncoderModel, TrainLog]:
     """Alignment training toward one static orthogonal vector per class."""
     for fg in foregrounds:
         if fg.y not in class_to_target:
             raise ManifestError(f"class {fg.y} has no target vector assigned")
     student = clone_unfrozen(teacher)
     loss = cosine_loss(student, lambda fg: targets[class_to_target[fg.y]])
-    return student, _train_loop(student, loss, foregrounds, bg_pool, cfg)
+    return student, _train_loop(student, loss, foregrounds, bg_pool, cfg, memo=memo)
 
 
 def _head_params(d: int, num_classes: int, seed: int) -> dict[str, Tensor]:
@@ -168,7 +178,8 @@ def _head_params(d: int, num_classes: int, seed: int) -> dict[str, Tensor]:
 
 
 def train_control(teacher: EncoderModel, foregrounds, bg_pool, cfg: AlignConfig,
-                  probe_epochs: int = CONTROL_WARMUP_EPOCHS) -> tuple[EncoderModel, TrainLog]:
+                  probe_epochs: int = CONTROL_WARMUP_EPOCHS,
+                  memo: RenderMemo | None = None) -> tuple[EncoderModel, TrainLog]:
     """Budget-matched cross-entropy control on the exact same composite stream.
 
     Consumes exactly the epochs an alignment run would, in two stages within
@@ -183,12 +194,13 @@ def train_control(teacher: EncoderModel, foregrounds, bg_pool, cfg: AlignConfig,
                         derive_seed(cfg.seed, "control-head"))
     loss = ce_loss(student, head, lambda fg, bg: fg.y)
     return student, _train_loop(student, loss, foregrounds, bg_pool, cfg, head=head,
-                                head_only_epochs=probe_epochs)
+                                head_only_epochs=probe_epochs, memo=memo)
 
 
 def pretrain_teacher(foregrounds, backgrounds, seed: int, epochs: int = 6,
                      arch: str = "mlp", d: int = 64, M: int = 4,
-                     lr: float = 1e-3, degradation: str = "perfect") -> EncoderModel:
+                     degradation: str = "perfect",
+                     memo: RenderMemo | None = None) -> EncoderModel:
     """Learned teacher: joint (class, background-group) supervised pre-training.
 
     Backgrounds are drawn uniformly regardless of class, and the target is
@@ -202,11 +214,11 @@ def pretrain_teacher(foregrounds, backgrounds, seed: int, epochs: int = 6,
     num_classes = len({fg.y for fg in foregrounds})
     head = _head_params(d, num_classes * num_groups,
                         derive_seed(seed, "teacher-head"))
-    cfg = AlignConfig(epochs=epochs, batch_size=128, lr=lr, M=M,
+    cfg = AlignConfig(epochs=epochs, batch_size=128, lr=TEACHER_LR, M=M,
                       degradation=degradation,
                       seed=derive_seed(seed, "teacher-train"))
     loss = ce_loss(model, head, lambda fg, bg: fg.y * num_groups + bg.g)
-    _train_loop(model, loss, foregrounds, backgrounds, cfg, head=head)
+    _train_loop(model, loss, foregrounds, backgrounds, cfg, head=head, memo=memo)
     return freeze(model)
 
 

@@ -16,7 +16,14 @@ from . import tensor as T
 from .encoders import EncoderModel, encode_np
 from .errors import ConfigError, DegenerateInputError, DimensionError
 from .rng import derive_seed, rng
-from .scene import ANCHOR_SCALE, BackgroundImage, ForegroundInstance, composite
+from .scene import (
+    ANCHOR_SCALE,
+    BackgroundImage,
+    ForegroundInstance,
+    RenderMemo,
+    composite,
+    render,
+)
 
 DEFAULT_K = 10
 DEFAULT_K_GRID = (1, 2, 3, 5, 8, 10, 15, 20, 30, 40)
@@ -67,7 +74,7 @@ def _sample_pool(pool, K: int, g: np.random.Generator) -> tuple[list, bool]:
 
 def extract_anchor(teacher: EncoderModel, fg: ForegroundInstance,
                    bg_pool: list[BackgroundImage], K: int, seed: int,
-                   degradation: str = "perfect") -> np.ndarray:
+                   degradation: str = "perfect", memo: RenderMemo | None = None) -> np.ndarray:
     """Normalized mean embedding of the foreground over K sampled backgrounds.
 
     Backgrounds are drawn without replacement when the pool allows, with
@@ -80,7 +87,7 @@ def extract_anchor(teacher: EncoderModel, fg: ForegroundInstance,
         raise ConfigError("background pool is empty")
     g = rng(seed, "anchor", fg.id, K)
     picks, _ = _sample_pool(bg_pool, K, g)
-    rasters = np.stack([anchor_composite(fg, bg, seed, degradation) for bg in picks])
+    rasters = render([(fg, bg, ANCHOR_SCALE) for bg in picks], degradation, memo)
     embs = encode_np(teacher, rasters).astype(np.float64)
     mean = embs.mean(axis=0)
     norm = np.linalg.norm(mean)
@@ -90,9 +97,10 @@ def extract_anchor(teacher: EncoderModel, fg: ForegroundInstance,
 
 
 def build_anchor_set(teacher: EncoderModel, foregrounds, bg_pool, K: int,
-                     seed: int, degradation: str = "perfect") -> AnchorSet:
+                     seed: int, degradation: str = "perfect",
+                     memo: RenderMemo | None = None) -> AnchorSet:
     anchors = {fg.id: extract_anchor(teacher, fg, bg_pool, K, derive_seed(seed, fg.id),
-                                     degradation)
+                                     degradation, memo)
                for fg in foregrounds}
     return AnchorSet(anchors=anchors, K=K, with_replacement=len(bg_pool) < K)
 
@@ -155,7 +163,7 @@ def residual_variance(teacher: EncoderModel, bg_pool, K: int, trials: int,
 
 
 def compute_prototypes(teacher: EncoderModel, foregrounds, backgrounds,
-                       seed: int = 0) -> Prototypes:
+                       seed: int = 0, memo: RenderMemo | None = None) -> Prototypes:
     """Class and background-group prototypes as normalized mean embeddings.
 
     Class prototypes come from isolated foregrounds on the neutral canvas;
@@ -163,15 +171,14 @@ def compute_prototypes(teacher: EncoderModel, foregrounds, backgrounds,
     """
     from .additivity import neutral_background
 
-    by_class: dict[int, list[np.ndarray]] = {}
-    hw = teacher.input_hw
-    neutral = neutral_background(hw)
+    by_class: dict[int, list[ForegroundInstance]] = {}
     for fg in foregrounds:
-        raster = composite(fg, neutral, ANCHOR_SCALE, derive_seed(seed, fg.id)).raster
-        by_class.setdefault(fg.y, []).append(raster)
+        by_class.setdefault(fg.y, []).append(fg)
+    neutral = neutral_background(teacher.input_hw)
     class_protos = {}
-    for y, rasters in sorted(by_class.items()):
-        embs = encode_np(teacher, np.stack(rasters)).astype(np.float64)
+    for y, members in sorted(by_class.items()):
+        rasters = render([(fg, neutral, ANCHOR_SCALE) for fg in members], memo=memo)
+        embs = encode_np(teacher, rasters).astype(np.float64)
         m = embs.mean(axis=0)
         class_protos[y] = (m / np.linalg.norm(m)).astype(np.float32)
     by_group: dict[int, list[BackgroundImage]] = {}
@@ -202,10 +209,12 @@ def k_sweep(teacher: EncoderModel, foregrounds, bg_pool, k_grid, prototypes: Pro
     mu = BackgroundMean(vector=bg_embs.astype(np.float64).mean(axis=0), count=len(bg_pool))
     bg_proto_mat = np.stack([prototypes.by_group[g] for g in sorted(prototypes.by_group)])
     fg_sims, bg_sims, var_eps = [], [], []
+    memo = RenderMemo()
     for K in k_grid:
         f_acc, b_acc = [], []
         for fg in foregrounds:
-            a = extract_anchor(teacher, fg, bg_pool, K, derive_seed(seed, "sweep", fg.id, K))
+            a = extract_anchor(teacher, fg, bg_pool, K, derive_seed(seed, "sweep", fg.id, K),
+                               memo=memo)
             f_acc.append(T.cosine_sim_np(a, prototypes.by_class[fg.y]))
             b_acc.append(float((bg_proto_mat @ a).max()))
         fg_sims.append(float(np.mean(f_acc)))

@@ -158,12 +158,14 @@ class SeedContext:
 
     Heavy artifacts are shared across methods and correlation rates: the
     anchor/alignment phases never see the downstream correlation, so one
-    student serves every rho.
+    student serves every rho.  Every stream the seed renders shares one
+    `RenderMemo`, so each distinct foreground size is resized once.
     """
 
     def __init__(self, cfg: ExperimentConfig, seed: int):
         self.cfg = cfg
         self.seed = seed
+        self.memo = scene.RenderMemo()
         self._cache: dict = {}
 
     def _get(self, key, builder):
@@ -206,7 +208,7 @@ class SeedContext:
             return alignment.pretrain_teacher(fgs, bg_train,
                                               derive_seed(self.seed, "teacher"),
                                               epochs=c.teacher_epochs, d=c.d,
-                                              degradation=c.degradation)
+                                              degradation=c.degradation, memo=self.memo)
 
         return self._get("teacher", build)
 
@@ -225,7 +227,8 @@ class SeedContext:
             bg_train, _ = self.bg_pools
             return anchors.build_anchor_set(self.teacher, fgs, bg_train, self.cfg.K,
                                             derive_seed(self.seed, "anchors"),
-                                            degradation=self.cfg.degradation)
+                                            degradation=self.cfg.degradation,
+                                            memo=self.memo)
 
         return self._get("anchors", build)
 
@@ -235,7 +238,7 @@ class SeedContext:
             fgs, _ = self.world
             bg_train, _ = self.bg_pools
             return alignment.train_bap(self.teacher, self.anchor_set, fgs, bg_train,
-                                       self.align_config())
+                                       self.align_config(), memo=self.memo)
 
         return self._get("bap", build)
 
@@ -245,7 +248,7 @@ class SeedContext:
             fgs, _ = self.world
             bg_train, _ = self.bg_pools
             return alignment.train_control(self.teacher, fgs, bg_train,
-                                           self.align_config())
+                                           self.align_config(), memo=self.memo)
 
         return self._get("control", build)
 
@@ -259,7 +262,7 @@ class SeedContext:
                                                  derive_seed(self.seed, "ortho"))
             mapping = {y: i for i, y in enumerate(classes)}
             return alignment.train_orthogonal(self.teacher, targets, mapping, fgs,
-                                              bg_train, self.align_config())
+                                              bg_train, self.align_config(), memo=self.memo)
 
         return self._get("ortho", build)
 
@@ -267,7 +270,8 @@ class SeedContext:
         def build():
             fgs, bgs = self.world
             sizes = DatasetSizes(self.cfg.train_per_class, self.cfg.test_per_cell)
-            return build_grouped_dataset(fgs, bgs, rho, sizes, self.data_seed)
+            return build_grouped_dataset(fgs, bgs, rho, sizes, self.data_seed,
+                                         memo=self.memo)
 
         return self._get(("data", rho), build)
 
@@ -280,7 +284,8 @@ class SeedContext:
                 by_class.setdefault(fg.y, []).append(fg)
             exemplars = [fg for y in sorted(by_class) for fg in by_class[y][:40]]
             protos = anchors.compute_prototypes(self.teacher, exemplars, bgs,
-                                                derive_seed(self.seed, "protos"))
+                                                derive_seed(self.seed, "protos"),
+                                                memo=self.memo)
             return protos.by_class
 
         return self._get("teacher_protos", build)
@@ -305,7 +310,8 @@ class SeedContext:
             fgs, _ = self.world
             _, bg_test = self.bg_pools
             report = evaluation.bsi_protocol(encoder, fgs, bg_test, n_pairs=48,
-                                             seed=derive_seed(self.seed, "bsi"))
+                                             seed=derive_seed(self.seed, "bsi"),
+                                             memo=self.memo)
             return report.mean
 
         return self._get(("bsi", tag), build)
@@ -450,7 +456,8 @@ def cmd_k_ablation(cfg: ExperimentConfig, seed: int, out) -> Path:
     ctx = SeedContext(cfg, derive_seed(seed, "run", 0))
     fgs, bgs = ctx.world
     teacher = ctx.teacher
-    protos = anchors.compute_prototypes(teacher, fgs, bgs, derive_seed(seed, "protos"))
+    protos = anchors.compute_prototypes(teacher, fgs, bgs, derive_seed(seed, "protos"),
+                                        memo=ctx.memo)
     report = anchors.k_sweep(teacher, fgs[: min(len(fgs), 50)], bgs, cfg.k_grid,
                              protos, derive_seed(seed, "ksweep"),
                              var_trials=cfg.var_trials)

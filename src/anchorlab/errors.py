@@ -21,10 +21,6 @@ class ConfigError(AnchorlabError, ValueError):
     """A configuration value is inconsistent or unsatisfiable."""
 
 
-class PlacementError(AnchorlabError, ValueError):
-    """A scaled foreground cannot be placed inside the canvas."""
-
-
 class DegenerateMaskError(AnchorlabError, ValueError):
     """A mask degradation emptied the mask support."""
 

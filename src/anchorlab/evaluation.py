@@ -17,7 +17,14 @@ from . import tensor as T
 from .encoders import EncoderModel, encode_np
 from .errors import ConfigError, ContractError
 from .rng import derive_seed, rng
-from .scene import ANCHOR_SCALE, GroupedDataset, composite
+from .scene import (  # composite is re-exported for callers of this module
+    ANCHOR_SCALE,
+    GroupedDataset,
+    RenderMemo,
+    composite,  # noqa: F401
+    render,
+    scene_scale,
+)
 from .tensor import Tensor
 
 PROBE_EPOCHS = 30
@@ -167,7 +174,8 @@ def bsi(embeddings_a: np.ndarray, embeddings_b: np.ndarray) -> float:
 
 
 def bsi_protocol(encoder: EncoderModel, foregrounds, backgrounds,
-                 n_pairs: int = 64, seed: int = 0) -> BsiReport:
+                 n_pairs: int = 64, seed: int = 0,
+                 memo: RenderMemo | None = None) -> BsiReport:
     """Per-class BSI from a paired background swap.
 
     For each class, the same composites are rendered once over group-0 and
@@ -182,16 +190,16 @@ def bsi_protocol(encoder: EncoderModel, foregrounds, backgrounds,
     for y in sorted({fg.y for fg in foregrounds}):
         members = [fg for fg in foregrounds if fg.y == y]
         g = rng(seed, "bsi", y)
-        ras_a, ras_b = [], []
-        for i in range(n_pairs):
+        items_a, items_b = [], []
+        for _ in range(n_pairs):
             fg = members[int(g.integers(0, len(members)))]
             bg_a = pool[groups[0]][int(g.integers(0, len(pool[groups[0]])))]
             bg_b = pool[groups[1]][int(g.integers(0, len(pool[groups[1]])))]
-            item_seed = derive_seed(seed, "bsi", y, i)
-            ras_a.append(composite(fg, bg_a, ANCHOR_SCALE, item_seed).raster)
-            ras_b.append(composite(fg, bg_b, ANCHOR_SCALE, item_seed).raster)
-        emb_a = encode_np(encoder, np.stack(ras_a))
-        emb_b = encode_np(encoder, np.stack(ras_b))
+            items_a.append((fg, bg_a, ANCHOR_SCALE))
+            items_b.append((fg, bg_b, ANCHOR_SCALE))
+        rasters = render(items_a + items_b, memo=memo)
+        emb_a = encode_np(encoder, rasters[:n_pairs])
+        emb_b = encode_np(encoder, rasters[n_pairs:])
         per_class[y] = bsi(emb_a, emb_b)
     return BsiReport(per_class=per_class, mean=float(np.mean(list(per_class.values()))))
 
@@ -210,8 +218,6 @@ def _background_probe_accuracy(encoder: EncoderModel, backgrounds, foregrounds,
     phase regularizes, and shallow encoders keep isolated backgrounds
     linearly separable no matter how hard the scene-level cue is crushed.
     """
-    from .scene import make_composite
-
     by_group: dict[int, list] = {}
     for bg in backgrounds:
         by_group.setdefault(bg.g, []).append(bg)
@@ -224,15 +230,16 @@ def _background_probe_accuracy(encoder: EncoderModel, backgrounds, foregrounds,
         train_bgs.extend(pool[i] for i in order[k:])
     fgs = sorted(foregrounds, key=lambda f: f.id)
 
+    memo = RenderMemo()
+
     def scenes(pool, n, tag):
         g = rng(seed, "retention", tag)
-        X, y = [], []
+        items = []
         for i in range(n):
             bg = pool[int(g.integers(0, len(pool)))]
             fg = fgs[int(g.integers(0, len(fgs)))]
-            X.append(make_composite(fg, bg, derive_seed(seed, "retention", tag, i)).raster)
-            y.append(bg.g)
-        return np.stack(X), np.array(y)
+            items.append((fg, bg, scene_scale(derive_seed(seed, "retention", tag, i))))
+        return render(items, memo=memo), np.array([bg.g for _, bg, _ in items])
 
     X_tr, y_tr = scenes(train_bgs, n_train, "train")
     X_te, y_te = scenes(test_bgs, n_test, "test")

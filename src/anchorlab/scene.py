@@ -11,6 +11,11 @@ degrade it (dilate / erode / bounding box), soften the edge with a Gaussian
 blur, rescale with a 3-lobe windowed-sinc filter, and alpha-blend it onto
 the background, always centred.  Every composite is fully determined by
 (ids, per-item seed, config), so generation is order-independent.
+
+`render` is the one place composites are rendered: every stream (datasets,
+alignment epochs, anchors, prototypes, BSI, additivity triples) goes through
+it as one float32 batch, and `composite` is its one-item case.  It resizes
+each distinct (foreground, degradation, output size) once per `RenderMemo`.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateMaskError, DimensionError, PlacementError
+from .errors import ConfigError, DegenerateMaskError, DimensionError, ManifestError
 from .rng import derive_seed, rng
 
 NEUTRAL_GRAY = 0.5
@@ -41,6 +46,10 @@ SCENE_SCALE_RANGE = (0.6, 0.8)
 ANCHOR_SCALE = 0.8
 
 TEST_FRACTION = 0.2  # share of each background group held out for testing
+
+# cap on the blend parts one RenderMemo stores; at the default config a
+# seed's distinct sizes would take about 85 MiB
+RENDER_MEMO_BYTES = 64 * 2**20
 
 # (shape, base RGB): consecutive classes share a similar palette so the
 # foreground cue is subtler than the background one
@@ -101,12 +110,15 @@ class GroupedItem:
 
 @dataclass
 class GroupedDataset:
+    """One split; item i's `comp.raster` is row i of the read-only `batch`."""
+
     items: list[GroupedItem]
     rho: float
     split: str
+    batch: np.ndarray = field(repr=False)
 
     def rasters(self) -> np.ndarray:
-        return np.stack([it.comp.raster for it in self.items])
+        return self.batch
 
     def labels(self) -> np.ndarray:
         return np.array([it.y for it in self.items], dtype=np.int64)
@@ -393,48 +405,97 @@ def _prepare_foreground(fg: ForegroundInstance, degradation: str) -> tuple[np.nd
     return crop
 
 
+def _scaled_size(fg: ForegroundInstance, scale: float, hw: tuple[int, int],
+                 degradation: str) -> tuple[int, int]:
+    """Extents of the foreground crop with its long side at `scale` of hw's shorter one."""
+    if not (0.0 < scale <= 1.0):
+        raise ConfigError(f"scale {scale} outside (0, 1]")
+    crop, _ = _prepare_foreground(fg, degradation)
+    h, w = crop.shape[:2]
+    long_side = max(h, w)
+    target_long = max(1, round(scale * min(hw)))
+    return (max(1, round(h * target_long / long_side)),
+            max(1, round(w * target_long / long_side)))
+
+
 def scaled_foreground(fg: ForegroundInstance, scale: float, hw: tuple[int, int],
                       degradation: str = "perfect") -> tuple[np.ndarray, np.ndarray]:
     """Foreground crop and its [0, 1] alpha (oh x ow x 1), long side rescaled to
     `scale` of the `hw` canvas's shorter extent: the one place a foreground is resized."""
-    if not (0.0 < scale <= 1.0):
-        raise ConfigError(f"scale {scale} outside (0, 1]")
-    H, W = hw
+    oh, ow = _scaled_size(fg, scale, hw, degradation)
     crop, alpha = _prepare_foreground(fg, degradation)
-    h, w = crop.shape[:2]
-    long_side = max(h, w)
-    target_long = max(1, round(scale * min(H, W)))
-    oh = max(1, round(h * target_long / long_side))
-    ow = max(1, round(w * target_long / long_side))
-    if oh > H or ow > W:
-        raise PlacementError(f"scaled foreground {oh}x{ow} exceeds canvas {H}x{W}")
     fg_scaled = np.clip(resize_sinc(crop, (oh, ow)), 0.0, 1.0)
     a_scaled = np.clip(resize_sinc(alpha, (oh, ow)), 0.0, 255.0)[:, :, None] / 255.0
     return fg_scaled, a_scaled
 
 
+class RenderMemo:
+    """Blend parts (a * fg_scaled, 1 - a) keyed by (fg.id, degradation, oh, ow).
+
+    Foreground ids repeat across worlds, so a memo serves one world: a
+    `SeedContext` keeps one per seed.  Once `nbytes` would pass
+    RENDER_MEMO_BYTES, further parts are computed but not stored.
+    """
+
+    def __init__(self):
+        self.parts: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+        self.nbytes = 0
+
+
+def _blend_parts(memo: RenderMemo, fg: ForegroundInstance, scale: float,
+                 hw: tuple[int, int], degradation: str) -> tuple[np.ndarray, np.ndarray]:
+    key = (fg.id, degradation, *_scaled_size(fg, scale, hw, degradation))
+    parts = memo.parts.get(key)
+    if parts is None:
+        fg_scaled, a = scaled_foreground(fg, scale, hw, degradation)
+        parts = (a * fg_scaled, 1.0 - a)
+        size = parts[0].nbytes + parts[1].nbytes
+        if memo.nbytes + size <= RENDER_MEMO_BYTES:
+            memo.parts[key] = parts
+            memo.nbytes += size
+    return parts
+
+
+def render(items, degradation: str = "perfect", memo: RenderMemo | None = None) -> np.ndarray:
+    """Composites of (fg, bg, scale) items as one float32 (B, H, W, 3) batch.
+
+    Each foreground is centred on its background.  The blend runs in the
+    background's dtype (float64 for stripes) and is rounded to float32 once,
+    as it is written into its row: blending in float32 would change the bits.
+    Without a `memo`, resizes are shared within this call only.
+    """
+    memo = RenderMemo() if memo is None else memo
+    H, W = items[0][1].raster.shape[:2]
+    out = np.empty((len(items), H, W, 3), dtype=np.float32)
+    for row, (fg, bg, scale) in zip(out, items):
+        premul, inv = _blend_parts(memo, fg, scale, (H, W), degradation)
+        oh, ow = inv.shape[:2]
+        r0, c0 = (H - oh) // 2, (W - ow) // 2
+        row[...] = bg.raster
+        row[r0 : r0 + oh, c0 : c0 + ow] = premul + inv * bg.raster[r0 : r0 + oh, c0 : c0 + ow]
+    return out
+
+
+def scene_scale(seed: int) -> float:
+    """A stream item's scale, drawn from SCENE_SCALE_RANGE by its seed."""
+    return float(rng(seed, "scale").uniform(*SCENE_SCALE_RANGE))
+
+
 def composite(fg: ForegroundInstance, bg: BackgroundImage, scale: float,
               seed: int, degradation: str = "perfect") -> CompositeRecord:
-    """Alpha-blend a rescaled foreground onto the centre of a background.
+    """One centred composite: a one-item `render`.
 
     The record keeps `seed`, so it regenerates bitwise from (ids, seed, config).
     """
-    H, W = bg.raster.shape[:2]
-    fg_scaled, a = scaled_foreground(fg, scale, (H, W), degradation)
-    oh, ow = a.shape[:2]
-    r0, c0 = (H - oh) // 2, (W - ow) // 2
-    out = bg.raster.copy()
-    region = out[r0 : r0 + oh, c0 : c0 + ow]
-    out[r0 : r0 + oh, c0 : c0 + ow] = a * fg_scaled + (1.0 - a) * region
-    return CompositeRecord(raster=out, fg_id=fg.id, bg_id=bg.id, scale=scale,
+    raster = render([(fg, bg, scale)], degradation)[0]
+    return CompositeRecord(raster=raster, fg_id=fg.id, bg_id=bg.id, scale=scale,
                            degradation=degradation, seed=seed)
 
 
 def make_composite(fg: ForegroundInstance, bg: BackgroundImage, seed: int,
                    degradation: str = "perfect") -> CompositeRecord:
     """Composite with the scale drawn from SCENE_SCALE_RANGE by the item seed."""
-    scale = float(rng(seed, "scale").uniform(*SCENE_SCALE_RANGE))
-    return composite(fg, bg, scale, seed, degradation)
+    return composite(fg, bg, scene_scale(seed), seed, degradation)
 
 
 # ---------------------------------------------------------------------------
@@ -465,9 +526,24 @@ class DatasetSizes:
     test_per_cell: int
 
 
+def _rendered_split(specs, rho: float, split: str, degradation: str = "perfect",
+                    memo: RenderMemo | None = None) -> GroupedDataset:
+    """A split of (fg, bg, item_seed) specs rendered in one `render` call."""
+    scales = [scene_scale(s) for _, _, s in specs]
+    batch = render([(fg, bg, sc) for (fg, bg, _), sc in zip(specs, scales)],
+                   degradation, memo)
+    batch.flags.writeable = False
+    items = [GroupedItem(comp=CompositeRecord(raster=row, fg_id=fg.id, bg_id=bg.id,
+                                              scale=sc, degradation=degradation, seed=s),
+                         y=fg.y, g=bg.g)
+             for row, (fg, bg, s), sc in zip(batch, specs, scales)]
+    return GroupedDataset(items, rho, split, batch)
+
+
 def build_grouped_dataset(foregrounds: list[ForegroundInstance],
                           backgrounds: list[BackgroundImage],
                           rho: float, sizes: DatasetSizes, seed: int,
+                          memo: RenderMemo | None = None,
                           ) -> tuple[GroupedDataset, GroupedDataset]:
     """Two-class / two-group correlated train split plus a balanced test split.
 
@@ -486,12 +562,7 @@ def build_grouped_dataset(foregrounds: list[ForegroundInstance],
     train_by_group = {g: [b for b in bg_train if b.g == g] for g in groups}
     test_by_group = {g: [b for b in bg_test if b.g == g] for g in groups}
 
-    def _make(fg, bg, rep):
-        item_seed = derive_seed(seed, fg.id, bg.id, rep)
-        comp = make_composite(fg, bg, item_seed)
-        return GroupedItem(comp=comp, y=fg.y, g=bg.g)
-
-    train_items = []
+    train_specs = []
     for ci, y in enumerate(classes):
         n = sizes.train_per_class
         n_major = round(rho * n)
@@ -502,8 +573,8 @@ def build_grouped_dataset(foregrounds: list[ForegroundInstance],
             fg = fg_by_class[y][int(gsel.integers(0, len(fg_by_class[y])))]
             pool = train_by_group[grp]
             bg = pool[int(gsel.integers(0, len(pool)))]
-            train_items.append(_make(fg, bg, i))
-    test_items = []
+            train_specs.append((fg, bg, derive_seed(seed, fg.id, bg.id, i)))
+    test_specs = []
     for ci, y in enumerate(classes):
         for grp in groups:
             gsel = rng(seed, "test-sel", y, grp)
@@ -511,9 +582,9 @@ def build_grouped_dataset(foregrounds: list[ForegroundInstance],
                 fg = fg_by_class[y][int(gsel.integers(0, len(fg_by_class[y])))]
                 pool = test_by_group[grp]
                 bg = pool[int(gsel.integers(0, len(pool)))]
-                test_items.append(_make(fg, bg, i))
-    return (GroupedDataset(train_items, rho, "train"),
-            GroupedDataset(test_items, rho, "test"))
+                test_specs.append((fg, bg, derive_seed(seed, fg.id, bg.id, i)))
+    return (_rendered_split(train_specs, rho, "train", memo=memo),
+            _rendered_split(test_specs, rho, "test", memo=memo))
 
 
 # ---------------------------------------------------------------------------
@@ -558,10 +629,13 @@ def regenerate_from_manifest(path) -> tuple[GroupedDataset, GroupedDataset]:
                          header["bg_per_group"], tuple(header["hw"]))
     fg_map = {f.id: f for f in fgs}
     bg_map = {b.id: b for b in bgs}
-    out = {"train": [], "test": []}
-    for rec in items:
-        comp = make_composite(fg_map[rec["fg_id"]], bg_map[rec["bg_id"]], rec["seed"],
-                              rec["degradation"])
-        out[rec["split"]].append(GroupedItem(comp=comp, y=rec["y"], g=rec["g"]))
-    return (GroupedDataset(out["train"], header["rho"], "train"),
-            GroupedDataset(out["test"], header["rho"], "test"))
+    memo = RenderMemo()
+    out = []
+    for split in ("train", "test"):
+        recs = [rec for rec in items if rec["split"] == split]
+        modes = {rec["degradation"] for rec in recs}
+        if len(modes) != 1:
+            raise ManifestError(f"{split} split needs one degradation, has {sorted(modes)}")
+        out.append(_rendered_split([(fg_map[rec["fg_id"]], bg_map[rec["bg_id"]], rec["seed"])
+                                    for rec in recs], header["rho"], split, modes.pop(), memo))
+    return out[0], out[1]

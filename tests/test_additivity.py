@@ -16,7 +16,8 @@ from anchorlab.additivity import (
 )
 from anchorlab.encoders import PlantedConfig, planted_teacher, pre_embedding
 from anchorlab.errors import ConfigError, DegenerateInputError
-from anchorlab.scene import BackgroundImage, scaled_foreground
+from anchorlab import scene
+from anchorlab.scene import BackgroundImage, make_composite, scaled_foreground
 
 
 def _triple(v_a, v_b, v_ab):
@@ -132,6 +133,18 @@ def test_standard_triple_geometry(micro_world):
     diff_iso = np.abs(iso - 0.5).sum(axis=2) > 0.05
     diff_comp = np.abs(comp - bg).sum(axis=2) > 0.05
     assert (diff_iso & diff_comp).sum() > 0
+
+
+def test_standard_triple_is_two_composites_from_one_resize(micro_world, monkeypatch):
+    fgs, bgs = micro_world
+    calls = []
+    real = scene.resize_sinc
+    monkeypatch.setattr(scene, "resize_sinc", lambda img, hw: calls.append(hw) or real(img, hw))
+    iso, bg, comp = triple_rasters(fgs[0], bgs[0], 5)
+    assert len(calls) == 2  # the object's raster and alpha, shared by both composites
+    assert bg is bgs[0].raster
+    assert np.array_equal(iso, make_composite(fgs[0], neutral_background((32, 32)), 5).raster)
+    assert np.array_equal(comp, make_composite(fgs[0], bgs[0], 5).raster)
 
 
 def test_neutral_background_constant():

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from anchorlab import cli
+from anchorlab import cli, scene
 from anchorlab.cli import (
     ALL_METHODS,
     ExperimentConfig,
@@ -137,6 +137,29 @@ def test_seed_context_caches(mini_cfg):
     assert ctx.teacher is ctx.teacher
     fgs, bgs = ctx.world
     assert len(fgs) == 8 and len(bgs) == 20
+
+
+def test_seed_context_resizes_each_distinct_foreground_size_once(monkeypatch):
+    cfg = ExperimentConfig(**{**MINI, "teacher": "learned-mlp", "teacher_epochs": 1,
+                              "epochs": 11, "methods": ALL_METHODS})
+    inputs: dict[tuple, list] = {}
+    real = scene.resize_sinc
+
+    def counting(img, out_hw):
+        inputs.setdefault((id(img), tuple(out_hw)), [img, 0])[1] += 1
+        return real(img, out_hw)
+
+    monkeypatch.setattr(scene, "resize_sinc", counting)
+    ctx = SeedContext(cfg, 123)
+    for method in ALL_METHODS:
+        evaluate_method(ctx, method, 1.0)
+    # the crop and the alpha of one (fg, degradation) are distinct cached arrays,
+    # so a key here is one (fg, degradation, oh, ow) and one of its two planes
+    counts = [n for _, n in inputs.values()]
+    planes = [img.ndim for img, _ in inputs.values()]
+    assert counts and set(counts) == {1}
+    assert planes.count(3) == planes.count(2)
+    assert ctx.memo.parts and len(ctx.memo.parts) == planes.count(3)
 
 
 def test_evaluate_method_unknown(mini_cfg):

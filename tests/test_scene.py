@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from anchorlab.errors import ConfigError, DegenerateMaskError, PlacementError
+from anchorlab import scene
+from anchorlab.errors import ConfigError, DegenerateMaskError, ManifestError
 from anchorlab.rng import derive_seed
 from anchorlab.scene import (
     CLASS_STYLES,
@@ -22,10 +23,13 @@ from anchorlab.scene import (
     gen_world,
     make_background,
     make_composite,
+    RenderMemo,
     read_manifest,
     regenerate_from_manifest,
+    render,
     resize_sinc,
     scaled_foreground,
+    scene_scale,
     split_backgrounds,
     threshold_mask,
     write_manifest,
@@ -205,7 +209,7 @@ def test_composite_center_and_determinism(micro_world):
     again = composite(fgs[0], bgs[0], 0.6, 123)
     assert np.array_equal(rec.raster, again.raster)
     # far corners are untouched background
-    assert np.array_equal(rec.raster[0, 0], bgs[0].raster[0, 0])
+    assert np.array_equal(rec.raster[0, 0], bgs[0].raster[0, 0].astype(np.float32))
 
 
 @pytest.mark.parametrize("mode", ["perfect", "bbox"])
@@ -221,15 +225,16 @@ def test_composite_is_the_centred_blend_of_scaled_foreground(micro_world, mode):
     r0, c0 = (H - oh) // 2, (W - ow) // 2
     region = expected[r0 : r0 + oh, c0 : c0 + ow]
     expected[r0 : r0 + oh, c0 : c0 + ow] = a * fg_scaled + (1.0 - a) * region
-    assert np.array_equal(composite(fgs[1], bg, 0.65, 9, mode).raster, expected)
+    assert np.array_equal(composite(fgs[1], bg, 0.65, 9, mode).raster,
+                          expected.astype(np.float32))
 
 
 def test_composite_config_errors(micro_world):
     fgs, bgs = micro_world
     for scale in (0.0, -0.2, 1.5):
-        with pytest.raises((ConfigError, PlacementError)):
+        with pytest.raises(ConfigError):
             scaled_foreground(fgs[0], scale, (32, 32))
-        with pytest.raises((ConfigError, PlacementError)):
+        with pytest.raises(ConfigError):
             composite(fgs[0], bgs[0], scale, 1)
 
 
@@ -265,6 +270,56 @@ def test_crop_cache_is_keyed_by_degradation(micro_world, mode):
             make_composite(used, bgs[0], 5, degradation=other)
     got = make_composite(used, bgs[0], 5, degradation=mode).raster
     assert np.array_equal(got, make_composite(fresh(), bgs[0], 5, degradation=mode).raster)
+
+
+def _reference_blend(fg, bg, scale, mode):
+    """Centred blend in the background's dtype, as `composite` computed it before `render`."""
+    H, W = bg.raster.shape[:2]
+    fg_scaled, a = scaled_foreground(fg, scale, (H, W), mode)
+    oh, ow = a.shape[:2]
+    out = bg.raster.copy()
+    r0, c0 = (H - oh) // 2, (W - ow) // 2
+    out[r0 : r0 + oh, c0 : c0 + ow] = a * fg_scaled + (1.0 - a) * out[r0 : r0 + oh, c0 : c0 + ow]
+    return out
+
+
+@pytest.mark.parametrize("mode", DEGRADATIONS)
+def test_render_rows_are_the_blend_rounded_once(micro_world, mode):
+    fgs, bgs = micro_world
+    stripes = bgs[0]
+    checker = next(bg for bg in bgs if bg.g == 1)
+    assert stripes.raster.dtype == np.float64 and checker.raster.dtype == np.float32
+    specs = [(fg, bg, seed) for bg in (stripes, checker) for fg in fgs[:2] for seed in (3, 4, 3)]
+    items = [(fg, bg, scene_scale(seed)) for fg, bg, seed in specs]
+    expected = [make_composite(fg, bg, seed, mode).raster.astype(np.float32)
+                for fg, bg, seed in specs]
+    memo = RenderMemo()
+    miss = render(items, mode, memo)
+    assert memo.parts
+    hit = render(items, mode, memo)
+    assert miss.dtype == np.float32 and miss.shape == (len(items), 32, 32, 3)
+    for i, (fg, bg, scale) in enumerate(items):
+        reference = _reference_blend(fg, bg, scale, mode).astype(np.float32)
+        assert np.array_equal(miss[i], reference)
+        assert np.array_equal(hit[i], reference)
+        assert np.array_equal(expected[i], reference)
+
+
+def test_render_memo_at_its_cap_stores_nothing(micro_world, monkeypatch):
+    fgs, bgs = micro_world
+    items = [(fgs[0], bgs[0], 0.7), (fgs[0], bgs[11], 0.7)]
+    calls = []
+    real = scene.resize_sinc
+    monkeypatch.setattr(scene, "resize_sinc", lambda img, hw: calls.append(hw) or real(img, hw))
+    full = RenderMemo()
+    full.nbytes = scene.RENDER_MEMO_BYTES
+    capped = render(items, memo=full)
+    assert full.parts == {} and full.nbytes == scene.RENDER_MEMO_BYTES
+    assert len(calls) == 4  # raster and alpha, once per item: nothing was stored
+    calls.clear()
+    fresh = render(items)
+    assert len(calls) == 2
+    assert np.array_equal(capped, fresh)
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +366,20 @@ def test_build_grouped_dataset_errors(micro_world):
         build_grouped_dataset(three, bgs, 0.9, sizes, 1)
 
 
+def test_dataset_rasters_are_one_read_only_array(micro_world):
+    fgs, bgs = micro_world
+    for ds in build_grouped_dataset(fgs, bgs, 0.9, DatasetSizes(5, 2), 8):
+        batch = ds.rasters()
+        assert ds.rasters() is batch
+        assert batch.dtype == np.float32 and not batch.flags.writeable
+        with pytest.raises(ValueError):
+            batch[0, 0, 0, 0] = 0.0
+        assert len(batch) == len(ds.items)
+        for row, it in zip(batch, ds.items):
+            assert np.shares_memory(it.comp.raster, batch)
+            assert np.array_equal(it.comp.raster, row)
+
+
 def test_dataset_accessors(micro_world):
     fgs, bgs = micro_world
     train, _ = build_grouped_dataset(fgs, bgs, 1.0, DatasetSizes(4, 2), 3)
@@ -340,6 +409,20 @@ def test_manifest_bitwise_regeneration(tmp_path):
     for orig, back in zip(train.items + test.items, train2.items + test2.items):
         assert orig.y == back.y and orig.g == back.g
         assert np.array_equal(orig.comp.raster, back.comp.raster)
+
+
+def test_manifest_split_with_mixed_degradations_is_rejected(tmp_path):
+    fgs, bgs = gen_world(31, 2, 2, 2, 5, (32, 32))
+    train, test = build_grouped_dataset(fgs, bgs, 1.0, DatasetSizes(4, 2), 55)
+    header = {"world_seed": 31, "num_classes": 2, "num_bg_groups": 2,
+              "fg_per_class": 2, "bg_per_group": 5, "hw": [32, 32], "rho": 1.0}
+    path = tmp_path / "manifest.jsonl"
+    write_manifest(path, train, test, header)
+    lines = path.read_text().splitlines()
+    lines[1] = lines[1].replace('"perfect"', '"bbox"')
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ManifestError):
+        regenerate_from_manifest(path)
 
 
 def test_manifest_missing_header(tmp_path):
