@@ -198,8 +198,7 @@ def train_control(teacher: EncoderModel, foregrounds, bg_pool, cfg: AlignConfig,
 
 
 def pretrain_teacher(foregrounds, backgrounds, seed: int, epochs: int = 6,
-                     arch: str = "mlp", d: int = 64, M: int = 4,
-                     degradation: str = "perfect",
+                     d: int = 64, degradation: str = "perfect",
                      memo: RenderMemo | None = None) -> EncoderModel:
     """Learned teacher: joint (class, background-group) supervised pre-training.
 
@@ -209,12 +208,12 @@ def pretrain_teacher(foregrounds, backgrounds, seed: int, epochs: int = 6,
     backbone.  Returned frozen, head discarded.
     """
     hw = backgrounds[0].raster.shape[:2]
-    model = init_encoder(arch, derive_seed(seed, "teacher"), d=d, input_hw=hw)
+    model = init_encoder("mlp", derive_seed(seed, "teacher"), d=d, input_hw=hw)
     num_groups = len({bg.g for bg in backgrounds})
     num_classes = len({fg.y for fg in foregrounds})
     head = _head_params(d, num_classes * num_groups,
                         derive_seed(seed, "teacher-head"))
-    cfg = AlignConfig(epochs=epochs, batch_size=128, lr=TEACHER_LR, M=M,
+    cfg = AlignConfig(epochs=epochs, batch_size=128, lr=TEACHER_LR, M=4,
                       degradation=degradation,
                       seed=derive_seed(seed, "teacher-train"))
     loss = ce_loss(model, head, lambda fg, bg: fg.y * num_groups + bg.g)

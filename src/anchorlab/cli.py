@@ -17,7 +17,8 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,18 @@ from .errors import ConfigError
 from .rng import derive_seed
 from .scene import DatasetSizes, GroupedDataset, build_grouped_dataset, gen_world
 
-ALL_METHODS = ("native-zs", "native-lp", "lp-ft", "control", "bap-lp", "bap-zs", "ortho")
+# method -> (encoder, how it classifies): "zs" against prototypes, "lp" with a
+# fresh linear probe, "ft" with the head fine-tuned along with the encoder
+METHODS = {
+    "native-zs": ("native", "zs"),
+    "native-lp": ("native", "lp"),
+    "lp-ft": ("lp-ft", "ft"),
+    "control": ("control", "lp"),
+    "bap-lp": ("bap", "lp"),
+    "bap-zs": ("bap", "zs"),
+    "ortho": ("ortho", "lp"),
+}
+ALL_METHODS = tuple(METHODS)
 TEACHERS = ("learned-mlp", "planted")
 
 
@@ -78,6 +90,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown method tags {unknown}")
         if any(not 0.5 <= rho <= 1.0 for rho in self.rhos):
             raise ConfigError(f"correlation rates must lie in [0.5, 1], got {self.rhos}")
+        if (self.num_classes, self.num_bg_groups) != (2, 2):
+            raise ConfigError(f"the grouped benchmark needs exactly two classes and two groups, "
+                              f"got num_classes={self.num_classes}, "
+                              f"num_bg_groups={self.num_bg_groups}")
         if self.degradation not in scene.DEGRADATIONS:
             raise ConfigError(f"unknown degradation mode {self.degradation!r}")
         if self.teacher not in TEACHERS:
@@ -158,59 +174,39 @@ class SeedContext:
 
     Heavy artifacts are shared across methods and correlation rates: the
     anchor/alignment phases never see the downstream correlation, so one
-    student serves every rho.  Every stream the seed renders shares one
-    `RenderMemo`, so each distinct foreground size is resized once.
+    student serves every rho.  Trained encoders are kept frozen, one copy
+    each.  Every stream the seed renders shares one `RenderMemo`, so each
+    distinct foreground size is resized once.
     """
 
     def __init__(self, cfg: ExperimentConfig, seed: int):
         self.cfg = cfg
         self.seed = seed
+        self.data_seed = derive_seed(seed, "data")
         self.memo = scene.RenderMemo()
-        self._cache: dict = {}
+        self._by_rho: dict = {}  # datasets, lp-ft and BSI, keyed by (artifact, ..., rho)
 
-    def _get(self, key, builder):
-        if key not in self._cache:
-            self._cache[key] = builder()
-        return self._cache[key]
-
-    @property
+    @cached_property
     def world(self):
-        def build():
-            c = self.cfg
-            return gen_world(derive_seed(self.seed, "world"), c.num_classes,
-                             c.num_bg_groups, c.fg_per_class, c.bg_per_group,
-                             (c.hw, c.hw))
+        c = self.cfg
+        return gen_world(derive_seed(self.seed, "world"), c.num_classes, c.num_bg_groups,
+                         c.fg_per_class, c.bg_per_group, (c.hw, c.hw))
 
-        return self._get("world", build)
-
-    @property
-    def data_seed(self) -> int:
-        return derive_seed(self.seed, "data")
-
-    @property
+    @cached_property
     def bg_pools(self):
-        def build():
-            _, bgs = self.world
-            return scene.split_backgrounds(bgs, self.data_seed)
+        return scene.split_backgrounds(self.world[1], self.data_seed)
 
-        return self._get("bg_pools", build)
-
-    @property
+    @cached_property
     def teacher(self) -> EncoderModel:
-        def build():
-            fgs, _ = self.world
-            bg_train, _ = self.bg_pools
-            c = self.cfg
-            if c.teacher == "planted":
-                return planted_teacher(PlantedConfig(seed=derive_seed(self.seed, "planted"),
-                                                     alpha=c.planted_alpha),
-                                       d=c.d, input_hw=(c.hw, c.hw))
-            return alignment.pretrain_teacher(fgs, bg_train,
-                                              derive_seed(self.seed, "teacher"),
-                                              epochs=c.teacher_epochs, d=c.d,
-                                              degradation=c.degradation, memo=self.memo)
-
-        return self._get("teacher", build)
+        c = self.cfg
+        if c.teacher == "planted":
+            return planted_teacher(PlantedConfig(seed=derive_seed(self.seed, "planted"),
+                                                 alpha=c.planted_alpha),
+                                   d=c.d, input_hw=(c.hw, c.hw))
+        return alignment.pretrain_teacher(self.world[0], self.bg_pools[0],
+                                          derive_seed(self.seed, "teacher"),
+                                          epochs=c.teacher_epochs, d=c.d,
+                                          degradation=c.degradation, memo=self.memo)
 
     def align_config(self, **overrides) -> alignment.AlignConfig:
         c = self.cfg
@@ -220,111 +216,98 @@ class SeedContext:
             degradation=c.degradation, seed=derive_seed(self.seed, "align"))
         return replace(base, **overrides) if overrides else base
 
-    @property
+    @cached_property
     def anchor_set(self) -> anchors.AnchorSet:
-        def build():
-            fgs, _ = self.world
-            bg_train, _ = self.bg_pools
-            return anchors.build_anchor_set(self.teacher, fgs, bg_train, self.cfg.K,
-                                            derive_seed(self.seed, "anchors"),
-                                            degradation=self.cfg.degradation,
-                                            memo=self.memo)
+        return anchors.build_anchor_set(self.teacher, self.world[0], self.bg_pools[0],
+                                        self.cfg.K, derive_seed(self.seed, "anchors"),
+                                        degradation=self.cfg.degradation, memo=self.memo)
 
-        return self._get("anchors", build)
-
-    @property
+    @cached_property
     def bap_student(self):
-        def build():
-            fgs, _ = self.world
-            bg_train, _ = self.bg_pools
-            return alignment.train_bap(self.teacher, self.anchor_set, fgs, bg_train,
-                                       self.align_config(), memo=self.memo)
+        student, log = alignment.train_bap(self.teacher, self.anchor_set, self.world[0],
+                                           self.bg_pools[0], self.align_config(),
+                                           memo=self.memo)
+        return freeze(student), log
 
-        return self._get("bap", build)
-
-    @property
+    @cached_property
     def control_student(self):
-        def build():
-            fgs, _ = self.world
-            bg_train, _ = self.bg_pools
-            return alignment.train_control(self.teacher, fgs, bg_train,
-                                           self.align_config(), memo=self.memo)
+        student, log = alignment.train_control(self.teacher, self.world[0], self.bg_pools[0],
+                                               self.align_config(), memo=self.memo)
+        return freeze(student), log
 
-        return self._get("control", build)
-
-    @property
+    @cached_property
     def ortho_student(self):
-        def build():
-            fgs, _ = self.world
-            bg_train, _ = self.bg_pools
-            classes = sorted({fg.y for fg in fgs})
-            targets = anchors.orthogonal_targets(self.cfg.d, len(classes),
-                                                 derive_seed(self.seed, "ortho"))
-            mapping = {y: i for i, y in enumerate(classes)}
-            return alignment.train_orthogonal(self.teacher, targets, mapping, fgs,
-                                              bg_train, self.align_config(), memo=self.memo)
-
-        return self._get("ortho", build)
+        fgs = self.world[0]
+        classes = sorted({fg.y for fg in fgs})
+        targets = anchors.orthogonal_targets(self.cfg.d, len(classes),
+                                             derive_seed(self.seed, "ortho"))
+        mapping = {y: i for i, y in enumerate(classes)}
+        student, log = alignment.train_orthogonal(self.teacher, targets, mapping, fgs,
+                                                  self.bg_pools[0], self.align_config(),
+                                                  memo=self.memo)
+        return freeze(student), log
 
     def datasets(self, rho: float) -> tuple[GroupedDataset, GroupedDataset]:
-        def build():
+        key = ("data", rho)
+        if key not in self._by_rho:
             fgs, bgs = self.world
             sizes = DatasetSizes(self.cfg.train_per_class, self.cfg.test_per_cell)
-            return build_grouped_dataset(fgs, bgs, rho, sizes, self.data_seed,
-                                         memo=self.memo)
+            self._by_rho[key] = build_grouped_dataset(fgs, bgs, rho, sizes, self.data_seed,
+                                                      memo=self.memo)
+        return self._by_rho[key]
 
-        return self._get(("data", rho), build)
-
-    @property
+    @cached_property
     def teacher_prototypes(self) -> dict[int, np.ndarray]:
-        def build():
-            fgs, bgs = self.world
-            by_class: dict[int, list] = {}
-            for fg in fgs:
-                by_class.setdefault(fg.y, []).append(fg)
-            exemplars = [fg for y in sorted(by_class) for fg in by_class[y][:40]]
-            protos = anchors.compute_prototypes(self.teacher, exemplars, bgs,
-                                                derive_seed(self.seed, "protos"),
-                                                memo=self.memo)
-            return protos.by_class
+        fgs, bgs = self.world
+        by_class: dict[int, list] = {}
+        for fg in fgs:
+            by_class.setdefault(fg.y, []).append(fg)
+        exemplars = [fg for y in sorted(by_class) for fg in by_class[y][:40]]
+        return anchors.compute_prototypes(self.teacher, exemplars, bgs,
+                                          derive_seed(self.seed, "protos"),
+                                          memo=self.memo).by_class
 
-        return self._get("teacher_protos", build)
-
-    @property
+    @cached_property
     def anchor_prototypes(self) -> dict[int, np.ndarray]:
-        def build():
-            fgs, _ = self.world
-            by_class: dict[int, list[np.ndarray]] = {}
-            for fg in fgs:
-                by_class.setdefault(fg.y, []).append(self.anchor_set.anchors[fg.id])
-            out = {}
-            for y, vecs in sorted(by_class.items()):
-                m = np.stack(vecs).astype(np.float64).mean(axis=0)
-                out[y] = (m / np.linalg.norm(m)).astype(np.float32)
-            return out
-
-        return self._get("anchor_protos", build)
-
-    def bsi_of(self, tag: str, encoder: EncoderModel) -> float:
-        def build():
-            fgs, _ = self.world
-            _, bg_test = self.bg_pools
-            report = evaluation.bsi_protocol(encoder, fgs, bg_test, n_pairs=48,
-                                             seed=derive_seed(self.seed, "bsi"),
-                                             memo=self.memo)
-            return report.mean
-
-        return self._get(("bsi", tag), build)
+        by_class: dict[int, list[np.ndarray]] = {}
+        for fg in self.world[0]:
+            by_class.setdefault(fg.y, []).append(self.anchor_set.anchors[fg.id])
+        out = {}
+        for y, vecs in sorted(by_class.items()):
+            m = np.stack(vecs).astype(np.float64).mean(axis=0)
+            out[y] = (m / np.linalg.norm(m)).astype(np.float32)
+        return out
 
     def lp_ft(self, rho: float):
-        def build():
+        """(frozen fine-tuned model, its head, its WGA/AVG traces) at one rate."""
+        key = ("lp-ft", rho)
+        if key not in self._by_rho:
             train, test = self.datasets(rho)
             cfg = self.align_config(epochs=self.cfg.ft_epochs,
-                                    lr=self.cfg.lr,
                                     seed=derive_seed(self.seed, "lp-ft", rho))
-            return alignment.finetune_on_correlated(self.teacher, train, test, cfg)
+            model, head, traces = alignment.finetune_on_correlated(self.teacher, train,
+                                                                   test, cfg)
+            self._by_rho[key] = freeze(model), head, traces
+        return self._by_rho[key]
 
-        return self._get(("lp-ft", rho), build)
+    def encoder(self, name: str, rho: float) -> EncoderModel:
+        """The frozen encoder named in a `METHODS` row; only lp-ft's depends on rho."""
+        if name == "native":
+            return self.teacher
+        if name == "lp-ft":
+            return self.lp_ft(rho)[0]
+        return getattr(self, f"{name}_student")[0]
+
+    def bsi(self, name: str, rho: float) -> float:
+        """Mean background-sensitivity index of one encoder, computed once."""
+        key = ("bsi", name, rho if name == "lp-ft" else None)
+        if key not in self._by_rho:
+            _, bg_test = self.bg_pools
+            report = evaluation.bsi_protocol(self.encoder(name, rho), self.world[0], bg_test,
+                                             n_pairs=48, seed=derive_seed(self.seed, "bsi"),
+                                             memo=self.memo)
+            self._by_rho[key] = report.mean
+        return self._by_rho[key]
 
 
 # ---------------------------------------------------------------------------
@@ -333,53 +316,24 @@ class SeedContext:
 
 def evaluate_method(ctx: SeedContext, method: str, rho: float):
     """(GroupMetrics, bsi) for one method on one correlation rate."""
-    cfg = ctx.cfg
-    train, test = ctx.datasets(rho)
-    test_rasters = test.rasters()
-    test_y, test_g = test.labels(), test.groups()
-
-    def lp(encoder: EncoderModel, probe_seed_tag: str):
-        frozen = freeze(encoder)
-        head = evaluation.train_probe(frozen, train,
-                                      seed=derive_seed(ctx.seed, probe_seed_tag, rho),
-                                      epochs=cfg.probe_epochs, lr=cfg.probe_lr)
-        return evaluation.probe_predict(frozen, head, test_rasters)
-
-    if method == "native-zs":
-        preds = evaluation.prototype_predict(ctx.teacher, ctx.teacher_prototypes,
-                                             test_rasters)
-        enc_tag, encoder = "teacher", ctx.teacher
-    elif method == "native-lp":
-        preds = lp(ctx.teacher, "probe-native")
-        enc_tag, encoder = "teacher", ctx.teacher
-    elif method == "lp-ft":
-        model, head, _ = ctx.lp_ft(rho)
-        frozen = freeze(model)
-        preds = evaluation.probe_predict(frozen, head, test_rasters)
-        enc_tag, encoder = f"lp-ft-{rho:g}", frozen
-    elif method == "control":
-        preds = lp(ctx.control_student[0], "probe-control")
-        enc_tag, encoder = "control", ctx.control_student[0]
-    elif method == "bap-lp":
-        preds = lp(ctx.bap_student[0], "probe-bap")
-        enc_tag, encoder = "bap", ctx.bap_student[0]
-    elif method == "bap-zs":
-        preds = evaluation.prototype_predict(freeze(ctx.bap_student[0]),
-                                             ctx.anchor_prototypes, test_rasters)
-        enc_tag, encoder = "bap", ctx.bap_student[0]
-    elif method == "ortho":
-        preds = lp(ctx.ortho_student[0], "probe-ortho")
-        enc_tag, encoder = "ortho", ctx.ortho_student[0]
-    else:
+    if method not in METHODS:
         raise ConfigError(f"unknown method tag {method!r}")
-
-    gm = evaluation.group_metrics(preds, test_y, test_g)
-    bsi_value = ctx.bsi_of(enc_tag, encoder)
-    return gm, bsi_value
-
-
-_STUDENT_OF = {"bap-lp": "bap_student", "bap-zs": "bap_student",
-               "control": "control_student", "ortho": "ortho_student"}
+    name, how = METHODS[method]
+    train, test = ctx.datasets(rho)
+    encoder = ctx.encoder(name, rho)
+    if how == "zs":
+        # the teacher is scored against its own prototypes, a student against the anchors'
+        protos = ctx.teacher_prototypes if name == "native" else ctx.anchor_prototypes
+        preds = evaluation.prototype_predict(encoder, protos, test.rasters())
+    elif how == "ft":
+        preds = evaluation.probe_predict(encoder, ctx.lp_ft(rho)[1], test.rasters())
+    else:
+        head = evaluation.train_probe(encoder, train,
+                                      seed=derive_seed(ctx.seed, f"probe-{name}", rho),
+                                      epochs=ctx.cfg.probe_epochs, lr=ctx.cfg.probe_lr)
+        preds = evaluation.probe_predict(encoder, head, test.rasters())
+    gm = evaluation.group_metrics(preds, test.labels(), test.groups())
+    return gm, ctx.bsi(name, rho)
 
 
 def _training_trace(ctx: SeedContext, method: str, rho: float) -> dict | None:
@@ -388,12 +342,13 @@ def _training_trace(ctx: SeedContext, method: str, rho: float) -> dict | None:
     Students give their loss and LR per epoch; lp-ft gives WGA and AVG on the
     balanced test split, from the frozen-probe baseline (epoch 0) on.
     """
-    if method == "lp-ft":
+    name, _ = METHODS[method]
+    if name == "native":
+        return None
+    if name == "lp-ft":
         return ctx.lp_ft(rho)[2]
-    if method in _STUDENT_OF:
-        log = getattr(ctx, _STUDENT_OF[method])[1]
-        return {"epoch_loss": log.epoch_loss, "epoch_lr": log.epoch_lr}
-    return None
+    log = getattr(ctx, f"{name}_student")[1]
+    return {"epoch_loss": log.epoch_loss, "epoch_lr": log.epoch_lr}
 
 
 # ---------------------------------------------------------------------------

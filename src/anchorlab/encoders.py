@@ -1,6 +1,6 @@
 """Differentiable image encoders producing unit-norm embeddings.
 
-Four architectures:
+Three architectures:
 
 * ``planted-linear`` — a frozen, analytically constructed teacher whose
   pre-normalization map is ``z = W.vec(x) + alpha * phi(x)``.  At alpha=0 it
@@ -10,7 +10,6 @@ Four architectures:
   terms as alpha grows.
 * ``linear`` — trainable W only.
 * ``mlp`` — two layers, hidden 256, GELU.
-* ``cnn`` — three stride-2 conv blocks (k=4) then a linear head.
 
 All encoders emit unit-L2 embeddings; frozen models never register
 gradients and are safe to share across workers.
@@ -28,9 +27,6 @@ from .rng import rng
 from .tensor import Tensor
 
 MLP_HIDDEN = 256
-CNN_CHANNELS = (16, 32, 64)
-CNN_KERNEL = 4
-CNN_STRIDE = 2
 
 
 @dataclass(frozen=True)
@@ -107,7 +103,6 @@ def planted_teacher(cfg: PlantedConfig, d: int = 64, input_hw: tuple[int, int] =
 def init_encoder(arch: str, seed: int, d: int = 64, input_hw: tuple[int, int] = (64, 64)) -> EncoderModel:
     """Fresh trainable encoder of the given architecture."""
     g = rng(seed, "encoder", arch)
-    H, W = input_hw
     D = _flat_dim(input_hw)
     params: dict[str, Tensor] = {}
     if arch == "linear":
@@ -120,23 +115,6 @@ def init_encoder(arch: str, seed: int, d: int = 64, input_hw: tuple[int, int] = 
         params["W2"] = Tensor((g.standard_normal((MLP_HIDDEN, d)) * np.sqrt(2.0 / MLP_HIDDEN)).astype(np.float32),
                               requires_grad=True)
         params["b2"] = Tensor(np.zeros(d, dtype=np.float32), requires_grad=True)
-    elif arch == "cnn":
-        cin = 3
-        side = H
-        for i, cout in enumerate(CNN_CHANNELS):
-            side = (side - CNN_KERNEL) // CNN_STRIDE + 1
-            if side < 1:
-                raise ConfigError(f"input {input_hw} too small for the cnn stack")
-            fan_in = CNN_KERNEL * CNN_KERNEL * cin
-            params[f"conv{i}"] = Tensor(
-                (g.standard_normal((fan_in, cout)) * np.sqrt(2.0 / fan_in)).astype(np.float32),
-                requires_grad=True)
-            params[f"cb{i}"] = Tensor(np.zeros(cout, dtype=np.float32), requires_grad=True)
-            cin = cout
-        flat = side * side * CNN_CHANNELS[-1]
-        params["Wh"] = Tensor((g.standard_normal((flat, d)) * np.sqrt(2.0 / flat)).astype(np.float32),
-                              requires_grad=True)
-        params["bh"] = Tensor(np.zeros(d, dtype=np.float32), requires_grad=True)
     else:
         raise ConfigError(f"unknown architecture {arch!r}")
     return EncoderModel(arch=arch, d=d, input_hw=input_hw, params=params,
@@ -183,18 +161,6 @@ def _forward(model: EncoderModel, x: Tensor) -> Tensor:
     if model.arch == "mlp":
         h = T.gelu(T.matmul(T.reshape(x, (B, -1)), p["W1"]) + p["b1"])
         return T.matmul(h, p["W2"]) + p["b2"]
-    if model.arch == "cnn":
-        h = x
-        side = model.input_hw[0]
-        cin = 3
-        for i, cout in enumerate(CNN_CHANNELS):
-            oside = (side - CNN_KERNEL) // CNN_STRIDE + 1
-            cols = T.im2col(h, CNN_KERNEL, CNN_STRIDE)
-            h = T.gelu(T.matmul(cols, p[f"conv{i}"]) + p[f"cb{i}"])
-            h = T.reshape(h, (B, oside, oside, cout))
-            side, cin = oside, cout
-        flat = T.reshape(h, (B, -1))
-        return T.matmul(flat, p["Wh"]) + p["bh"]
     raise ConfigError(f"unknown architecture {model.arch!r}")
 
 

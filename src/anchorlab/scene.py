@@ -351,21 +351,21 @@ def _resize_matrix(n_in: int, n_out: int) -> np.ndarray:
     if cached is not None:
         return cached
     scale = n_in / n_out
-    support = _LOBES * max(scale, 1.0)
+    stretch = max(scale, 1.0)
+    center = (np.arange(n_out) + 0.5) * scale - 0.5
+    lo = np.floor(center - _LOBES * stretch).astype(int)
+    hi = np.ceil(center + _LOBES * stretch).astype(int)
+    j = lo[:, None] + np.arange((hi - lo).max() + 1)  # row i's taps are lo[i]..hi[i]
+    taps = j <= hi[:, None]
+    w = _windowed_sinc((j - center[:, None]) / stretch)
+    rows = np.broadcast_to(np.arange(n_out)[:, None], j.shape)
     M = np.zeros((n_out, n_in), dtype=np.float32)
-    for i in range(n_out):
-        center = (i + 0.5) * scale - 0.5
-        lo = int(np.floor(center - support)) if support > 0 else 0
-        hi = int(np.ceil(center + support))
-        j = np.arange(lo, hi + 1)
-        d = (j - center) / max(scale, 1.0)
-        w = _windowed_sinc(d)
-        jc = np.clip(j, 0, n_in - 1)  # edge clamp
-        for jj, ww in zip(jc, w):
-            M[i, jj] += ww
-        s = M[i].sum()
-        if s != 0:
-            M[i] /= s
+    # taps land one at a time in row-major order, each sum rounded to float32,
+    # so clamped edge taps accumulate exactly as a per-tap loop would
+    np.add.at(M, (rows[taps], np.clip(j, 0, n_in - 1)[taps]), w[taps])
+    s = M.sum(axis=1)
+    nz = s != 0
+    M[nz] /= s[nz, None]
     _resize_matrix_cache[key] = M
     return M
 

@@ -293,35 +293,6 @@ def cosine_sim(u: Tensor, v: Tensor) -> Tensor:
     return tsum(mul(un, vn))
 
 
-def im2col(x: Tensor, k: int, stride: int) -> Tensor:
-    """Extract k x k patches from [B,H,W,C] into rows [B*OH*OW, k*k*C].
-
-    A gather op; its backward is the matching scatter-add, which lets conv
-    layers be expressed as im2col followed by matmul.
-    """
-    if x.data.ndim != 4:
-        raise DimensionError(f"im2col expects [B,H,W,C], got {x.shape}")
-    B, H, W, C = x.shape
-    OH = (H - k) // stride + 1
-    OW = (W - k) // stride + 1
-    win = np.lib.stride_tricks.sliding_window_view(x.data, (k, k), axis=(1, 2))
-    win = win[:, ::stride, ::stride]  # [B, OH, OW, C, k, k]
-    cols = np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3)).reshape(B * OH * OW, k * k * C)
-    out = Tensor(cols)
-
-    def bwd(g):
-        gx = np.zeros((B, H, W, C), dtype=np.float32)
-        gp = g.reshape(B, OH, OW, k, k, C)
-        for di in range(k):
-            for dj in range(k):
-                gx[:, di : di + OH * stride : stride, dj : dj + OW * stride : stride] += gp[
-                    :, :, :, di, dj, :
-                ]
-        return (gx,)
-
-    return _maybe_record(out, (x,), bwd)
-
-
 def softmax_cross_entropy(logits: Tensor, labels: np.ndarray,
                           class_weights: np.ndarray | None = None) -> Tensor:
     """Mean softmax cross-entropy over a [B, C] logit batch.

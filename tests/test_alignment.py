@@ -160,8 +160,8 @@ def test_align_config_validation():
 
 def test_pretrain_teacher_frozen_deterministic(micro_world):
     fgs, bgs = micro_world
-    a = pretrain_teacher(fgs, bgs, 3, epochs=1, d=8, M=1)
-    b = pretrain_teacher(fgs, bgs, 3, epochs=1, d=8, M=1)
+    a = pretrain_teacher(fgs, bgs, 3, epochs=1, d=8)
+    b = pretrain_teacher(fgs, bgs, 3, epochs=1, d=8)
     assert a.frozen
     assert a.param_checksum() == b.param_checksum()
     assert "head_W" not in a.params

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from anchorlab import cli, scene
+from anchorlab import alignment, cli, encoders, evaluation, scene
 from anchorlab.cli import (
     ALL_METHODS,
     ExperimentConfig,
@@ -93,6 +93,9 @@ def test_config_load(tmp_path, mini_cfg):
     {"var_trials": 1},
     {"additivity_n": 0},
     {"additivity_alphas": (0.0, -0.5)},
+    {"num_classes": 3},
+    {"num_classes": 1},
+    {"num_bg_groups": 3},
 ])
 def test_config_rejects_unrunnable(override):
     with pytest.raises(ConfigError):
@@ -160,6 +163,37 @@ def test_seed_context_resizes_each_distinct_foreground_size_once(monkeypatch):
     assert counts and set(counts) == {1}
     assert planes.count(3) == planes.count(2)
     assert ctx.memo.parts and len(ctx.memo.parts) == planes.count(3)
+
+
+def test_method_table_builds_each_encoder_and_bsi_once(monkeypatch):
+    cfg = ExperimentConfig(**{**MINI, "epochs": 11, "rhos": (1.0, 0.95),
+                              "methods": ALL_METHODS})
+    calls = []
+    real_bsi, real_freeze = evaluation.bsi_protocol, encoders.freeze
+
+    def counting_bsi(encoder, *args, **kwargs):
+        calls.append("bsi")
+        return real_bsi(encoder, *args, **kwargs)
+
+    def counting_freeze(model):
+        calls.append("freeze")
+        return real_freeze(model)
+
+    monkeypatch.setattr(evaluation, "bsi_protocol", counting_bsi)
+    for module in (cli, alignment):
+        monkeypatch.setattr(module, "freeze", counting_freeze)
+    ctx = SeedContext(cfg, 123)
+
+    def every_method():
+        return {(m, rho): evaluate_method(ctx, m, rho) for rho in cfg.rhos for m in ALL_METHODS}
+
+    first = every_method()
+    # native, control, bap and ortho once each, lp-ft once per rate
+    assert calls.count("bsi") == 6
+    assert all(ctx.encoder(name, 1.0).frozen for name, _ in cli.METHODS.values())
+    calls.clear()
+    assert every_method() == first
+    assert calls == []
 
 
 def test_evaluate_method_unknown(mini_cfg):

@@ -160,6 +160,37 @@ def test_resize_sinc_identity_and_constant():
     assert np.allclose(out, 0.7, atol=1e-4)
 
 
+def _resize_matrix_loop(n_in, n_out):
+    """The per-tap loop that built resize matrices before vectorisation."""
+    scale = n_in / n_out
+    support = scene._LOBES * max(scale, 1.0)
+    M = np.zeros((n_out, n_in), dtype=np.float32)
+    for i in range(n_out):
+        center = (i + 0.5) * scale - 0.5
+        lo = int(np.floor(center - support)) if support > 0 else 0
+        hi = int(np.ceil(center + support))
+        j = np.arange(lo, hi + 1)
+        d = (j - center) / max(scale, 1.0)
+        w = scene._windowed_sinc(d)
+        jc = np.clip(j, 0, n_in - 1)  # edge clamp
+        for jj, ww in zip(jc, w):
+            M[i, jj] += ww
+        s = M[i].sum()
+        if s != 0:
+            M[i] /= s
+    return M
+
+
+def test_resize_matrix_matches_the_per_tap_loop(monkeypatch):
+    monkeypatch.setattr(scene, "_resize_matrix_cache", {})
+    pairs = {(n_in, n_out) for n_in in range(1, 70, 3) for n_out in range(1, 70, 2)}
+    pairs |= {(64, n_out) for n_out in range(1, 65)} | {(n_in, 64) for n_in in range(1, 65)}
+    for n_in, n_out in sorted(pairs):
+        got = scene._resize_matrix(n_in, n_out)
+        want = _resize_matrix_loop(n_in, n_out)
+        assert got.dtype == np.float32 and np.array_equal(got, want), (n_in, n_out)
+
+
 # ---------------------------------------------------------------------------
 # world generation
 

@@ -84,27 +84,6 @@ def test_l2_normalize_grad(seed):
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_im2col_grad(seed):
-    g = np.random.default_rng(400 + seed)
-    w = g.standard_normal((2 * 2 * 3, 1)).astype(np.float32)
-
-    def build(x):
-        return T.tsum(T.matmul(T.im2col(x, 2, 2), Tensor(w)))
-
-    def np_fn(a):
-        B, H, W, C = a.shape
-        total = 0.0
-        for b in range(B):
-            for i in range(0, H - 1, 2):
-                for j in range(0, W - 1, 2):
-                    patch = a[b, i : i + 2, j : j + 2].transpose(0, 1, 2).reshape(-1)
-                    total += float(patch @ w[:, 0])
-        return total
-
-    _check(build, np_fn, (1, 4, 4, 3), seed)
-
-
-@pytest.mark.parametrize("seed", range(3))
 def test_softmax_cross_entropy_grad(seed):
     labels = np.array([0, 2, 1])
 
