@@ -15,10 +15,12 @@ import argparse
 import csv
 import hashlib
 import json
+import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +45,8 @@ METHODS = {
 }
 ALL_METHODS = tuple(METHODS)
 TEACHERS = ("learned-mlp", "planted")
+# set to "1" in the environment a seed worker starts with: BLAS reads it when it loads
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @dataclass(frozen=True)
@@ -151,8 +155,9 @@ class ExperimentConfig:
         return cls.from_json(Path(path).read_text())
 
 
+@cache
 def code_hash() -> str:
-    """Content hash of the package sources, recorded in every run."""
+    """Content hash of the package sources, recorded in every run; read once per process."""
     h = hashlib.sha256()
     pkg = Path(__file__).parent
     for p in sorted(pkg.glob("*.py")):
@@ -431,38 +436,97 @@ def cmd_k_ablation(cfg: ExperimentConfig, seed: int, out) -> Path:
 
 def _write_run_record(out: Path, run_id: str, cfg: ExperimentConfig, seed: int,
                       extra: dict) -> None:
+    """Write `runs/<run_id>.json` whole or not at all: a temp file, then a rename."""
     runs = out / "runs"
     runs.mkdir(parents=True, exist_ok=True)
     record = {"run_id": run_id, "config": asdict(cfg), "seed": seed,
               "code_hash": code_hash(), **extra}
-    (runs / f"{run_id}.json").write_text(json.dumps(record, sort_keys=True, indent=2))
+    tmp = runs / f"{run_id}.json.tmp"
+    try:
+        tmp.write_text(json.dumps(record, sort_keys=True, indent=2))
+        os.replace(tmp, runs / f"{run_id}.json")
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _run_seed(cfg: ExperimentConfig, out: Path, run_idx: int, run_seed: int,
+              methods: tuple[str, ...], rhos: tuple[float, ...]) -> list[dict]:
+    """Every (rho, method) run of one seed, in order; each run's record is written
+    as soon as it finishes.  Returns the seed's metrics rows."""
+    ctx = SeedContext(cfg, run_seed)
+    rows = []
+    for rho in rhos:
+        train, test = ctx.datasets(rho)
+        _leakage_check(train, test)
+        for method in methods:
+            t0 = time.perf_counter()
+            gm, bsi_value = evaluate_method(ctx, method, rho)
+            run_id = f"{method}-rho{rho:g}-s{run_idx}"
+            rows.append(evaluation.metrics_row(run_id, method, rho, gm, bsi_value, run_seed))
+            _write_run_record(out, run_id, cfg, run_seed, {
+                "rho": rho, "method": method, "run_index": run_idx,
+                "metrics": {"avg": gm.avg, "wga": gm.wga,
+                            "per_group": {f"{y}{g}": a for (y, g), a in gm.per_group.items()},
+                            "bsi": bsi_value},
+                "trace": _training_trace(ctx, method, rho),
+                "wall_s": round(time.perf_counter() - t0, 3)})
+    return rows
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@contextmanager
+def _seed_pool(jobs: int):
+    """A pool of `jobs` spawned workers, each with single-threaded BLAS.
+
+    Spawned, not forked: a forked child keeps the BLAS threads its parent
+    loaded with.  On exit the workers are joined, after pending seeds are
+    cancelled if the block raised, and the parent's environment is restored.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    saved = {name: os.environ.get(name) for name in BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+    try:
+        pool = ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("spawn"))
+        try:
+            yield pool
+        finally:
+            pool.shutdown(wait=True, cancel_futures=True)
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
 
 
 def cmd_run_matrix(cfg: ExperimentConfig, seed: int, out,
                    methods=None, rhos=None) -> Path:
+    """The method x rho x seed grid: one run record per cell, then the two CSVs.
+
+    Seeds run in parallel, one spawned worker per usable CPU, when there is
+    more than one of each; otherwise in this process.  The output is the same.
+    """
     methods = tuple(methods or cfg.methods)
     rhos = tuple(rhos or cfg.rhos)
     replace(cfg, methods=methods, rhos=rhos)  # raises ConfigError on a bad override
     out = _ensure_out(out)
-    rows = []
-    for run_idx, run_seed in enumerate(run_seeds(cfg, seed)):
-        ctx = SeedContext(cfg, run_seed)
-        for rho in rhos:
-            train, test = ctx.datasets(rho)
-            _leakage_check(train, test)
-            for method in methods:
-                t0 = time.perf_counter()
-                gm, bsi_value = evaluate_method(ctx, method, rho)
-                run_id = f"{method}-rho{rho:g}-s{run_idx}"
-                rows.append(evaluation.metrics_row(run_id, method, rho, gm,
-                                                   bsi_value, run_seed))
-                _write_run_record(out, run_id, cfg, run_seed, {
-                    "rho": rho, "method": method, "run_index": run_idx,
-                    "metrics": {"avg": gm.avg, "wga": gm.wga,
-                                "per_group": {f"{y}{g}": a for (y, g), a in gm.per_group.items()},
-                                "bsi": bsi_value},
-                    "trace": _training_trace(ctx, method, rho),
-                    "wall_s": round(time.perf_counter() - t0, 3)})
+    seeds = list(enumerate(run_seeds(cfg, seed)))
+    jobs = min(len(seeds), _usable_cpus())
+    if jobs == 1:
+        per_seed = [_run_seed(cfg, out, i, s, methods, rhos) for i, s in seeds]
+    else:
+        with _seed_pool(jobs) as pool:
+            futures = [pool.submit(_run_seed, cfg, out, i, s, methods, rhos) for i, s in seeds]
+            per_seed = [f.result() for f in futures]
+    rows = [row for seed_rows in per_seed for row in seed_rows]
     path = out / "metrics.csv"
     evaluation.write_metrics_csv(path, rows)
     _write_summary(out, rows)

@@ -1,6 +1,7 @@
 """Orchestration layer: config handling, subcommands, end-to-end determinism."""
 
 import json
+import os
 
 import pytest
 
@@ -20,7 +21,7 @@ from anchorlab.cli import (
     main,
     run_seeds,
 )
-from anchorlab.errors import ConfigError
+from anchorlab.errors import ConfigError, ContractError
 from anchorlab.scene import DEGRADATIONS, gen_world, read_manifest
 
 MINI = dict(
@@ -264,6 +265,72 @@ def test_run_matrix_byte_identical(tmp_path, mini_cfg):
     cmd_run_matrix(mini_cfg, 3, b)
     assert (a / "metrics.csv").read_bytes() == (b / "metrics.csv").read_bytes()
     assert (a / "summary.csv").read_bytes() == (b / "summary.csv").read_bytes()
+
+
+def _cpus(monkeypatch, n):
+    """Make `cmd_run_matrix` see `n` usable CPUs; returns the jobs of each pool it opens."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    pools = []
+    real_pool = cli._seed_pool
+    monkeypatch.setattr(cli, "_seed_pool", lambda jobs: pools.append(jobs) or real_pool(jobs))
+    return pools
+
+
+def test_run_matrix_pool_and_serial_paths_agree(tmp_path, monkeypatch):
+    cfg = ExperimentConfig(**{**MINI, "num_seeds": 3, "methods": ALL_METHODS, "epochs": 11,
+                              "rhos": (1.0, 0.95)})
+    outs = {}
+    for n in (3, 1):
+        pools = _cpus(monkeypatch, n)
+        outs[n] = tmp_path / f"cpus{n}"
+        cmd_run_matrix(cfg, 3, outs[n])
+        assert pools == ([3] if n > 1 else [])
+    pooled, serial = outs[3], outs[1]
+    for name in ("metrics.csv", "summary.csv"):
+        assert (pooled / name).read_bytes() == (serial / name).read_bytes()
+    names = sorted(p.name for p in (serial / "runs").iterdir())
+    assert len(names) == 3 * 2 * len(ALL_METHODS)
+    assert sorted(p.name for p in (pooled / "runs").iterdir()) == names
+
+    def record(out, name):
+        rec = json.loads((out / "runs" / name).read_text())
+        del rec["wall_s"]
+        return rec
+
+    for name in names:
+        assert record(pooled, name) == record(serial, name)
+
+
+def test_seed_workers_start_with_single_threaded_blas(monkeypatch):
+    monkeypatch.setenv("OMP_NUM_THREADS", "4")
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    before = dict(os.environ)
+    with cli._seed_pool(2) as pool:
+        assert pool._mp_context.get_start_method() == "spawn"
+        seen = list(pool.map(os.getenv, cli.BLAS_THREAD_VARS, timeout=120))
+    assert seen == ["1"] * len(cli.BLAS_THREAD_VARS)
+    assert dict(os.environ) == before
+
+
+def test_run_matrix_reraises_a_seed_workers_error(tmp_path, monkeypatch):
+    # lr=1e38 passes validation; the first aligned student's weights then overflow
+    cfg = ExperimentConfig(**{**MINI, "lr": 1e38, "num_seeds": 2})
+    pools = _cpus(monkeypatch, 2)
+    with pytest.raises(ContractError):
+        cmd_run_matrix(cfg, 3, tmp_path)
+    assert pools == [2]
+    assert not (tmp_path / "metrics.csv").exists()
+    assert list(tmp_path.rglob("*.tmp")) == []
+
+
+def test_run_record_is_written_whole_or_not_at_all(tmp_path, mini_cfg, monkeypatch):
+    def failing_replace(src, dst):
+        raise OSError("disk gone")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk gone"):
+        cmd_run_matrix(mini_cfg, 3, tmp_path)
+    assert list((tmp_path / "runs").iterdir()) == []
 
 
 def test_ablate_seg(tmp_path, mini_cfg, monkeypatch):
