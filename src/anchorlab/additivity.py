@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,9 @@ from .scene import (  # make_composite is re-exported for callers of this module
 )
 
 _EPS = 1e-8
+# Triples per render and encode: enough rows that the planted map's matrix
+# reads are shared, few enough that a chunk's rasters stay a few MB.
+_PROBE_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -63,16 +67,27 @@ def neutral_background(hw: tuple[int, int] = (64, 64)) -> BackgroundImage:
 
 def triple_rasters(fg: ForegroundInstance, bg: BackgroundImage,
                    seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Standard probe triple: object on a neutral canvas, background, composite.
+    """Standard probe triple: object on a neutral canvas, background, composite."""
+    return next(_standard_triples([(fg, bg)], [seed]))
+
+
+def _standard_triples(pairs, seeds):
+    """`triple_rasters` of each pair, with one `render` call per _PROBE_CHUNK pairs.
 
     The isolated-object raster uses the same scale draw and placement as the
     composite, so the two differ only in what sits behind the object, and
-    one `render` call resizes the object once for both.
+    the `render` call resizes the object once for both.
     """
-    scale = scene_scale(seed)
-    iso, comp = render([(fg, neutral_background(bg.raster.shape[:2]), scale),
-                        (fg, bg, scale)])
-    return iso, bg.raster, comp
+    neutral = neutral_background(pairs[0][1].raster.shape[:2])
+    for start in range(0, len(pairs), _PROBE_CHUNK):
+        chunk = pairs[start : start + _PROBE_CHUNK]
+        items = []
+        for (fg, bg), s in zip(chunk, seeds[start : start + _PROBE_CHUNK]):
+            scale = scene_scale(s)
+            items += [(fg, neutral, scale), (fg, bg, scale)]
+        rendered = render(items)
+        for k, (_, bg) in enumerate(chunk):
+            yield rendered[2 * k], bg.raster, rendered[2 * k + 1]
 
 
 def exact_triple_rasters(fg: ForegroundInstance, bg: BackgroundImage, seed: int,
@@ -110,21 +125,23 @@ def batch_additivity(model: EncoderModel, raster_triples, encoder_tag: str = "",
                      ) -> AdditivityReport:
     """Encode triples and report mean and std of S (64-bit accumulation).
 
-    Degenerate triples (antipodal part sum) are excluded and counted instead
-    of failing the batch.
+    Triples are encoded _PROBE_CHUNK at a time, each as three rows of one
+    batch, so an iterator of triples is never held whole.  Degenerate
+    triples (antipodal part sum) are excluded and counted instead of failing
+    the batch.
     """
-    raster_triples = list(raster_triples)
-    if len(raster_triples) < 1:
-        raise ConfigError("batch_additivity needs at least one triple")
+    triples = iter(raster_triples)
     scores = []
     excluded = 0
-    for I_a, I_b, I_ab in raster_triples:
-        embs = encode_np(model, np.stack([I_a, I_b, I_ab]))
-        try:
-            scores.append(additivity_score(
-                AdditivityTriple(v_a=embs[0], v_b=embs[1], v_ab=embs[2])))
-        except DegenerateInputError:
-            excluded += 1
+    while chunk := list(islice(triples, _PROBE_CHUNK)):
+        rows = np.stack([r for triple in chunk for r in triple], dtype=np.float32)
+        for v_a, v_b, v_ab in encode_np(model, rows).reshape(len(chunk), 3, -1):
+            try:
+                scores.append(additivity_score(AdditivityTriple(v_a=v_a, v_b=v_b, v_ab=v_ab)))
+            except DegenerateInputError:
+                excluded += 1
+    if not scores and not excluded:
+        raise ConfigError("batch_additivity needs at least one triple")
     arr = np.asarray(scores, dtype=np.float64)
     if arr.size == 0:
         raise DegenerateInputError("every triple in the batch was degenerate")
@@ -150,20 +167,21 @@ def sample_pairs(foregrounds, backgrounds, n: int, seed: int):
 
 def run_probe(model: EncoderModel, foregrounds, backgrounds, n: int, seed: int,
               encoder_tag: str = "", mode: str = "standard") -> AdditivityReport:
-    """Sample n triples from the world and evaluate the probe."""
+    """Sample n triples from the world and evaluate the probe.
+
+    In standard mode each chunk of _PROBE_CHUNK triples is rendered by one
+    `render` call and encoded by one `batch_additivity` encode.
+    """
     if mode not in ("standard", "exact"):
         raise ConfigError(f"unknown additivity probe mode {mode!r}")
     pairs = sample_pairs(foregrounds, backgrounds, n, seed)
-
-    def gen():
-        for i, (fg, bg) in enumerate(pairs):
-            item_seed = derive_seed(seed, "additivity", fg.id, bg.id, i)
-            if mode == "exact":
-                yield exact_triple_rasters(fg, bg, item_seed, model)
-            else:
-                yield triple_rasters(fg, bg, item_seed)
-
-    return batch_additivity(model, gen(), encoder_tag=encoder_tag)
+    seeds = [derive_seed(seed, "additivity", fg.id, bg.id, i)
+             for i, (fg, bg) in enumerate(pairs)]
+    if mode == "exact":
+        triples = (exact_triple_rasters(fg, bg, s, model) for (fg, bg), s in zip(pairs, seeds))
+    else:
+        triples = _standard_triples(pairs, seeds)
+    return batch_additivity(model, triples, encoder_tag=encoder_tag)
 
 
 def write_additivity_csv(path, rows: list[dict]) -> None:

@@ -397,14 +397,19 @@ def cmd_probe_additivity(cfg: ExperimentConfig, seed: int, out) -> Path:
     fgs, bgs = ctx.world
     rows = []
     for alpha in cfg.additivity_alphas:
+        t0 = time.perf_counter()
         teacher = planted_teacher(PlantedConfig(seed=derive_seed(seed, "additivity-teacher"),
                                                 alpha=alpha),
                                   d=cfg.d, input_hw=(cfg.hw, cfg.hw))
-        rep = run_probe(teacher, fgs, bgs, cfg.additivity_n,
-                        derive_seed(seed, "additivity", alpha),
+        probe_seed = derive_seed(seed, "additivity", alpha)
+        rep = run_probe(teacher, fgs, bgs, cfg.additivity_n, probe_seed,
                         encoder_tag=f"planted-a{alpha:g}")
         rows.append({"encoder": rep.encoder_tag, "alpha": alpha, "n": rep.n,
                      "mean_S": f"{rep.mean:.6f}", "std_S": f"{rep.std:.6f}"})
+        _write_run_record(out, f"additivity-a{alpha:g}", cfg, probe_seed, {
+            "encoder": rep.encoder_tag, "alpha": alpha, "n": rep.n,
+            "excluded": rep.excluded, "mean_S": rep.mean, "std_S": rep.std,
+            "wall_s": round(time.perf_counter() - t0, 3)})
     rows.sort(key=lambda r: -float(r["mean_S"]))
     path = out / "additivity.csv"
     write_additivity_csv(path, rows)
@@ -523,9 +528,18 @@ def cmd_run_matrix(cfg: ExperimentConfig, seed: int, out,
     if jobs == 1:
         per_seed = [_run_seed(cfg, out, i, s, methods, rhos) for i, s in seeds]
     else:
+        from concurrent.futures.process import BrokenProcessPool
+
         with _seed_pool(jobs) as pool:
             futures = [pool.submit(_run_seed, cfg, out, i, s, methods, rhos) for i, s in seeds]
-            per_seed = [f.result() for f in futures]
+            try:
+                per_seed = [f.result() for f in futures]
+            except BrokenProcessPool as err:
+                raise BrokenProcessPool(
+                    "run-matrix's spawned seed workers died before returning their seeds. "
+                    "Each worker re-imports the calling script as its main module, so a "
+                    "script that calls cmd_run_matrix with several seeds must make the call "
+                    'under an `if __name__ == "__main__":` guard.') from err
     rows = [row for seed_rows in per_seed for row in seed_rows]
     path = out / "metrics.csv"
     evaluation.write_metrics_csv(path, rows)

@@ -1,9 +1,13 @@
 """Additivity probe: hand-computed scores, exactness on the planted map."""
 
+import math
+
 import numpy as np
 import pytest
 
+from anchorlab import additivity
 from anchorlab.additivity import (
+    _PROBE_CHUNK,
     AdditivityTriple,
     additivity_score,
     batch_additivity,
@@ -14,10 +18,11 @@ from anchorlab.additivity import (
     triple_rasters,
     write_additivity_csv,
 )
-from anchorlab.encoders import PlantedConfig, planted_teacher, pre_embedding
+from anchorlab.encoders import PlantedConfig, encode_np, planted_teacher, pre_embedding
 from anchorlab.errors import ConfigError, DegenerateInputError
 from anchorlab import scene
-from anchorlab.scene import BackgroundImage, make_composite, scaled_foreground
+from anchorlab.rng import derive_seed
+from anchorlab.scene import BackgroundImage, gen_world, make_composite, scaled_foreground
 
 
 def _triple(v_a, v_b, v_ab):
@@ -173,6 +178,79 @@ def test_run_probe_rejects_unknown_mode(micro_world, micro_teacher):
     fgs, bgs = micro_world
     with pytest.raises(ConfigError, match="mode"):
         run_probe(micro_teacher, fgs, bgs, 4, 8, mode="Exact")
+
+
+def _per_triple_probe(model, foregrounds, backgrounds, n, seed, mode):
+    """The probe as it ran before chunking: one triple, one render, one 3-row encode."""
+    pairs = sample_pairs(foregrounds, backgrounds, n, seed)
+    scores = []
+    excluded = 0
+    for i, (fg, bg) in enumerate(pairs):
+        item_seed = derive_seed(seed, "additivity", fg.id, bg.id, i)
+        if mode == "exact":
+            I_a, I_b, I_ab = exact_triple_rasters(fg, bg, item_seed, model)
+        else:
+            I_a, I_b, I_ab = triple_rasters(fg, bg, item_seed)
+        embs = encode_np(model, np.stack([I_a, I_b, I_ab]))
+        try:
+            scores.append(additivity_score(
+                AdditivityTriple(v_a=embs[0], v_b=embs[1], v_ab=embs[2])))
+        except DegenerateInputError:
+            excluded += 1
+    return np.asarray(scores, dtype=np.float64), excluded
+
+
+@pytest.mark.parametrize("mode", ["standard", "exact"])
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 2.0])
+@pytest.mark.parametrize("hw, d, n", [((64, 64), 64, 2 * _PROBE_CHUNK + 5),
+                                      ((32, 32), 16, _PROBE_CHUNK + 7)])
+def test_run_probe_matches_the_per_triple_loop(mode, alpha, hw, d, n):
+    fgs, bgs = gen_world(31, 2, 2, 5, 12, hw)
+    model = planted_teacher(PlantedConfig(seed=5, alpha=alpha), d=d, input_hw=hw)
+    report = run_probe(model, fgs, bgs, n, 17, mode=mode)
+    scores, excluded = _per_triple_probe(model, fgs, bgs, n, 17, mode)
+    assert (report.n, report.excluded) == (scores.size, excluded) == (n, 0)
+    # BLAS sums a planted map's products in an order that can depend on the batch
+    # height.  For the default 12288x64 W every batch of >= 2 rows gives the same
+    # row bits; the 4x4-pooled P product, and W at other shapes, can move by ~1e-7.
+    if alpha == 0 and (hw, d) == ((64, 64), 64):
+        assert np.array_equal(report.scores, scores)
+    else:
+        assert np.max(np.abs(report.scores - scores)) <= 1e-6
+
+
+def test_run_probe_renders_and_encodes_once_per_chunk(micro_world, micro_teacher, monkeypatch):
+    fgs, bgs = micro_world
+    n = 3 * _PROBE_CHUNK + 1
+    renders, encodes = [], []
+    real_render, real_encode = additivity.render, additivity.encode_np
+    monkeypatch.setattr(additivity, "render",
+                        lambda items: renders.append(len(items)) or real_render(items))
+    monkeypatch.setattr(additivity, "encode_np",
+                        lambda model, rows: encodes.append(len(rows)) or real_encode(model, rows))
+    report = run_probe(micro_teacher, fgs, bgs, n, 8)
+    assert report.n == n
+    chunks = math.ceil(n / _PROBE_CHUNK)
+    assert renders == [2 * _PROBE_CHUNK] * (chunks - 1) + [2]
+    assert encodes == [3 * _PROBE_CHUNK] * (chunks - 1) + [3]
+
+
+def test_batch_additivity_counts_a_degenerate_triple_past_a_chunk(micro_world,
+                                                                   micro_teacher):
+    fgs, bgs = micro_world
+    triples = [triple_rasters(fgs[i % len(fgs)], bgs[i % len(bgs)], 40 + i)
+               for i in range(_PROBE_CHUNK)]
+    iso = triples[0][0]
+    triples.append((iso, -iso, iso))  # antipodal parts under the linear planted map
+    report = batch_additivity(micro_teacher, iter(triples))
+    assert (report.n, report.excluded) == (_PROBE_CHUNK, 1)
+    one_at_a_time = [batch_additivity(micro_teacher, [t]).scores[0] for t in triples[:-1]]
+    assert np.max(np.abs(report.scores - one_at_a_time)) <= 1e-6
+    with pytest.raises(DegenerateInputError):
+        batch_additivity(micro_teacher, triples[-1:])
+    for empty in ([], iter(())):
+        with pytest.raises(ConfigError):
+            batch_additivity(micro_teacher, empty)
 
 
 def test_run_probe_deterministic(micro_world, micro_teacher):

@@ -223,6 +223,15 @@ def test_probe_additivity_table(tmp_path, mini_cfg):
     assert len(lines) == 3
     means = [float(line.split(",")[3]) for line in lines[1:]]
     assert means == sorted(means, reverse=True)
+    # every row traces back to its run record, which keeps the excluded count too
+    for line in lines[1:]:
+        encoder, alpha, n, mean_s, std_s = line.split(",")
+        rec = json.loads((tmp_path / "runs" / f"additivity-a{float(alpha):g}.json").read_text())
+        assert rec["encoder"] == encoder and rec["alpha"] == float(alpha)
+        assert rec["n"] == int(n) and rec["n"] + rec["excluded"] == mini_cfg.additivity_n
+        assert (f"{rec['mean_S']:.6f}", f"{rec['std_S']:.6f}") == (mean_s, std_s)
+        assert rec["wall_s"] >= 0 and rec["code_hash"] == code_hash()
+    assert len(list((tmp_path / "runs").iterdir())) == len(mini_cfg.additivity_alphas)
 
 
 def test_k_ablation_csv(tmp_path, mini_cfg):
@@ -321,6 +330,31 @@ def test_run_matrix_reraises_a_seed_workers_error(tmp_path, monkeypatch):
     assert pools == [2]
     assert not (tmp_path / "metrics.csv").exists()
     assert list(tmp_path.rglob("*.tmp")) == []
+
+
+def test_run_matrix_names_the_main_guard_when_its_pool_breaks(tmp_path, monkeypatch):
+    from concurrent.futures import Future
+    from concurrent.futures.process import BrokenProcessPool
+    from contextlib import contextmanager
+
+    class BrokenPool:
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_exception(BrokenProcessPool("a child process terminated abruptly"))
+            return future
+
+    @contextmanager
+    def broken_pool(jobs):
+        yield BrokenPool()
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(cli, "_seed_pool", broken_pool)
+    cfg = ExperimentConfig(**{**MINI, "num_seeds": 2})
+    with pytest.raises(BrokenProcessPool, match="run-matrix's spawned seed workers") as info:
+        cmd_run_matrix(cfg, 3, tmp_path)
+    assert 'if __name__ == "__main__":' in str(info.value)
+    assert isinstance(info.value.__cause__, BrokenProcessPool)
+    assert not (tmp_path / "metrics.csv").exists()
 
 
 def test_run_record_is_written_whole_or_not_at_all(tmp_path, mini_cfg, monkeypatch):

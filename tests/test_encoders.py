@@ -6,6 +6,7 @@ import pytest
 from anchorlab import tensor as T
 from anchorlab.encoders import (
     PlantedConfig,
+    _avg_pool4,
     clone_unfrozen,
     encode_batch,
     encode_np,
@@ -40,6 +41,19 @@ def test_planted_alpha_breaks_linearity():
     z2 = pre_embedding(t, x2)[0]
     z12 = pre_embedding(t, x1 + x2)[0]
     assert not np.allclose(z12, z1 + z2, atol=1e-3)
+
+
+@pytest.mark.parametrize("B", [1, 3, 96])
+@pytest.mark.parametrize("hw", [(8, 8), (32, 32), (64, 64), (16, 40)])
+def test_avg_pool4_matches_the_strided_mean_bit_for_bit(B, hw):
+    def strided_mean(x):
+        B, H, W, C = x.shape
+        return x.reshape(B, H // 4, 4, W // 4, 4, C).mean(axis=(2, 4))
+
+    x = _rand_raster(B + hw[1], hw=hw, n=B) ** 2
+    pooled = _avg_pool4(x)
+    assert pooled.dtype == np.float32
+    assert np.array_equal(pooled, strided_mean(x))
 
 
 def test_planted_is_frozen_and_deterministic():
