@@ -1,7 +1,7 @@
 """anchorlab: a desk-scale laboratory for background-invariant representation training.
 
 Modules:
-    tensor      numpy-backed reverse-mode autodiff, optimizer, schedule, tensor files
+    tensor      numpy-backed reverse-mode autodiff, optimizer, schedule
     encoders    planted and from-scratch encoders with unit-norm embeddings
     scene       synthetic worlds, masks, compositing, grouped datasets
     additivity  the linear-additivity probe

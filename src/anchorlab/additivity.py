@@ -7,21 +7,19 @@ sum of its part embeddings, S = cos(v_ab, v_a + v_b), over batches of
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from itertools import islice
-from pathlib import Path
 
 import numpy as np
 
 from .encoders import EncoderModel, encode_np, pre_embedding
 from .errors import ConfigError, DegenerateInputError
 from .rng import derive_seed, rng
-from .scene import (  # make_composite is re-exported for callers of this module
-    NEUTRAL_GRAY,
+from .scene import (  # make_composite and neutral_background are re-exported
     BackgroundImage,
     ForegroundInstance,
     make_composite,  # noqa: F401
+    neutral_background,
     render,
     scaled_foreground,
     scene_scale,
@@ -58,11 +56,6 @@ def additivity_score(t: AdditivityTriple) -> float:
         raise DegenerateInputError("v_a and v_b are antipodal, their sum is zero")
     v = t.v_ab.astype(np.float64)
     return float(v @ s / (np.linalg.norm(v) * ns))
-
-
-def neutral_background(hw: tuple[int, int] = (64, 64)) -> BackgroundImage:
-    return BackgroundImage(id="neutral", g=-1,
-                           raster=np.full((*hw, 3), NEUTRAL_GRAY, dtype=np.float32))
 
 
 def triple_rasters(fg: ForegroundInstance, bg: BackgroundImage,
@@ -183,12 +176,3 @@ def run_probe(model: EncoderModel, foregrounds, backgrounds, n: int, seed: int,
         triples = _standard_triples(pairs, seeds)
     return batch_additivity(model, triples, encoder_tag=encoder_tag)
 
-
-def write_additivity_csv(path, rows: list[dict]) -> None:
-    """Rows of {encoder, alpha, n, mean_S, std_S}."""
-    path = Path(path)
-    with open(path, "w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=["encoder", "alpha", "n", "mean_S", "std_S"])
-        w.writeheader()
-        for row in rows:
-            w.writerow(row)

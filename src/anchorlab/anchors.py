@@ -22,6 +22,7 @@ from .scene import (
     ForegroundInstance,
     RenderMemo,
     composite,
+    neutral_background,
     render,
 )
 
@@ -169,8 +170,6 @@ def compute_prototypes(teacher: EncoderModel, foregrounds, backgrounds,
     Class prototypes come from isolated foregrounds on the neutral canvas;
     group prototypes from pure backgrounds.
     """
-    from .additivity import neutral_background
-
     by_class: dict[int, list[ForegroundInstance]] = {}
     for fg in foregrounds:
         by_class.setdefault(fg.y, []).append(fg)

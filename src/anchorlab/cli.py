@@ -6,7 +6,8 @@ the anchor K-sweep, `run-matrix` the method-by-correlation metrics grid,
 `ablate` the sensitivity sweeps, and `report` a consolidated summary.
 
 Every run derives all randomness from one global seed through stable
-hashing, records its resolved config in a run record, and emits plain CSV.
+hashing and writes one run record with its resolved config and results;
+each subcommand then builds its plain CSV table from those records.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import alignment, anchors, evaluation, scene
-from .additivity import run_probe, write_additivity_csv
+from .additivity import run_probe
 from .encoders import EncoderModel, PlantedConfig, freeze, planted_teacher
 from .errors import ConfigError
 from .rng import derive_seed
@@ -51,9 +52,7 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    # world
-    num_classes: int = 2
-    num_bg_groups: int = 2
+    # world: two classes over two background groups, the grouped benchmark's cells
     fg_per_class: int = 100
     bg_per_group: int = 150
     hw: int = 64
@@ -89,15 +88,19 @@ class ExperimentConfig:
     num_seeds: int = 5
 
     def __post_init__(self):
+        # each entry names its run records (`bap-lp-rho0.95-s0`, `additivity-a2`), so
+        # none may be empty and no two may share a name
+        for key, names in (("methods", self.methods),
+                           ("rhos", [f"{rho:g}" for rho in self.rhos]),
+                           ("additivity_alphas", [f"{a:g}" for a in self.additivity_alphas])):
+            if not names or len(set(names)) < len(names):
+                raise ConfigError(f"{key} must be non-empty with no two entries alike, "
+                                  f"got {getattr(self, key)}")
         unknown = [m for m in self.methods if m not in ALL_METHODS]
         if unknown:
             raise ConfigError(f"unknown method tags {unknown}")
         if any(not 0.5 <= rho <= 1.0 for rho in self.rhos):
             raise ConfigError(f"correlation rates must lie in [0.5, 1], got {self.rhos}")
-        if (self.num_classes, self.num_bg_groups) != (2, 2):
-            raise ConfigError(f"the grouped benchmark needs exactly two classes and two groups, "
-                              f"got num_classes={self.num_classes}, "
-                              f"num_bg_groups={self.num_bg_groups}")
         if self.degradation not in scene.DEGRADATIONS:
             raise ConfigError(f"unknown degradation mode {self.degradation!r}")
         if self.teacher not in TEACHERS:
@@ -105,8 +108,8 @@ class ExperimentConfig:
         if "control" in self.methods and self.epochs <= alignment.CONTROL_WARMUP_EPOCHS:
             raise ConfigError(f"control needs more than {alignment.CONTROL_WARMUP_EPOCHS} "
                               f"epochs, its head-only warm-up; got {self.epochs}")
-        if "ortho" in self.methods and self.d < self.num_classes:
-            raise ConfigError(f"ortho needs d >= num_classes to fit one orthogonal target "
+        if "ortho" in self.methods and self.d < 2:
+            raise ConfigError(f"ortho needs d >= 2 to fit one orthogonal target "
                               f"per class; got d={self.d}")
         if min(self.d, self.fg_per_class, self.K, self.probe_epochs, self.train_per_class,
                self.test_per_cell, self.additivity_n, self.num_seeds) < 1:
@@ -117,8 +120,8 @@ class ExperimentConfig:
                               f"got {self.bg_per_group}")
         if self.hw < 8 or self.hw % 4:
             raise ConfigError(f"hw must be >= 8 and a multiple of 4, got {self.hw}")
-        if not self.k_grid or list(self.k_grid) != sorted(self.k_grid) or self.k_grid[0] < 1:
-            raise ConfigError(f"k_grid must be a non-empty ascending grid of K >= 1, "
+        if not self.k_grid or list(self.k_grid) != sorted(set(self.k_grid)) or self.k_grid[0] < 1:
+            raise ConfigError(f"k_grid must be a non-empty, strictly ascending grid of K >= 1, "
                               f"got {self.k_grid}")
         if self.var_trials < 2:
             raise ConfigError(f"var_trials must be >= 2, got {self.var_trials}")
@@ -194,8 +197,8 @@ class SeedContext:
     @cached_property
     def world(self):
         c = self.cfg
-        return gen_world(derive_seed(self.seed, "world"), c.num_classes, c.num_bg_groups,
-                         c.fg_per_class, c.bg_per_group, (c.hw, c.hw))
+        return gen_world(derive_seed(self.seed, "world"), 2, 2, c.fg_per_class,
+                         c.bg_per_group, (c.hw, c.hw))
 
     @cached_property
     def bg_pools(self):
@@ -382,7 +385,7 @@ def cmd_gen_data(cfg: ExperimentConfig, seed: int, out) -> list[Path]:
         train, test = ctx.datasets(rho)
         _leakage_check(train, test)
         header = {"world_seed": derive_seed(ctx.seed, "world"),
-                  "num_classes": cfg.num_classes, "num_bg_groups": cfg.num_bg_groups,
+                  "num_classes": 2, "num_bg_groups": 2,
                   "fg_per_class": cfg.fg_per_class, "bg_per_group": cfg.bg_per_group,
                   "hw": [cfg.hw, cfg.hw], "rho": rho, "data_seed": ctx.data_seed}
         path = out / f"dataset-rho{rho:g}.jsonl"
@@ -395,7 +398,7 @@ def cmd_probe_additivity(cfg: ExperimentConfig, seed: int, out) -> Path:
     out = _ensure_out(out)
     ctx = SeedContext(cfg, derive_seed(seed, "run", 0))
     fgs, bgs = ctx.world
-    rows = []
+    run_ids = []
     for alpha in cfg.additivity_alphas:
         t0 = time.perf_counter()
         teacher = planted_teacher(PlantedConfig(seed=derive_seed(seed, "additivity-teacher"),
@@ -404,16 +407,15 @@ def cmd_probe_additivity(cfg: ExperimentConfig, seed: int, out) -> Path:
         probe_seed = derive_seed(seed, "additivity", alpha)
         rep = run_probe(teacher, fgs, bgs, cfg.additivity_n, probe_seed,
                         encoder_tag=f"planted-a{alpha:g}")
-        rows.append({"encoder": rep.encoder_tag, "alpha": alpha, "n": rep.n,
-                     "mean_S": f"{rep.mean:.6f}", "std_S": f"{rep.std:.6f}"})
-        _write_run_record(out, f"additivity-a{alpha:g}", cfg, probe_seed, {
+        run_ids.append(_write_run_record(out, f"additivity-a{alpha:g}", cfg, probe_seed, {
             "encoder": rep.encoder_tag, "alpha": alpha, "n": rep.n,
             "excluded": rep.excluded, "mean_S": rep.mean, "std_S": rep.std,
-            "wall_s": round(time.perf_counter() - t0, 3)})
-    rows.sort(key=lambda r: -float(r["mean_S"]))
-    path = out / "additivity.csv"
-    write_additivity_csv(path, rows)
-    return path
+            "wall_s": round(time.perf_counter() - t0, 3)}))
+    rows = [[rec["encoder"], rec["alpha"], rec["n"], f"{rec['mean_S']:.6f}",
+             f"{rec['std_S']:.6f}"] for rec in _read_run_records(out, run_ids)]
+    # highest score first, ranked on the value the table shows
+    rows.sort(key=lambda row: -float(row[3]))
+    return _write_csv(out / "additivity.csv", ("encoder", "alpha", "n", "mean_S", "std_S"), rows)
 
 
 def cmd_k_ablation(cfg: ExperimentConfig, seed: int, out) -> Path:
@@ -429,18 +431,20 @@ def cmd_k_ablation(cfg: ExperimentConfig, seed: int, out) -> Path:
     logk = np.log(np.asarray(report.k_grid, dtype=np.float64))
     logv = np.log(np.asarray(report.var_eps, dtype=np.float64))
     slope = float(np.polyfit(logk, logv, 1)[0])
-    path = out / "k_ablation.csv"
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["K", "fg_sim", "bg_sim_max", "var_eps", "slope"])
-        for k, f, b, v in zip(report.k_grid, report.fg_sim, report.bg_sim_max,
-                              report.var_eps):
-            w.writerow([k, f"{f:.6f}", f"{b:.6f}", f"{v:.8g}", f"{slope:.4f}"])
-    return path
+    run_ids = [_write_run_record(out, f"k-ablation-K{k}", cfg, derive_seed(seed, "ksweep"),
+                                 {"K": k, "fg_sim": f, "bg_sim_max": b, "var_eps": v,
+                                  "slope": slope})
+               for k, f, b, v in zip(report.k_grid, report.fg_sim, report.bg_sim_max,
+                                     report.var_eps)]
+    rows = [[rec["K"], f"{rec['fg_sim']:.6f}", f"{rec['bg_sim_max']:.6f}",
+             f"{rec['var_eps']:.8g}", f"{rec['slope']:.4f}"]
+            for rec in _read_run_records(out, run_ids)]
+    return _write_csv(out / "k_ablation.csv", ("K", "fg_sim", "bg_sim_max", "var_eps", "slope"),
+                      rows)
 
 
 def _write_run_record(out: Path, run_id: str, cfg: ExperimentConfig, seed: int,
-                      extra: dict) -> None:
+                      extra: dict) -> str:
     """Write `runs/<run_id>.json` whole or not at all: a temp file, then a rename."""
     runs = out / "runs"
     runs.mkdir(parents=True, exist_ok=True)
@@ -453,30 +457,74 @@ def _write_run_record(out: Path, run_id: str, cfg: ExperimentConfig, seed: int,
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    return run_id
+
+
+def _read_run_records(out: Path, run_ids) -> list[dict]:
+    return [json.loads((out / "runs" / f"{run_id}.json").read_text()) for run_id in run_ids]
+
+
+def _write_csv(path: Path, header, rows) -> Path:
+    """The one CSV writer: a header line, then one line per row."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+    return path
+
+
+def _metrics(gm: evaluation.GroupMetrics, bsi_value: float) -> dict:
+    return {"avg": gm.avg, "wga": gm.wga,
+            "per_group": {f"{y}{g}": a for (y, g), a in gm.per_group.items()},
+            "bsi": bsi_value}
+
+
+METRICS_HEADER = ("run_id", "method", "rho", "avg", "wga",
+                  "acc_00", "acc_01", "acc_10", "acc_11", "bsi", "seed")
+
+
+def _metrics_row(rec: dict) -> list:
+    """A run-matrix record as its `metrics.csv` row; a cell with no test items is blank."""
+    m = rec["metrics"]
+    cells = [f"{m['per_group'][cell]:.4f}" if cell in m["per_group"] else ""
+             for cell in ("00", "01", "10", "11")]
+    return [rec["run_id"], rec["method"], f"{rec['rho']:g}", f"{m['avg']:.4f}",
+            f"{m['wga']:.4f}", *cells, f"{m['bsi']:.4f}", rec["seed"]]
+
+
+def _summary_rows(records: list[dict]) -> list[list]:
+    """One row per (method, rho): mean and spread over seeds of what `metrics.csv` shows."""
+    by_key: dict[tuple[str, str], list[dict]] = {}
+    for rec in records:
+        by_key.setdefault((rec["method"], f"{rec['rho']:g}"), []).append(rec["metrics"])
+    rows = []
+    for (method, rho), group in sorted(by_key.items()):
+        avgs, wgas, bsis = (np.array([float(f"{m[key]:.4f}") for m in group])
+                            for key in ("avg", "wga", "bsi"))
+        rows.append([method, rho, len(group), f"{avgs.mean():.4f}", f"{avgs.std():.4f}",
+                     f"{wgas.mean():.4f}", f"{wgas.std():.4f}", f"{bsis.mean():.4f}"])
+    return rows
 
 
 def _run_seed(cfg: ExperimentConfig, out: Path, run_idx: int, run_seed: int,
-              methods: tuple[str, ...], rhos: tuple[float, ...]) -> list[dict]:
+              methods: tuple[str, ...], rhos: tuple[float, ...]) -> list[str]:
     """Every (rho, method) run of one seed, in order; each run's record is written
-    as soon as it finishes.  Returns the seed's metrics rows."""
+    as soon as it finishes.  Returns the seed's run ids."""
     ctx = SeedContext(cfg, run_seed)
-    rows = []
+    run_ids = []
     for rho in rhos:
         train, test = ctx.datasets(rho)
         _leakage_check(train, test)
         for method in methods:
             t0 = time.perf_counter()
             gm, bsi_value = evaluate_method(ctx, method, rho)
-            run_id = f"{method}-rho{rho:g}-s{run_idx}"
-            rows.append(evaluation.metrics_row(run_id, method, rho, gm, bsi_value, run_seed))
-            _write_run_record(out, run_id, cfg, run_seed, {
+            run_ids.append(_write_run_record(out, f"{method}-rho{rho:g}-s{run_idx}", cfg,
+                                             run_seed, {
                 "rho": rho, "method": method, "run_index": run_idx,
-                "metrics": {"avg": gm.avg, "wga": gm.wga,
-                            "per_group": {f"{y}{g}": a for (y, g), a in gm.per_group.items()},
-                            "bsi": bsi_value},
+                "metrics": _metrics(gm, bsi_value),
                 "trace": _training_trace(ctx, method, rho),
-                "wall_s": round(time.perf_counter() - t0, 3)})
-    return rows
+                "wall_s": round(time.perf_counter() - t0, 3)}))
+    return run_ids
 
 
 def _usable_cpus() -> int:
@@ -514,7 +562,8 @@ def _seed_pool(jobs: int):
 
 def cmd_run_matrix(cfg: ExperimentConfig, seed: int, out,
                    methods=None, rhos=None) -> Path:
-    """The method x rho x seed grid: one run record per cell, then the two CSVs.
+    """The method x rho x seed grid: one run record per cell, then the two CSVs built
+    from those records, in grid order (seed, rho, method).
 
     Seeds run in parallel, one spawned worker per usable CPU, when there is
     more than one of each; otherwise in this process.  The output is the same.
@@ -540,81 +589,53 @@ def cmd_run_matrix(cfg: ExperimentConfig, seed: int, out,
                     "Each worker re-imports the calling script as its main module, so a "
                     "script that calls cmd_run_matrix with several seeds must make the call "
                     'under an `if __name__ == "__main__":` guard.') from err
-    rows = [row for seed_rows in per_seed for row in seed_rows]
-    path = out / "metrics.csv"
-    evaluation.write_metrics_csv(path, rows)
-    _write_summary(out, rows)
+    records = _read_run_records(out, [run_id for ids in per_seed for run_id in ids])
+    path = _write_csv(out / "metrics.csv", METRICS_HEADER, map(_metrics_row, records))
+    _write_csv(out / "summary.csv", ("method", "rho", "n_runs", "avg_mean", "avg_std",
+                                     "wga_mean", "wga_std", "bsi_mean"), _summary_rows(records))
     return path
-
-
-def _write_summary(out: Path, rows: list[dict]) -> None:
-    by_key: dict[tuple[str, str], list[dict]] = {}
-    for row in rows:
-        by_key.setdefault((row["method"], row["rho"]), []).append(row)
-    with open(out / "summary.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["method", "rho", "n_runs", "avg_mean", "avg_std",
-                    "wga_mean", "wga_std", "bsi_mean"])
-        for (method, rho), group in sorted(by_key.items()):
-            avgs = np.array([float(r["avg"]) for r in group])
-            wgas = np.array([float(r["wga"]) for r in group])
-            bsis = np.array([float(r["bsi"]) for r in group])
-            w.writerow([method, rho, len(group),
-                        f"{avgs.mean():.4f}", f"{avgs.std():.4f}",
-                        f"{wgas.mean():.4f}", f"{wgas.std():.4f}",
-                        f"{bsis.mean():.4f}"])
 
 
 def cmd_ablate(cfg: ExperimentConfig, seed: int, out, which: str) -> Path:
+    """bap-lp at the first rho over one swept setting (`seg` adds a native-lp baseline):
+    one run record per CSV row, `runs/ablate-<which>-<param>-<value>.json`, holding
+    the swept config."""
+    if which == "seg":
+        sweep = [("degradation", mode, {"degradation": mode}) for mode in scene.DEGRADATIONS]
+    elif which == "n_sweep":
+        sizes = {min(size, cfg.fg_per_class) for size in (25, 50, 100, cfg.fg_per_class)}
+        sweep = [("N_per_class", n, {"fg_per_class": n}) for n in sorted(sizes)]
+    elif which == "m_sweep":
+        sweep = [(f"N{n}-M", m, {"fg_per_class": n, "M": m})
+                 for n in (50, 100) for m in (2, 4, 8, 16, 32)]
+    elif which == "k_train_sweep":
+        sweep = [("K", k, {"K": k}) for k in (1, 2, 4, 8, 16)]
+    else:
+        raise ConfigError(f"unknown ablation {which!r}")
     out = _ensure_out(out)
     run_seed = derive_seed(seed, "run", 0)
     rho = cfg.rhos[0]
-    rows = []
+    run_ids = []
 
-    def bap_wga(ctx: SeedContext) -> tuple[float, float]:
-        gm, _ = evaluate_method(ctx, "bap-lp", rho)
-        return gm.wga, gm.avg
+    def run(ctx: SeedContext, param: str, value, method: str) -> None:
+        t0 = time.perf_counter()
+        gm, bsi_value = evaluate_method(ctx, method, rho)
+        run_ids.append(_write_run_record(out, f"ablate-{which}-{param}-{value}", ctx.cfg,
+                                         run_seed, {
+            "param": param, "value": value, "rho": rho, "method": method,
+            "metrics": _metrics(gm, bsi_value),
+            "wall_s": round(time.perf_counter() - t0, 3)}))
 
+    for param, value, overrides in sweep:
+        ctx = SeedContext(replace(cfg, **overrides), run_seed)
+        run(ctx, param, value, "bap-lp")
+        if which == "seg" and value == cfg.degradation:
+            baseline_ctx = ctx
     if which == "seg":
-        for mode in scene.DEGRADATIONS:
-            ctx = SeedContext(replace(cfg, degradation=mode), run_seed)
-            wga, avg = bap_wga(ctx)
-            rows.append({"param": "degradation", "value": mode,
-                         "wga": f"{wga:.4f}", "avg": f"{avg:.4f}"})
-            if mode == cfg.degradation:
-                baseline_ctx = ctx
-        gm, _ = evaluate_method(baseline_ctx, "native-lp", rho)
-        rows.append({"param": "degradation", "value": "native-lp-baseline",
-                     "wga": f"{gm.wga:.4f}", "avg": f"{gm.avg:.4f}"})
-    elif which == "n_sweep":
-        sizes = {min(size, cfg.fg_per_class) for size in (25, 50, 100, cfg.fg_per_class)}
-        for n in sorted(sizes):
-            ctx = SeedContext(replace(cfg, fg_per_class=n), run_seed)
-            wga, avg = bap_wga(ctx)
-            rows.append({"param": "N_per_class", "value": n,
-                         "wga": f"{wga:.4f}", "avg": f"{avg:.4f}"})
-    elif which == "m_sweep":
-        for n in (50, 100):
-            for m in (2, 4, 8, 16, 32):
-                ctx = SeedContext(replace(cfg, fg_per_class=n, M=m), run_seed)
-                wga, avg = bap_wga(ctx)
-                rows.append({"param": f"N{n}-M", "value": m,
-                             "wga": f"{wga:.4f}", "avg": f"{avg:.4f}"})
-    elif which == "k_train_sweep":
-        for k in (1, 2, 4, 8, 16):
-            ctx = SeedContext(replace(cfg, K=k), run_seed)
-            wga, avg = bap_wga(ctx)
-            rows.append({"param": "K", "value": k,
-                         "wga": f"{wga:.4f}", "avg": f"{avg:.4f}"})
-    else:
-        raise ConfigError(f"unknown ablation {which!r}")
-    path = out / f"ablate_{which}.csv"
-    with open(path, "w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=["param", "value", "wga", "avg"])
-        w.writeheader()
-        for row in rows:
-            w.writerow(row)
-    return path
+        run(baseline_ctx, "degradation", "native-lp-baseline", "native-lp")
+    rows = [[rec["param"], rec["value"], f"{rec['metrics']['wga']:.4f}",
+             f"{rec['metrics']['avg']:.4f}"] for rec in _read_run_records(out, run_ids)]
+    return _write_csv(out / f"ablate_{which}.csv", ("param", "value", "wga", "avg"), rows)
 
 
 def cmd_report(out) -> Path:
@@ -656,10 +677,8 @@ def cmd_report(out) -> Path:
             ft_rows.extend([rec["run_id"], epoch, wga, avg]
                            for epoch, (wga, avg) in enumerate(zip(trace["wga"], trace["avg"])))
     if ft_rows:
-        with open(plots / "fig_finetune_degradation.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["run_id", "epoch", "wga", "avg"])
-            w.writerows(ft_rows)
+        _write_csv(plots / "fig_finetune_degradation.csv", ("run_id", "epoch", "wga", "avg"),
+                   ft_rows)
     else:
         missing.append("fig_finetune_degradation")
     report_path = out / "report.txt"

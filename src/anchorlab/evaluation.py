@@ -7,9 +7,7 @@ cells) and BSI (how far embeddings move when only the background changes).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -258,29 +256,3 @@ def retention_eval(encoder_before: EncoderModel, encoder_after: EncoderModel,
     after = _background_probe_accuracy(encoder_after, backgrounds, foregrounds, seed)
     return before, after
 
-
-# ---------------------------------------------------------------------------
-# metrics CSV
-
-
-METRICS_FIELDS = ["run_id", "method", "rho", "avg", "wga",
-                  "acc_00", "acc_01", "acc_10", "acc_11", "bsi", "seed"]
-
-
-def metrics_row(run_id: str, method: str, rho: float, gm: GroupMetrics,
-                bsi_value: float, seed: int) -> dict:
-    row = {"run_id": run_id, "method": method, "rho": f"{rho:g}",
-           "avg": f"{gm.avg:.4f}", "wga": f"{gm.wga:.4f}",
-           "bsi": f"{bsi_value:.4f}", "seed": seed}
-    for (y, g), acc in gm.per_group.items():
-        row[f"acc_{y}{g}"] = f"{acc:.4f}"
-    return row
-
-
-def write_metrics_csv(path, rows: list[dict]) -> None:
-    path = Path(path)
-    with open(path, "w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=METRICS_FIELDS)
-        w.writeheader()
-        for row in rows:
-            w.writerow(row)

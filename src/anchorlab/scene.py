@@ -91,6 +91,12 @@ class BackgroundImage:
     raster: np.ndarray
 
 
+def neutral_background(hw: tuple[int, int] = (64, 64)) -> BackgroundImage:
+    """The uniform NEUTRAL_GRAY canvas that isolated objects are shown on."""
+    return BackgroundImage(id="neutral", g=-1,
+                           raster=np.full((*hw, 3), NEUTRAL_GRAY, dtype=np.float32))
+
+
 @dataclass
 class CompositeRecord:
     raster: np.ndarray

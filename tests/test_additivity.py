@@ -16,7 +16,6 @@ from anchorlab.additivity import (
     run_probe,
     sample_pairs,
     triple_rasters,
-    write_additivity_csv,
 )
 from anchorlab.encoders import PlantedConfig, encode_np, planted_teacher, pre_embedding
 from anchorlab.errors import ConfigError, DegenerateInputError
@@ -259,12 +258,3 @@ def test_run_probe_deterministic(micro_world, micro_teacher):
     b = run_probe(micro_teacher, fgs, bgs, 12, 8)
     assert np.array_equal(a.scores, b.scores)
 
-
-def test_write_additivity_csv(tmp_path):
-    path = tmp_path / "add.csv"
-    write_additivity_csv(path, [
-        {"encoder": "planted", "alpha": 0.0, "n": 10, "mean_S": 1.0, "std_S": 0.0},
-    ])
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "encoder,alpha,n,mean_S,std_S"
-    assert lines[1].startswith("planted,0.0,10,")

@@ -3,9 +3,11 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from anchorlab import alignment, cli, encoders, evaluation, scene
+from anchorlab.additivity import AdditivityReport
 from anchorlab.cli import (
     ALL_METHODS,
     ExperimentConfig,
@@ -94,9 +96,16 @@ def test_config_load(tmp_path, mini_cfg):
     {"var_trials": 1},
     {"additivity_n": 0},
     {"additivity_alphas": (0.0, -0.5)},
-    {"num_classes": 3},
-    {"num_classes": 1},
-    {"num_bg_groups": 3},
+    # each of these names run records: none may be empty, no two may share a name
+    {"methods": ()},
+    {"rhos": ()},
+    {"additivity_alphas": ()},
+    {"methods": ("native-lp", "bap-zs", "native-lp")},
+    {"rhos": (1.0, 1)},
+    {"rhos": (0.95, 0.9500001)},
+    {"additivity_alphas": (2.0, 2)},
+    {"additivity_alphas": (0.5, 0.5000001)},
+    {"k_grid": (1, 1, 2)},
 ])
 def test_config_rejects_unrunnable(override):
     with pytest.raises(ConfigError):
@@ -116,6 +125,11 @@ def test_run_matrix_fails_before_any_run(tmp_path, mini_cfg):
         cmd_run_matrix(mini_cfg, 3, tmp_path, methods=("native-lp", "bap-lp", "control"))
     with pytest.raises(ConfigError):
         cmd_run_matrix(mini_cfg, 3, tmp_path, rhos=(0.3,))
+    # two cells of one name would write one record and repeat its row
+    with pytest.raises(ConfigError):
+        cmd_run_matrix(mini_cfg, 3, tmp_path, methods=("native-lp", "native-lp"))
+    with pytest.raises(ConfigError):
+        cmd_run_matrix(mini_cfg, 3, tmp_path, rhos=(1.0, 1))
     assert not (tmp_path / "runs").exists()
     assert not (tmp_path / "metrics.csv").exists()
 
@@ -391,6 +405,85 @@ def test_ablate_n_sweep_runs_each_size_once(tmp_path, mini_cfg):
     path = cmd_ablate(mini_cfg, 3, tmp_path, "n_sweep")
     rows = [line.split(",") for line in path.read_text().strip().splitlines()[1:]]
     assert [row[:2] for row in rows] == [["N_per_class", str(mini_cfg.fg_per_class)]]
+
+
+def test_metrics_csv_header_and_format(tmp_path):
+    # class 1 has no item in group 0: its cell is written blank
+    gm = evaluation.group_metrics(np.array([0, 1, 0, 1]), np.array([0, 1, 0, 1]),
+                                  np.array([0, 1, 1, 1]))
+    rec = {"run_id": "r1", "method": "bap-lp", "rho": 0.95, "seed": 7,
+           "metrics": cli._metrics(gm, 1.25)}
+    path = cli._write_csv(tmp_path / "metrics.csv", cli.METRICS_HEADER, [cli._metrics_row(rec)])
+    assert path.read_text().splitlines() == [
+        "run_id,method,rho,avg,wga,acc_00,acc_01,acc_10,acc_11,bsi,seed",
+        "r1,bap-lp,0.95,1.0000,1.0000,1.0000,1.0000,,1.0000,1.2500,7"]
+
+
+def test_additivity_csv_header_and_format(tmp_path, mini_cfg, monkeypatch):
+    def fixed_probe(teacher, fgs, bgs, n, seed, encoder_tag):
+        score = 1.0 if encoder_tag == "planted-a2" else 0.5
+        return AdditivityReport(scores=np.full(n, score), mean=score, std=0.0,
+                                encoder_tag=encoder_tag, n=n)
+
+    monkeypatch.setattr(cli, "run_probe", fixed_probe)
+    path = cmd_probe_additivity(mini_cfg, 3, tmp_path)
+    # rows rank by score, highest first; alpha keeps its config form
+    assert path.read_text().splitlines() == [
+        "encoder,alpha,n,mean_S,std_S",
+        "planted-a2,2.0,16,1.000000,0.000000",
+        "planted-a0,0.0,16,0.500000,0.000000"]
+
+
+def _table(path) -> list[list[str]]:
+    return [line.split(",") for line in path.read_text().splitlines()[1:]]
+
+
+def test_every_table_row_is_its_record_formatted(tmp_path, mini_cfg):
+    cmd_run_matrix(mini_cfg, 3, tmp_path)
+    cmd_probe_additivity(mini_cfg, 3, tmp_path)
+    cmd_k_ablation(mini_cfg, 3, tmp_path)
+    cmd_ablate(mini_cfg, 3, tmp_path, "k_train_sweep")
+
+    def records(pattern):
+        return {p.stem: json.loads(p.read_text())
+                for p in (tmp_path / "runs").glob(f"{pattern}.json")}
+
+    matrix = records("*-rho*-s*")
+    rows = _table(tmp_path / "metrics.csv")
+    assert len(rows) == len(matrix) == len(mini_cfg.methods)
+    for row in rows:
+        rec = matrix[row[0]]
+        m = rec["metrics"]
+        assert row == [rec["run_id"], rec["method"], f"{rec['rho']:g}", f"{m['avg']:.4f}",
+                       f"{m['wga']:.4f}", *(f"{m['per_group'][c]:.4f}"
+                                            for c in ("00", "01", "10", "11")),
+                       f"{m['bsi']:.4f}", str(rec["seed"])]
+
+    additivity = records("additivity-a*")
+    rows = _table(tmp_path / "additivity.csv")
+    assert len(rows) == len(additivity) == len(mini_cfg.additivity_alphas)
+    for row in rows:
+        rec = additivity[f"additivity-a{float(row[1]):g}"]
+        assert row == [rec["encoder"], str(rec["alpha"]), str(rec["n"]),
+                       f"{rec['mean_S']:.6f}", f"{rec['std_S']:.6f}"]
+
+    k_sweep = records("k-ablation-K*")
+    rows = _table(tmp_path / "k_ablation.csv")
+    assert len(rows) == len(k_sweep) == len(mini_cfg.k_grid)
+    for row in rows:
+        rec = k_sweep[f"k-ablation-K{row[0]}"]
+        assert row == [str(rec["K"]), f"{rec['fg_sim']:.6f}", f"{rec['bg_sim_max']:.6f}",
+                       f"{rec['var_eps']:.8g}", f"{rec['slope']:.4f}"]
+
+    ablation = records("ablate-k_train_sweep-*")
+    rows = _table(tmp_path / "ablate_k_train_sweep.csv")
+    assert len(rows) == len(ablation) == 5
+    for row in rows:
+        rec = ablation[f"ablate-k_train_sweep-K-{row[1]}"]
+        assert row == [rec["param"], str(rec["value"]), f"{rec['metrics']['wga']:.4f}",
+                       f"{rec['metrics']['avg']:.4f}"]
+        # the record holds the swept config, not the one the sweep started from
+        assert rec["config"]["K"] == rec["value"] and rec["method"] == "bap-lp"
 
 
 def test_report_collects_artifacts(tmp_path, mini_cfg):

@@ -1,4 +1,4 @@
-"""Metrics: probes, group accuracies, background sensitivity, CSV output."""
+"""Metrics: probes, group accuracies, background sensitivity."""
 
 import numpy as np
 import pytest
@@ -6,18 +6,15 @@ import pytest
 from anchorlab.encoders import encode_np, freeze, init_encoder
 from anchorlab.errors import ConfigError, ContractError
 from anchorlab.evaluation import (
-    METRICS_FIELDS,
     bsi,
     bsi_protocol,
     class_weights,
     fit_linear_head,
     group_metrics,
-    metrics_row,
     probe_predict,
     prototype_predict,
     retention_eval,
     train_probe,
-    write_metrics_csv,
 )
 from anchorlab.scene import DatasetSizes, build_grouped_dataset
 
@@ -182,18 +179,3 @@ def test_retention_eval_errors_and_range(micro_world, micro_teacher):
     before, after = retention_eval(micro_teacher, other, bgs, fgs, seed=1)
     assert 0.0 <= before <= 1.0 and 0.0 <= after <= 1.0
 
-
-# ---------------------------------------------------------------------------
-# metrics CSV
-
-
-def test_metrics_row_and_csv(tmp_path):
-    gm = group_metrics(np.array([0, 1, 0, 1]), np.array([0, 1, 0, 1]),
-                       np.array([0, 0, 1, 1]))
-    row = metrics_row("r1", "bap-lp", 0.95, gm, 1.25, 7)
-    assert row["rho"] == "0.95" and row["wga"] == "1.0000" and row["bsi"] == "1.2500"
-    path = tmp_path / "metrics.csv"
-    write_metrics_csv(path, [row])
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == ",".join(METRICS_FIELDS)
-    assert lines[1].startswith("r1,bap-lp,0.95,")
