@@ -11,7 +11,7 @@ through the one minibatch loop, `tensor.fit`.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,12 +63,6 @@ class AlignConfig:
             raise ConfigError("weight decay must be >= 0")
         if not 0.0 <= self.warmup_frac < 1.0:
             raise ConfigError("warmup fraction must lie in [0, 1)")
-
-
-@dataclass
-class TrainLog(T.FitLog):
-    data_ids: list[str] = field(default_factory=list)
-    final_checksum: str = ""
 
 
 def composite_stream(foregrounds, bg_pool, M: int, seed: int, epoch: int):
@@ -124,29 +118,25 @@ def ce_loss(student: EncoderModel, head: dict[str, Tensor], label_of):
 
 def _train_loop(student: EncoderModel, loss_fn, foregrounds, bg_pool, cfg: AlignConfig,
                 head: dict[str, Tensor] | None = None,
-                head_only_epochs: int = 0, memo: RenderMemo | None = None) -> TrainLog:
+                head_only_epochs: int = 0, memo: RenderMemo | None = None) -> T.FitLog:
     """Fit the student on each epoch's composite stream, rendered as the epoch starts."""
-    data_ids: list[str] = []
     memo = RenderMemo() if memo is None else memo
 
     def epoch_data(epoch):
         stream = composite_stream(foregrounds, bg_pool, cfg.M, cfg.seed, epoch)
-        data_ids.extend(cid for _, _, _, cid in stream)
         rasters = render([(fg, bg, scene_scale(s)) for fg, bg, s, _ in stream],
                          cfg.degradation, memo)
         return stream, rasters
 
-    fitted = T.fit({**student.params, **(head or {})}, epoch_data, loss_fn,
-                   n=len(foregrounds) * cfg.M, batch_size=cfg.batch_size,
-                   epochs=cfg.epochs, lr=cfg.lr, weight_decay=cfg.weight_decay,
-                   warmup_frac=cfg.warmup_frac, head=head,
-                   head_only_epochs=head_only_epochs)
-    return TrainLog(**vars(fitted), data_ids=data_ids,
-                    final_checksum=student.param_checksum())
+    return T.fit({**student.params, **(head or {})}, epoch_data, loss_fn,
+                 n=len(foregrounds) * cfg.M, batch_size=cfg.batch_size,
+                 epochs=cfg.epochs, lr=cfg.lr, weight_decay=cfg.weight_decay,
+                 warmup_frac=cfg.warmup_frac, head=head,
+                 head_only_epochs=head_only_epochs)
 
 
 def train_bap(teacher: EncoderModel, anchors: AnchorSet, foregrounds, bg_pool,
-              cfg: AlignConfig, memo: RenderMemo | None = None) -> tuple[EncoderModel, TrainLog]:
+              cfg: AlignConfig, memo: RenderMemo | None = None) -> tuple[EncoderModel, T.FitLog]:
     """Anchor-alignment training of a student cloned from the teacher."""
     for fg in foregrounds:
         if fg.id not in anchors.anchors:
@@ -159,7 +149,7 @@ def train_bap(teacher: EncoderModel, anchors: AnchorSet, foregrounds, bg_pool,
 def train_orthogonal(teacher: EncoderModel, targets: list[np.ndarray],
                      class_to_target: dict[int, int], foregrounds, bg_pool,
                      cfg: AlignConfig, memo: RenderMemo | None = None,
-                     ) -> tuple[EncoderModel, TrainLog]:
+                     ) -> tuple[EncoderModel, T.FitLog]:
     """Alignment training toward one static orthogonal vector per class."""
     for fg in foregrounds:
         if fg.y not in class_to_target:
@@ -179,7 +169,7 @@ def _head_params(d: int, num_classes: int, seed: int) -> dict[str, Tensor]:
 
 def train_control(teacher: EncoderModel, foregrounds, bg_pool, cfg: AlignConfig,
                   probe_epochs: int = CONTROL_WARMUP_EPOCHS,
-                  memo: RenderMemo | None = None) -> tuple[EncoderModel, TrainLog]:
+                  memo: RenderMemo | None = None) -> tuple[EncoderModel, T.FitLog]:
     """Budget-matched cross-entropy control on the exact same composite stream.
 
     Consumes exactly the epochs an alignment run would, in two stages within

@@ -31,7 +31,7 @@ from .additivity import run_probe
 from .encoders import EncoderModel, PlantedConfig, freeze, planted_teacher
 from .errors import ConfigError
 from .rng import derive_seed
-from .scene import DatasetSizes, GroupedDataset, build_grouped_dataset, gen_world
+from .scene import GroupedDataset, gen_world
 
 # method -> (encoder, how it classifies): "zs" against prototypes, "lp" with a
 # fresh linear probe, "ft" with the head fine-tuned along with the encoder
@@ -45,6 +45,8 @@ METHODS = {
     "ortho": ("ortho", "lp"),
 }
 ALL_METHODS = tuple(METHODS)
+# the encoders the methods name, in table order: native, lp-ft, control, bap, ortho
+ENCODERS = tuple(dict.fromkeys(name for name, _ in METHODS.values()))
 TEACHERS = ("learned-mlp", "planted")
 # set to "1" in the environment a seed worker starts with: BLAS reads it when it loads
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -182,8 +184,9 @@ class SeedContext:
 
     Heavy artifacts are shared across methods and correlation rates: the
     anchor/alignment phases never see the downstream correlation, so one
-    student serves every rho.  Trained encoders are kept frozen, one copy
-    each.  Every stream the seed renders shares one `RenderMemo`, so each
+    student serves every rho, and one balanced test split serves every rho.
+    Trained encoders are kept frozen, one copy each, until `release` drops
+    one.  Every stream the seed renders shares one `RenderMemo`, so each
     distinct foreground size is resized once.
     """
 
@@ -255,14 +258,20 @@ class SeedContext:
                                                   memo=self.memo)
         return freeze(student), log
 
+    @cached_property
+    def test_split(self) -> GroupedDataset:
+        fgs, bgs = self.world
+        return scene.build_test_split(fgs, bgs, self.cfg.test_per_cell, self.data_seed,
+                                      memo=self.memo)
+
     def datasets(self, rho: float) -> tuple[GroupedDataset, GroupedDataset]:
-        key = ("data", rho)
+        """(train split at rho, the shared test split)."""
+        key = ("train", rho)
         if key not in self._by_rho:
             fgs, bgs = self.world
-            sizes = DatasetSizes(self.cfg.train_per_class, self.cfg.test_per_cell)
-            self._by_rho[key] = build_grouped_dataset(fgs, bgs, rho, sizes, self.data_seed,
-                                                      memo=self.memo)
-        return self._by_rho[key]
+            self._by_rho[key] = scene.build_train_split(fgs, bgs, rho, self.cfg.train_per_class,
+                                                        self.data_seed, memo=self.memo)
+        return self._by_rho[key], self.test_split
 
     @cached_property
     def teacher_prototypes(self) -> dict[int, np.ndarray]:
@@ -305,6 +314,18 @@ class SeedContext:
         if name == "lp-ft":
             return self.lp_ft(rho)[0]
         return getattr(self, f"{name}_student")[0]
+
+    def release(self, name: str, rho: float) -> None:
+        """Drop the trained encoder `encoder(name, rho)` returns, with what only it uses:
+        a student's training log, lp-ft's head and traces at that rate, bap's anchor
+        set and prototypes.  The teacher stays, since every student is cloned from it;
+        a released encoder is trained again if it is asked for again."""
+        if name == "lp-ft":
+            self._by_rho.pop(("lp-ft", rho), None)
+        elif name != "native":
+            extra = ("anchor_set", "anchor_prototypes") if name == "bap" else ()
+            for attr in (f"{name}_student", *extra):
+                self.__dict__.pop(attr, None)
 
     def bsi(self, name: str, rho: float) -> float:
         """Mean background-sensitivity index of one encoder, computed once."""
@@ -506,25 +527,31 @@ def _summary_rows(records: list[dict]) -> list[list]:
     return rows
 
 
-def _run_seed(cfg: ExperimentConfig, out: Path, run_idx: int, run_seed: int,
-              methods: tuple[str, ...], rhos: tuple[float, ...]) -> list[str]:
-    """Every (rho, method) run of one seed, in order; each run's record is written
-    as soon as it finishes.  Returns the seed's run ids."""
+def _run_seed(cfg: ExperimentConfig, out: Path, run_idx: int, run_seed: int) -> list[str]:
+    """Every (rho, method) run of one seed; each run's record is written as soon as
+    it finishes.  The runs go encoder by encoder, in `ENCODERS` order, and each
+    trained encoder is released once its runs are written, so besides the teacher
+    the seed holds one trained encoder at a time.  Draws derive from names, so the
+    order changes no number.  Returns the run ids in grid order (rho, method)."""
     ctx = SeedContext(cfg, run_seed)
-    run_ids = []
-    for rho in rhos:
-        train, test = ctx.datasets(rho)
-        _leakage_check(train, test)
-        for method in methods:
-            t0 = time.perf_counter()
-            gm, bsi_value = evaluate_method(ctx, method, rho)
-            run_ids.append(_write_run_record(out, f"{method}-rho{rho:g}-s{run_idx}", cfg,
-                                             run_seed, {
-                "rho": rho, "method": method, "run_index": run_idx,
-                "metrics": _metrics(gm, bsi_value),
-                "trace": _training_trace(ctx, method, rho),
-                "wall_s": round(time.perf_counter() - t0, 3)}))
-    return run_ids
+    for rho in cfg.rhos:
+        _leakage_check(*ctx.datasets(rho))
+    run_ids = {}
+    for name in ENCODERS:
+        for rho in cfg.rhos:
+            for method in (m for m in cfg.methods if METHODS[m][0] == name):
+                t0 = time.perf_counter()
+                gm, bsi_value = evaluate_method(ctx, method, rho)
+                run_ids[rho, method] = _write_run_record(
+                    out, f"{method}-rho{rho:g}-s{run_idx}", cfg, run_seed, {
+                        "rho": rho, "method": method, "run_index": run_idx,
+                        "metrics": _metrics(gm, bsi_value),
+                        "trace": _training_trace(ctx, method, rho),
+                        "wall_s": round(time.perf_counter() - t0, 3)})
+            # lp-ft trains one encoder per rate, the others serve every rate
+            if name == "lp-ft" or rho == cfg.rhos[-1]:
+                ctx.release(name, rho)
+    return [run_ids[rho, method] for rho in cfg.rhos for method in cfg.methods]
 
 
 def _usable_cpus() -> int:
@@ -568,19 +595,18 @@ def cmd_run_matrix(cfg: ExperimentConfig, seed: int, out,
     Seeds run in parallel, one spawned worker per usable CPU, when there is
     more than one of each; otherwise in this process.  The output is the same.
     """
-    methods = tuple(methods or cfg.methods)
-    rhos = tuple(rhos or cfg.rhos)
-    replace(cfg, methods=methods, rhos=rhos)  # raises ConfigError on a bad override
+    # the records carry the grid that runs; a bad override raises ConfigError here
+    cfg = replace(cfg, methods=tuple(methods or cfg.methods), rhos=tuple(rhos or cfg.rhos))
     out = _ensure_out(out)
     seeds = list(enumerate(run_seeds(cfg, seed)))
     jobs = min(len(seeds), _usable_cpus())
     if jobs == 1:
-        per_seed = [_run_seed(cfg, out, i, s, methods, rhos) for i, s in seeds]
+        per_seed = [_run_seed(cfg, out, i, s) for i, s in seeds]
     else:
         from concurrent.futures.process import BrokenProcessPool
 
         with _seed_pool(jobs) as pool:
-            futures = [pool.submit(_run_seed, cfg, out, i, s, methods, rhos) for i, s in seeds]
+            futures = [pool.submit(_run_seed, cfg, out, i, s) for i, s in seeds]
             try:
                 per_seed = [f.result() for f in futures]
             except BrokenProcessPool as err:
@@ -668,18 +694,20 @@ def cmd_report(out) -> Path:
     for plot_name, src in plot_map.items():
         if src.exists():
             (plots / plot_name).write_bytes(src.read_bytes())
-    ft_rows = []
-    runs_dir = out / "runs"
-    if runs_dir.exists():
-        for rec_path in sorted(runs_dir.glob("lp-ft-*.json")):
-            rec = json.loads(rec_path.read_text())
-            trace = rec["trace"]
-            ft_rows.extend([rec["run_id"], epoch, wga, avg]
-                           for epoch, (wga, avg) in enumerate(zip(trace["wga"], trace["avg"])))
+        else:
+            (plots / plot_name).unlink(missing_ok=True)
+    # the lp-ft traces of the runs behind the current metrics.csv, not every record in runs/
+    ft_ids = []
+    if artifacts["metrics"].exists():
+        with open(artifacts["metrics"], newline="") as fh:
+            ft_ids = [row["run_id"] for row in csv.DictReader(fh) if row["method"] == "lp-ft"]
+    ft_rows = [[rec["run_id"], epoch, wga, avg] for rec in _read_run_records(out, ft_ids)
+               for epoch, (wga, avg) in enumerate(zip(rec["trace"]["wga"], rec["trace"]["avg"]))]
+    ft_plot = plots / "fig_finetune_degradation.csv"
     if ft_rows:
-        _write_csv(plots / "fig_finetune_degradation.csv", ("run_id", "epoch", "wga", "avg"),
-                   ft_rows)
+        _write_csv(ft_plot, ("run_id", "epoch", "wga", "avg"), ft_rows)
     else:
+        ft_plot.unlink(missing_ok=True)
         missing.append("fig_finetune_degradation")
     report_path = out / "report.txt"
     with open(report_path, "w") as fh:

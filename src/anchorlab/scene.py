@@ -46,6 +46,7 @@ SCENE_SCALE_RANGE = (0.6, 0.8)
 ANCHOR_SCALE = 0.8
 
 TEST_FRACTION = 0.2  # share of each background group held out for testing
+BALANCED_RHO = 0.5  # the test split's rate: every (class, group) cell equally filled
 
 # cap on the blend parts one RenderMemo stores; at the default config a
 # seed's distinct sizes would take about 85 MiB
@@ -116,7 +117,8 @@ class GroupedItem:
 
 @dataclass
 class GroupedDataset:
-    """One split; item i's `comp.raster` is row i of the read-only `batch`."""
+    """One split; item i's `comp.raster` is row i of the read-only `batch`.  `rho` is
+    the split's class/group correlation, `BALANCED_RHO` for a test split."""
 
     items: list[GroupedItem]
     rho: float
@@ -550,51 +552,70 @@ def _rendered_split(specs, rho: float, split: str, degradation: str = "perfect",
     return GroupedDataset(items, rho, split, batch)
 
 
-def build_grouped_dataset(foregrounds: list[ForegroundInstance],
-                          backgrounds: list[BackgroundImage],
-                          rho: float, sizes: DatasetSizes, seed: int,
-                          memo: RenderMemo | None = None,
-                          ) -> tuple[GroupedDataset, GroupedDataset]:
-    """Two-class / two-group correlated train split plus a balanced test split.
-
-    Class y's majority background group is y.  Test backgrounds are disjoint
-    from train backgrounds (leakage prevention).
-    """
-    if not (0.5 <= rho <= 1.0):
-        raise ConfigError(f"correlation rate {rho} outside [0.5, 1.0]")
+def _split_cells(foregrounds: list[ForegroundInstance], backgrounds: list[BackgroundImage],
+                 seed: int, split: str):
+    """(classes, groups, foregrounds by class, the split's backgrounds by group)."""
     classes = sorted({fg.y for fg in foregrounds})
     groups = sorted({bg.g for bg in backgrounds})
     if len(classes) != 2 or len(groups) != 2:
         raise ConfigError("the grouped benchmark needs exactly two classes and two groups")
     fg_by_class = {y: sorted([f for f in foregrounds if f.y == y], key=lambda f: f.id)
                    for y in classes}
-    bg_train, bg_test = split_backgrounds(backgrounds, seed)
-    train_by_group = {g: [b for b in bg_train if b.g == g] for g in groups}
-    test_by_group = {g: [b for b in bg_test if b.g == g] for g in groups}
+    pool = split_backgrounds(backgrounds, seed)[0 if split == "train" else 1]
+    return classes, groups, fg_by_class, {g: [b for b in pool if b.g == g] for g in groups}
 
-    train_specs = []
+
+def build_train_split(foregrounds: list[ForegroundInstance],
+                      backgrounds: list[BackgroundImage], rho: float, per_class: int,
+                      seed: int, memo: RenderMemo | None = None) -> GroupedDataset:
+    """Two-class / two-group train split correlated at `rho`: class y's majority
+    background group is y."""
+    if not (0.5 <= rho <= 1.0):
+        raise ConfigError(f"correlation rate {rho} outside [0.5, 1.0]")
+    classes, groups, fg_by_class, bg_by_group = _split_cells(foregrounds, backgrounds,
+                                                             seed, "train")
+    specs = []
     for ci, y in enumerate(classes):
-        n = sizes.train_per_class
-        n_major = round(rho * n)
+        n_major = round(rho * per_class)
         major_g, minor_g = groups[ci], groups[1 - ci]
         gsel = rng(seed, "train-sel", y)
-        for i in range(n):
-            grp = major_g if i < n_major else minor_g
+        for i in range(per_class):
+            pool = bg_by_group[major_g if i < n_major else minor_g]
             fg = fg_by_class[y][int(gsel.integers(0, len(fg_by_class[y])))]
-            pool = train_by_group[grp]
             bg = pool[int(gsel.integers(0, len(pool)))]
-            train_specs.append((fg, bg, derive_seed(seed, fg.id, bg.id, i)))
-    test_specs = []
-    for ci, y in enumerate(classes):
+            specs.append((fg, bg, derive_seed(seed, fg.id, bg.id, i)))
+    return _rendered_split(specs, rho, "train", memo=memo)
+
+
+def build_test_split(foregrounds: list[ForegroundInstance],
+                     backgrounds: list[BackgroundImage], per_cell: int, seed: int,
+                     memo: RenderMemo | None = None) -> GroupedDataset:
+    """Balanced test split, `per_cell` items per (class, group) cell; it does not
+    depend on the train split's correlation rate."""
+    classes, groups, fg_by_class, bg_by_group = _split_cells(foregrounds, backgrounds,
+                                                             seed, "test")
+    specs = []
+    for y in classes:
         for grp in groups:
             gsel = rng(seed, "test-sel", y, grp)
-            for i in range(sizes.test_per_cell):
+            for i in range(per_cell):
                 fg = fg_by_class[y][int(gsel.integers(0, len(fg_by_class[y])))]
-                pool = test_by_group[grp]
+                pool = bg_by_group[grp]
                 bg = pool[int(gsel.integers(0, len(pool)))]
-                test_specs.append((fg, bg, derive_seed(seed, fg.id, bg.id, i)))
-    return (_rendered_split(train_specs, rho, "train", memo=memo),
-            _rendered_split(test_specs, rho, "test", memo=memo))
+                specs.append((fg, bg, derive_seed(seed, fg.id, bg.id, i)))
+    return _rendered_split(specs, BALANCED_RHO, "test", memo=memo)
+
+
+def build_grouped_dataset(foregrounds: list[ForegroundInstance],
+                          backgrounds: list[BackgroundImage],
+                          rho: float, sizes: DatasetSizes, seed: int,
+                          memo: RenderMemo | None = None,
+                          ) -> tuple[GroupedDataset, GroupedDataset]:
+    """The train split at `rho` and the balanced test split.  Test backgrounds
+    are disjoint from train backgrounds (leakage prevention)."""
+    return (build_train_split(foregrounds, backgrounds, rho, sizes.train_per_class, seed,
+                              memo=memo),
+            build_test_split(foregrounds, backgrounds, sizes.test_per_cell, seed, memo=memo))
 
 
 # ---------------------------------------------------------------------------
@@ -647,5 +668,7 @@ def regenerate_from_manifest(path) -> tuple[GroupedDataset, GroupedDataset]:
         if len(modes) != 1:
             raise ManifestError(f"{split} split needs one degradation, has {sorted(modes)}")
         out.append(_rendered_split([(fg_map[rec["fg_id"]], bg_map[rec["bg_id"]], rec["seed"])
-                                    for rec in recs], header["rho"], split, modes.pop(), memo))
+                                    for rec in recs],
+                                   header["rho"] if split == "train" else BALANCED_RHO, split,
+                                   modes.pop(), memo))
     return out[0], out[1]

@@ -2,11 +2,12 @@
 
 import json
 import os
+import weakref
 
 import numpy as np
 import pytest
 
-from anchorlab import alignment, cli, encoders, evaluation, scene
+from anchorlab import alignment, anchors, cli, encoders, evaluation, scene
 from anchorlab.additivity import AdditivityReport
 from anchorlab.cli import (
     ALL_METHODS,
@@ -211,6 +212,63 @@ def test_method_table_builds_each_encoder_and_bsi_once(monkeypatch):
     assert calls == []
 
 
+def test_encoder_major_seed_writes_the_grid_order_rows(tmp_path):
+    cfg = ExperimentConfig(**{**MINI, "epochs": 11, "rhos": (1.0, 0.95),
+                              "methods": ALL_METHODS})
+    cmd_run_matrix(cfg, 3, tmp_path)
+    run_seed = run_seeds(cfg, 3)[0]
+    ctx = SeedContext(cfg, run_seed)
+    records = []
+    for rho in cfg.rhos:
+        for method in ALL_METHODS:
+            gm, bsi_value = evaluate_method(ctx, method, rho)
+            records.append({"run_id": f"{method}-rho{rho:g}-s0", "method": method, "rho": rho,
+                            "seed": run_seed, "metrics": cli._metrics(gm, bsi_value)})
+    path = cli._write_csv(tmp_path / "grid_order.csv", cli.METRICS_HEADER,
+                          map(cli._metrics_row, records))
+    assert path.read_bytes() == (tmp_path / "metrics.csv").read_bytes()
+
+
+def test_run_seed_holds_one_trained_encoder_at_a_time(tmp_path, monkeypatch):
+    cfg = ExperimentConfig(**{**MINI, "epochs": 11, "rhos": (1.0, 0.95),
+                              "methods": ALL_METHODS})
+    training, alive, alive_at_freeze = [], set(), []
+    for fn_name, tag in (("train_bap", "bap"), ("train_control", "control"),
+                         ("train_orthogonal", "ortho"), ("finetune_on_correlated", "lp-ft")):
+        def tagged(*args, _train=getattr(alignment, fn_name), _tag=tag, **kwargs):
+            training.append(_tag)
+            return _train(*args, **kwargs)
+
+        monkeypatch.setattr(alignment, fn_name, tagged)
+    real_freeze = cli.freeze
+
+    def tracking_freeze(model):
+        frozen = real_freeze(model)
+        if training:  # the frozen copy SeedContext keeps of a model just trained
+            tag = f"{training.pop()}-{len(alive_at_freeze)}"
+            alive.add(tag)
+            weakref.finalize(frozen, alive.discard, tag)
+            alive_at_freeze.append(sorted(alive))
+        return frozen
+
+    real_anchor_set = anchors.build_anchor_set
+
+    def tracking_anchor_set(*args, **kwargs):
+        anchor_set = real_anchor_set(*args, **kwargs)
+        alive.add("anchors")
+        weakref.finalize(anchor_set, alive.discard, "anchors")
+        return anchor_set
+
+    monkeypatch.setattr(cli, "freeze", tracking_freeze)
+    monkeypatch.setattr(anchors, "build_anchor_set", tracking_anchor_set)
+    cli._run_seed(cfg, tmp_path, 0, run_seeds(cfg, 3)[0])
+    # lp-ft at each rate, then control, bap with its anchors, and ortho: each is
+    # released before the next one trains
+    assert alive_at_freeze == [["lp-ft-0"], ["lp-ft-1"], ["control-2"], ["anchors", "bap-3"],
+                               ["ortho-4"]]
+    assert len(list((tmp_path / "runs").iterdir())) == 2 * len(ALL_METHODS)
+
+
 def test_evaluate_method_unknown(mini_cfg):
     ctx = SeedContext(mini_cfg, 123)
     with pytest.raises(ConfigError):
@@ -274,6 +332,13 @@ def test_run_matrix_outputs(tmp_path, mini_cfg):
     assert len(bap["trace"]["epoch_loss"]) == len(bap["trace"]["epoch_lr"]) == mini_cfg.epochs
     native = json.loads((tmp_path / "runs" / "native-lp-rho1-s0.json").read_text())
     assert native["trace"] is None
+
+
+def test_run_matrix_records_carry_the_grid_that_ran(tmp_path, mini_cfg):
+    cmd_run_matrix(mini_cfg, 3, tmp_path, methods=("lp-ft",))
+    rec = json.loads((tmp_path / "runs" / "lp-ft-rho1-s0.json").read_text())
+    assert rec["config"]["methods"] == ["lp-ft"]
+    assert rec["config"]["rhos"] == [1.0]
 
 
 def test_run_matrix_rejects_unknown_method(tmp_path, mini_cfg):
@@ -501,6 +566,19 @@ def test_report_collects_artifacts(tmp_path, mini_cfg):
     # one row per epoch of the single lp-ft run, epoch 0 being the frozen-probe baseline
     assert [line.split(",")[:2] for line in lines[1:]] == [
         ["lp-ft-rho1-s0", str(epoch)] for epoch in range(mini_cfg.ft_epochs + 1)]
+
+
+def test_report_traces_only_the_runs_behind_metrics_csv(tmp_path, mini_cfg):
+    plot = tmp_path / "plots" / "fig_finetune_degradation.csv"
+    cmd_run_matrix(mini_cfg, 3, tmp_path, methods=("lp-ft",))
+    cmd_report(tmp_path)
+    assert plot.exists()
+    # a second run into the same --out leaves the lp-ft record behind, but not in metrics.csv
+    cmd_run_matrix(mini_cfg, 3, tmp_path, methods=("native-lp",))
+    assert (tmp_path / "runs" / "lp-ft-rho1-s0.json").exists()
+    text = cmd_report(tmp_path).read_text()
+    assert not plot.exists()
+    assert "  fig_finetune_degradation\n" in text.split("missing artifacts:")[1]
 
 
 # ---------------------------------------------------------------------------

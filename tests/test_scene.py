@@ -10,6 +10,7 @@ from anchorlab import scene
 from anchorlab.errors import ConfigError, DegenerateMaskError, ManifestError
 from anchorlab.rng import derive_seed
 from anchorlab.scene import (
+    BALANCED_RHO,
     CLASS_STYLES,
     DEGRADATIONS,
     GROUP_STYLES,
@@ -17,6 +18,7 @@ from anchorlab.scene import (
     DatasetSizes,
     ForegroundInstance,
     build_grouped_dataset,
+    build_train_split,
     composite,
     degrade_mask,
     gaussian_blur,
@@ -385,6 +387,19 @@ def test_build_grouped_dataset_counts(micro_world):
     train_bgs = {it.comp.bg_id for it in train.items}
     test_bgs = {it.comp.bg_id for it in test.items}
     assert train_bgs & test_bgs == set()
+
+
+def test_test_split_does_not_depend_on_the_rate(micro_world):
+    fgs, bgs = micro_world
+    sizes = DatasetSizes(6, 3)
+    train, test = build_grouped_dataset(fgs, bgs, 0.9, sizes, 17)
+    # the pair is its two builders, and the test split is one for every rate
+    assert np.array_equal(train.rasters(), build_train_split(fgs, bgs, 0.9, 6, 17).rasters())
+    for rho in (1.0, 0.9, 0.5):
+        _, other = build_grouped_dataset(fgs, bgs, rho, sizes, 17)
+        assert np.array_equal(other.rasters(), test.rasters())
+        assert [it.comp.seed for it in other.items] == [it.comp.seed for it in test.items]
+    assert test.rho == BALANCED_RHO and test.split == "test"
 
 
 def test_build_grouped_dataset_errors(micro_world):
