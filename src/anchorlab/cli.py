@@ -694,8 +694,6 @@ def cmd_report(out) -> Path:
     for plot_name, src in plot_map.items():
         if src.exists():
             (plots / plot_name).write_bytes(src.read_bytes())
-        else:
-            (plots / plot_name).unlink(missing_ok=True)
     # the lp-ft traces of the runs behind the current metrics.csv, not every record in runs/
     ft_ids = []
     if artifacts["metrics"].exists():
