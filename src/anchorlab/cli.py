@@ -527,17 +527,19 @@ def _summary_rows(records: list[dict]) -> list[list]:
     return rows
 
 
-def _run_seed(cfg: ExperimentConfig, out: Path, run_idx: int, run_seed: int) -> list[str]:
-    """Every (rho, method) run of one seed; each run's record is written as soon as
-    it finishes.  The runs go encoder by encoder, in `ENCODERS` order, and each
-    trained encoder is released once its runs are written, so besides the teacher
-    the seed holds one trained encoder at a time.  Draws derive from names, so the
-    order changes no number.  Returns the run ids in grid order (rho, method)."""
+def _run_seed(cfg: ExperimentConfig, out: Path, run_idx: int, run_seed: int,
+              encoders=ENCODERS) -> dict[tuple[float, str], str]:
+    """The (rho, method) runs of one seed whose methods use one of `encoders`; each
+    run's record is written as soon as it finishes.  The runs go encoder by encoder,
+    in the order given, and each trained encoder is released once its runs are
+    written, so besides the teacher the seed holds one trained encoder at a time.
+    Draws derive from names, so neither the order nor the encoders left to another
+    call change a number.  Returns the run ids keyed by (rho, method)."""
     ctx = SeedContext(cfg, run_seed)
     for rho in cfg.rhos:
         _leakage_check(*ctx.datasets(rho))
     run_ids = {}
-    for name in ENCODERS:
+    for name in encoders:
         for rho in cfg.rhos:
             for method in (m for m in cfg.methods if METHODS[m][0] == name):
                 t0 = time.perf_counter()
@@ -551,7 +553,7 @@ def _run_seed(cfg: ExperimentConfig, out: Path, run_idx: int, run_seed: int) -> 
             # lp-ft trains one encoder per rate, the others serve every rate
             if name == "lp-ft" or rho == cfg.rhos[-1]:
                 ctx.release(name, rho)
-    return [run_ids[rho, method] for rho in cfg.rhos for method in cfg.methods]
+    return run_ids
 
 
 def _usable_cpus() -> int:
@@ -565,7 +567,7 @@ def _seed_pool(jobs: int):
     """A pool of `jobs` spawned workers, each with single-threaded BLAS.
 
     Spawned, not forked: a forked child keeps the BLAS threads its parent
-    loaded with.  On exit the workers are joined, after pending seeds are
+    loaded with.  On exit the workers are joined, after pending jobs are
     cancelled if the block raised, and the parent's environment is restored.
     """
     import multiprocessing
@@ -587,35 +589,58 @@ def _seed_pool(jobs: int):
                 os.environ[name] = value
 
 
+def _seed_jobs(cfg: ExperimentConfig, cpus: int) -> list[tuple[int, tuple[str, ...]]]:
+    """(seed index, encoder group) of each run-matrix job, seed by seed.
+
+    With more CPUs than seeds, a seed is split: the encoders its methods name are
+    dealt round-robin, in `ENCODERS` order, into one group per CPU the seed gets,
+    at most one per trained encoder.  Each job rebuilds its seed's world and
+    teacher, and no student depends on another, so a split changes no number.
+    """
+    named = [name for name in ENCODERS if any(METHODS[m][0] == name for m in cfg.methods)]
+    # native trains nothing, so it is no reason to split a seed
+    trained = sum(name != "native" for name in named)
+    k = max(1, min(trained, cpus // cfg.num_seeds))
+    return [(i, tuple(named[g::k])) for i in range(cfg.num_seeds) for g in range(k)]
+
+
 def cmd_run_matrix(cfg: ExperimentConfig, seed: int, out,
                    methods=None, rhos=None) -> Path:
     """The method x rho x seed grid: one run record per cell, then the two CSVs built
     from those records, in grid order (seed, rho, method).
 
-    Seeds run in parallel, one spawned worker per usable CPU, when there is
-    more than one of each; otherwise in this process.  The output is the same.
+    The grid runs as the (seed, encoder group) jobs of `_seed_jobs`, in spawned
+    workers, one per usable CPU, when there is more than one of each; otherwise
+    in this process.  The output is the same.
     """
     # the records carry the grid that runs; a bad override raises ConfigError here
     cfg = replace(cfg, methods=tuple(methods or cfg.methods), rhos=tuple(rhos or cfg.rhos))
     out = _ensure_out(out)
-    seeds = list(enumerate(run_seeds(cfg, seed)))
-    jobs = min(len(seeds), _usable_cpus())
-    if jobs == 1:
-        per_seed = [_run_seed(cfg, out, i, s) for i, s in seeds]
+    seeds = run_seeds(cfg, seed)
+    cpus = _usable_cpus()
+    jobs = [(i, seeds[i], group) for i, group in _seed_jobs(cfg, cpus)]
+    workers = min(len(jobs), cpus)
+    if workers == 1:
+        per_job = [_run_seed(cfg, out, *job) for job in jobs]
     else:
         from concurrent.futures.process import BrokenProcessPool
 
-        with _seed_pool(jobs) as pool:
-            futures = [pool.submit(_run_seed, cfg, out, i, s) for i, s in seeds]
+        with _seed_pool(workers) as pool:
+            futures = [pool.submit(_run_seed, cfg, out, *job) for job in jobs]
             try:
-                per_seed = [f.result() for f in futures]
+                per_job = [f.result() for f in futures]
             except BrokenProcessPool as err:
                 raise BrokenProcessPool(
-                    "run-matrix's spawned seed workers died before returning their seeds. "
+                    "run-matrix's spawned seed workers died before returning their runs. "
                     "Each worker re-imports the calling script as its main module, so a "
-                    "script that calls cmd_run_matrix with several seeds must make the call "
-                    'under an `if __name__ == "__main__":` guard.') from err
-    records = _read_run_records(out, [run_id for ids in per_seed for run_id in ids])
+                    "script that calls cmd_run_matrix must make the call under an "
+                    '`if __name__ == "__main__":` guard whenever the run can pool: on more '
+                    "than one CPU, with several seeds or with one seed whose methods train "
+                    "more than one encoder.") from err
+    run_ids = {(i, *cell): run_id
+               for (i, _, _), ids in zip(jobs, per_job) for cell, run_id in ids.items()}
+    records = _read_run_records(out, [run_ids[i, rho, method] for i in range(len(seeds))
+                                      for rho in cfg.rhos for method in cfg.methods])
     path = _write_csv(out / "metrics.csv", METRICS_HEADER, map(_metrics_row, records))
     _write_csv(out / "summary.csv", ("method", "rho", "n_runs", "avg_mean", "avg_std",
                                      "wga_mean", "wga_std", "bsi_mean"), _summary_rows(records))

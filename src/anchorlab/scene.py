@@ -532,12 +532,6 @@ def split_backgrounds(backgrounds: list[BackgroundImage],
     return train, test
 
 
-@dataclass(frozen=True)
-class DatasetSizes:
-    train_per_class: int
-    test_per_cell: int
-
-
 def _rendered_split(specs, rho: float, split: str, degradation: str = "perfect",
                     memo: RenderMemo | None = None) -> GroupedDataset:
     """A split of (fg, bg, item_seed) specs rendered in one `render` call."""
@@ -604,18 +598,6 @@ def build_test_split(foregrounds: list[ForegroundInstance],
                 bg = pool[int(gsel.integers(0, len(pool)))]
                 specs.append((fg, bg, derive_seed(seed, fg.id, bg.id, i)))
     return _rendered_split(specs, BALANCED_RHO, "test", memo=memo)
-
-
-def build_grouped_dataset(foregrounds: list[ForegroundInstance],
-                          backgrounds: list[BackgroundImage],
-                          rho: float, sizes: DatasetSizes, seed: int,
-                          memo: RenderMemo | None = None,
-                          ) -> tuple[GroupedDataset, GroupedDataset]:
-    """The train split at `rho` and the balanced test split.  Test backgrounds
-    are disjoint from train backgrounds (leakage prevention)."""
-    return (build_train_split(foregrounds, backgrounds, rho, sizes.train_per_class, seed,
-                              memo=memo),
-            build_test_split(foregrounds, backgrounds, sizes.test_per_cell, seed, memo=memo))
 
 
 # ---------------------------------------------------------------------------

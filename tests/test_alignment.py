@@ -19,7 +19,7 @@ from anchorlab.anchors import AnchorSet, build_anchor_set, orthogonal_targets
 from anchorlab.encoders import encode_np
 from anchorlab.errors import ConfigError, ManifestError
 from anchorlab.evaluation import ProbeHead, group_metrics, probe_predict
-from anchorlab.scene import DatasetSizes, build_grouped_dataset
+from anchorlab.scene import build_test_split, build_train_split
 
 
 def _small_cfg(**kw):
@@ -181,8 +181,8 @@ def test_pretrain_teacher_frozen_deterministic(micro_world):
 
 def test_finetune_traces(micro_world, micro_teacher):
     fgs, bgs = micro_world
-    sizes = DatasetSizes(train_per_class=16, test_per_cell=4)
-    train, test = build_grouped_dataset(fgs, bgs, 1.0, sizes, 8)
+    train = build_train_split(fgs, bgs, 1.0, 16, 8)
+    test = build_test_split(fgs, bgs, 4, 8)
     cfg = _small_cfg(epochs=2)
     model, head, traces = finetune_on_correlated(micro_teacher, train, test, cfg)
     assert len(traces["wga"]) == cfg.epochs + 1

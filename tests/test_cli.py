@@ -212,9 +212,10 @@ def test_method_table_builds_each_encoder_and_bsi_once(monkeypatch):
     assert calls == []
 
 
-def test_encoder_major_seed_writes_the_grid_order_rows(tmp_path):
+def test_encoder_major_seed_writes_the_grid_order_rows(tmp_path, monkeypatch):
     cfg = ExperimentConfig(**{**MINI, "epochs": 11, "rhos": (1.0, 0.95),
                               "methods": ALL_METHODS})
+    _cpus(monkeypatch, 1)  # in this process; the split seed is compared with it below
     cmd_run_matrix(cfg, 3, tmp_path)
     run_seed = run_seeds(cfg, 3)[0]
     ctx = SeedContext(cfg, run_seed)
@@ -267,6 +268,13 @@ def test_run_seed_holds_one_trained_encoder_at_a_time(tmp_path, monkeypatch):
     assert alive_at_freeze == [["lp-ft-0"], ["lp-ft-1"], ["control-2"], ["anchors", "bap-3"],
                                ["ortho-4"]]
     assert len(list((tmp_path / "runs").iterdir())) == 2 * len(ALL_METHODS)
+
+
+def test_run_seed_runs_only_the_given_encoders(tmp_path):
+    cfg = ExperimentConfig(**{**MINI, "epochs": 11, "methods": ALL_METHODS})
+    ids = cli._run_seed(cfg, tmp_path, 0, run_seeds(cfg, 3)[0], ("lp-ft", "bap"))
+    assert ids == {(1.0, m): f"{m}-rho1-s0" for m in ("lp-ft", "bap-lp", "bap-zs")}
+    assert sorted(p.stem for p in (tmp_path / "runs").iterdir()) == sorted(ids.values())
 
 
 def test_evaluate_method_unknown(mini_cfg):
@@ -365,28 +373,51 @@ def _cpus(monkeypatch, n):
 
 
 def test_run_matrix_pool_and_serial_paths_agree(tmp_path, monkeypatch):
-    cfg = ExperimentConfig(**{**MINI, "num_seeds": 3, "methods": ALL_METHODS, "epochs": 11,
-                              "rhos": (1.0, 0.95)})
-    outs = {}
-    for n in (3, 1):
-        pools = _cpus(monkeypatch, n)
-        outs[n] = tmp_path / f"cpus{n}"
-        cmd_run_matrix(cfg, 3, outs[n])
-        assert pools == ([3] if n > 1 else [])
-    pooled, serial = outs[3], outs[1]
-    for name in ("metrics.csv", "summary.csv"):
-        assert (pooled / name).read_bytes() == (serial / name).read_bytes()
-    names = sorted(p.name for p in (serial / "runs").iterdir())
-    assert len(names) == 3 * 2 * len(ALL_METHODS)
-    assert sorted(p.name for p in (pooled / "runs").iterdir()) == names
-
     def record(out, name):
         rec = json.loads((out / "runs" / name).read_text())
         del rec["wall_s"]
         return rec
 
-    for name in names:
-        assert record(pooled, name) == record(serial, name)
+    # three seeds on three CPUs run a seed per worker; one seed on two CPUs is split
+    for seeds, cpus in ((3, 3), (1, 2)):
+        cfg = ExperimentConfig(**{**MINI, "num_seeds": seeds, "methods": ALL_METHODS,
+                                  "epochs": 11, "rhos": (1.0, 0.95)})
+        outs = {}
+        for n in (cpus, 1):
+            pools = _cpus(monkeypatch, n)
+            outs[n] = tmp_path / f"seeds{seeds}-cpus{n}"
+            cmd_run_matrix(cfg, 3, outs[n])
+            assert pools == ([n] if n > 1 else [])
+        pooled, serial = outs[cpus], outs[1]
+        for name in ("metrics.csv", "summary.csv"):
+            assert (pooled / name).read_bytes() == (serial / name).read_bytes()
+        names = sorted(p.name for p in (serial / "runs").iterdir())
+        assert len(names) == seeds * 2 * len(ALL_METHODS)
+        assert sorted(p.name for p in (pooled / "runs").iterdir()) == names
+        for name in names:
+            assert record(pooled, name) == record(serial, name)
+
+
+def test_run_matrix_keeps_a_one_encoder_seed_in_process(tmp_path, mini_cfg, monkeypatch):
+    pools = _cpus(monkeypatch, 2)
+    cmd_run_matrix(mini_cfg, 3, tmp_path)  # bap is its one trained encoder
+    assert pools == []
+
+
+@pytest.mark.parametrize("seeds, cpus, methods, jobs", [
+    (1, 2, ALL_METHODS, [(0, ("native", "control", "ortho")), (0, ("lp-ft", "bap"))]),
+    (1, 8, ALL_METHODS, [(0, ("native", "ortho")), (0, ("lp-ft",)), (0, ("control",)),
+                         (0, ("bap",))]),
+    (1, 1, ALL_METHODS, [(0, cli.ENCODERS)]),
+    (4, 2, ALL_METHODS, [(i, cli.ENCODERS) for i in range(4)]),
+    (3, 8, ALL_METHODS, [(i, group) for i in range(3)
+                         for group in (("native", "control", "ortho"), ("lp-ft", "bap"))]),
+    (1, 2, ("lp-ft",), [(0, ("lp-ft",))]),
+    (1, 2, ("native-zs", "native-lp"), [(0, ("native",))]),
+])
+def test_seed_jobs_split_a_seed_by_its_trained_encoders(seeds, cpus, methods, jobs):
+    cfg = ExperimentConfig(**{**MINI, "num_seeds": seeds, "methods": methods, "epochs": 11})
+    assert cli._seed_jobs(cfg, cpus) == jobs
 
 
 def test_seed_workers_start_with_single_threaded_blas(monkeypatch):
@@ -401,14 +432,17 @@ def test_seed_workers_start_with_single_threaded_blas(monkeypatch):
 
 
 def test_run_matrix_reraises_a_seed_workers_error(tmp_path, monkeypatch):
-    # lr=1e38 passes validation; the first aligned student's weights then overflow
-    cfg = ExperimentConfig(**{**MINI, "lr": 1e38, "num_seeds": 2})
-    pools = _cpus(monkeypatch, 2)
-    with pytest.raises(ContractError):
-        cmd_run_matrix(cfg, 3, tmp_path)
-    assert pools == [2]
-    assert not (tmp_path / "metrics.csv").exists()
-    assert list(tmp_path.rglob("*.tmp")) == []
+    # lr=1e38 passes validation; the first aligned student's weights then overflow.
+    # Two seeds run a seed per worker; one seed training two encoders is split.
+    for seeds, methods in ((2, MINI["methods"]), (1, ("native-lp", "bap-zs", "lp-ft"))):
+        cfg = ExperimentConfig(**{**MINI, "lr": 1e38, "num_seeds": seeds, "methods": methods})
+        out = tmp_path / f"seeds{seeds}"
+        pools = _cpus(monkeypatch, 2)
+        with pytest.raises(ContractError):
+            cmd_run_matrix(cfg, 3, out)
+        assert pools == [2]
+        assert not (out / "metrics.csv").exists()
+        assert list(out.rglob("*.tmp")) == []
 
 
 def test_run_matrix_names_the_main_guard_when_its_pool_breaks(tmp_path, monkeypatch):

@@ -16,7 +16,7 @@ from anchorlab.evaluation import (
     retention_eval,
     train_probe,
 )
-from anchorlab.scene import DatasetSizes, build_grouped_dataset
+from anchorlab.scene import build_test_split, build_train_split
 
 
 # ---------------------------------------------------------------------------
@@ -49,7 +49,7 @@ def test_fit_linear_head_separable():
 
 def test_train_probe_requires_frozen(micro_world, micro_teacher):
     fgs, bgs = micro_world
-    train, test = build_grouped_dataset(fgs, bgs, 1.0, DatasetSizes(8, 2), 3)
+    train, test = build_train_split(fgs, bgs, 1.0, 8, 3), build_test_split(fgs, bgs, 2, 3)
     thawed = init_encoder("mlp", 1, d=8, input_hw=(32, 32))
     with pytest.raises(ContractError):
         train_probe(thawed, train)

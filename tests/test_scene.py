@@ -15,9 +15,8 @@ from anchorlab.scene import (
     DEGRADATIONS,
     GROUP_STYLES,
     SCENE_SCALE_RANGE,
-    DatasetSizes,
     ForegroundInstance,
-    build_grouped_dataset,
+    build_test_split,
     build_train_split,
     composite,
     degrade_mask,
@@ -373,8 +372,8 @@ def test_split_backgrounds_disjoint_stratified(micro_world):
 
 def test_build_grouped_dataset_counts(micro_world):
     fgs, bgs = micro_world
-    sizes = DatasetSizes(train_per_class=20, test_per_cell=5)
-    train, test = build_grouped_dataset(fgs, bgs, 0.9, sizes, 17)
+    train = build_train_split(fgs, bgs, 0.9, 20, 17)
+    test = build_test_split(fgs, bgs, 5, 17)
     assert len(train.items) == 40 and len(test.items) == 20
     for y in (0, 1):
         majority = sum(1 for it in train.items if it.y == y and it.g == y)
@@ -391,30 +390,33 @@ def test_build_grouped_dataset_counts(micro_world):
 
 def test_test_split_does_not_depend_on_the_rate(micro_world):
     fgs, bgs = micro_world
-    sizes = DatasetSizes(6, 3)
-    train, test = build_grouped_dataset(fgs, bgs, 0.9, sizes, 17)
-    # the pair is its two builders, and the test split is one for every rate
-    assert np.array_equal(train.rasters(), build_train_split(fgs, bgs, 0.9, 6, 17).rasters())
-    for rho in (1.0, 0.9, 0.5):
-        _, other = build_grouped_dataset(fgs, bgs, rho, sizes, 17)
-        assert np.array_equal(other.rasters(), test.rasters())
-        assert [it.comp.seed for it in other.items] == [it.comp.seed for it in test.items]
+    test = build_test_split(fgs, bgs, 3, 17)
+    again = build_test_split(fgs, bgs, 3, 17)
+    assert np.array_equal(again.rasters(), test.rasters())
+    assert [it.comp.seed for it in again.items] == [it.comp.seed for it in test.items]
     assert test.rho == BALANCED_RHO and test.split == "test"
+    # every rate's train split draws from the backgrounds the test split leaves out
+    test_bgs = {it.comp.bg_id for it in test.items}
+    for rho in (1.0, 0.9, 0.5):
+        train = build_train_split(fgs, bgs, rho, 6, 17)
+        assert train.rho == rho and train.split == "train"
+        assert {it.comp.bg_id for it in train.items} & test_bgs == set()
 
 
 def test_build_grouped_dataset_errors(micro_world):
     fgs, bgs = micro_world
-    sizes = DatasetSizes(4, 2)
     with pytest.raises(ConfigError):
-        build_grouped_dataset(fgs, bgs, 0.4, sizes, 1)
+        build_train_split(fgs, bgs, 0.4, 4, 1)
     three, _ = gen_world(2, 3, 2, 1, 2, (32, 32))
     with pytest.raises(ConfigError):
-        build_grouped_dataset(three, bgs, 0.9, sizes, 1)
+        build_train_split(three, bgs, 0.9, 4, 1)
+    with pytest.raises(ConfigError):
+        build_test_split(three, bgs, 2, 1)
 
 
 def test_dataset_rasters_are_one_read_only_array(micro_world):
     fgs, bgs = micro_world
-    for ds in build_grouped_dataset(fgs, bgs, 0.9, DatasetSizes(5, 2), 8):
+    for ds in (build_train_split(fgs, bgs, 0.9, 5, 8), build_test_split(fgs, bgs, 2, 8)):
         batch = ds.rasters()
         assert ds.rasters() is batch
         assert batch.dtype == np.float32 and not batch.flags.writeable
@@ -428,7 +430,7 @@ def test_dataset_rasters_are_one_read_only_array(micro_world):
 
 def test_dataset_accessors(micro_world):
     fgs, bgs = micro_world
-    train, _ = build_grouped_dataset(fgs, bgs, 1.0, DatasetSizes(4, 2), 3)
+    train = build_train_split(fgs, bgs, 1.0, 4, 3)
     assert train.rasters().shape == (8, 32, 32, 3)
     assert train.labels().shape == (8,)
     assert train.groups().shape == (8,)
@@ -441,8 +443,7 @@ def test_dataset_accessors(micro_world):
 
 def test_manifest_bitwise_regeneration(tmp_path):
     fgs, bgs = gen_world(31, 2, 2, 2, 5, (32, 32))
-    sizes = DatasetSizes(4, 2)
-    train, test = build_grouped_dataset(fgs, bgs, 1.0, sizes, 55)
+    train, test = build_train_split(fgs, bgs, 1.0, 4, 55), build_test_split(fgs, bgs, 2, 55)
     header = {"world_seed": 31, "num_classes": 2, "num_bg_groups": 2,
               "fg_per_class": 2, "bg_per_group": 5, "hw": [32, 32], "rho": 1.0,
               "data_seed": 55}
@@ -459,7 +460,7 @@ def test_manifest_bitwise_regeneration(tmp_path):
 
 def test_manifest_split_with_mixed_degradations_is_rejected(tmp_path):
     fgs, bgs = gen_world(31, 2, 2, 2, 5, (32, 32))
-    train, test = build_grouped_dataset(fgs, bgs, 1.0, DatasetSizes(4, 2), 55)
+    train, test = build_train_split(fgs, bgs, 1.0, 4, 55), build_test_split(fgs, bgs, 2, 55)
     header = {"world_seed": 31, "num_classes": 2, "num_bg_groups": 2,
               "fg_per_class": 2, "bg_per_group": 5, "hw": [32, 32], "rho": 1.0}
     path = tmp_path / "manifest.jsonl"
