@@ -132,6 +132,9 @@ class ExperimentConfig:
         if self.teacher == "learned-mlp" and self.teacher_epochs < 1:
             raise ConfigError(f"the learned-mlp teacher needs teacher_epochs >= 1, "
                               f"got {self.teacher_epochs}")
+        if self.teacher == "planted" and self.planted_alpha < 0:
+            raise ConfigError(f"the planted teacher needs planted_alpha >= 0, "
+                              f"got {self.planted_alpha}")
         if self.probe_lr <= 0:
             raise ConfigError(f"probe_lr must be positive, got {self.probe_lr}")
         # the alignment and lp-ft phases run under these settings
@@ -145,19 +148,41 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
-        raw = json.loads(text)
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(raw) - known
+        """A config from a JSON object of field overrides; each value must have its
+        default's type: an int (not a bool), a string, a number for a float field, a
+        list of the default's entry type for a tuple field."""
+        try:
+            raw = json.loads(text)
+        except json.JSONDecodeError as err:
+            raise ConfigError(f"config is not valid JSON: {err}") from None
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
+        fields = cls.__dataclass_fields__
+        unknown = set(raw) - set(fields)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        for key in ("rhos", "additivity_alphas", "k_grid", "methods"):
-            if key in raw:
-                raw[key] = tuple(raw[key])
-        return cls(**raw)
+        return cls(**{key: _json_value(key, value, fields[key].default)
+                      for key, value in raw.items()})
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
-        return cls.from_json(Path(path).read_text())
+        try:
+            text = Path(path).read_text()
+        except OSError as err:
+            raise ConfigError(f"cannot read config {path}: {err.strerror}") from None
+        return cls.from_json(text)
+
+
+def _json_value(key: str, value, default):
+    """`value` as the type of the field `key`'s `default`, or a ConfigError."""
+    if isinstance(default, tuple) and isinstance(value, list):
+        return tuple(_json_value(key, v, default[0]) for v in value)
+    if isinstance(default, float) and type(value) in (int, float):
+        return float(value)  # a seed derived from 1 differs from one derived from 1.0
+    if type(value) is not type(default):
+        kind = {int: "an integer", float: "a number", str: "a string"}.get(type(default), "a list")
+        raise ConfigError(f"config key {key!r} takes {kind}, got {value!r}")
+    return value
 
 
 @cache
@@ -179,15 +204,26 @@ def run_seeds(cfg: ExperimentConfig, global_seed: int) -> list[int]:
 # per-seed artifact cache
 
 
+@dataclass(frozen=True)
+class Trained:
+    """One frozen encoder of a seed, with everything its methods read from it."""
+
+    encoder: EncoderModel
+    bsi: float  # mean background-sensitivity index
+    trace: dict | None = None  # per-epoch traces of its training; None for native
+    head: evaluation.ProbeHead | None = None  # lp-ft's fine-tuned head
+    protos: dict[int, np.ndarray] | None = None  # class prototypes for zero-shot methods
+
+
 class SeedContext:
-    """Lazily built world, teacher and trained students for one seed.
+    """Lazily built world, teacher and trained encoders for one seed.
 
     Heavy artifacts are shared across methods and correlation rates: the
     anchor/alignment phases never see the downstream correlation, so one
     student serves every rho, and one balanced test split serves every rho.
-    Trained encoders are kept frozen, one copy each, until `release` drops
-    one.  Every stream the seed renders shares one `RenderMemo`, so each
-    distinct foreground size is resized once.
+    Each encoder a `METHODS` row names is built once, as one `Trained` record,
+    and kept until `release` drops it.  Every stream the seed renders shares
+    one `RenderMemo`, so each distinct foreground size is resized once.
     """
 
     def __init__(self, cfg: ExperimentConfig, seed: int):
@@ -195,7 +231,8 @@ class SeedContext:
         self.seed = seed
         self.data_seed = derive_seed(seed, "data")
         self.memo = scene.RenderMemo()
-        self._by_rho: dict = {}  # datasets, lp-ft and BSI, keyed by (artifact, ..., rho)
+        self._train_splits: dict[float, GroupedDataset] = {}
+        self._trained: dict[tuple[str, float | None], Trained] = {}
 
     @cached_property
     def world(self):
@@ -228,37 +265,6 @@ class SeedContext:
         return replace(base, **overrides) if overrides else base
 
     @cached_property
-    def anchor_set(self) -> anchors.AnchorSet:
-        return anchors.build_anchor_set(self.teacher, self.world[0], self.bg_pools[0],
-                                        self.cfg.K, derive_seed(self.seed, "anchors"),
-                                        degradation=self.cfg.degradation, memo=self.memo)
-
-    @cached_property
-    def bap_student(self):
-        student, log = alignment.train_bap(self.teacher, self.anchor_set, self.world[0],
-                                           self.bg_pools[0], self.align_config(),
-                                           memo=self.memo)
-        return freeze(student), log
-
-    @cached_property
-    def control_student(self):
-        student, log = alignment.train_control(self.teacher, self.world[0], self.bg_pools[0],
-                                               self.align_config(), memo=self.memo)
-        return freeze(student), log
-
-    @cached_property
-    def ortho_student(self):
-        fgs = self.world[0]
-        classes = sorted({fg.y for fg in fgs})
-        targets = anchors.orthogonal_targets(self.cfg.d, len(classes),
-                                             derive_seed(self.seed, "ortho"))
-        mapping = {y: i for i, y in enumerate(classes)}
-        student, log = alignment.train_orthogonal(self.teacher, targets, mapping, fgs,
-                                                  self.bg_pools[0], self.align_config(),
-                                                  memo=self.memo)
-        return freeze(student), log
-
-    @cached_property
     def test_split(self) -> GroupedDataset:
         fgs, bgs = self.world
         return scene.build_test_split(fgs, bgs, self.cfg.test_per_cell, self.data_seed,
@@ -266,77 +272,87 @@ class SeedContext:
 
     def datasets(self, rho: float) -> tuple[GroupedDataset, GroupedDataset]:
         """(train split at rho, the shared test split)."""
-        key = ("train", rho)
-        if key not in self._by_rho:
+        if rho not in self._train_splits:
             fgs, bgs = self.world
-            self._by_rho[key] = scene.build_train_split(fgs, bgs, rho, self.cfg.train_per_class,
-                                                        self.data_seed, memo=self.memo)
-        return self._by_rho[key], self.test_split
+            self._train_splits[rho] = scene.build_train_split(
+                fgs, bgs, rho, self.cfg.train_per_class, self.data_seed, memo=self.memo)
+        return self._train_splits[rho], self.test_split
 
-    @cached_property
-    def teacher_prototypes(self) -> dict[int, np.ndarray]:
-        fgs, bgs = self.world
-        by_class: dict[int, list] = {}
-        for fg in fgs:
-            by_class.setdefault(fg.y, []).append(fg)
-        exemplars = [fg for y in sorted(by_class) for fg in by_class[y][:40]]
-        return anchors.compute_prototypes(self.teacher, exemplars, bgs,
-                                          derive_seed(self.seed, "protos"),
-                                          memo=self.memo).by_class
+    @staticmethod
+    def _key(name: str, rho: float) -> tuple[str, float | None]:
+        # lp-ft fine-tunes on the train split, so only its encoder depends on rho
+        return name, rho if name == "lp-ft" else None
 
-    @cached_property
-    def anchor_prototypes(self) -> dict[int, np.ndarray]:
-        by_class: dict[int, list[np.ndarray]] = {}
-        for fg in self.world[0]:
-            by_class.setdefault(fg.y, []).append(self.anchor_set.anchors[fg.id])
-        out = {}
-        for y, vecs in sorted(by_class.items()):
-            m = np.stack(vecs).astype(np.float64).mean(axis=0)
-            out[y] = (m / np.linalg.norm(m)).astype(np.float32)
-        return out
-
-    def lp_ft(self, rho: float):
-        """(frozen fine-tuned model, its head, its WGA/AVG traces) at one rate."""
-        key = ("lp-ft", rho)
-        if key not in self._by_rho:
-            train, test = self.datasets(rho)
-            cfg = self.align_config(epochs=self.cfg.ft_epochs,
-                                    seed=derive_seed(self.seed, "lp-ft", rho))
-            model, head, traces = alignment.finetune_on_correlated(self.teacher, train,
-                                                                   test, cfg)
-            self._by_rho[key] = freeze(model), head, traces
-        return self._by_rho[key]
-
-    def encoder(self, name: str, rho: float) -> EncoderModel:
-        """The frozen encoder named in a `METHODS` row; only lp-ft's depends on rho."""
-        if name == "native":
-            return self.teacher
-        if name == "lp-ft":
-            return self.lp_ft(rho)[0]
-        return getattr(self, f"{name}_student")[0]
-
-    def release(self, name: str, rho: float) -> None:
-        """Drop the trained encoder `encoder(name, rho)` returns, with what only it uses:
-        a student's training log, lp-ft's head and traces at that rate, bap's anchor
-        set and prototypes.  The teacher stays, since every student is cloned from it;
-        a released encoder is trained again if it is asked for again."""
-        if name == "lp-ft":
-            self._by_rho.pop(("lp-ft", rho), None)
-        elif name != "native":
-            extra = ("anchor_set", "anchor_prototypes") if name == "bap" else ()
-            for attr in (f"{name}_student", *extra):
-                self.__dict__.pop(attr, None)
-
-    def bsi(self, name: str, rho: float) -> float:
-        """Mean background-sensitivity index of one encoder, computed once."""
-        key = ("bsi", name, rho if name == "lp-ft" else None)
-        if key not in self._by_rho:
+    def trained(self, name: str, rho: float) -> Trained:
+        """The record of the encoder a `METHODS` row names, built with its BSI once."""
+        key = self._key(name, rho)
+        if key not in self._trained:
+            fields = self._BUILDERS[name](self, rho)
             _, bg_test = self.bg_pools
-            report = evaluation.bsi_protocol(self.encoder(name, rho), self.world[0], bg_test,
+            report = evaluation.bsi_protocol(fields["encoder"], self.world[0], bg_test,
                                              n_pairs=48, seed=derive_seed(self.seed, "bsi"),
                                              memo=self.memo)
-            self._by_rho[key] = report.mean
-        return self._by_rho[key]
+            self._trained[key] = Trained(bsi=report.mean, **fields)
+        return self._trained[key]
+
+    def release(self, name: str, rho: float) -> None:
+        """Drop the record `trained(name, rho)` returns, and with it all that only that
+        encoder used.  The teacher stays, since every student is cloned from it; a
+        released encoder is built again if it is asked for again."""
+        self._trained.pop(self._key(name, rho), None)
+
+    # one builder per encoder name: the fields of its `Trained` record but the BSI
+
+    def _build_native(self, rho: float) -> dict:
+        # the teacher is scored zero-shot against its own class prototypes
+        fgs, bgs = self.world
+        exemplars = [fg for y in sorted({fg.y for fg in fgs})
+                     for fg in [f for f in fgs if f.y == y][:40]]
+        protos = anchors.compute_prototypes(self.teacher, exemplars, bgs,
+                                            derive_seed(self.seed, "protos"),
+                                            memo=self.memo).by_class
+        return {"encoder": self.teacher, "protos": protos}
+
+    def _build_lp_ft(self, rho: float) -> dict:
+        train, test = self.datasets(rho)
+        cfg = self.align_config(epochs=self.cfg.ft_epochs,
+                                seed=derive_seed(self.seed, "lp-ft", rho))
+        model, head, traces = alignment.finetune_on_correlated(self.teacher, train, test, cfg)
+        return {"encoder": freeze(model), "head": head, "trace": traces}
+
+    def _student(self, train, *targets) -> dict:
+        """A student that `train` aligns from the teacher on the seed's composite
+        stream toward `targets`, frozen, with its per-epoch loss and LR."""
+        student, log = train(self.teacher, *targets, self.world[0], self.bg_pools[0],
+                             self.align_config(), memo=self.memo)
+        return {"encoder": freeze(student),
+                "trace": {"epoch_loss": log.epoch_loss, "epoch_lr": log.epoch_lr}}
+
+    def _build_control(self, rho: float) -> dict:
+        return self._student(alignment.train_control)
+
+    def _build_bap(self, rho: float) -> dict:
+        fgs = self.world[0]
+        anchor_set = anchors.build_anchor_set(self.teacher, fgs, self.bg_pools[0], self.cfg.K,
+                                              derive_seed(self.seed, "anchors"),
+                                              degradation=self.cfg.degradation, memo=self.memo)
+        # the student is scored zero-shot against the unit mean of each class's anchors
+        protos = {}
+        for y in sorted({fg.y for fg in fgs}):
+            vecs = [anchor_set.anchors[fg.id] for fg in fgs if fg.y == y]
+            m = np.stack(vecs).astype(np.float64).mean(axis=0)
+            protos[y] = (m / np.linalg.norm(m)).astype(np.float32)
+        return {**self._student(alignment.train_bap, anchor_set), "protos": protos}
+
+    def _build_ortho(self, rho: float) -> dict:
+        classes = sorted({fg.y for fg in self.world[0]})
+        targets = anchors.orthogonal_targets(self.cfg.d, len(classes),
+                                             derive_seed(self.seed, "ortho"))
+        return self._student(alignment.train_orthogonal, targets,
+                             {y: i for i, y in enumerate(classes)})
+
+    _BUILDERS = {"native": _build_native, "lp-ft": _build_lp_ft, "control": _build_control,
+                 "bap": _build_bap, "ortho": _build_ortho}
 
 
 # ---------------------------------------------------------------------------
@@ -349,35 +365,18 @@ def evaluate_method(ctx: SeedContext, method: str, rho: float):
         raise ConfigError(f"unknown method tag {method!r}")
     name, how = METHODS[method]
     train, test = ctx.datasets(rho)
-    encoder = ctx.encoder(name, rho)
+    rec = ctx.trained(name, rho)
     if how == "zs":
-        # the teacher is scored against its own prototypes, a student against the anchors'
-        protos = ctx.teacher_prototypes if name == "native" else ctx.anchor_prototypes
-        preds = evaluation.prototype_predict(encoder, protos, test.rasters())
+        preds = evaluation.prototype_predict(rec.encoder, rec.protos, test.rasters())
     elif how == "ft":
-        preds = evaluation.probe_predict(encoder, ctx.lp_ft(rho)[1], test.rasters())
+        preds = evaluation.probe_predict(rec.encoder, rec.head, test.rasters())
     else:
-        head = evaluation.train_probe(encoder, train,
+        head = evaluation.train_probe(rec.encoder, train,
                                       seed=derive_seed(ctx.seed, f"probe-{name}", rho),
                                       epochs=ctx.cfg.probe_epochs, lr=ctx.cfg.probe_lr)
-        preds = evaluation.probe_predict(encoder, head, test.rasters())
+        preds = evaluation.probe_predict(rec.encoder, head, test.rasters())
     gm = evaluation.group_metrics(preds, test.labels(), test.groups())
-    return gm, ctx.bsi(name, rho)
-
-
-def _training_trace(ctx: SeedContext, method: str, rho: float) -> dict | None:
-    """Per-epoch traces of the training run behind a method, None for native ones.
-
-    Students give their loss and LR per epoch; lp-ft gives WGA and AVG on the
-    balanced test split, from the frozen-probe baseline (epoch 0) on.
-    """
-    name, _ = METHODS[method]
-    if name == "native":
-        return None
-    if name == "lp-ft":
-        return ctx.lp_ft(rho)[2]
-    log = getattr(ctx, f"{name}_student")[1]
-    return {"epoch_loss": log.epoch_loss, "epoch_lr": log.epoch_lr}
+    return gm, rec.bsi
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +547,7 @@ def _run_seed(cfg: ExperimentConfig, out: Path, run_idx: int, run_seed: int,
                     out, f"{method}-rho{rho:g}-s{run_idx}", cfg, run_seed, {
                         "rho": rho, "method": method, "run_index": run_idx,
                         "metrics": _metrics(gm, bsi_value),
-                        "trace": _training_trace(ctx, method, rho),
+                        "trace": ctx.trained(name, rho).trace,
                         "wall_s": round(time.perf_counter() - t0, 3)})
             # lp-ft trains one encoder per rate, the others serve every rate
             if name == "lp-ft" or rho == cfg.rhos[-1]:
@@ -694,16 +693,9 @@ def cmd_report(out) -> Path:
     out = Path(out)
     lines = []
     missing = []
-    artifacts = {
-        "metrics": out / "metrics.csv",
-        "summary": out / "summary.csv",
-        "k_ablation": out / "k_ablation.csv",
-        "additivity": out / "additivity.csv",
-        "ablate_seg": out / "ablate_seg.csv",
-        "ablate_n_sweep": out / "ablate_n_sweep.csv",
-        "ablate_m_sweep": out / "ablate_m_sweep.csv",
-        "ablate_k_train_sweep": out / "ablate_k_train_sweep.csv",
-    }
+    artifacts = {name: out / f"{name}.csv" for name in (
+        "metrics", "summary", "k_ablation", "additivity", "ablate_seg", "ablate_n_sweep",
+        "ablate_m_sweep", "ablate_k_train_sweep")}
     for name, path in artifacts.items():
         if path.exists():
             lines.append(f"{name}: {path.name}")
@@ -780,26 +772,33 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; a ConfigError is reported the way argparse reports a bad flag."""
     args = _build_parser().parse_args(argv)
-    if args.command == "report":
-        path = cmd_report(args.out)
-        print(f"wrote {path}")
-        return 0
-    cfg = ExperimentConfig.load(args.config) if args.config else ExperimentConfig()
-    if args.command == "gen-data":
-        paths = cmd_gen_data(cfg, args.seed, args.out)
-        for path in paths:
-            print(f"wrote {path}")
-    elif args.command == "probe-additivity":
-        print(f"wrote {cmd_probe_additivity(cfg, args.seed, args.out)}")
-    elif args.command == "k-ablation":
-        print(f"wrote {cmd_k_ablation(cfg, args.seed, args.out)}")
-    elif args.command == "run-matrix":
-        methods = args.methods.split(",") if args.methods else None
-        rhos = [float(r) for r in args.rho.split(",")] if args.rho else None
-        print(f"wrote {cmd_run_matrix(cfg, args.seed, args.out, methods, rhos)}")
-    elif args.command == "ablate":
-        print(f"wrote {cmd_ablate(cfg, args.seed, args.out, args.which)}")
+    try:
+        if args.command == "report":
+            print(f"wrote {cmd_report(args.out)}")
+            return 0
+        cfg = ExperimentConfig.load(args.config) if args.config else ExperimentConfig()
+        if args.command == "gen-data":
+            for path in cmd_gen_data(cfg, args.seed, args.out):
+                print(f"wrote {path}")
+        elif args.command == "probe-additivity":
+            print(f"wrote {cmd_probe_additivity(cfg, args.seed, args.out)}")
+        elif args.command == "k-ablation":
+            print(f"wrote {cmd_k_ablation(cfg, args.seed, args.out)}")
+        elif args.command == "run-matrix":
+            methods = args.methods.split(",") if args.methods else None
+            try:
+                rhos = [float(r) for r in args.rho.split(",")] if args.rho else None
+            except ValueError:
+                raise ConfigError(f"--rho takes comma-separated numbers, got {args.rho!r}") \
+                    from None
+            print(f"wrote {cmd_run_matrix(cfg, args.seed, args.out, methods, rhos)}")
+        elif args.command == "ablate":
+            print(f"wrote {cmd_ablate(cfg, args.seed, args.out, args.which)}")
+    except ConfigError as err:
+        print(f"anchorlab: error: {err}", file=sys.stderr)
+        return 2
     return 0
 
 

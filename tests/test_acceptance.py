@@ -324,7 +324,7 @@ def test_orthogonal_targets_destroy_transfer(matrix):
         rasters.append(make_composite(fg, bg, derive_seed(s0, "ood2", i)).raster)
         ys.append(fg.y)
         gs.append(bg.g)
-    preds = evaluation.prototype_predict(freeze(ctx0.ortho_student[0]), protos,
+    preds = evaluation.prototype_predict(freeze(ctx0.trained("ortho", 1.0).encoder), protos,
                                          np.stack(rasters))
     gm_ood = evaluation.group_metrics(preds, np.array(ys), np.array(gs))
     assert gm_in.wga >= 0.85 and gm_ood.wga <= 0.40, \
@@ -342,7 +342,7 @@ def test_embedding_variance_contracts(matrix):
     fgs, _ = ctx0.world
     _, bg_test = ctx0.bg_pools
     teacher = ctx0.teacher
-    student = freeze(ctx0.bap_student[0])
+    student = freeze(ctx0.trained("bap", 1.0).encoder)
     wins = 0
     for fg in fgs:
         g = rng(s0, "contract", fg.id)
@@ -413,7 +413,8 @@ def test_finetuning_erodes_worst_group_first(matrix):
     cfg = matrix["cfg"]
     train, test = ctx0.datasets(1.0)
     ft_cfg = ctx0.align_config(epochs=cfg.ft_epochs, seed=derive_seed(s0, "ft-degrade"))
-    _, _, traces = alignment.finetune_on_correlated(ctx0.bap_student[0], train, test, ft_cfg)
+    _, _, traces = alignment.finetune_on_correlated(ctx0.trained("bap", 1.0).encoder, train,
+                                                    test, ft_cfg)
     wga_drop = traces["wga"][0] - traces["wga"][-1]
     avg_drop = traces["avg"][0] - traces["avg"][-1]
     assert wga_drop >= 0.20 and avg_drop < wga_drop, \
@@ -430,7 +431,7 @@ def test_background_information_is_suppressed(matrix):
     s0 = matrix["seeds"][0]
     fgs, _ = ctx0.world
     bg_all = ctx0.bg_pools[0] + ctx0.bg_pools[1]
-    before, after = evaluation.retention_eval(ctx0.teacher, ctx0.bap_student[0],
+    before, after = evaluation.retention_eval(ctx0.teacher, ctx0.trained("bap", 1.0).encoder,
                                               bg_all, fgs, seed=derive_seed(s0, "retention"))
     assert before - after >= 0.20, \
         f"background-group probe accuracy {before:.3f}->{after:.3f} (need drop >= 0.20)"

@@ -118,6 +118,38 @@ def test_config_rejects_untrainable_teacher():
         ExperimentConfig(**{**MINI, "teacher": "learned-mlp", "teacher_epochs": 0})
     # the planted teacher is built, not trained, so its epochs are never read
     ExperimentConfig(**{**MINI, "teacher": "planted", "teacher_epochs": 0})
+    with pytest.raises(ConfigError, match="planted_alpha"):
+        ExperimentConfig(**{**MINI, "teacher": "planted", "planted_alpha": -0.5})
+    # and the learned teacher never reads the planted one's alpha
+    ExperimentConfig(**{**MINI, "teacher": "learned-mlp", "planted_alpha": -0.5})
+
+
+@pytest.mark.parametrize("text, key", [
+    ('{"epochs": 2.5}', "epochs"),
+    ('{"d": 2.5}', "d"),
+    ('{"train_per_class": 8.5}', "train_per_class"),
+    ('{"num_seeds": "2"}', "num_seeds"),
+    ('{"num_seeds": true}', "num_seeds"),
+    ('{"lr": "0.001"}', "lr"),
+    ('{"lr": false}', "lr"),
+    ('{"teacher": null}', "teacher"),
+    ('{"rhos": 1.0}', "rhos"),
+    ('{"rhos": [1.0, "0.95"]}', "rhos"),
+    ('{"k_grid": [1, 2.0]}', "k_grid"),
+    ('{"methods": ["native-lp", 3]}', "methods"),
+    ('{"epochs": ', "not valid JSON"),
+    ('[{"epochs": 11}]', "JSON object"),
+])
+def test_config_from_json_rejects_mistyped_values(text, key):
+    with pytest.raises(ConfigError, match=key):
+        ExperimentConfig.from_json(text)
+
+
+def test_config_from_json_reads_an_int_as_a_float():
+    # seeds derive from the printed value, so a rate of 1 must become 1.0
+    cfg = ExperimentConfig.from_json('{"rhos": [1, 0.95], "lr": 1}')
+    assert cfg == ExperimentConfig(rhos=(1.0, 0.95), lr=1.0)
+    assert [type(v) for v in (*cfg.rhos, cfg.lr)] == [float, float, float]
 
 
 def test_run_matrix_fails_before_any_run(tmp_path, mini_cfg):
@@ -206,7 +238,7 @@ def test_method_table_builds_each_encoder_and_bsi_once(monkeypatch):
     first = every_method()
     # native, control, bap and ortho once each, lp-ft once per rate
     assert calls.count("bsi") == 6
-    assert all(ctx.encoder(name, 1.0).frozen for name, _ in cli.METHODS.values())
+    assert all(ctx.trained(name, 1.0).encoder.frozen for name, _ in cli.METHODS.values())
     calls.clear()
     assert every_method() == first
     assert calls == []
@@ -268,6 +300,22 @@ def test_run_seed_holds_one_trained_encoder_at_a_time(tmp_path, monkeypatch):
     assert alive_at_freeze == [["lp-ft-0"], ["lp-ft-1"], ["control-2"], ["anchors", "bap-3"],
                                ["ortho-4"]]
     assert len(list((tmp_path / "runs").iterdir())) == 2 * len(ALL_METHODS)
+
+
+def test_release_drops_one_record_and_a_rebuild_matches_it():
+    cfg = ExperimentConfig(**{**MINI, "epochs": 11, "rhos": (1.0, 0.95),
+                              "methods": ALL_METHODS})
+    ctx = SeedContext(cfg, 123)
+    ft95 = ctx.trained("lp-ft", 0.95)
+    for name in cli.ENCODERS:
+        first = ctx.trained(name, 1.0)
+        ctx.release(name, 1.0)
+        again = ctx.trained(name, 1.0)
+        assert again is not first
+        assert again.encoder.param_checksum() == first.encoder.param_checksum()
+        assert (again.bsi, again.trace) == (first.bsi, first.trace)
+    # lp-ft trains one encoder per rate: releasing it at 1.0 kept the one at 0.95
+    assert ctx.trained("lp-ft", 0.95) is ft95
 
 
 def test_run_seed_runs_only_the_given_encoders(tmp_path):
@@ -638,6 +686,24 @@ def test_main_run_matrix_subset(tmp_path, mini_cfg):
     lines = (tmp_path / "out" / "metrics.csv").read_text().strip().splitlines()
     assert len(lines) == 2
     assert lines[1].split(",")[1] == "native-zs"
+
+
+@pytest.mark.parametrize("config, flags", [
+    ('{"epochs": 2.5}', []),
+    ('{"epochs": ', []),
+    (None, []),  # no config file at the path
+    (ExperimentConfig(**MINI).to_json(), ["--rho", "abc"]),
+    (ExperimentConfig(**MINI).to_json(), ["--methods", "dro"]),
+])
+def test_main_reports_a_bad_config_and_writes_nothing(tmp_path, capsys, config, flags):
+    cfg_path = tmp_path / "cfg.json"
+    if config is not None:
+        cfg_path.write_text(config)
+    out = tmp_path / "out"
+    rc = main(["run-matrix", "--config", str(cfg_path), "--out", str(out), *flags])
+    err = capsys.readouterr().err
+    assert rc == 2 and not out.exists()
+    assert err.startswith("anchorlab: error: ") and "Traceback" not in err
 
 
 def test_all_methods_cover_matrix():
