@@ -89,11 +89,16 @@ def extract_anchor(teacher: EncoderModel, fg: ForegroundInstance,
     g = rng(seed, "anchor", fg.id, K)
     picks, _ = _sample_pool(bg_pool, K, g)
     rasters = render([(fg, bg, ANCHOR_SCALE) for bg in picks], degradation, memo)
-    embs = encode_np(teacher, rasters).astype(np.float64)
-    mean = embs.mean(axis=0)
+    return unit_mean(encode_np(teacher, rasters), f"anchor for {fg.id}")
+
+
+def unit_mean(vecs, what: str) -> np.ndarray:
+    """The mean of the rows of `vecs`, taken in 64-bit and scaled to unit length, as
+    float32; `what` names the vector in the error a zero-norm mean raises."""
+    mean = np.asarray(vecs).astype(np.float64).mean(axis=0)
     norm = np.linalg.norm(mean)
     if norm < _EPS:
-        raise DegenerateInputError(f"anchor for {fg.id} collapsed to the zero vector")
+        raise DegenerateInputError(f"{what} collapsed to the zero vector")
     return (mean / norm).astype(np.float32)
 
 
@@ -164,11 +169,12 @@ def residual_variance(teacher: EncoderModel, bg_pool, K: int, trials: int,
 
 
 def compute_prototypes(teacher: EncoderModel, foregrounds, backgrounds,
-                       seed: int = 0, memo: RenderMemo | None = None) -> Prototypes:
+                       memo: RenderMemo | None = None) -> Prototypes:
     """Class and background-group prototypes as normalized mean embeddings.
 
     Class prototypes come from isolated foregrounds on the neutral canvas;
-    group prototypes from pure backgrounds.
+    group prototypes from pure backgrounds, one per group present, so an
+    empty `backgrounds` gives the class prototypes alone.
     """
     by_class: dict[int, list[ForegroundInstance]] = {}
     for fg in foregrounds:
@@ -177,17 +183,13 @@ def compute_prototypes(teacher: EncoderModel, foregrounds, backgrounds,
     class_protos = {}
     for y, members in sorted(by_class.items()):
         rasters = render([(fg, neutral, ANCHOR_SCALE) for fg in members], memo=memo)
-        embs = encode_np(teacher, rasters).astype(np.float64)
-        m = embs.mean(axis=0)
-        class_protos[y] = (m / np.linalg.norm(m)).astype(np.float32)
+        class_protos[y] = unit_mean(encode_np(teacher, rasters), f"class {y} prototype")
     by_group: dict[int, list[BackgroundImage]] = {}
     for bg in backgrounds:
         by_group.setdefault(bg.g, []).append(bg)
-    group_protos = {}
-    for grp, pool in sorted(by_group.items()):
-        embs = background_embeddings(teacher, pool).astype(np.float64)
-        m = embs.mean(axis=0)
-        group_protos[grp] = (m / np.linalg.norm(m)).astype(np.float32)
+    group_protos = {grp: unit_mean(background_embeddings(teacher, pool),
+                                   f"background group {grp} prototype")
+                    for grp, pool in sorted(by_group.items())}
     return Prototypes(by_class=class_protos, by_group=group_protos)
 
 

@@ -304,12 +304,12 @@ class SeedContext:
     # one builder per encoder name: the fields of its `Trained` record but the BSI
 
     def _build_native(self, rho: float) -> dict:
-        # the teacher is scored zero-shot against its own class prototypes
-        fgs, bgs = self.world
+        # the teacher is scored zero-shot against its own class prototypes; no
+        # backgrounds, since the group prototypes would go unread
+        fgs = self.world[0]
         exemplars = [fg for y in sorted({fg.y for fg in fgs})
                      for fg in [f for f in fgs if f.y == y][:40]]
-        protos = anchors.compute_prototypes(self.teacher, exemplars, bgs,
-                                            derive_seed(self.seed, "protos"),
+        protos = anchors.compute_prototypes(self.teacher, exemplars, (),
                                             memo=self.memo).by_class
         return {"encoder": self.teacher, "protos": protos}
 
@@ -337,11 +337,9 @@ class SeedContext:
                                               derive_seed(self.seed, "anchors"),
                                               degradation=self.cfg.degradation, memo=self.memo)
         # the student is scored zero-shot against the unit mean of each class's anchors
-        protos = {}
-        for y in sorted({fg.y for fg in fgs}):
-            vecs = [anchor_set.anchors[fg.id] for fg in fgs if fg.y == y]
-            m = np.stack(vecs).astype(np.float64).mean(axis=0)
-            protos[y] = (m / np.linalg.norm(m)).astype(np.float32)
+        protos = {y: anchors.unit_mean([anchor_set.anchors[fg.id] for fg in fgs if fg.y == y],
+                                       f"class {y} anchor mean")
+                  for y in sorted({fg.y for fg in fgs})}
         return {**self._student(alignment.train_bap, anchor_set), "protos": protos}
 
     def _build_ortho(self, rho: float) -> dict:
@@ -443,8 +441,7 @@ def cmd_k_ablation(cfg: ExperimentConfig, seed: int, out) -> Path:
     ctx = SeedContext(cfg, derive_seed(seed, "run", 0))
     fgs, bgs = ctx.world
     teacher = ctx.teacher
-    protos = anchors.compute_prototypes(teacher, fgs, bgs, derive_seed(seed, "protos"),
-                                        memo=ctx.memo)
+    protos = anchors.compute_prototypes(teacher, fgs, bgs, memo=ctx.memo)
     report = anchors.k_sweep(teacher, fgs[: min(len(fgs), 50)], bgs, cfg.k_grid,
                              protos, derive_seed(seed, "ksweep"),
                              var_trials=cfg.var_trials)
@@ -613,7 +610,8 @@ def cmd_run_matrix(cfg: ExperimentConfig, seed: int, out,
     in this process.  The output is the same.
     """
     # the records carry the grid that runs; a bad override raises ConfigError here
-    cfg = replace(cfg, methods=tuple(methods or cfg.methods), rhos=tuple(rhos or cfg.rhos))
+    cfg = replace(cfg, methods=tuple(cfg.methods if methods is None else methods),
+                  rhos=tuple(cfg.rhos if rhos is None else rhos))
     out = _ensure_out(out)
     seeds = run_seeds(cfg, seed)
     cpus = _usable_cpus()
@@ -787,9 +785,10 @@ def main(argv=None) -> int:
         elif args.command == "k-ablation":
             print(f"wrote {cmd_k_ablation(cfg, args.seed, args.out)}")
         elif args.command == "run-matrix":
-            methods = args.methods.split(",") if args.methods else None
+            # only an absent flag falls back to the config's grid; an empty one is an error
+            methods = None if args.methods is None else args.methods.split(",")
             try:
-                rhos = [float(r) for r in args.rho.split(",")] if args.rho else None
+                rhos = None if args.rho is None else [float(r) for r in args.rho.split(",")]
             except ValueError:
                 raise ConfigError(f"--rho takes comma-separated numbers, got {args.rho!r}") \
                     from None

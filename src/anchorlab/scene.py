@@ -174,10 +174,11 @@ def _fg_texture(base, H: int, W: int, g: np.random.Generator) -> np.ndarray:
     return np.clip(tex, 0.0, 1.0)
 
 
-def make_foreground(seed: int, fg_id: str, y: int, style_idx: int,
+def make_foreground(seed: int, fg_id: str, y: int,
                     hw: tuple[int, int] = (64, 64)) -> ForegroundInstance:
+    """Foreground `fg_id` of class `y`, drawn in the class's `CLASS_STYLES` shape."""
     H, W = hw
-    shape, base = CLASS_STYLES[style_idx]
+    shape, base = CLASS_STYLES[y]
     g = rng(seed, "fg", fg_id)
     R = g.uniform(0.28, 0.38) * min(H, W)
     cr = H / 2 + g.uniform(-2, 2)
@@ -254,7 +255,7 @@ def gen_world(seed: int, num_classes: int, num_bg_groups: int,
     for y in range(num_classes):
         for i in range(fg_per_class):
             fg_id = f"fg-{y}-{i}"
-            fg = make_foreground(seed, fg_id, y, y, hw)
+            fg = make_foreground(seed, fg_id, y, hw)
             support = (fg.mask > 0).mean()
             if support > 0.64:
                 raise ConfigError(f"foreground {fg_id} support fraction {support:.2f} > 0.64")
@@ -619,33 +620,67 @@ def write_manifest(path, train: GroupedDataset, test: GroupedDataset,
                 fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
-def read_manifest(path) -> tuple[dict, list[dict]]:
+# what `regenerate_from_manifest` reads from the header and from each item line
+_HEADER_FIELDS = ("world_seed", "num_classes", "num_bg_groups", "fg_per_class",
+                  "bg_per_group", "hw", "rho")
+_ITEM_FIELDS = ("fg_id", "bg_id", "split", "degradation", "seed")
+
+
+def _numbered_records(path) -> tuple[dict, list[tuple[int, dict]]]:
+    """(header, [(line number, item record)]); a line that is not a JSON object
+    raises a ManifestError naming its number."""
     header = None
     items = []
     with open(path) as fh:
-        for line in fh:
-            rec = json.loads(line)
+        for lineno, line in enumerate(fh, 1):
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as err:
+                raise ManifestError(f"manifest line {lineno} is not JSON: {err.msg}") from None
+            if not isinstance(rec, dict):
+                raise ManifestError(f"manifest line {lineno} is not a JSON object")
             if rec.get("kind") == "header":
                 header = rec
             else:
-                items.append(rec)
+                items.append((lineno, rec))
     if header is None:
         raise ConfigError("manifest missing header record")
     return header, items
 
 
+def read_manifest(path) -> tuple[dict, list[dict]]:
+    header, items = _numbered_records(path)
+    return header, [rec for _, rec in items]
+
+
+def _require(rec: dict, fields, where: str) -> None:
+    missing = [key for key in fields if key not in rec]
+    if missing:
+        raise ManifestError(f"{where} has no {', '.join(map(repr, missing))}")
+
+
 def regenerate_from_manifest(path) -> tuple[GroupedDataset, GroupedDataset]:
-    """Rebuild all composite rasters from a manifest alone (bitwise identical)."""
-    header, items = read_manifest(path)
+    """Rebuild all composite rasters from a manifest alone (bitwise identical).
+
+    A header or item line that lacks a field, or an item naming a foreground or
+    background the header's world does not hold, raises a ManifestError."""
+    header, numbered = _numbered_records(path)
+    _require(header, _HEADER_FIELDS, "manifest header")
     fgs, bgs = gen_world(header["world_seed"], header["num_classes"],
                          header["num_bg_groups"], header["fg_per_class"],
                          header["bg_per_group"], tuple(header["hw"]))
     fg_map = {f.id: f for f in fgs}
     bg_map = {b.id: b for b in bgs}
+    for lineno, rec in numbered:
+        _require(rec, _ITEM_FIELDS, f"manifest line {lineno}")
+        for key, known in (("fg_id", fg_map), ("bg_id", bg_map)):
+            if rec[key] not in known:
+                raise ManifestError(f"manifest line {lineno}: {key} {rec[key]!r} is not in "
+                                    f"the header's world")
     memo = RenderMemo()
     out = []
     for split in ("train", "test"):
-        recs = [rec for rec in items if rec["split"] == split]
+        recs = [rec for _, rec in numbered if rec["split"] == split]
         modes = {rec["degradation"] for rec in recs}
         if len(modes) != 1:
             raise ManifestError(f"{split} split needs one degradation, has {sorted(modes)}")

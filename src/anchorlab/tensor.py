@@ -337,18 +337,18 @@ def cosine_sim_np(u: np.ndarray, v: np.ndarray) -> float:
 
 
 _CHUNK = 32768  # elements per AdamW block: 128 KB per float32 array, so a block stays in L2
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class AdamW:
     """AdamW with decoupled weight decay and standard bias correction.
 
-    Betas and epsilon are fixed package-wide defaults (0.9 / 0.999 / 1e-8).
+    Betas and epsilon are the package-wide `ADAM_BETA1` / `ADAM_BETA2` / `ADAM_EPS`.
     The step updates each parameter and its moments in place, block by block
     through two scratch buffers, so it allocates nothing per step.
     """
 
-    def __init__(self, params: dict[str, Tensor], lr: float, weight_decay: float = 0.0,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict[str, Tensor], lr: float, weight_decay: float = 0.0):
         for name, p in params.items():
             # a flat view of a non-contiguous array is a copy, and the update would be lost
             if not p.data.flags.c_contiguous:
@@ -356,7 +356,6 @@ class AdamW:
         self.params = params
         self.lr = float(lr)
         self.weight_decay = float(weight_decay)
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.step_count = 0
         self._m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self._v = {k: np.zeros_like(p.data) for k, p in params.items()}
@@ -366,7 +365,7 @@ class AdamW:
     def step(self) -> None:
         self.step_count += 1
         t = self.step_count
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         bc1 = 1.0 - b1**t
         bc2 = 1.0 - b2**t
         lr = np.float32(self.lr)
@@ -395,7 +394,7 @@ class AdamW:
                 np.divide(mb, bc1, out=s)
                 np.divide(vb, bc2, out=u)
                 np.sqrt(u, out=u)
-                u += self.eps
+                u += ADAM_EPS
                 s /= u
                 if decay is not None:
                     np.multiply(pb, decay, out=u)

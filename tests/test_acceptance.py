@@ -1,10 +1,12 @@
 """Acceptance gate: one test per criterion, run on the default configuration.
 
-The heavyweight world/teacher/student artifacts for the end-to-end criteria
-are built once in a module fixture and shared; the remaining criteria use
-small dedicated worlds or exact oracles.
+The end-to-end criteria read the run records of one `run-matrix` call on the
+default configuration, made by a module fixture; the criteria that probe seed
+0's world, teacher and students share one in-process `SeedContext`; the
+remaining criteria use small dedicated worlds or exact oracles.
 """
 
+import json
 import math
 import time
 from dataclasses import replace
@@ -47,34 +49,39 @@ def probe_world():
 
 
 @pytest.fixture(scope="module")
-def matrix():
-    """Full multi-seed evaluation on the default configuration.
+def matrix(tmp_path_factory):
+    """The default configuration's multi-seed grid, run by the lab's own `run-matrix`.
 
     Per seed: worst-group accuracies for the native probe, the aligned
     student's probe at both correlation rates and the data-matched control,
-    plus background-sensitivity indices for the three encoder states.
+    plus background-sensitivity indices for the three encoder states.  Each
+    number is the full-precision float of its run record, not the rounded
+    `metrics.csv` cell.
     """
     cfg = ExperimentConfig()
-    seeds = run_seeds(cfg, GLOBAL_SEED)
+    out = tmp_path_factory.mktemp("matrix")
     t0 = time.perf_counter()
-    rows = []
-    bsis = {"bap": [], "control": [], "lp-ft": []}
-    ctxs = []
-    for s in seeds:
-        ctx = SeedContext(cfg, s)
-        ctxs.append(ctx)
-        gm_native, _ = evaluate_method(ctx, "native-lp", 1.0)
-        gm_bap, bsi_bap = evaluate_method(ctx, "bap-lp", 1.0)
-        gm_control, bsi_control = evaluate_method(ctx, "control", 1.0)
-        gm_bap95, _ = evaluate_method(ctx, "bap-lp", 0.95)
-        _, bsi_ft = evaluate_method(ctx, "lp-ft", 1.0)
-        rows.append((gm_native.wga, gm_bap.wga, gm_control.wga, gm_bap95.wga))
-        bsis["bap"].append(bsi_bap)
-        bsis["control"].append(bsi_control)
-        bsis["lp-ft"].append(bsi_ft)
+    cmd_run_matrix(cfg, GLOBAL_SEED, out, methods=("native-lp", "lp-ft", "control", "bap-lp"))
     wall = time.perf_counter() - t0
-    return {"cfg": cfg, "seeds": seeds, "ctxs": ctxs, "rows": rows,
-            "bsis": bsis, "wall": wall}
+
+    def metric(method, rho, i, key):
+        rec = json.loads((out / "runs" / f"{method}-rho{rho:g}-s{i}.json").read_text())
+        return rec["metrics"][key]
+
+    seeds = range(cfg.num_seeds)
+    wga_cells = (("native-lp", 1.0), ("bap-lp", 1.0), ("control", 1.0), ("bap-lp", 0.95))
+    rows = [tuple(metric(method, rho, i, "wga") for method, rho in wga_cells) for i in seeds]
+    bsis = {name: [metric(method, 1.0, i, "bsi") for i in seeds]
+            for name, method in (("bap", "bap-lp"), ("control", "control"), ("lp-ft", "lp-ft"))}
+    return {"rows": rows, "bsis": bsis, "wall": wall}
+
+
+@pytest.fixture(scope="module")
+def ctx0():
+    """Seed 0 of the default configuration, built in this process, for the criteria
+    that probe one seed's world, teacher and students."""
+    cfg = ExperimentConfig()
+    return SeedContext(cfg, run_seeds(cfg, GLOBAL_SEED)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -253,8 +260,7 @@ def test_k_sweep_directionality(probe_world):
     t0 = time.perf_counter()
     fgs, bgs, teacher = probe_world
     assert len(fgs) >= 50
-    protos = anchors.compute_prototypes(teacher, fgs, bgs,
-                                        derive_seed(GLOBAL_SEED, "accept-protos"))
+    protos = anchors.compute_prototypes(teacher, fgs, bgs)
     bg_mat = np.stack([protos.by_group[g] for g in sorted(protos.by_group)])
     fg_wins = bg_wins = 0
     for fg in fgs:
@@ -305,17 +311,15 @@ def test_bsi_ordering_with_2x_gaps(matrix):
 # criterion 7: orthogonal-target ablation
 
 
-def test_orthogonal_targets_destroy_transfer(matrix):
-    ctx0 = matrix["ctxs"][0]
-    s0 = matrix["seeds"][0]
+def test_orthogonal_targets_destroy_transfer(ctx0):
+    s0 = ctx0.seed
     gm_in, _ = evaluate_method(ctx0, "ortho", 1.0)
     # novel fine-grained shape pair the ortho student never saw, scored
     # zero-shot against teacher prototypes over (class, background) cells
     fgs7, _ = gen_world(derive_seed(s0, "ood-world"), 7, 2, 40, 150, (64, 64))
     pair = [fg for fg in fgs7 if fg.y in (5, 6)]
     _, bg_test = ctx0.bg_pools
-    protos = anchors.compute_prototypes(ctx0.teacher, pair, bg_test,
-                                        derive_seed(s0, "ood-protos")).by_class
+    protos = anchors.compute_prototypes(ctx0.teacher, pair, ()).by_class
     g = rng(s0, "ood-eval")
     rasters, ys, gs = [], [], []
     for i in range(400):
@@ -336,9 +340,8 @@ def test_orthogonal_targets_destroy_transfer(matrix):
 # criterion 8: many-to-one contraction
 
 
-def test_embedding_variance_contracts(matrix):
-    ctx0 = matrix["ctxs"][0]
-    s0 = matrix["seeds"][0]
+def test_embedding_variance_contracts(ctx0):
+    s0 = ctx0.seed
     fgs, _ = ctx0.world
     _, bg_test = ctx0.bg_pools
     teacher = ctx0.teacher
@@ -392,11 +395,9 @@ def test_mask_pipeline_bit_exact():
 # criterion 10: segmentation-degradation sanity
 
 
-def test_bbox_masks_still_beat_native(matrix):
-    ctx0 = matrix["ctxs"][0]
-    s0 = matrix["seeds"][0]
+def test_bbox_masks_still_beat_native(matrix, ctx0):
     native_wga, perfect_wga = matrix["rows"][0][0], matrix["rows"][0][1]
-    ctx_bbox = SeedContext(replace(matrix["cfg"], degradation="bbox"), s0)
+    ctx_bbox = SeedContext(replace(ctx0.cfg, degradation="bbox"), ctx0.seed)
     gm_bbox, _ = evaluate_method(ctx_bbox, "bap-lp", 1.0)
     assert gm_bbox.wga >= native_wga + 0.20 and perfect_wga >= gm_bbox.wga, \
         (f"bbox WGA {gm_bbox.wga:.3f} vs native {native_wga:.3f} (need +0.20) "
@@ -407,12 +408,10 @@ def test_bbox_masks_still_beat_native(matrix):
 # criterion 11: fine-tuning degradation
 
 
-def test_finetuning_erodes_worst_group_first(matrix):
-    ctx0 = matrix["ctxs"][0]
-    s0 = matrix["seeds"][0]
-    cfg = matrix["cfg"]
+def test_finetuning_erodes_worst_group_first(ctx0):
     train, test = ctx0.datasets(1.0)
-    ft_cfg = ctx0.align_config(epochs=cfg.ft_epochs, seed=derive_seed(s0, "ft-degrade"))
+    ft_cfg = ctx0.align_config(epochs=ctx0.cfg.ft_epochs,
+                               seed=derive_seed(ctx0.seed, "ft-degrade"))
     _, _, traces = alignment.finetune_on_correlated(ctx0.trained("bap", 1.0).encoder, train,
                                                     test, ft_cfg)
     wga_drop = traces["wga"][0] - traces["wga"][-1]
@@ -426,13 +425,12 @@ def test_finetuning_erodes_worst_group_first(matrix):
 # criterion 12: background-retention collapse
 
 
-def test_background_information_is_suppressed(matrix):
-    ctx0 = matrix["ctxs"][0]
-    s0 = matrix["seeds"][0]
+def test_background_information_is_suppressed(ctx0):
     fgs, _ = ctx0.world
     bg_all = ctx0.bg_pools[0] + ctx0.bg_pools[1]
     before, after = evaluation.retention_eval(ctx0.teacher, ctx0.trained("bap", 1.0).encoder,
-                                              bg_all, fgs, seed=derive_seed(s0, "retention"))
+                                              bg_all, fgs,
+                                              seed=derive_seed(ctx0.seed, "retention"))
     assert before - after >= 0.20, \
         f"background-group probe accuracy {before:.3f}->{after:.3f} (need drop >= 0.20)"
 

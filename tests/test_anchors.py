@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from anchorlab import anchors
 from anchorlab.anchors import (
     BackgroundMean,
     Prototypes,
@@ -17,7 +18,7 @@ from anchorlab.anchors import (
     residual_variance,
 )
 from anchorlab.encoders import encode_np
-from anchorlab.errors import ConfigError, DimensionError
+from anchorlab.errors import ConfigError, DegenerateInputError, DimensionError
 from anchorlab.rng import rng
 
 
@@ -92,18 +93,27 @@ def test_residual_variance_decreases_with_k(micro_world, micro_teacher):
         residual_variance(micro_teacher, bgs, len(bgs) + 1, 5, mu, 9, replace=False)
 
 
-def test_compute_prototypes(micro_world, micro_teacher):
+def test_compute_prototypes(micro_world, micro_teacher, monkeypatch):
     fgs, bgs = micro_world
-    protos = compute_prototypes(micro_teacher, fgs, bgs, seed=2)
+    protos = compute_prototypes(micro_teacher, fgs, bgs)
     assert set(protos.by_class) == {0, 1}
     assert set(protos.by_group) == {0, 1}
     for v in list(protos.by_class.values()) + list(protos.by_group.values()):
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-5)
+    # no backgrounds: the same class prototypes and no group prototypes
+    alone = compute_prototypes(micro_teacher, fgs, ())
+    assert alone.by_group == {}
+    assert all(np.array_equal(alone.by_class[y], protos.by_class[y]) for y in (0, 1))
+    # embeddings that cancel give a zero-mean prototype, which has no direction
+    monkeypatch.setattr(anchors, "encode_np", lambda teacher, rasters: np.array(
+        [[1.0, 0.0], [-1.0, 0.0]] * (len(rasters) // 2), dtype=np.float32))
+    with pytest.raises(DegenerateInputError):
+        compute_prototypes(micro_teacher, fgs, ())
 
 
 def test_k_sweep_report_and_errors(micro_world, micro_teacher):
     fgs, bgs = micro_world
-    protos = compute_prototypes(micro_teacher, fgs, bgs, seed=2)
+    protos = compute_prototypes(micro_teacher, fgs, bgs)
     report = k_sweep(micro_teacher, fgs[:2], bgs, (1, 4), protos, 6, var_trials=50)
     assert report.k_grid == (1, 4)
     assert len(report.fg_sim) == len(report.bg_sim_max) == len(report.var_eps) == 2

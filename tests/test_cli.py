@@ -694,6 +694,9 @@ def test_main_run_matrix_subset(tmp_path, mini_cfg):
     (None, []),  # no config file at the path
     (ExperimentConfig(**MINI).to_json(), ["--rho", "abc"]),
     (ExperimentConfig(**MINI).to_json(), ["--methods", "dro"]),
+    # an empty flag value is an error, not the config's default grid
+    (ExperimentConfig(**MINI).to_json(), ["--methods", ""]),
+    (ExperimentConfig(**MINI).to_json(), ["--rho", ""]),
 ])
 def test_main_reports_a_bad_config_and_writes_nothing(tmp_path, capsys, config, flags):
     cfg_path = tmp_path / "cfg.json"

@@ -1,5 +1,8 @@
 """World generation, mask pipeline, compositing, datasets and manifests."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -469,6 +472,26 @@ def test_manifest_split_with_mixed_degradations_is_rejected(tmp_path):
     lines[1] = lines[1].replace('"perfect"', '"bbox"')
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ManifestError):
+        regenerate_from_manifest(path)
+
+
+@pytest.mark.parametrize("lineno, edit, named", [
+    (3, lambda line: re.sub(r'"fg_id": "[^"]*"', '"fg_id": "fg-9-9"', line), "line 3"),
+    (5, lambda line: "not json", "line 5"),
+    (1, lambda line: json.dumps({k: v for k, v in json.loads(line).items()
+                                 if k != "world_seed"}), "'world_seed'"),
+])
+def test_malformed_manifest_raises_manifest_error(tmp_path, lineno, edit, named):
+    fgs, bgs = gen_world(31, 2, 2, 2, 5, (32, 32))
+    train, test = build_train_split(fgs, bgs, 1.0, 4, 55), build_test_split(fgs, bgs, 2, 55)
+    header = {"world_seed": 31, "num_classes": 2, "num_bg_groups": 2,
+              "fg_per_class": 2, "bg_per_group": 5, "hw": [32, 32], "rho": 1.0}
+    path = tmp_path / "manifest.jsonl"
+    write_manifest(path, train, test, header)
+    lines = path.read_text().splitlines()
+    lines[lineno - 1] = edit(lines[lineno - 1])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ManifestError, match=named):
         regenerate_from_manifest(path)
 
 
