@@ -28,7 +28,7 @@ import numpy as np
 
 from . import alignment, anchors, evaluation, scene
 from .additivity import run_probe
-from .encoders import EncoderModel, PlantedConfig, freeze, planted_teacher
+from .encoders import EncoderModel, PlantedConfig, encode_np, freeze, planted_teacher
 from .errors import ConfigError
 from .rng import derive_seed
 from .scene import GroupedDataset, gen_world
@@ -210,6 +210,7 @@ class Trained:
 
     encoder: EncoderModel
     bsi: float  # mean background-sensitivity index
+    test_embs: np.ndarray  # its embeddings of the seed's test split, which every method scores
     trace: dict | None = None  # per-epoch traces of its training; None for native
     head: evaluation.ProbeHead | None = None  # lp-ft's fine-tuned head
     protos: dict[int, np.ndarray] | None = None  # class prototypes for zero-shot methods
@@ -284,7 +285,8 @@ class SeedContext:
         return name, rho if name == "lp-ft" else None
 
     def trained(self, name: str, rho: float) -> Trained:
-        """The record of the encoder a `METHODS` row names, built with its BSI once."""
+        """The record of the encoder a `METHODS` row names, built once with its BSI
+        and its test-split embeddings."""
         key = self._key(name, rho)
         if key not in self._trained:
             fields = self._BUILDERS[name](self, rho)
@@ -292,7 +294,8 @@ class SeedContext:
             report = evaluation.bsi_protocol(fields["encoder"], self.world[0], bg_test,
                                              n_pairs=48, seed=derive_seed(self.seed, "bsi"),
                                              memo=self.memo)
-            self._trained[key] = Trained(bsi=report.mean, **fields)
+            test_embs = encode_np(fields["encoder"], self.test_split.rasters())
+            self._trained[key] = Trained(bsi=report.mean, test_embs=test_embs, **fields)
         return self._trained[key]
 
     def release(self, name: str, rho: float) -> None:
@@ -365,14 +368,12 @@ def evaluate_method(ctx: SeedContext, method: str, rho: float):
     train, test = ctx.datasets(rho)
     rec = ctx.trained(name, rho)
     if how == "zs":
-        preds = evaluation.prototype_predict(rec.encoder, rec.protos, test.rasters())
-    elif how == "ft":
-        preds = evaluation.probe_predict(rec.encoder, rec.head, test.rasters())
+        preds = evaluation.nearest_prototype(rec.protos, rec.test_embs)
     else:
-        head = evaluation.train_probe(rec.encoder, train,
-                                      seed=derive_seed(ctx.seed, f"probe-{name}", rho),
-                                      epochs=ctx.cfg.probe_epochs, lr=ctx.cfg.probe_lr)
-        preds = evaluation.probe_predict(rec.encoder, head, test.rasters())
+        head = rec.head if how == "ft" else evaluation.train_probe(
+            rec.encoder, train, seed=derive_seed(ctx.seed, f"probe-{name}", rho),
+            epochs=ctx.cfg.probe_epochs, lr=ctx.cfg.probe_lr)
+        preds = evaluation.head_predict(head, rec.test_embs)
     gm = evaluation.group_metrics(preds, test.labels(), test.groups())
     return gm, rec.bsi
 
@@ -523,17 +524,15 @@ def _summary_rows(records: list[dict]) -> list[list]:
     return rows
 
 
-def _run_seed(cfg: ExperimentConfig, out: Path, run_idx: int, run_seed: int,
-              encoders=ENCODERS) -> dict[tuple[float, str], str]:
-    """The (rho, method) runs of one seed whose methods use one of `encoders`; each
-    run's record is written as soon as it finishes.  The runs go encoder by encoder,
-    in the order given, and each trained encoder is released once its runs are
-    written, so besides the teacher the seed holds one trained encoder at a time.
+def _run_group(ctx: SeedContext, out: Path, run_idx: int,
+               encoders) -> dict[tuple[float, str], str]:
+    """The (rho, method) runs of `ctx`'s seed whose methods use one of `encoders`;
+    each run's record is written as soon as it finishes.  The runs go encoder by
+    encoder, in the order given, and each trained encoder is released once its runs
+    are written, so besides the teacher the seed holds one trained encoder at a time.
     Draws derive from names, so neither the order nor the encoders left to another
-    call change a number.  Returns the run ids keyed by (rho, method)."""
-    ctx = SeedContext(cfg, run_seed)
-    for rho in cfg.rhos:
-        _leakage_check(*ctx.datasets(rho))
+    group change a number.  Returns the run ids keyed by (rho, method)."""
+    cfg = ctx.cfg
     run_ids = {}
     for name in encoders:
         for rho in cfg.rhos:
@@ -541,7 +540,7 @@ def _run_seed(cfg: ExperimentConfig, out: Path, run_idx: int, run_seed: int,
                 t0 = time.perf_counter()
                 gm, bsi_value = evaluate_method(ctx, method, rho)
                 run_ids[rho, method] = _write_run_record(
-                    out, f"{method}-rho{rho:g}-s{run_idx}", cfg, run_seed, {
+                    out, f"{method}-rho{rho:g}-s{run_idx}", cfg, ctx.seed, {
                         "rho": rho, "method": method, "run_index": run_idx,
                         "metrics": _metrics(gm, bsi_value),
                         "trace": ctx.trained(name, rho).trace,
@@ -549,6 +548,50 @@ def _run_seed(cfg: ExperimentConfig, out: Path, run_idx: int, run_seed: int,
             # lp-ft trains one encoder per rate, the others serve every rate
             if name == "lp-ft" or rho == cfg.rhos[-1]:
                 ctx.release(name, rho)
+    return run_ids
+
+
+# the SeedContext of the seed a forked group runs, set in the child by its pool's initializer
+_forked_ctx: SeedContext | None = None
+
+
+def _adopt(ctx: SeedContext) -> None:
+    global _forked_ctx
+    _forked_ctx = ctx
+
+
+def _run_forked_group(out: Path, run_idx: int, encoders) -> dict[tuple[float, str], str]:
+    return _run_group(_forked_ctx, out, run_idx, encoders)
+
+
+def _run_seed(cfg: ExperimentConfig, out: Path, run_idx: int, run_seed: int,
+              groups=(ENCODERS,)) -> dict[tuple[float, str], str]:
+    """The runs of one seed, as `_run_group` of each encoder group in `groups`.
+
+    The seed's world, its train and test splits (leakage-checked) and its teacher
+    are built first, once, since every group reads them; so no run's `wall_s`
+    includes them.  The first group then runs in this process, and each other group
+    in a child forked from it, which inherits the built `SeedContext` unpickled.
+    Forking is safe only in a single-threaded process, such as a `_seed_pool`
+    worker.  A group's error reaches the caller with its type.  Returns the run
+    ids of all groups keyed by (rho, method)."""
+    ctx = SeedContext(cfg, run_seed)
+    for rho in cfg.rhos:
+        _leakage_check(*ctx.datasets(rho))
+    ctx.teacher  # built now, so that a forked group inherits it
+    if len(groups) == 1:
+        return _run_group(ctx, out, run_idx, groups[0])
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # a fork-context pool forks all its children at the first submit, before it
+    # starts its manager thread, and hands them `initargs` without pickling
+    with ProcessPoolExecutor(len(groups) - 1, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_adopt, initargs=(ctx,)) as pool:
+        forked = [pool.submit(_run_forked_group, out, run_idx, group) for group in groups[1:]]
+        run_ids = _run_group(ctx, out, run_idx, groups[0])
+        for future in forked:
+            run_ids.update(future.result())
     return run_ids
 
 
@@ -560,11 +603,13 @@ def _usable_cpus() -> int:
 
 @contextmanager
 def _seed_pool(jobs: int):
-    """A pool of `jobs` spawned workers, each with single-threaded BLAS.
+    """A pool of `jobs` spawned seed workers, each with single-threaded BLAS.
 
     Spawned, not forked: a forked child keeps the BLAS threads its parent
-    loaded with.  On exit the workers are joined, after pending jobs are
-    cancelled if the block raised, and the parent's environment is restored.
+    loaded with.  A worker thus starts single-threaded and stays so, which is
+    what lets `_run_seed` fork the other encoder groups of a split seed from it.
+    On exit the workers are joined, after pending jobs are cancelled if the
+    block raised, and the parent's environment is restored.
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -585,19 +630,28 @@ def _seed_pool(jobs: int):
                 os.environ[name] = value
 
 
-def _seed_jobs(cfg: ExperimentConfig, cpus: int) -> list[tuple[int, tuple[str, ...]]]:
-    """(seed index, encoder group) of each run-matrix job, seed by seed.
+def _seed_jobs(cfg: ExperimentConfig,
+               cpus: int) -> list[tuple[int, tuple[tuple[str, ...], ...]]]:
+    """(seed index, encoder groups) of each run-matrix job: one job per seed.
 
-    With more CPUs than seeds, a seed is split: the encoders its methods name are
-    dealt round-robin, in `ENCODERS` order, into one group per CPU the seed gets,
-    at most one per trained encoder.  Each job rebuilds its seed's world and
-    teacher, and no student depends on another, so a split changes no number.
+    Seeds run `cpus` at a time.  The seeds of full waves stay whole, one group of
+    every encoder their methods name.  Each of the last `num_seeds % cpus` seeds, a
+    partial wave, gets `cpus // (num_seeds % cpus)` groups, at most one per trained
+    encoder (native trains nothing), and its encoders are dealt round-robin, in
+    `ENCODERS` order, into them.  Where the `fork` start method does not exist,
+    no seed is split.  No student depends on another, so a split changes no number.
     """
+    import multiprocessing
+
     named = [name for name in ENCODERS if any(METHODS[m][0] == name for m in cfg.methods)]
-    # native trains nothing, so it is no reason to split a seed
     trained = sum(name != "native" for name in named)
-    k = max(1, min(trained, cpus // cfg.num_seeds))
-    return [(i, tuple(named[g::k])) for i in range(cfg.num_seeds) for g in range(k)]
+    partial = cfg.num_seeds % cpus
+    k = 1
+    if partial and "fork" in multiprocessing.get_all_start_methods():
+        k = max(1, min(trained, cpus // partial))
+    split = tuple(tuple(named[g::k]) for g in range(k))
+    return [(i, split if i >= cfg.num_seeds - partial else (tuple(named),))
+            for i in range(cfg.num_seeds)]
 
 
 def cmd_run_matrix(cfg: ExperimentConfig, seed: int, out,
@@ -605,9 +659,10 @@ def cmd_run_matrix(cfg: ExperimentConfig, seed: int, out,
     """The method x rho x seed grid: one run record per cell, then the two CSVs built
     from those records, in grid order (seed, rho, method).
 
-    The grid runs as the (seed, encoder group) jobs of `_seed_jobs`, in spawned
-    workers, one per usable CPU, when there is more than one of each; otherwise
-    in this process.  The output is the same.
+    The grid runs as the seed jobs of `_seed_jobs`, in spawned workers, one per
+    usable CPU and at most one per seed, when more than one seed can run at once
+    or a seed is split; otherwise in this process, which is never forked, since
+    its BLAS may hold threads.  The output is the same.
     """
     # the records carry the grid that runs; a bad override raises ConfigError here
     cfg = replace(cfg, methods=tuple(cfg.methods if methods is None else methods),
@@ -615,9 +670,9 @@ def cmd_run_matrix(cfg: ExperimentConfig, seed: int, out,
     out = _ensure_out(out)
     seeds = run_seeds(cfg, seed)
     cpus = _usable_cpus()
-    jobs = [(i, seeds[i], group) for i, group in _seed_jobs(cfg, cpus)]
+    jobs = [(i, seeds[i], groups) for i, groups in _seed_jobs(cfg, cpus)]
     workers = min(len(jobs), cpus)
-    if workers == 1:
+    if workers == 1 and all(len(groups) == 1 for _, _, groups in jobs):
         per_job = [_run_seed(cfg, out, *job) for job in jobs]
     else:
         from concurrent.futures.process import BrokenProcessPool

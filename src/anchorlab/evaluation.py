@@ -98,7 +98,11 @@ def train_probe(encoder: EncoderModel, train: GroupedDataset, seed: int = 0,
 
 
 def probe_predict(encoder: EncoderModel, head: ProbeHead, rasters: np.ndarray) -> np.ndarray:
-    embs = encode_np(encoder, rasters)
+    return head_predict(head, encode_np(encoder, rasters))
+
+
+def head_predict(head: ProbeHead, embs: np.ndarray) -> np.ndarray:
+    """The class a linear head gives each embedding."""
     return (embs @ head.W + head.b).argmax(axis=1)
 
 
@@ -109,9 +113,13 @@ def probe_predict(encoder: EncoderModel, head: ProbeHead, rasters: np.ndarray) -
 def prototype_predict(encoder: EncoderModel, prototypes: dict[int, np.ndarray],
                       rasters: np.ndarray) -> np.ndarray:
     """Argmax cosine over class prototypes; ties break to the lowest class."""
+    return nearest_prototype(prototypes, encode_np(encoder, rasters))
+
+
+def nearest_prototype(prototypes: dict[int, np.ndarray], embs: np.ndarray) -> np.ndarray:
+    """`prototype_predict` on embeddings already computed."""
     if len(prototypes) < 2:
         raise ConfigError("need at least two class prototypes")
-    embs = encode_np(encoder, rasters)
     classes = sorted(prototypes)
     proto = np.stack([prototypes[c] for c in classes])
     proto = proto / np.linalg.norm(proto, axis=1, keepdims=True)

@@ -27,4 +27,4 @@ def rng(seed: int, *parts) -> np.random.Generator:
     """Generator seeded from `seed` plus optional context parts."""
     if parts:
         seed = derive_seed(seed, *parts)
-    return np.random.default_rng(np.uint64(seed))
+    return np.random.default_rng(seed)

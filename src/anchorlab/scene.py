@@ -644,7 +644,7 @@ def _numbered_records(path) -> tuple[dict, list[tuple[int, dict]]]:
             else:
                 items.append((lineno, rec))
     if header is None:
-        raise ConfigError("manifest missing header record")
+        raise ManifestError("manifest missing header record")
     return header, items
 
 

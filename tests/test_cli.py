@@ -227,17 +227,27 @@ def test_method_table_builds_each_encoder_and_bsi_once(monkeypatch):
         calls.append("freeze")
         return real_freeze(model)
 
+    ctx = SeedContext(cfg, 123)
+    real_encode = encoders.encode_batch
+
+    def counting_encode(model, batch):
+        if batch is ctx.test_split.rasters():
+            calls.append("test split")
+        return real_encode(model, batch)
+
     monkeypatch.setattr(evaluation, "bsi_protocol", counting_bsi)
     for module in (cli, alignment):
         monkeypatch.setattr(module, "freeze", counting_freeze)
-    ctx = SeedContext(cfg, 123)
+    monkeypatch.setattr(encoders, "encode_batch", counting_encode)
 
     def every_method():
         return {(m, rho): evaluate_method(ctx, m, rho) for rho in cfg.rhos for m in ALL_METHODS}
 
     first = every_method()
-    # native, control, bap and ortho once each, lp-ft once per rate
+    # native, control, bap and ortho once each, lp-ft once per rate; the test split
+    # once per record, and once more for each of lp-ft's per-epoch evaluations
     assert calls.count("bsi") == 6
+    assert calls.count("test split") == 6 + len(cfg.rhos) * (cfg.ft_epochs + 1)
     assert all(ctx.trained(name, 1.0).encoder.frozen for name, _ in cli.METHODS.values())
     calls.clear()
     assert every_method() == first
@@ -320,7 +330,7 @@ def test_release_drops_one_record_and_a_rebuild_matches_it():
 
 def test_run_seed_runs_only_the_given_encoders(tmp_path):
     cfg = ExperimentConfig(**{**MINI, "epochs": 11, "methods": ALL_METHODS})
-    ids = cli._run_seed(cfg, tmp_path, 0, run_seeds(cfg, 3)[0], ("lp-ft", "bap"))
+    ids = cli._run_seed(cfg, tmp_path, 0, run_seeds(cfg, 3)[0], (("lp-ft", "bap"),))
     assert ids == {(1.0, m): f"{m}-rho1-s0" for m in ("lp-ft", "bap-lp", "bap-zs")}
     assert sorted(p.stem for p in (tmp_path / "runs").iterdir()) == sorted(ids.values())
 
@@ -426,8 +436,9 @@ def test_run_matrix_pool_and_serial_paths_agree(tmp_path, monkeypatch):
         del rec["wall_s"]
         return rec
 
-    # three seeds on three CPUs run a seed per worker; one seed on two CPUs is split
-    for seeds, cpus in ((3, 3), (1, 2)):
+    # three seeds on three CPUs run a seed per worker; one seed on two CPUs runs in
+    # one worker, which forks its second group; three seeds on two CPUs split the third
+    for seeds, cpus, pool in ((3, 3, 3), (1, 2, 1), (3, 2, 2)):
         cfg = ExperimentConfig(**{**MINI, "num_seeds": seeds, "methods": ALL_METHODS,
                                   "epochs": 11, "rhos": (1.0, 0.95)})
         outs = {}
@@ -435,7 +446,7 @@ def test_run_matrix_pool_and_serial_paths_agree(tmp_path, monkeypatch):
             pools = _cpus(monkeypatch, n)
             outs[n] = tmp_path / f"seeds{seeds}-cpus{n}"
             cmd_run_matrix(cfg, 3, outs[n])
-            assert pools == ([n] if n > 1 else [])
+            assert pools == ([pool] if n > 1 else [])
         pooled, serial = outs[cpus], outs[1]
         for name in ("metrics.csv", "summary.csv"):
             assert (pooled / name).read_bytes() == (serial / name).read_bytes()
@@ -452,20 +463,99 @@ def test_run_matrix_keeps_a_one_encoder_seed_in_process(tmp_path, mini_cfg, monk
     assert pools == []
 
 
+WHOLE = (cli.ENCODERS,)
+HALVES = (("native", "control", "ortho"), ("lp-ft", "bap"))
+GATE_METHODS = ("native-lp", "lp-ft", "control", "bap-lp")
+
+
 @pytest.mark.parametrize("seeds, cpus, methods, jobs", [
-    (1, 2, ALL_METHODS, [(0, ("native", "control", "ortho")), (0, ("lp-ft", "bap"))]),
-    (1, 8, ALL_METHODS, [(0, ("native", "ortho")), (0, ("lp-ft",)), (0, ("control",)),
-                         (0, ("bap",))]),
-    (1, 1, ALL_METHODS, [(0, cli.ENCODERS)]),
-    (4, 2, ALL_METHODS, [(i, cli.ENCODERS) for i in range(4)]),
-    (3, 8, ALL_METHODS, [(i, group) for i in range(3)
-                         for group in (("native", "control", "ortho"), ("lp-ft", "bap"))]),
-    (1, 2, ("lp-ft",), [(0, ("lp-ft",))]),
-    (1, 2, ("native-zs", "native-lp"), [(0, ("native",))]),
+    (1, 2, ALL_METHODS, [(0, HALVES)]),
+    (1, 8, ALL_METHODS, [(0, (("native", "ortho"), ("lp-ft",), ("control",), ("bap",)))]),
+    (1, 1, ALL_METHODS, [(0, WHOLE)]),
+    (4, 2, ALL_METHODS, [(i, WHOLE) for i in range(4)]),
+    (3, 8, ALL_METHODS, [(i, HALVES) for i in range(3)]),
+    (1, 2, ("lp-ft",), [(0, (("lp-ft",),))]),
+    (1, 2, ("native-zs", "native-lp"), [(0, (("native",),))]),
+    # a partial last wave: only its seeds are split, over the CPUs the wave leaves
+    (5, 2, ALL_METHODS, [(i, WHOLE) for i in range(4)] + [(4, HALVES)]),
+    (3, 2, ALL_METHODS, [(0, WHOLE), (1, WHOLE), (2, HALVES)]),
+    (5, 2, GATE_METHODS, [(i, (("native", "lp-ft", "control", "bap"),)) for i in range(4)]
+     + [(4, (("native", "control"), ("lp-ft", "bap")))]),
+    (5, 4, ALL_METHODS, [(i, WHOLE) for i in range(4)]
+     + [(4, (("native", "ortho"), ("lp-ft",), ("control",), ("bap",)))]),
+    (7, 4, ALL_METHODS, [(i, WHOLE) for i in range(7)]),
 ])
 def test_seed_jobs_split_a_seed_by_its_trained_encoders(seeds, cpus, methods, jobs):
     cfg = ExperimentConfig(**{**MINI, "num_seeds": seeds, "methods": methods, "epochs": 11})
     assert cli._seed_jobs(cfg, cpus) == jobs
+
+
+def test_seed_jobs_split_no_seed_without_fork(monkeypatch):
+    import multiprocessing
+
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    cfg = ExperimentConfig(**{**MINI, "num_seeds": 3, "methods": ALL_METHODS, "epochs": 11})
+    assert cli._seed_jobs(cfg, 2) == [(i, WHOLE) for i in range(3)]
+
+
+def _run_seed_logging(cfg, out, log, groups):
+    """`cli._run_seed` of `cfg`'s first seed at global seed 3, meant for a seed worker.
+    Each build of the seed's world, splits and teacher appends `<name> <pid>` to the
+    file `log`, and each run `run <method> <OPENBLAS_NUM_THREADS> <pid>`, from
+    whichever process makes it.  Returns this process's pid and the run ids."""
+    def log_calls(owner, attr, line):
+        real = getattr(owner, attr)
+
+        def logged(*args, **kwargs):
+            with open(log, "a") as fh:
+                fh.write(f"{line(*args)} {os.getpid()}\n")
+            return real(*args, **kwargs)
+
+        setattr(owner, attr, logged)
+
+    for owner, attr in ((cli, "gen_world"), (scene, "build_train_split"),
+                        (scene, "build_test_split"), (cli, "planted_teacher")):
+        log_calls(owner, attr, lambda *args, _attr=attr: _attr)
+    log_calls(cli, "evaluate_method", lambda ctx, method, rho: f"run {method} "
+            f"{os.environ.get('OPENBLAS_NUM_THREADS')}")
+    return os.getpid(), cli._run_seed(cfg, out, 0, run_seeds(cfg, 3)[0], groups)
+
+
+@pytest.fixture(scope="module")
+def split_seed_log(tmp_path_factory):
+    """One seed of every method on two rates, run as `HALVES` in a seed worker: the
+    worker's pid, the run ids and the lines `_run_seed_logging` wrote."""
+    cfg = ExperimentConfig(**{**MINI, "methods": ALL_METHODS, "epochs": 11,
+                              "rhos": (1.0, 0.95)})
+    out = tmp_path_factory.mktemp("split-seed")
+    log = out / "calls.log"
+    with cli._seed_pool(1) as pool:
+        pid, ids = pool.submit(_run_seed_logging, cfg, out, log, HALVES).result(timeout=300)
+    return pid, ids, [line.split() for line in log.read_text().splitlines()]
+
+
+def test_a_split_seed_builds_its_world_splits_and_teacher_once(split_seed_log):
+    pid, ids, lines = split_seed_log
+    builds = [(name, int(at)) for name, at, *_ in lines if name != "run"]
+    assert sorted(builds) == sorted([("gen_world", pid), ("build_train_split", pid),
+                                     ("build_train_split", pid), ("build_test_split", pid),
+                                     ("planted_teacher", pid)])
+    # every build comes before the first run, and both groups' runs came back
+    assert [name for name, *_ in lines[:len(builds)]] == [name for name, _ in builds]
+    assert sorted(ids) == sorted((rho, m) for rho in (1.0, 0.95) for m in ALL_METHODS)
+
+
+def test_the_forked_group_runs_with_single_threaded_blas(split_seed_log):
+    pid, _, lines = split_seed_log
+    runs = {(method, int(at), blas) for name, method, blas, at in
+            (line for line in lines if line[0] == "run")}
+    first = {m for m in ALL_METHODS if cli.METHODS[m][0] in HALVES[0]}
+    assert {(m, at) for m, at, _ in runs if at == pid} == {(m, pid) for m in first}
+    # the other group ran in one child of the worker, which kept its BLAS setting
+    children = {at for _, at, _ in runs} - {pid}
+    assert len(children) == 1
+    assert {m for m, at, _ in runs if at != pid} == set(ALL_METHODS) - first
+    assert {blas for _, _, blas in runs} == {"1"}
 
 
 def test_seed_workers_start_with_single_threaded_blas(monkeypatch):
@@ -481,16 +571,29 @@ def test_seed_workers_start_with_single_threaded_blas(monkeypatch):
 
 def test_run_matrix_reraises_a_seed_workers_error(tmp_path, monkeypatch):
     # lr=1e38 passes validation; the first aligned student's weights then overflow.
-    # Two seeds run a seed per worker; one seed training two encoders is split.
-    for seeds, methods in ((2, MINI["methods"]), (1, ("native-lp", "bap-zs", "lp-ft"))):
+    # Two seeds run a seed per worker; one seed training two encoders is split, and
+    # its worker forks the second group.
+    for seeds, methods, pool in ((2, MINI["methods"], 2),
+                                 (1, ("native-lp", "bap-zs", "lp-ft"), 1)):
         cfg = ExperimentConfig(**{**MINI, "lr": 1e38, "num_seeds": seeds, "methods": methods})
         out = tmp_path / f"seeds{seeds}"
         pools = _cpus(monkeypatch, 2)
         with pytest.raises(ContractError):
             cmd_run_matrix(cfg, 3, out)
-        assert pools == [2]
+        assert pools == [pool]
         assert not (out / "metrics.csv").exists()
         assert list(out.rglob("*.tmp")) == []
+
+
+def test_a_forked_groups_error_reaches_the_caller_with_its_type(tmp_path):
+    # native runs in the seed worker; bap, which overflows at lr=1e38, in its child
+    cfg = ExperimentConfig(**{**MINI, "lr": 1e38})
+    with cli._seed_pool(1) as pool:
+        job = pool.submit(cli._run_seed, cfg, tmp_path, 0, run_seeds(cfg, 3)[0],
+                          (("native",), ("bap",)))
+        with pytest.raises(ContractError):
+            job.result(timeout=300)
+    assert sorted(p.name for p in (tmp_path / "runs").iterdir()) == ["native-lp-rho1-s0.json"]
 
 
 def test_run_matrix_names_the_main_guard_when_its_pool_breaks(tmp_path, monkeypatch):

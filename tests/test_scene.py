@@ -11,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 from anchorlab import scene
 from anchorlab.errors import ConfigError, DegenerateMaskError, ManifestError
-from anchorlab.rng import derive_seed
+from anchorlab.rng import derive_seed, rng
 from anchorlab.scene import (
     BALANCED_RHO,
     CLASS_STYLES,
@@ -498,7 +498,7 @@ def test_malformed_manifest_raises_manifest_error(tmp_path, lineno, edit, named)
 def test_manifest_missing_header(tmp_path):
     path = tmp_path / "broken.jsonl"
     path.write_text('{"kind": "item", "fg_id": "x"}\n')
-    with pytest.raises(ConfigError):
+    with pytest.raises(ManifestError, match="header"):
         read_manifest(path)
 
 
@@ -507,3 +507,11 @@ def test_item_seed_is_order_independent():
     b = derive_seed(5, "fg-0-0", "bg-1-2", 3)
     c = derive_seed(5, "fg-0-0", "bg-1-2", 4)
     assert a == b and a != c
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**63, 2**64 - 1,
+                                  derive_seed(7, "low"), derive_seed(7, "high") | 2**63])
+def test_rng_seeds_from_the_int_as_from_its_uint64(seed):
+    # rng hands the int to default_rng; the generator state is the one np.uint64 gave
+    assert (rng(seed).bit_generator.state
+            == np.random.default_rng(np.uint64(seed)).bit_generator.state)
