@@ -32,13 +32,6 @@ _PROBE_CHUNK = 32
 
 
 @dataclass(frozen=True)
-class AdditivityTriple:
-    v_a: np.ndarray
-    v_b: np.ndarray
-    v_ab: np.ndarray
-
-
-@dataclass(frozen=True)
 class AdditivityReport:
     scores: np.ndarray
     mean: float
@@ -48,13 +41,13 @@ class AdditivityReport:
     excluded: int = 0
 
 
-def additivity_score(t: AdditivityTriple) -> float:
+def additivity_score(v_a: np.ndarray, v_b: np.ndarray, v_ab: np.ndarray) -> float:
     """S = cos(v_ab, v_a + v_b); symmetric in the two parts."""
-    s = t.v_a.astype(np.float64) + t.v_b.astype(np.float64)
+    s = v_a.astype(np.float64) + v_b.astype(np.float64)
     ns = float(np.linalg.norm(s))
     if ns < _EPS:
         raise DegenerateInputError("v_a and v_b are antipodal, their sum is zero")
-    v = t.v_ab.astype(np.float64)
+    v = v_ab.astype(np.float64)
     return float(v @ s / (np.linalg.norm(v) * ns))
 
 
@@ -128,9 +121,9 @@ def batch_additivity(model: EncoderModel, raster_triples, encoder_tag: str = "",
     excluded = 0
     while chunk := list(islice(triples, _PROBE_CHUNK)):
         rows = np.stack([r for triple in chunk for r in triple], dtype=np.float32)
-        for v_a, v_b, v_ab in encode_np(model, rows).reshape(len(chunk), 3, -1):
+        for embs in encode_np(model, rows).reshape(len(chunk), 3, -1):
             try:
-                scores.append(additivity_score(AdditivityTriple(v_a=v_a, v_b=v_b, v_ab=v_ab)))
+                scores.append(additivity_score(*embs))
             except DegenerateInputError:
                 excluded += 1
     if not scores and not excluded:

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .anchors import AnchorSet
 from .encoders import (
     EncoderModel,
     clone_unfrozen,
@@ -135,14 +134,14 @@ def _train_loop(student: EncoderModel, loss_fn, foregrounds, bg_pool, cfg: Align
                  head_only_epochs=head_only_epochs)
 
 
-def train_bap(teacher: EncoderModel, anchors: AnchorSet, foregrounds, bg_pool,
+def train_bap(teacher: EncoderModel, anchors: dict[str, np.ndarray], foregrounds, bg_pool,
               cfg: AlignConfig, memo: RenderMemo | None = None) -> tuple[EncoderModel, T.FitLog]:
     """Anchor-alignment training of a student cloned from the teacher."""
     for fg in foregrounds:
-        if fg.id not in anchors.anchors:
+        if fg.id not in anchors:
             raise ManifestError(f"no anchor for foreground {fg.id}")
     student = clone_unfrozen(teacher)
-    loss = cosine_loss(student, lambda fg: anchors.anchors[fg.id])
+    loss = cosine_loss(student, lambda fg: anchors[fg.id])
     return student, _train_loop(student, loss, foregrounds, bg_pool, cfg, memo=memo)
 
 

@@ -16,12 +16,12 @@ from . import tensor as T
 from .encoders import EncoderModel, encode_np
 from .errors import ConfigError, DegenerateInputError, DimensionError
 from .rng import derive_seed, rng
-from .scene import (
+from .scene import (  # composite is re-exported; perfbench's tracer tests pin the alias
     ANCHOR_SCALE,
     BackgroundImage,
     ForegroundInstance,
     RenderMemo,
-    composite,
+    composite,  # noqa: F401
     neutral_background,
     render,
 )
@@ -30,19 +30,9 @@ DEFAULT_K = 10
 DEFAULT_K_GRID = (1, 2, 3, 5, 8, 10, 15, 20, 30, 40)
 
 _EPS = 1e-8
-
-
-@dataclass
-class AnchorSet:
-    anchors: dict[str, np.ndarray]
-    K: int
-    with_replacement: bool = False
-
-
-@dataclass(frozen=True)
-class BackgroundMean:
-    vector: np.ndarray  # unnormalized mean of unit embeddings; norm <= 1
-    count: int
+# Rows per background encode: one encode of a whole pool might take another BLAS
+# path and change the bits.
+_BG_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -59,18 +49,12 @@ class Prototypes:
     by_group: dict[int, np.ndarray]
 
 
-def anchor_composite(fg: ForegroundInstance, bg: BackgroundImage, seed: int,
-                     degradation: str = "perfect") -> np.ndarray:
-    """Anchor-construction composite: fixed 0.8 scale, centered."""
-    return composite(fg, bg, ANCHOR_SCALE, seed, degradation).raster
-
-
-def _sample_pool(pool, K: int, g: np.random.Generator) -> tuple[list, bool]:
+def _sample_pool(pool, K: int, g: np.random.Generator) -> list:
     if len(pool) >= K:
         idx = g.choice(len(pool), size=K, replace=False)
-        return [pool[i] for i in idx], False
-    idx = g.integers(0, len(pool), size=K)
-    return [pool[i] for i in idx], True
+    else:
+        idx = g.integers(0, len(pool), size=K)
+    return [pool[i] for i in idx]
 
 
 def extract_anchor(teacher: EncoderModel, fg: ForegroundInstance,
@@ -87,8 +71,8 @@ def extract_anchor(teacher: EncoderModel, fg: ForegroundInstance,
     if not bg_pool:
         raise ConfigError("background pool is empty")
     g = rng(seed, "anchor", fg.id, K)
-    picks, _ = _sample_pool(bg_pool, K, g)
-    rasters = render([(fg, bg, ANCHOR_SCALE) for bg in picks], degradation, memo)
+    rasters = render([(fg, bg, ANCHOR_SCALE) for bg in _sample_pool(bg_pool, K, g)],
+                     degradation, memo)
     return unit_mean(encode_np(teacher, rasters), f"anchor for {fg.id}")
 
 
@@ -104,66 +88,34 @@ def unit_mean(vecs, what: str) -> np.ndarray:
 
 def build_anchor_set(teacher: EncoderModel, foregrounds, bg_pool, K: int,
                      seed: int, degradation: str = "perfect",
-                     memo: RenderMemo | None = None) -> AnchorSet:
-    anchors = {fg.id: extract_anchor(teacher, fg, bg_pool, K, derive_seed(seed, fg.id),
-                                     degradation, memo)
-               for fg in foregrounds}
-    return AnchorSet(anchors=anchors, K=K, with_replacement=len(bg_pool) < K)
+                     memo: RenderMemo | None = None) -> dict[str, np.ndarray]:
+    """The anchor of each foreground, keyed by foreground id."""
+    return {fg.id: extract_anchor(teacher, fg, bg_pool, K, derive_seed(seed, fg.id),
+                                  degradation, memo)
+            for fg in foregrounds}
 
 
-def background_embeddings(teacher: EncoderModel, backgrounds, batch: int = 256) -> np.ndarray:
+def background_embeddings(teacher: EncoderModel, backgrounds) -> np.ndarray:
     """Unit embeddings of pure background rasters, in pool order."""
     out = []
-    for i in range(0, len(backgrounds), batch):
-        rasters = np.stack([b.raster for b in backgrounds[i : i + batch]])
+    for i in range(0, len(backgrounds), _BG_CHUNK):
+        rasters = np.stack([b.raster for b in backgrounds[i : i + _BG_CHUNK]])
         out.append(encode_np(teacher, rasters))
     return np.concatenate(out, axis=0)
 
 
-def estimate_mu_bg(teacher: EncoderModel, bg_pool, n_samples: int, seed: int) -> BackgroundMean:
-    """Unnormalized arithmetic mean of n unit background embeddings.
-
-    Its norm is a cone-width diagnostic: near 1 means the background
-    embeddings crowd a narrow cone, near 0 means they spread out.
-    """
-    if n_samples < 1:
-        raise ConfigError("n_samples must be >= 1")
-    g = rng(seed, "mu-bg")
-    if n_samples <= len(bg_pool):
-        idx = g.choice(len(bg_pool), size=n_samples, replace=False)
-    else:
-        idx = g.integers(0, len(bg_pool), size=n_samples)
-    acc = np.zeros(teacher.d, dtype=np.float64)
-    for i in range(0, n_samples, 512):
-        chunk = [bg_pool[j] for j in idx[i : i + 512]]
-        embs = encode_np(teacher, np.stack([b.raster for b in chunk]))
-        acc += embs.astype(np.float64).sum(axis=0)
-    return BackgroundMean(vector=acc / n_samples, count=n_samples)
-
-
-def residual_variance(teacher: EncoderModel, bg_pool, K: int, trials: int,
-                      mu_bg: BackgroundMean, seed: int,
-                      replace: bool = True,
-                      bg_embs: np.ndarray | None = None) -> float:
-    """Mean squared distance between a K-sample background mean and mu_bg.
-
-    The residual lives entirely in the background embeddings, which may be
-    passed in precomputed to amortize sweeps.
-    """
+def residual_variance(bg_embs: np.ndarray, K: int, trials: int, mu: np.ndarray,
+                      seed: int) -> float:
+    """Mean squared distance between the mean of K background embeddings, drawn
+    with replacement, and the background mean `mu`."""
     if trials < 2:
         raise ConfigError("trials must be >= 2")
-    if not replace and K > len(bg_pool):
-        raise ConfigError(f"K={K} exceeds the pool with replacement disabled")
-    if bg_embs is None:
-        bg_embs = background_embeddings(teacher, bg_pool)
     bg_embs = bg_embs.astype(np.float64)
-    mu = mu_bg.vector.astype(np.float64)
+    mu = mu.astype(np.float64)
     g = rng(seed, "residual", K)
     total = 0.0
     for _ in range(trials):
-        idx = (g.integers(0, len(bg_embs), size=K) if replace
-               else g.choice(len(bg_embs), size=K, replace=False))
-        eps = bg_embs[idx].mean(axis=0) - mu
+        eps = bg_embs[g.integers(0, len(bg_embs), size=K)].mean(axis=0) - mu
         total += float(eps @ eps)
     return total / trials
 
@@ -207,7 +159,7 @@ def k_sweep(teacher: EncoderModel, foregrounds, bg_pool, k_grid, prototypes: Pro
     if not prototypes.by_group:
         raise ConfigError("missing background-group prototypes")
     bg_embs = background_embeddings(teacher, bg_pool)
-    mu = BackgroundMean(vector=bg_embs.astype(np.float64).mean(axis=0), count=len(bg_pool))
+    mu = bg_embs.astype(np.float64).mean(axis=0)
     bg_proto_mat = np.stack([prototypes.by_group[g] for g in sorted(prototypes.by_group)])
     fg_sims, bg_sims, var_eps = [], [], []
     memo = RenderMemo()
@@ -220,8 +172,7 @@ def k_sweep(teacher: EncoderModel, foregrounds, bg_pool, k_grid, prototypes: Pro
             b_acc.append(float((bg_proto_mat @ a).max()))
         fg_sims.append(float(np.mean(f_acc)))
         bg_sims.append(float(np.mean(b_acc)))
-        var_eps.append(residual_variance(teacher, bg_pool, K, var_trials, mu,
-                                         derive_seed(seed, "var", K), bg_embs=bg_embs))
+        var_eps.append(residual_variance(bg_embs, K, var_trials, mu, derive_seed(seed, "var", K)))
     return KSweepReport(k_grid=k_grid, fg_sim=tuple(fg_sims),
                         bg_sim_max=tuple(bg_sims), var_eps=tuple(var_eps))
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import os
 import sys
@@ -340,7 +341,7 @@ class SeedContext:
                                               derive_seed(self.seed, "anchors"),
                                               degradation=self.cfg.degradation, memo=self.memo)
         # the student is scored zero-shot against the unit mean of each class's anchors
-        protos = {y: anchors.unit_mean([anchor_set.anchors[fg.id] for fg in fgs if fg.y == y],
+        protos = {y: anchors.unit_mean([anchor_set[fg.id] for fg in fgs if fg.y == y],
                                        f"class {y} anchor mean")
                   for y in sorted({fg.y for fg in fgs})}
         return {**self._student(alignment.train_bap, anchor_set), "protos": protos}
@@ -461,20 +462,28 @@ def cmd_k_ablation(cfg: ExperimentConfig, seed: int, out) -> Path:
                       rows)
 
 
+def _write_whole(path: Path, text: str) -> Path:
+    """Write `text` to `path` whole or not at all: a temp file, then a rename; on
+    any failure the temp file is removed."""
+    tmp = path.with_name(f"{path.name}.tmp")
+    try:
+        with open(tmp, "w", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return path
+
+
 def _write_run_record(out: Path, run_id: str, cfg: ExperimentConfig, seed: int,
                       extra: dict) -> str:
-    """Write `runs/<run_id>.json` whole or not at all: a temp file, then a rename."""
+    """Write `runs/<run_id>.json`, whole or not at all."""
     runs = out / "runs"
     runs.mkdir(parents=True, exist_ok=True)
     record = {"run_id": run_id, "config": asdict(cfg), "seed": seed,
               "code_hash": code_hash(), **extra}
-    tmp = runs / f"{run_id}.json.tmp"
-    try:
-        tmp.write_text(json.dumps(record, sort_keys=True, indent=2))
-        os.replace(tmp, runs / f"{run_id}.json")
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    _write_whole(runs / f"{run_id}.json", json.dumps(record, sort_keys=True, indent=2))
     return run_id
 
 
@@ -483,12 +492,12 @@ def _read_run_records(out: Path, run_ids) -> list[dict]:
 
 
 def _write_csv(path: Path, header, rows) -> Path:
-    """The one CSV writer: a header line, then one line per row."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
-    return path
+    """The one CSV writer: a header line, then one line per row, whole or not at all."""
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(header)
+    w.writerows(rows)
+    return _write_whole(path, buf.getvalue())
 
 
 def _metrics(gm: evaluation.GroupMetrics, bsi_value: float) -> dict:
@@ -741,56 +750,41 @@ def cmd_ablate(cfg: ExperimentConfig, seed: int, out, which: str) -> Path:
     return _write_csv(out / f"ablate_{which}.csv", ("param", "value", "wga", "avg"), rows)
 
 
+# figure analog -> the table that holds its data
+FIGURE_SOURCES = {"fig_anchor_purification": "k_ablation", "fig_n_scaling": "ablate_n_sweep",
+                  "fig_m_recovery": "ablate_m_sweep"}
+
+
 def cmd_report(out) -> Path:
-    """Consolidated summary plus one plot-data file per figure analog."""
-    out = Path(out)
-    lines = []
+    """Consolidated summary: the tables present, the source of each figure analog's
+    data, and the one figure table `report` computes itself."""
+    out = _ensure_out(out)
+    present = []
     missing = []
-    artifacts = {name: out / f"{name}.csv" for name in (
-        "metrics", "summary", "k_ablation", "additivity", "ablate_seg", "ablate_n_sweep",
-        "ablate_m_sweep", "ablate_k_train_sweep")}
-    for name, path in artifacts.items():
-        if path.exists():
-            lines.append(f"{name}: {path.name}")
-        else:
-            missing.append(name)
-    plots = out / "plots"
-    plots.mkdir(parents=True, exist_ok=True)
-    plot_map = {
-        "fig_anchor_purification.csv": artifacts["k_ablation"],
-        "fig_n_scaling.csv": artifacts["ablate_n_sweep"],
-        "fig_m_recovery.csv": artifacts["ablate_m_sweep"],
-    }
-    for plot_name, src in plot_map.items():
-        if src.exists():
-            (plots / plot_name).write_bytes(src.read_bytes())
+    for name in ("metrics", "summary", "k_ablation", "additivity", "ablate_seg",
+                 "ablate_n_sweep", "ablate_m_sweep", "ablate_k_train_sweep"):
+        (present if (out / f"{name}.csv").exists() else missing).append(name)
+    figures = [f"{fig}: {src}.csv" for fig, src in FIGURE_SOURCES.items() if src in present]
     # the lp-ft traces of the runs behind the current metrics.csv, not every record in runs/
     ft_ids = []
-    if artifacts["metrics"].exists():
-        with open(artifacts["metrics"], newline="") as fh:
+    if "metrics" in present:
+        with open(out / "metrics.csv", newline="") as fh:
             ft_ids = [row["run_id"] for row in csv.DictReader(fh) if row["method"] == "lp-ft"]
     ft_rows = [[rec["run_id"], epoch, wga, avg] for rec in _read_run_records(out, ft_ids)
                for epoch, (wga, avg) in enumerate(zip(rec["trace"]["wga"], rec["trace"]["avg"]))]
-    ft_plot = plots / "fig_finetune_degradation.csv"
+    ft_plot = out / "plots" / "fig_finetune_degradation.csv"
     if ft_rows:
+        ft_plot.parent.mkdir(exist_ok=True)
         _write_csv(ft_plot, ("run_id", "epoch", "wga", "avg"), ft_rows)
+        figures.append(f"fig_finetune_degradation: plots/{ft_plot.name}")
     else:
         ft_plot.unlink(missing_ok=True)
         missing.append("fig_finetune_degradation")
-    report_path = out / "report.txt"
-    with open(report_path, "w") as fh:
-        fh.write("consolidated run report\n")
-        fh.write(f"code: {code_hash()}\n\n")
-        fh.write("artifacts present:\n")
-        for line in lines:
-            fh.write(f"  {line}\n")
-        fh.write("\nmissing artifacts:\n")
-        if missing:
-            for name in missing:
-                fh.write(f"  {name}\n")
-        else:
-            fh.write("  none\n")
-    return report_path
+    lines = ["consolidated run report", f"code: {code_hash()}", "", "artifacts present:",
+             *(f"  {name}: {name}.csv" for name in present), "", "figure data:",
+             *(f"  {line}" for line in figures or ["none"]), "", "missing artifacts:",
+             *(f"  {name}" for name in missing or ["none"])]
+    return _write_whole(out / "report.txt", "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------

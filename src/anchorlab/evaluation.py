@@ -30,6 +30,9 @@ PROBE_LR = 5e-4
 PROBE_BATCH = 128
 
 _BSI_EPS = 1e-8
+# scenes in the background-group probe's train and held-out test sets
+_RETENTION_TRAIN = 600
+_RETENTION_TEST = 300
 
 
 @dataclass
@@ -41,17 +44,14 @@ class ProbeHead:
 @dataclass(frozen=True)
 class GroupMetrics:
     per_group: dict[tuple[int, int], float]
-    counts: dict[tuple[int, int], int]
     avg: float
     wga: float
-    empty_groups: tuple[tuple[int, int], ...] = ()
 
 
 @dataclass(frozen=True)
 class BsiReport:
     per_class: dict[int, float]
     mean: float
-    eps: float = _BSI_EPS
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +68,7 @@ def class_weights(labels: np.ndarray, num_classes: int) -> np.ndarray:
 
 def fit_linear_head(embs: np.ndarray, labels: np.ndarray, num_classes: int,
                     seed: int, epochs: int = PROBE_EPOCHS, lr: float = PROBE_LR,
-                    batch: int = PROBE_BATCH, weighted: bool = True) -> ProbeHead:
+                    weighted: bool = True) -> ProbeHead:
     """Class-weighted cross-entropy linear head on fixed embeddings."""
     n, d = embs.shape
     weights = class_weights(labels, num_classes) if weighted else None
@@ -81,7 +81,7 @@ def fit_linear_head(embs: np.ndarray, labels: np.ndarray, num_classes: int,
         return T.softmax_cross_entropy(logits, labels[idx], weights)
 
     T.fit({"W": Wp, "b": bp}, lambda epoch: (rng(seed, "probe-order", epoch).permutation(n),),
-          loss, n=n, batch_size=batch, epochs=epochs, lr=lr, weight_decay=0.0,
+          loss, n=n, batch_size=PROBE_BATCH, epochs=epochs, lr=lr, weight_decay=0.0,
           warmup_frac=0.10)
     return ProbeHead(W=Wp.data.copy(), b=bp.data.copy())
 
@@ -140,22 +140,12 @@ def group_metrics(predictions: np.ndarray, labels: np.ndarray,
     if not (len(predictions) == len(labels) == len(groups)):
         raise ConfigError("predictions, labels and groups must align")
     per_group: dict[tuple[int, int], float] = {}
-    counts: dict[tuple[int, int], int] = {}
-    cells = sorted({(int(y), int(g)) for y, g in zip(labels, groups)})
-    empty = []
-    for y in sorted(set(int(v) for v in labels)):
-        for g in sorted(set(int(v) for v in groups)):
-            if (y, g) not in cells:
-                empty.append((y, g))
     correct = predictions == labels
-    for y, g in cells:
-        sel = (labels == y) & (groups == g)
-        counts[(y, g)] = int(sel.sum())
-        per_group[(y, g)] = float(correct[sel].mean())
+    for y, g in sorted({(int(y), int(g)) for y, g in zip(labels, groups)}):
+        per_group[(y, g)] = float(correct[(labels == y) & (groups == g)].mean())
     avg = float(correct.mean())
     wga = min(per_group.values())
-    return GroupMetrics(per_group=per_group, counts=counts, avg=avg, wga=wga,
-                        empty_groups=tuple(empty))
+    return GroupMetrics(per_group=per_group, avg=avg, wga=wga)
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +205,7 @@ def bsi_protocol(encoder: EncoderModel, foregrounds, backgrounds,
 
 
 def _background_probe_accuracy(encoder: EncoderModel, backgrounds, foregrounds,
-                               seed: int, n_train: int = 600,
-                               n_test: int = 300) -> float:
+                               seed: int) -> float:
     """Background-group probe on scene embeddings, held-out backgrounds.
 
     Probing backgrounds in context (behind a random foreground) rather than
@@ -247,8 +236,8 @@ def _background_probe_accuracy(encoder: EncoderModel, backgrounds, foregrounds,
             items.append((fg, bg, scene_scale(derive_seed(seed, "retention", tag, i))))
         return render(items, memo=memo), np.array([bg.g for _, bg, _ in items])
 
-    X_tr, y_tr = scenes(train_bgs, n_train, "train")
-    X_te, y_te = scenes(test_bgs, n_test, "test")
+    X_tr, y_tr = scenes(train_bgs, _RETENTION_TRAIN, "train")
+    X_te, y_te = scenes(test_bgs, _RETENTION_TEST, "test")
     head = fit_linear_head(encode_np(encoder, X_tr), y_tr, int(y_tr.max()) + 1,
                            derive_seed(seed, "retention-head"), epochs=20,
                            weighted=False)

@@ -224,9 +224,9 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _maybe_record(out, (a,), bwd)
 
 
-def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+def tmean(a: Tensor, axis=None) -> Tensor:
     n = a.size if axis is None else a.shape[axis]
-    return mul(tsum(a, axis=axis, keepdims=keepdims), Tensor(np.float32(1.0 / n)))
+    return mul(tsum(a, axis=axis), Tensor(np.float32(1.0 / n)))
 
 
 def reshape(a: Tensor, shape) -> Tensor:

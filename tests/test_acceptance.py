@@ -26,8 +26,16 @@ from anchorlab.encoders import (
     init_encoder,
     planted_teacher,
 )
+from anchorlab.errors import ConfigError
 from anchorlab.rng import derive_seed, rng
-from anchorlab.scene import degrade_mask, gen_world, make_composite, threshold_mask
+from anchorlab.scene import (
+    ANCHOR_SCALE,
+    composite,
+    degrade_mask,
+    gen_world,
+    make_composite,
+    threshold_mask,
+)
 from anchorlab.tensor import GradTape, Tensor
 
 from test_scene import HAND_MASKS, _brute_morph
@@ -231,15 +239,45 @@ def test_additivity_exact_and_monotone(probe_world):
 # criterion 3: 1/K decay of the background residual variance
 
 
+def estimate_mu_bg(teacher, bg_pool, n_samples: int, seed: int) -> np.ndarray:
+    """Unnormalized arithmetic mean of n unit background embeddings.
+
+    Its norm is a cone-width diagnostic: near 1 means the background
+    embeddings crowd a narrow cone, near 0 means they spread out.
+    """
+    if n_samples < 1:
+        raise ConfigError("n_samples must be >= 1")
+    g = rng(seed, "mu-bg")
+    if n_samples <= len(bg_pool):
+        idx = g.choice(len(bg_pool), size=n_samples, replace=False)
+    else:
+        idx = g.integers(0, len(bg_pool), size=n_samples)
+    acc = np.zeros(teacher.d, dtype=np.float64)
+    for i in range(0, n_samples, 512):
+        chunk = [bg_pool[j] for j in idx[i : i + 512]]
+        embs = encode_np(teacher, np.stack([b.raster for b in chunk]))
+        acc += embs.astype(np.float64).sum(axis=0)
+    return acc / n_samples
+
+
+def test_estimate_mu_bg_full_pool_oracle(micro_world, micro_teacher):
+    _, bgs = micro_world
+    mu = estimate_mu_bg(micro_teacher, bgs, len(bgs), 5)
+    expected = anchors.background_embeddings(micro_teacher, bgs).astype(np.float64).mean(axis=0)
+    assert np.allclose(mu, expected, atol=1e-6)
+    assert np.linalg.norm(mu) <= 1.0 + 1e-6
+    with pytest.raises(ConfigError):
+        estimate_mu_bg(micro_teacher, bgs, 0, 5)
+
+
 def test_residual_variance_decays_one_over_k(probe_world):
     t0 = time.perf_counter()
     _, bgs, teacher = probe_world
-    mu = anchors.estimate_mu_bg(teacher, bgs, 20000, derive_seed(GLOBAL_SEED, "mu-bg"))
+    mu = estimate_mu_bg(teacher, bgs, 20000, derive_seed(GLOBAL_SEED, "mu-bg"))
     bg_embs = anchors.background_embeddings(teacher, bgs)
     k_grid = (1, 2, 4, 8, 16, 32, 64)
-    variances = [anchors.residual_variance(teacher, bgs, k, 200, mu,
-                                           derive_seed(GLOBAL_SEED, "resvar", k),
-                                           bg_embs=bg_embs)
+    variances = [anchors.residual_variance(bg_embs, k, 200, mu,
+                                           derive_seed(GLOBAL_SEED, "resvar", k))
                  for k in k_grid]
     slope = float(np.polyfit(np.log(k_grid), np.log(variances), 1)[0])
     wall = time.perf_counter() - t0
@@ -350,7 +388,8 @@ def test_embedding_variance_contracts(ctx0):
     for fg in fgs:
         g = rng(s0, "contract", fg.id)
         picks = [bg_test[int(g.integers(len(bg_test)))] for _ in range(32)]
-        ras = np.stack([anchors.anchor_composite(fg, bg, derive_seed(s0, "fresh-bg", fg.id, j))
+        ras = np.stack([composite(fg, bg, ANCHOR_SCALE,
+                                  derive_seed(s0, "fresh-bg", fg.id, j)).raster
                         for j, bg in enumerate(picks)])
         for_t = encode_np(teacher, ras).astype(np.float64)
         for_s = encode_np(student, ras).astype(np.float64)

@@ -8,7 +8,6 @@ import pytest
 from anchorlab import additivity
 from anchorlab.additivity import (
     _PROBE_CHUNK,
-    AdditivityTriple,
     additivity_score,
     batch_additivity,
     exact_triple_rasters,
@@ -25,43 +24,39 @@ from anchorlab.scene import BackgroundImage, gen_world, make_composite, scaled_f
 
 
 def _triple(v_a, v_b, v_ab):
-    return AdditivityTriple(
-        v_a=np.asarray(v_a, dtype=np.float64),
-        v_b=np.asarray(v_b, dtype=np.float64),
-        v_ab=np.asarray(v_ab, dtype=np.float64),
-    )
+    return tuple(np.asarray(v, dtype=np.float64) for v in (v_a, v_b, v_ab))
 
 
 def test_score_hand_oracles():
     e1 = [1.0, 0.0]
     e2 = [0.0, 1.0]
     # composite aligned with the part sum
-    assert additivity_score(_triple(e1, e2, [1.0, 1.0])) == pytest.approx(1.0)
+    assert additivity_score(*_triple(e1, e2, [1.0, 1.0])) == pytest.approx(1.0)
     # composite orthogonal to the part sum
-    assert additivity_score(_triple(e1, e2, [1.0, -1.0])) == pytest.approx(0.0, abs=1e-12)
+    assert additivity_score(*_triple(e1, e2, [1.0, -1.0])) == pytest.approx(0.0, abs=1e-12)
     # composite equal to one part: cos 45 degrees
-    assert additivity_score(_triple(e1, e2, e1)) == pytest.approx(0.70710678, abs=1e-8)
+    assert additivity_score(*_triple(e1, e2, e1)) == pytest.approx(0.70710678, abs=1e-8)
 
 
 def test_score_swap_symmetry():
     g = np.random.default_rng(1)
     a, b, ab = g.standard_normal((3, 5))
-    assert additivity_score(_triple(a, b, ab)) == pytest.approx(
-        additivity_score(_triple(b, a, ab)), abs=1e-12)
+    assert additivity_score(*_triple(a, b, ab)) == pytest.approx(
+        additivity_score(*_triple(b, a, ab)), abs=1e-12)
 
 
 def test_score_antipodal_raises():
     with pytest.raises(DegenerateInputError):
-        additivity_score(_triple([1.0, 0.0], [-1.0, 0.0], [0.5, 0.5]))
+        additivity_score(*_triple([1.0, 0.0], [-1.0, 0.0], [0.5, 0.5]))
 
 
 def test_score_rotation_invariance():
     g = np.random.default_rng(7)
     a, b, ab = g.standard_normal((3, 6))
-    base = additivity_score(_triple(a, b, ab))
+    base = additivity_score(*_triple(a, b, ab))
     # random orthogonal matrix via QR
     q, _ = np.linalg.qr(g.standard_normal((6, 6)))
-    rotated = additivity_score(_triple(q @ a, q @ b, q @ ab))
+    rotated = additivity_score(*_triple(q @ a, q @ b, q @ ab))
     assert rotated == pytest.approx(base, abs=1e-5)
 
 
@@ -192,8 +187,7 @@ def _per_triple_probe(model, foregrounds, backgrounds, n, seed, mode):
             I_a, I_b, I_ab = triple_rasters(fg, bg, item_seed)
         embs = encode_np(model, np.stack([I_a, I_b, I_ab]))
         try:
-            scores.append(additivity_score(
-                AdditivityTriple(v_a=embs[0], v_b=embs[1], v_ab=embs[2])))
+            scores.append(additivity_score(embs[0], embs[1], embs[2]))
         except DegenerateInputError:
             excluded += 1
     return np.asarray(scores, dtype=np.float64), excluded

@@ -15,7 +15,7 @@ from anchorlab.alignment import (
     train_control,
     train_orthogonal,
 )
-from anchorlab.anchors import AnchorSet, build_anchor_set, orthogonal_targets
+from anchorlab.anchors import build_anchor_set, orthogonal_targets
 from anchorlab.encoders import encode_np
 from anchorlab.errors import ConfigError, ManifestError
 from anchorlab.evaluation import ProbeHead, group_metrics, probe_predict
@@ -99,9 +99,8 @@ def test_train_bap_runs_and_logs(micro_world, micro_teacher):
 
 def test_train_bap_missing_anchor(micro_world, micro_teacher):
     fgs, bgs = micro_world
-    aset = AnchorSet(anchors={}, K=1)
     with pytest.raises(ManifestError):
-        train_bap(micro_teacher, aset, fgs, bgs, _small_cfg())
+        train_bap(micro_teacher, {}, fgs, bgs, _small_cfg())
 
 
 def test_bap_and_control_share_the_stream(micro_world, micro_teacher, monkeypatch):

@@ -1,17 +1,14 @@
-"""Anchor extraction, background-mean diagnostics, K sweeps, orthogonal targets."""
+"""Anchor extraction, background residuals, K sweeps, orthogonal targets."""
 
 import numpy as np
 import pytest
 
 from anchorlab import anchors
 from anchorlab.anchors import (
-    BackgroundMean,
     Prototypes,
-    anchor_composite,
     background_embeddings,
     build_anchor_set,
     compute_prototypes,
-    estimate_mu_bg,
     extract_anchor,
     k_sweep,
     orthogonal_targets,
@@ -20,6 +17,7 @@ from anchorlab.anchors import (
 from anchorlab.encoders import encode_np
 from anchorlab.errors import ConfigError, DegenerateInputError, DimensionError
 from anchorlab.rng import rng
+from anchorlab.scene import ANCHOR_SCALE, composite
 
 
 def test_extract_anchor_k1_matches_single_embedding(micro_world, micro_teacher):
@@ -29,7 +27,7 @@ def test_extract_anchor_k1_matches_single_embedding(micro_world, micro_teacher):
     # reconstruct the single draw the extractor makes
     g = rng(77, "anchor", fg.id, 1)
     idx = g.choice(len(bgs), size=1, replace=False)[0]
-    raster = anchor_composite(fg, bgs[idx], 77)
+    raster = composite(fg, bgs[idx], ANCHOR_SCALE, 77).raster
     expected = encode_np(micro_teacher, raster[None])[0]
     assert np.allclose(a, expected, atol=1e-6)
     assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-5)
@@ -51,46 +49,35 @@ def test_extract_anchor_errors(micro_world, micro_teacher):
         extract_anchor(micro_teacher, fgs[0], [], 3, 1)
 
 
-def test_build_anchor_set_replacement_flag(micro_world, micro_teacher):
+def test_build_anchor_set_covers_every_foreground(micro_world, micro_teacher):
     fgs, bgs = micro_world
     aset = build_anchor_set(micro_teacher, fgs, bgs, 3, 11)
-    assert set(aset.anchors) == {fg.id for fg in fgs}
-    assert not aset.with_replacement
+    assert set(aset) == {fg.id for fg in fgs}
+    # a pool smaller than K is drawn with replacement
     small = build_anchor_set(micro_teacher, fgs[:1], bgs[:2], 5, 11)
-    assert small.with_replacement
+    assert set(small) == {fgs[0].id}
+    assert np.linalg.norm(small[fgs[0].id]) == pytest.approx(1.0, abs=1e-5)
 
 
-def test_background_embeddings_order_and_norm(micro_world, micro_teacher):
+def test_background_embeddings_order_and_norm(micro_world, micro_teacher, monkeypatch):
     _, bgs = micro_world
-    embs = background_embeddings(micro_teacher, bgs, batch=3)
+    monkeypatch.setattr(anchors, "_BG_CHUNK", 3)  # chunk boundaries inside the pool
+    embs = background_embeddings(micro_teacher, bgs)
     assert embs.shape == (len(bgs), micro_teacher.d)
     assert np.allclose(np.linalg.norm(embs, axis=1), 1.0, atol=1e-5)
     direct = encode_np(micro_teacher, np.stack([b.raster for b in bgs]))
     assert np.allclose(embs, direct, atol=1e-6)
 
 
-def test_estimate_mu_bg_full_pool_oracle(micro_world, micro_teacher):
-    _, bgs = micro_world
-    mu = estimate_mu_bg(micro_teacher, bgs, len(bgs), 5)
-    expected = background_embeddings(micro_teacher, bgs).astype(np.float64).mean(axis=0)
-    assert np.allclose(mu.vector, expected, atol=1e-6)
-    assert mu.count == len(bgs)
-    assert np.linalg.norm(mu.vector) <= 1.0 + 1e-6
-    with pytest.raises(ConfigError):
-        estimate_mu_bg(micro_teacher, bgs, 0, 5)
-
-
 def test_residual_variance_decreases_with_k(micro_world, micro_teacher):
     _, bgs = micro_world
     embs = background_embeddings(micro_teacher, bgs)
-    mu = BackgroundMean(vector=embs.astype(np.float64).mean(axis=0), count=len(bgs))
-    v1 = residual_variance(micro_teacher, bgs, 1, 400, mu, 9, bg_embs=embs)
-    v8 = residual_variance(micro_teacher, bgs, 8, 400, mu, 9, bg_embs=embs)
+    mu = embs.astype(np.float64).mean(axis=0)
+    v1 = residual_variance(embs, 1, 400, mu, 9)
+    v8 = residual_variance(embs, 8, 400, mu, 9)
     assert v8 < v1
     with pytest.raises(ConfigError):
-        residual_variance(micro_teacher, bgs, 2, 1, mu, 9)
-    with pytest.raises(ConfigError):
-        residual_variance(micro_teacher, bgs, len(bgs) + 1, 5, mu, 9, replace=False)
+        residual_variance(embs, 2, 1, mu, 9)
 
 
 def test_compute_prototypes(micro_world, micro_teacher, monkeypatch):

@@ -299,7 +299,8 @@ def test_run_seed_holds_one_trained_encoder_at_a_time(tmp_path, monkeypatch):
     def tracking_anchor_set(*args, **kwargs):
         anchor_set = real_anchor_set(*args, **kwargs)
         alive.add("anchors")
-        weakref.finalize(anchor_set, alive.discard, "anchors")
+        # a dict takes no weak reference; one of its anchor arrays does
+        weakref.finalize(next(iter(anchor_set.values())), alive.discard, "anchors")
         return anchor_set
 
     monkeypatch.setattr(cli, "freeze", tracking_freeze)
@@ -631,6 +632,20 @@ def test_run_record_is_written_whole_or_not_at_all(tmp_path, mini_cfg, monkeypat
     assert list((tmp_path / "runs").iterdir()) == []
 
 
+def test_csv_is_written_whole_or_not_at_all(tmp_path, monkeypatch):
+    path = cli._write_csv(tmp_path / "metrics.csv", ("a", "b"), [[1, 2]])
+    before = path.read_bytes()
+
+    def failing_replace(src, dst):
+        raise OSError("disk gone")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk gone"):
+        cli._write_csv(path, ("a", "b"), [[3, 4], [5, 6]])
+    assert path.read_bytes() == before
+    assert list(tmp_path.glob("*.tmp")) == []
+
+
 def test_ablate_seg(tmp_path, mini_cfg, monkeypatch):
     worlds = []
 
@@ -745,7 +760,10 @@ def test_report_collects_artifacts(tmp_path, mini_cfg):
     assert "metrics: metrics.csv" in text
     assert "k_ablation: k_ablation.csv" in text
     assert "ablate_k_train_sweep: ablate_k_train_sweep.csv" in text
-    assert (tmp_path / "plots" / "fig_anchor_purification.csv").exists()
+    # a figure analog whose data is a table in --out is named, not copied
+    assert "  fig_anchor_purification: k_ablation.csv\n" in text
+    assert "  fig_finetune_degradation: plots/fig_finetune_degradation.csv\n" in text
+    assert [p.name for p in (tmp_path / "plots").iterdir()] == ["fig_finetune_degradation.csv"]
     lines = (tmp_path / "plots" / "fig_finetune_degradation.csv").read_text().splitlines()
     assert lines[0] == "run_id,epoch,wga,avg"
     # one row per epoch of the single lp-ft run, epoch 0 being the frozen-probe baseline

@@ -108,7 +108,6 @@ def test_group_metrics_hand_case():
     assert gm.per_group[(1, 1)] == 1.0
     assert gm.avg == pytest.approx(4 / 6)
     assert gm.wga == 0.0
-    assert gm.empty_groups == ()
 
 
 def test_group_metrics_permutation_invariance():
@@ -126,10 +125,11 @@ def test_group_metrics_permutation_invariance():
 
 def test_group_metrics_empty_cell_and_errors():
     gm = group_metrics(np.array([0, 1]), np.array([0, 1]), np.array([0, 0]))
-    assert (0, 0) in gm.per_group and (1, 0) in gm.per_group
-    assert gm.empty_groups == ()
-    gm2 = group_metrics(np.array([0, 1, 1]), np.array([0, 1, 1]), np.array([0, 0, 1]))
-    assert (0, 1) in gm2.empty_groups
+    assert set(gm.per_group) == {(0, 0), (1, 0)}
+    # an empty (class, group) cell has no accuracy and does not enter the WGA
+    gm2 = group_metrics(np.array([0, 1, 0]), np.array([0, 1, 1]), np.array([0, 0, 1]))
+    assert set(gm2.per_group) == {(0, 0), (1, 0), (1, 1)}
+    assert gm2.wga == 0.0 and gm2.avg == pytest.approx(2 / 3)
     with pytest.raises(ConfigError):
         group_metrics(np.array([0]), np.array([0, 1]), np.array([0, 1]))
 
