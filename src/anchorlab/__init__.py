@@ -9,6 +9,7 @@ Modules:
     alignment   anchor-alignment training loops and controls
     evaluation  probes, group metrics, background-sensitivity index
     cli         experiment orchestration
+    files       the whole-or-nothing file writer
 """
 
 __version__ = "0.1.0"
@@ -21,6 +22,7 @@ from . import (  # noqa: F401
     encoders,
     errors,
     evaluation,
+    files,
     rng,
     scene,
     tensor,

@@ -31,6 +31,7 @@ from . import alignment, anchors, evaluation, scene
 from .additivity import run_probe
 from .encoders import EncoderModel, PlantedConfig, encode_np, freeze, planted_teacher
 from .errors import ConfigError
+from .files import write_whole
 from .rng import derive_seed
 from .scene import GroupedDataset, gen_world
 
@@ -201,6 +202,11 @@ def run_seeds(cfg: ExperimentConfig, global_seed: int) -> list[int]:
     return [derive_seed(global_seed, "run", i) for i in range(cfg.num_seeds)]
 
 
+def _first_per_class(fgs, n: int) -> list:
+    """The first `n` foregrounds of each class, in class order."""
+    return [fg for y in sorted({fg.y for fg in fgs}) for fg in [f for f in fgs if f.y == y][:n]]
+
+
 # ---------------------------------------------------------------------------
 # per-seed artifact cache
 
@@ -310,11 +316,8 @@ class SeedContext:
     def _build_native(self, rho: float) -> dict:
         # the teacher is scored zero-shot against its own class prototypes; no
         # backgrounds, since the group prototypes would go unread
-        fgs = self.world[0]
-        exemplars = [fg for y in sorted({fg.y for fg in fgs})
-                     for fg in [f for f in fgs if f.y == y][:40]]
-        protos = anchors.compute_prototypes(self.teacher, exemplars, (),
-                                            memo=self.memo).by_class
+        protos = anchors.compute_prototypes(self.teacher, _first_per_class(self.world[0], 40),
+                                            (), memo=self.memo).by_class
         return {"encoder": self.teacher, "protos": protos}
 
     def _build_lp_ft(self, rho: float) -> dict:
@@ -401,16 +404,17 @@ def cmd_gen_data(cfg: ExperimentConfig, seed: int, out) -> list[Path]:
     out = _ensure_out(out)
     ctx = SeedContext(cfg, derive_seed(seed, "run", 0))
     paths = []
-    for rho in cfg.rhos:
-        train, test = ctx.datasets(rho)
-        _leakage_check(train, test)
-        header = {"world_seed": derive_seed(ctx.seed, "world"),
-                  "num_classes": 2, "num_bg_groups": 2,
-                  "fg_per_class": cfg.fg_per_class, "bg_per_group": cfg.bg_per_group,
-                  "hw": [cfg.hw, cfg.hw], "rho": rho, "data_seed": ctx.data_seed}
-        path = out / f"dataset-rho{rho:g}.jsonl"
-        scene.write_manifest(path, train, test, header)
-        paths.append(path)
+    with _one_blas_thread():
+        for rho in cfg.rhos:
+            train, test = ctx.datasets(rho)
+            _leakage_check(train, test)
+            header = {"world_seed": derive_seed(ctx.seed, "world"),
+                      "num_classes": 2, "num_bg_groups": 2,
+                      "fg_per_class": cfg.fg_per_class, "bg_per_group": cfg.bg_per_group,
+                      "hw": [cfg.hw, cfg.hw], "rho": rho, "data_seed": ctx.data_seed}
+            path = out / f"dataset-rho{rho:g}.jsonl"
+            scene.write_manifest(path, train, test, header)
+            paths.append(path)
     return paths
 
 
@@ -419,18 +423,19 @@ def cmd_probe_additivity(cfg: ExperimentConfig, seed: int, out) -> Path:
     ctx = SeedContext(cfg, derive_seed(seed, "run", 0))
     fgs, bgs = ctx.world
     run_ids = []
-    for alpha in cfg.additivity_alphas:
-        t0 = time.perf_counter()
-        teacher = planted_teacher(PlantedConfig(seed=derive_seed(seed, "additivity-teacher"),
-                                                alpha=alpha),
-                                  d=cfg.d, input_hw=(cfg.hw, cfg.hw))
-        probe_seed = derive_seed(seed, "additivity", alpha)
-        rep = run_probe(teacher, fgs, bgs, cfg.additivity_n, probe_seed,
-                        encoder_tag=f"planted-a{alpha:g}")
-        run_ids.append(_write_run_record(out, f"additivity-a{alpha:g}", cfg, probe_seed, {
-            "encoder": rep.encoder_tag, "alpha": alpha, "n": rep.n,
-            "excluded": rep.excluded, "mean_S": rep.mean, "std_S": rep.std,
-            "wall_s": round(time.perf_counter() - t0, 3)}))
+    with _one_blas_thread():
+        for alpha in cfg.additivity_alphas:
+            t0 = time.perf_counter()
+            teacher = planted_teacher(PlantedConfig(seed=derive_seed(seed, "additivity-teacher"),
+                                                    alpha=alpha),
+                                      d=cfg.d, input_hw=(cfg.hw, cfg.hw))
+            probe_seed = derive_seed(seed, "additivity", alpha)
+            rep = run_probe(teacher, fgs, bgs, cfg.additivity_n, probe_seed,
+                            encoder_tag=f"planted-a{alpha:g}")
+            run_ids.append(_write_run_record(out, f"additivity-a{alpha:g}", cfg, probe_seed, {
+                "encoder": rep.encoder_tag, "alpha": alpha, "n": rep.n,
+                "excluded": rep.excluded, "mean_S": rep.mean, "std_S": rep.std,
+                "wall_s": round(time.perf_counter() - t0, 3)}))
     rows = [[rec["encoder"], rec["alpha"], rec["n"], f"{rec['mean_S']:.6f}",
              f"{rec['std_S']:.6f}"] for rec in _read_run_records(out, run_ids)]
     # highest score first, ranked on the value the table shows
@@ -444,7 +449,7 @@ def cmd_k_ablation(cfg: ExperimentConfig, seed: int, out) -> Path:
     fgs, bgs = ctx.world
     teacher = ctx.teacher
     protos = anchors.compute_prototypes(teacher, fgs, bgs, memo=ctx.memo)
-    report = anchors.k_sweep(teacher, fgs[: min(len(fgs), 50)], bgs, cfg.k_grid,
+    report = anchors.k_sweep(teacher, _first_per_class(fgs, 25), bgs, cfg.k_grid,
                              protos, derive_seed(seed, "ksweep"),
                              var_trials=cfg.var_trials)
     logk = np.log(np.asarray(report.k_grid, dtype=np.float64))
@@ -462,20 +467,6 @@ def cmd_k_ablation(cfg: ExperimentConfig, seed: int, out) -> Path:
                       rows)
 
 
-def _write_whole(path: Path, text: str) -> Path:
-    """Write `text` to `path` whole or not at all: a temp file, then a rename; on
-    any failure the temp file is removed."""
-    tmp = path.with_name(f"{path.name}.tmp")
-    try:
-        with open(tmp, "w", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-    return path
-
-
 def _write_run_record(out: Path, run_id: str, cfg: ExperimentConfig, seed: int,
                       extra: dict) -> str:
     """Write `runs/<run_id>.json`, whole or not at all."""
@@ -483,7 +474,7 @@ def _write_run_record(out: Path, run_id: str, cfg: ExperimentConfig, seed: int,
     runs.mkdir(parents=True, exist_ok=True)
     record = {"run_id": run_id, "config": asdict(cfg), "seed": seed,
               "code_hash": code_hash(), **extra}
-    _write_whole(runs / f"{run_id}.json", json.dumps(record, sort_keys=True, indent=2))
+    write_whole(runs / f"{run_id}.json", json.dumps(record, sort_keys=True, indent=2))
     return run_id
 
 
@@ -497,7 +488,7 @@ def _write_csv(path: Path, header, rows) -> Path:
     w = csv.writer(buf)
     w.writerow(header)
     w.writerows(rows)
-    return _write_whole(path, buf.getvalue())
+    return write_whole(path, buf.getvalue())
 
 
 def _metrics(gm: evaluation.GroupMetrics, bsi_value: float) -> dict:
@@ -637,6 +628,61 @@ def _seed_pool(jobs: int):
                 os.environ.pop(name, None)
             else:
                 os.environ[name] = value
+
+
+def _openblas_threads() -> list[tuple]:
+    """(get, set) of the thread count of each OpenBLAS this process has loaded: the
+    libraries are found by path in `/proc/self/maps`, so only on Linux, and the
+    functions by the names numpy's wheels (`scipy_openblas_*64_`) and other builds
+    (`openblas_*`, `openblas_*64_`) export."""
+    import ctypes
+    from itertools import product
+
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {fields[5].rstrip("\n") for fields in (line.split(maxsplit=5) for line in fh)
+                     if len(fields) == 6 and "openblas" in Path(fields[5]).name.lower()}
+    except OSError:
+        return []
+    found = []
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in product(("scipy_", ""), ("64_", "")):
+            try:
+                get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}")
+                set_ = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}")
+            except AttributeError:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            found.append((get, set_))
+            break
+    return found
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block with every loaded OpenBLAS on one thread, then restore each
+    one's thread count, also when the block raises; a no-op where none is loaded.
+
+    For the commands that composite and encode but never train: after each
+    product OpenBLAS's idle threads spin-wait for the next one, so they burn a CPU
+    through all the compositing in between.  An environment variable cannot do
+    this in-process, since OpenBLAS reads `OPENBLAS_NUM_THREADS` once, when numpy
+    is imported.  The training commands keep the default: their products are large
+    enough for a second thread to shorten the run."""
+    libs = _openblas_threads()
+    saved = [get() for get, _ in libs]
+    for _, set_threads in libs:
+        set_threads(1)
+    try:
+        yield
+    finally:
+        for (_, set_threads), count in zip(libs, saved):
+            set_threads(count)
 
 
 def _seed_jobs(cfg: ExperimentConfig,
@@ -784,7 +830,7 @@ def cmd_report(out) -> Path:
              *(f"  {name}: {name}.csv" for name in present), "", "figure data:",
              *(f"  {line}" for line in figures or ["none"]), "", "missing artifacts:",
              *(f"  {name}" for name in missing or ["none"])]
-    return _write_whole(out / "report.txt", "\n".join(lines) + "\n")
+    return write_whole(out / "report.txt", "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------

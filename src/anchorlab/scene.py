@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, DegenerateMaskError, DimensionError, ManifestError
+from .files import write_whole
 from .rng import derive_seed, rng
 
 NEUTRAL_GRAY = 0.5
@@ -607,17 +607,17 @@ def build_test_split(foregrounds: list[ForegroundInstance],
 
 def write_manifest(path, train: GroupedDataset, test: GroupedDataset,
                    world_config: dict) -> None:
-    """One JSON record per line; a header line carries the world config."""
-    path = Path(path)
-    with open(path, "w") as fh:
-        fh.write(json.dumps({"kind": "header", **world_config}, sort_keys=True) + "\n")
-        for split_name, ds in (("train", train), ("test", test)):
-            for i, it in enumerate(ds.items):
-                rec = {"kind": "item", "composite_id": f"{split_name}-{i}",
-                       "fg_id": it.comp.fg_id, "bg_id": it.comp.bg_id,
-                       "y": it.y, "g": it.g, "split": split_name,
-                       "degradation": it.comp.degradation, "seed": it.comp.seed}
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    """One JSON record per line; a header line carries the world config.  Written
+    whole or not at all, so a crash never leaves a shorter manifest behind."""
+    lines = [json.dumps({"kind": "header", **world_config}, sort_keys=True)]
+    for split_name, ds in (("train", train), ("test", test)):
+        for i, it in enumerate(ds.items):
+            rec = {"kind": "item", "composite_id": f"{split_name}-{i}",
+                   "fg_id": it.comp.fg_id, "bg_id": it.comp.bg_id,
+                   "y": it.y, "g": it.g, "split": split_name,
+                   "degradation": it.comp.degradation, "seed": it.comp.seed}
+            lines.append(json.dumps(rec, sort_keys=True))
+    write_whole(path, "\n".join(lines) + "\n")
 
 
 # what `regenerate_from_manifest` reads from the header and from each item line

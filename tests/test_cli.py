@@ -1,5 +1,6 @@
 """Orchestration layer: config handling, subcommands, end-to-end determinism."""
 
+import contextlib
 import json
 import os
 import weakref
@@ -382,6 +383,22 @@ def test_k_ablation_csv(tmp_path, mini_cfg):
     assert len(slopes) == 1  # one fitted slope repeated per row
 
 
+def test_k_ablation_sweeps_the_first_25_foregrounds_of_each_class(tmp_path, monkeypatch):
+    swept = []
+
+    class Swept(Exception):
+        pass
+
+    def capture(teacher, foregrounds, *args, **kwargs):
+        swept.extend(fg.id for fg in foregrounds)
+        raise Swept
+
+    monkeypatch.setattr(anchors, "k_sweep", capture)
+    with pytest.raises(Swept):
+        cmd_k_ablation(ExperimentConfig(**{**MINI, "fg_per_class": 50}), 3, tmp_path)
+    assert swept == [f"fg-{y}-{i}" for y in (0, 1) for i in range(25)]
+
+
 def test_run_matrix_outputs(tmp_path, mini_cfg):
     path = cmd_run_matrix(mini_cfg, 3, tmp_path)
     assert path.name == "metrics.csv"
@@ -644,6 +661,62 @@ def test_csv_is_written_whole_or_not_at_all(tmp_path, monkeypatch):
         cli._write_csv(path, ("a", "b"), [[3, 4], [5, 6]])
     assert path.read_bytes() == before
     assert list(tmp_path.glob("*.tmp")) == []
+
+
+# ---------------------------------------------------------------------------
+# BLAS threads
+
+needs_proc_maps = pytest.mark.skipif(not os.path.exists("/proc/self/maps"),
+                                     reason="loaded libraries are found in /proc/self/maps")
+
+
+@needs_proc_maps
+def test_the_openblas_numpy_loaded_is_found():
+    # a renamed thread setter in a later numpy fails here, rather than leaving
+    # probe-additivity and gen-data on BLAS threads that spin between products
+    assert cli._openblas_threads()
+
+
+@needs_proc_maps
+def test_one_blas_thread_pins_the_block_and_restores_the_count():
+    (get, set_threads), *_ = cli._openblas_threads()
+    before = get()
+    set_threads(2)
+    try:
+        with cli._one_blas_thread():
+            assert get() == 1
+        assert get() == 2
+        with pytest.raises(RuntimeError, match="boom"), cli._one_blas_thread():
+            assert get() == 1
+            raise RuntimeError("boom")
+        assert get() == 2
+    finally:
+        set_threads(before)
+
+
+def test_one_blas_thread_without_openblas_is_a_no_op(monkeypatch):
+    libs = cli._openblas_threads()
+    before = [get() for get, _ in libs]
+    for _, set_threads in libs:
+        set_threads(2)
+    try:
+        monkeypatch.setattr(cli, "_openblas_threads", lambda: [])
+        with cli._one_blas_thread():
+            assert [get() for get, _ in libs] == [2] * len(libs)
+    finally:
+        for (_, set_threads), count in zip(libs, before):
+            set_threads(count)
+
+
+def test_one_blas_thread_keeps_every_bit(tmp_path, mini_cfg, monkeypatch):
+    def run(out):
+        tables = [*cmd_gen_data(mini_cfg, 3, out), cmd_probe_additivity(mini_cfg, 3, out)]
+        records = [json.loads(p.read_text()) for p in sorted((out / "runs").glob("*.json"))]
+        return [p.read_bytes() for p in tables], [(r["mean_S"], r["std_S"]) for r in records]
+
+    pinned = run(tmp_path / "pinned")
+    monkeypatch.setattr(cli, "_one_blas_thread", contextlib.nullcontext)
+    assert run(tmp_path / "default") == pinned
 
 
 def test_ablate_seg(tmp_path, mini_cfg, monkeypatch):

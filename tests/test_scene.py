@@ -1,6 +1,7 @@
 """World generation, mask pipeline, compositing, datasets and manifests."""
 
 import json
+import os
 import re
 
 import numpy as np
@@ -493,6 +494,23 @@ def test_malformed_manifest_raises_manifest_error(tmp_path, lineno, edit, named)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ManifestError, match=named):
         regenerate_from_manifest(path)
+
+
+def test_manifest_is_written_whole_or_not_at_all(tmp_path, monkeypatch):
+    fgs, bgs = gen_world(31, 2, 2, 2, 5, (32, 32))
+    train, test = build_train_split(fgs, bgs, 1.0, 4, 55), build_test_split(fgs, bgs, 2, 55)
+    path = tmp_path / "manifest.jsonl"
+    write_manifest(path, train, test, {"rho": 1.0})
+    before = path.read_bytes()
+
+    def failing_replace(src, dst):
+        raise OSError("disk gone")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk gone"):
+        write_manifest(path, train, train, {"rho": 1.0})
+    assert path.read_bytes() == before
+    assert list(tmp_path.glob("*.tmp")) == []
 
 
 def test_manifest_missing_header(tmp_path):
