@@ -50,8 +50,9 @@ ALL_METHODS = tuple(METHODS)
 # the encoders the methods name, in table order: native, lp-ft, control, bap, ortho
 ENCODERS = tuple(dict.fromkeys(name for name, _ in METHODS.values()))
 TEACHERS = ("learned-mlp", "planted")
-# set to "1" in the environment a seed worker starts with: BLAS reads it when it loads
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# seconds each encoder's build and runs took in a traced default seed on one CPU,
+# rounded: the weights by which `_seed_jobs` deals a split seed's encoders
+ENCODER_COST = {"bap": 15, "ortho": 14, "lp-ft": 13, "control": 11, "native": 1}
 
 
 @dataclass(frozen=True)
@@ -314,8 +315,11 @@ class SeedContext:
     # one builder per encoder name: the fields of its `Trained` record but the BSI
 
     def _build_native(self, rho: float) -> dict:
-        # the teacher is scored zero-shot against its own class prototypes; no
-        # backgrounds, since the group prototypes would go unread
+        # the teacher is scored zero-shot against its own class prototypes, built only
+        # when a zero-shot native method runs; no backgrounds, since the group
+        # prototypes would go unread
+        if ("native", "zs") not in {METHODS[m] for m in self.cfg.methods}:
+            return {"encoder": self.teacher}
         protos = anchors.compute_prototypes(self.teacher, _first_per_class(self.world[0], 40),
                                             (), memo=self.memo).by_class
         return {"encoder": self.teacher, "protos": protos}
@@ -603,38 +607,34 @@ def _usable_cpus() -> int:
 
 @contextmanager
 def _seed_pool(jobs: int):
-    """A pool of `jobs` spawned seed workers, each with single-threaded BLAS.
+    """A pool of `jobs` seed workers forked from this process; open it only where
+    `_may_fork()` holds inside `_one_blas_thread()`.
 
-    Spawned, not forked: a forked child keeps the BLAS threads its parent
-    loaded with.  A worker thus starts single-threaded and stays so, which is
-    what lets `_run_seed` fork the other encoder groups of a split seed from it.
-    On exit the workers are joined, after pending jobs are cancelled if the
-    block raised, and the parent's environment is restored.
+    The pool runs inside `_one_blas_thread()` itself, so each worker inherits
+    numpy, the package and OpenBLAS on one thread, and stays single-threaded,
+    which is what lets `_run_seed` fork the other encoder groups of a split seed
+    from it.  The pool forks all its workers at the first submit, before it starts
+    its manager thread.  On exit the workers are joined, after pending jobs are
+    cancelled if the block raised, and the caller's BLAS thread count is restored.
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    saved = {name: os.environ.get(name) for name in BLAS_THREAD_VARS}
-    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
-    try:
-        pool = ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("spawn"))
+    with _one_blas_thread():
+        pool = ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("fork"))
         try:
             yield pool
         finally:
             pool.shutdown(wait=True, cancel_futures=True)
-    finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
 
 
 def _openblas_threads() -> list[tuple]:
-    """(get, set) of the thread count of each OpenBLAS this process has loaded: the
-    libraries are found by path in `/proc/self/maps`, so only on Linux, and the
-    functions by the names numpy's wheels (`scipy_openblas_*64_`) and other builds
-    (`openblas_*`, `openblas_*64_`) export."""
+    """(get, set, shutdown) of each OpenBLAS this process has loaded: its thread-count
+    getter and setter, and the call that joins its idle threads.  The libraries are
+    found by path in `/proc/self/maps`, so only on Linux; the count functions by the
+    names numpy's wheels (`scipy_openblas_*64_`) and other builds (`openblas_*`,
+    `openblas_*64_`) export, and the shutdown as `blas_thread_shutdown_`, which
+    OpenBLAS's own fork handler calls (a no-op where it is not exported)."""
     import ctypes
     from itertools import product
 
@@ -658,31 +658,56 @@ def _openblas_threads() -> list[tuple]:
                 continue
             get.argtypes, get.restype = [], ctypes.c_int
             set_.argtypes, set_.restype = [ctypes.c_int], None
-            found.append((get, set_))
+            shutdown = getattr(lib, "blas_thread_shutdown_", lambda: 0)
+            found.append((get, set_, shutdown))
             break
     return found
 
 
 @contextmanager
 def _one_blas_thread():
-    """Run the block with every loaded OpenBLAS on one thread, then restore each
-    one's thread count, also when the block raises; a no-op where none is loaded.
+    """Run the block with every loaded OpenBLAS on one thread and its idle threads
+    joined, then restore each one's thread count, which starts its threads again,
+    also when the block raises; a no-op where none is loaded.
 
     For the commands that composite and encode but never train: after each
     product OpenBLAS's idle threads spin-wait for the next one, so they burn a CPU
-    through all the compositing in between.  An environment variable cannot do
-    this in-process, since OpenBLAS reads `OPENBLAS_NUM_THREADS` once, when numpy
-    is imported.  The training commands keep the default: their products are large
+    through all the compositing in between.  And for `_seed_pool`: with no BLAS
+    thread left the process may fork (`_may_fork`), and each child inherits
+    OpenBLAS on one thread.  An environment variable cannot do this in process,
+    since OpenBLAS reads `OPENBLAS_NUM_THREADS` once, when numpy is imported.  A
+    training command run in process keeps the default: its products are large
     enough for a second thread to shorten the run."""
     libs = _openblas_threads()
-    saved = [get() for get, _ in libs]
-    for _, set_threads in libs:
+    saved = [get() for get, _, _ in libs]
+    for _, set_threads, shutdown in libs:
         set_threads(1)
+        shutdown()
     try:
         yield
     finally:
-        for (_, set_threads), count in zip(libs, saved):
+        for (_, set_threads, _), count in zip(libs, saved):
             set_threads(count)
+
+
+def _may_fork() -> bool:
+    """Whether this process may fork seed workers now: the `fork` start method
+    exists, OpenBLAS is loaded and every copy of it runs one thread, and
+    `/proc/self/status` shows one OS thread.  A child forked while another thread
+    holds a lock can deadlock on it, and a child with BLAS threads must not fork
+    its own.  So it holds inside `_one_blas_thread()` on Linux with OpenBLAS, while
+    no other thread is alive, and never on macOS, Windows or other BLAS builds."""
+    import multiprocessing
+
+    libs = _openblas_threads()
+    if ("fork" not in multiprocessing.get_all_start_methods() or not libs
+            or any(get() != 1 for get, _, _ in libs)):
+        return False
+    try:
+        with open("/proc/self/status") as fh:
+            return any(line.split() == ["Threads:", "1"] for line in fh)
+    except OSError:
+        return False
 
 
 def _seed_jobs(cfg: ExperimentConfig,
@@ -690,22 +715,23 @@ def _seed_jobs(cfg: ExperimentConfig,
     """(seed index, encoder groups) of each run-matrix job: one job per seed.
 
     Seeds run `cpus` at a time.  The seeds of full waves stay whole, one group of
-    every encoder their methods name.  Each of the last `num_seeds % cpus` seeds, a
-    partial wave, gets `cpus // (num_seeds % cpus)` groups, at most one per trained
-    encoder (native trains nothing), and its encoders are dealt round-robin, in
-    `ENCODERS` order, into them.  Where the `fork` start method does not exist,
-    no seed is split.  No student depends on another, so a split changes no number.
+    every encoder their methods name, in `ENCODERS` order.  Each of the last
+    `num_seeds % cpus` seeds, a partial wave, gets `cpus // (num_seeds % cpus)`
+    groups, at most one per trained encoder (native trains nothing): its encoders
+    are dealt longest first by `ENCODER_COST`, each into the group with the least
+    cost so far.  Where this process may not fork (`_may_fork`), no seed is split.
+    No student depends on another, so a split changes no number.
     """
-    import multiprocessing
-
     named = [name for name in ENCODERS if any(METHODS[m][0] == name for m in cfg.methods)]
     trained = sum(name != "native" for name in named)
     partial = cfg.num_seeds % cpus
-    k = 1
-    if partial and "fork" in multiprocessing.get_all_start_methods():
-        k = max(1, min(trained, cpus // partial))
-    split = tuple(tuple(named[g::k]) for g in range(k))
-    return [(i, split if i >= cfg.num_seeds - partial else (tuple(named),))
+    k = max(1, min(trained, cpus // partial)) if partial and _may_fork() else 1
+    whole = (tuple(named),)
+    groups = [[] for _ in range(k)]
+    for name in sorted(named, key=ENCODER_COST.get, reverse=True):
+        min(groups, key=lambda group: sum(map(ENCODER_COST.get, group))).append(name)
+    split = tuple(map(tuple, groups)) if k > 1 else whole
+    return [(i, split if i >= cfg.num_seeds - partial else whole)
             for i in range(cfg.num_seeds)]
 
 
@@ -714,10 +740,11 @@ def cmd_run_matrix(cfg: ExperimentConfig, seed: int, out,
     """The method x rho x seed grid: one run record per cell, then the two CSVs built
     from those records, in grid order (seed, rho, method).
 
-    The grid runs as the seed jobs of `_seed_jobs`, in spawned workers, one per
-    usable CPU and at most one per seed, when more than one seed can run at once
-    or a seed is split; otherwise in this process, which is never forked, since
-    its BLAS may hold threads.  The output is the same.
+    The grid runs as the seed jobs of `_seed_jobs` in workers forked from this
+    process, one per usable CPU and at most one per seed, when more than one seed
+    can run at once or a seed is split, and this process may fork (`_may_fork`
+    inside `_one_blas_thread()`).  Otherwise it runs in this process, on BLAS's
+    default threads.  The output is the same.
     """
     # the records carry the grid that runs; a bad override raises ConfigError here
     cfg = replace(cfg, methods=tuple(cfg.methods if methods is None else methods),
@@ -725,25 +752,16 @@ def cmd_run_matrix(cfg: ExperimentConfig, seed: int, out,
     out = _ensure_out(out)
     seeds = run_seeds(cfg, seed)
     cpus = _usable_cpus()
-    jobs = [(i, seeds[i], groups) for i, groups in _seed_jobs(cfg, cpus)]
-    workers = min(len(jobs), cpus)
-    if workers == 1 and all(len(groups) == 1 for _, _, groups in jobs):
-        per_job = [_run_seed(cfg, out, *job) for job in jobs]
-    else:
-        from concurrent.futures.process import BrokenProcessPool
-
-        with _seed_pool(workers) as pool:
-            futures = [pool.submit(_run_seed, cfg, out, *job) for job in jobs]
-            try:
+    with _one_blas_thread():
+        jobs = [(i, seeds[i], groups) for i, groups in _seed_jobs(cfg, cpus)]
+        workers = min(len(jobs), cpus)
+        pooled = _may_fork() and (workers > 1 or any(len(groups) > 1 for *_, groups in jobs))
+        if pooled:
+            with _seed_pool(workers) as pool:
+                futures = [pool.submit(_run_seed, cfg, out, *job) for job in jobs]
                 per_job = [f.result() for f in futures]
-            except BrokenProcessPool as err:
-                raise BrokenProcessPool(
-                    "run-matrix's spawned seed workers died before returning their runs. "
-                    "Each worker re-imports the calling script as its main module, so a "
-                    "script that calls cmd_run_matrix must make the call under an "
-                    '`if __name__ == "__main__":` guard whenever the run can pool: on more '
-                    "than one CPU, with several seeds or with one seed whose methods train "
-                    "more than one encoder.") from err
+    if not pooled:
+        per_job = [_run_seed(cfg, out, *job) for job in jobs]
     run_ids = {(i, *cell): run_id
                for (i, _, _), ids in zip(jobs, per_job) for cell, run_id in ids.items()}
     records = _read_run_records(out, [run_ids[i, rho, method] for i in range(len(seeds))

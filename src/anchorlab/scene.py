@@ -48,9 +48,9 @@ ANCHOR_SCALE = 0.8
 TEST_FRACTION = 0.2  # share of each background group held out for testing
 BALANCED_RHO = 0.5  # the test split's rate: every (class, group) cell equally filled
 
-# cap on the blend parts one RenderMemo stores; at the default config a
-# seed's distinct sizes would take about 85 MiB
-RENDER_MEMO_BYTES = 64 * 2**20
+# cap on the blend parts one RenderMemo stores: a default-config seed's
+# distinct sizes take 83.4 MiB
+RENDER_MEMO_BYTES = 84 * 2**20
 
 # (shape, base RGB): consecutive classes share a similar palette so the
 # foreground cue is subtler than the background one

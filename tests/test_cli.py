@@ -3,6 +3,10 @@
 import contextlib
 import json
 import os
+import subprocess
+import sys
+import threading
+import warnings
 import weakref
 
 import numpy as np
@@ -38,6 +42,10 @@ MINI = dict(
     k_grid=(1, 2), var_trials=10,
     methods=("native-lp", "bap-zs"), num_seeds=1,
 )
+
+
+needs_proc_maps = pytest.mark.skipif(not os.path.exists("/proc/self/maps"),
+                                     reason="loaded libraries are found in /proc/self/maps")
 
 
 @pytest.fixture(scope="module")
@@ -481,14 +489,29 @@ def test_run_matrix_keeps_a_one_encoder_seed_in_process(tmp_path, mini_cfg, monk
     assert pools == []
 
 
+def test_native_prototypes_are_built_only_for_a_zero_shot_native_method(tmp_path, monkeypatch):
+    calls = []
+    real = anchors.compute_prototypes
+    monkeypatch.setattr(anchors, "compute_prototypes",
+                        lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+    _cpus(monkeypatch, 1)  # in this process, where the calls are counted
+    cfg = ExperimentConfig(**{**MINI, "num_seeds": 2})
+    cmd_run_matrix(cfg, 3, tmp_path / "mini")  # native-lp and bap-zs
+    assert calls == []
+    cmd_run_matrix(cfg, 3, tmp_path / "zs", methods=(*cfg.methods, "native-zs"))
+    assert len(calls) == cfg.num_seeds
+
+
 WHOLE = (cli.ENCODERS,)
-HALVES = (("native", "control", "ortho"), ("lp-ft", "bap"))
+# by `ENCODER_COST`, 27 against 27 of the default seed's training seconds
+HALVES = (("bap", "control", "native"), ("ortho", "lp-ft"))
+QUARTERS = (("bap",), ("ortho",), ("lp-ft",), ("control", "native"))
 GATE_METHODS = ("native-lp", "lp-ft", "control", "bap-lp")
 
 
 @pytest.mark.parametrize("seeds, cpus, methods, jobs", [
     (1, 2, ALL_METHODS, [(0, HALVES)]),
-    (1, 8, ALL_METHODS, [(0, (("native", "ortho"), ("lp-ft",), ("control",), ("bap",)))]),
+    (1, 8, ALL_METHODS, [(0, QUARTERS)]),
     (1, 1, ALL_METHODS, [(0, WHOLE)]),
     (4, 2, ALL_METHODS, [(i, WHOLE) for i in range(4)]),
     (3, 8, ALL_METHODS, [(i, HALVES) for i in range(3)]),
@@ -497,13 +520,14 @@ GATE_METHODS = ("native-lp", "lp-ft", "control", "bap-lp")
     # a partial last wave: only its seeds are split, over the CPUs the wave leaves
     (5, 2, ALL_METHODS, [(i, WHOLE) for i in range(4)] + [(4, HALVES)]),
     (3, 2, ALL_METHODS, [(0, WHOLE), (1, WHOLE), (2, HALVES)]),
+    # the gate's seed 4: about 16 s against 24 s of training
     (5, 2, GATE_METHODS, [(i, (("native", "lp-ft", "control", "bap"),)) for i in range(4)]
-     + [(4, (("native", "control"), ("lp-ft", "bap")))]),
-    (5, 4, ALL_METHODS, [(i, WHOLE) for i in range(4)]
-     + [(4, (("native", "ortho"), ("lp-ft",), ("control",), ("bap",)))]),
+     + [(4, (("bap", "native"), ("lp-ft", "control")))]),
+    (5, 4, ALL_METHODS, [(i, WHOLE) for i in range(4)] + [(4, QUARTERS)]),
     (7, 4, ALL_METHODS, [(i, WHOLE) for i in range(7)]),
 ])
-def test_seed_jobs_split_a_seed_by_its_trained_encoders(seeds, cpus, methods, jobs):
+def test_seed_jobs_split_a_seed_by_its_trained_encoders(seeds, cpus, methods, jobs, monkeypatch):
+    monkeypatch.setattr(cli, "_may_fork", lambda: True)
     cfg = ExperimentConfig(**{**MINI, "num_seeds": seeds, "methods": methods, "epochs": 11})
     assert cli._seed_jobs(cfg, cpus) == jobs
 
@@ -513,13 +537,14 @@ def test_seed_jobs_split_no_seed_without_fork(monkeypatch):
 
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
     cfg = ExperimentConfig(**{**MINI, "num_seeds": 3, "methods": ALL_METHODS, "epochs": 11})
-    assert cli._seed_jobs(cfg, 2) == [(i, WHOLE) for i in range(3)]
+    with cli._one_blas_thread():  # where, but for the start method, it may fork
+        assert cli._seed_jobs(cfg, 2) == [(i, WHOLE) for i in range(3)]
 
 
 def _run_seed_logging(cfg, out, log, groups):
     """`cli._run_seed` of `cfg`'s first seed at global seed 3, meant for a seed worker.
     Each build of the seed's world, splits and teacher appends `<name> <pid>` to the
-    file `log`, and each run `run <method> <OPENBLAS_NUM_THREADS> <pid>`, from
+    file `log`, and each run `run <method> <OpenBLAS's thread count> <pid>`, from
     whichever process makes it.  Returns this process's pid and the run ids."""
     def log_calls(owner, attr, line):
         real = getattr(owner, attr)
@@ -535,7 +560,7 @@ def _run_seed_logging(cfg, out, log, groups):
                         (scene, "build_test_split"), (cli, "planted_teacher")):
         log_calls(owner, attr, lambda *args, _attr=attr: _attr)
     log_calls(cli, "evaluate_method", lambda ctx, method, rho: f"run {method} "
-            f"{os.environ.get('OPENBLAS_NUM_THREADS')}")
+              f"{_blas_threads()}")
     return os.getpid(), cli._run_seed(cfg, out, 0, run_seeds(cfg, 3)[0], groups)
 
 
@@ -576,15 +601,36 @@ def test_the_forked_group_runs_with_single_threaded_blas(split_seed_log):
     assert {blas for _, _, blas in runs} == {"1"}
 
 
-def test_seed_workers_start_with_single_threaded_blas(monkeypatch):
-    monkeypatch.setenv("OMP_NUM_THREADS", "4")
-    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-    before = dict(os.environ)
-    with cli._seed_pool(2) as pool:
-        assert pool._mp_context.get_start_method() == "spawn"
-        seen = list(pool.map(os.getenv, cli.BLAS_THREAD_VARS, timeout=120))
-    assert seen == ["1"] * len(cli.BLAS_THREAD_VARS)
-    assert dict(os.environ) == before
+def _blas_threads() -> int:
+    """OpenBLAS's own thread count in this process."""
+    (get, _, _), *_ = cli._openblas_threads()
+    return get()
+
+
+def _os_threads() -> int:
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("Threads:"))
+
+
+def _worker_state(_) -> tuple[int, int, int]:
+    return os.getppid(), _blas_threads(), _os_threads()
+
+
+@needs_proc_maps
+def test_seed_workers_are_forked_from_a_single_threaded_caller():
+    (get, set_threads, _), *_ = cli._openblas_threads()
+    before = get()
+    set_threads(2)
+    try:
+        with cli._seed_pool(2) as pool:
+            assert pool._mp_context.get_start_method() == "fork"
+            assert (_os_threads(), get()) == (1, 1)  # before the first submit forks
+            seen = list(pool.map(_worker_state, range(2), timeout=120))
+        # a forked worker inherits OpenBLAS on one thread and starts no other thread
+        assert seen == [(os.getpid(), 1, 1)] * 2
+        assert get() == 2
+    finally:
+        set_threads(before)
 
 
 def test_run_matrix_reraises_a_seed_workers_error(tmp_path, monkeypatch):
@@ -614,29 +660,61 @@ def test_a_forked_groups_error_reaches_the_caller_with_its_type(tmp_path):
     assert sorted(p.name for p in (tmp_path / "runs").iterdir()) == ["native-lp-rho1-s0.json"]
 
 
-def test_run_matrix_names_the_main_guard_when_its_pool_breaks(tmp_path, monkeypatch):
-    from concurrent.futures import Future
-    from concurrent.futures.process import BrokenProcessPool
-    from contextlib import contextmanager
+@needs_proc_maps
+def test_run_matrix_pools_from_a_script_without_a_main_guard(tmp_path, monkeypatch):
+    # the workers are forked, so nothing imports the script again
+    script = tmp_path / "grid.py"
+    script.write_text(
+        "import os, sys\n"
+        "from anchorlab import cli\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "real_pool = cli._seed_pool\n"
+        "cli._seed_pool = lambda jobs: print('pool', jobs) or real_pool(jobs)\n"
+        f"cfg = cli.ExperimentConfig(**{dict(MINI, num_seeds=2)!r})\n"
+        "cli.cmd_run_matrix(cfg, 3, sys.argv[1])\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, str(script), str(tmp_path / "pooled")], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["pool", "2"]
+    _cpus(monkeypatch, 1)
+    cmd_run_matrix(ExperimentConfig(**{**MINI, "num_seeds": 2}), 3, tmp_path / "serial")
+    assert ((tmp_path / "pooled" / "metrics.csv").read_bytes()
+            == (tmp_path / "serial" / "metrics.csv").read_bytes())
 
-    class BrokenPool:
-        def submit(self, fn, *args):
-            future = Future()
-            future.set_exception(BrokenProcessPool("a child process terminated abruptly"))
-            return future
 
-    @contextmanager
-    def broken_pool(jobs):
-        yield BrokenPool()
-
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(cli, "_seed_pool", broken_pool)
+@pytest.mark.parametrize("why", ["a live thread", "no openblas found"])
+def test_run_matrix_stays_in_process_where_it_may_not_fork(tmp_path, monkeypatch, why):
     cfg = ExperimentConfig(**{**MINI, "num_seeds": 2})
-    with pytest.raises(BrokenProcessPool, match="run-matrix's spawned seed workers") as info:
-        cmd_run_matrix(cfg, 3, tmp_path)
-    assert 'if __name__ == "__main__":' in str(info.value)
-    assert isinstance(info.value.__cause__, BrokenProcessPool)
-    assert not (tmp_path / "metrics.csv").exists()
+    _cpus(monkeypatch, 1)
+    cmd_run_matrix(cfg, 3, tmp_path / "serial")
+    pools = _cpus(monkeypatch, 2)
+    with contextlib.ExitStack() as stack:
+        if why == "a live thread":
+            release = threading.Event()
+            thread = threading.Thread(target=release.wait)
+            thread.start()
+            stack.callback(thread.join)
+            stack.callback(release.set)
+        else:
+            # one OS thread, as in the real block, but no OpenBLAS to be found
+            stack.enter_context(cli._one_blas_thread())
+            monkeypatch.setattr(cli, "_openblas_threads", lambda: [])
+        cmd_run_matrix(cfg, 3, tmp_path / "two-cpus")
+    assert pools == []
+    for name in ("metrics.csv", "summary.csv"):
+        assert ((tmp_path / "two-cpus" / name).read_bytes()
+                == (tmp_path / "serial" / name).read_bytes())
+
+
+def test_a_pooled_run_matrix_forks_without_a_deprecation_warning(tmp_path, monkeypatch):
+    # Python >= 3.12 warns when a process with more than one thread forks
+    pools = _cpus(monkeypatch, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        cmd_run_matrix(ExperimentConfig(**{**MINI, "num_seeds": 2}), 3, tmp_path)
+    assert pools == [2]
 
 
 def test_run_record_is_written_whole_or_not_at_all(tmp_path, mini_cfg, monkeypatch):
@@ -666,10 +744,6 @@ def test_csv_is_written_whole_or_not_at_all(tmp_path, monkeypatch):
 # ---------------------------------------------------------------------------
 # BLAS threads
 
-needs_proc_maps = pytest.mark.skipif(not os.path.exists("/proc/self/maps"),
-                                     reason="loaded libraries are found in /proc/self/maps")
-
-
 @needs_proc_maps
 def test_the_openblas_numpy_loaded_is_found():
     # a renamed thread setter in a later numpy fails here, rather than leaving
@@ -679,7 +753,7 @@ def test_the_openblas_numpy_loaded_is_found():
 
 @needs_proc_maps
 def test_one_blas_thread_pins_the_block_and_restores_the_count():
-    (get, set_threads), *_ = cli._openblas_threads()
+    (get, set_threads, _), *_ = cli._openblas_threads()
     before = get()
     set_threads(2)
     try:
@@ -696,15 +770,15 @@ def test_one_blas_thread_pins_the_block_and_restores_the_count():
 
 def test_one_blas_thread_without_openblas_is_a_no_op(monkeypatch):
     libs = cli._openblas_threads()
-    before = [get() for get, _ in libs]
-    for _, set_threads in libs:
+    before = [get() for get, _, _ in libs]
+    for _, set_threads, _ in libs:
         set_threads(2)
     try:
         monkeypatch.setattr(cli, "_openblas_threads", lambda: [])
         with cli._one_blas_thread():
-            assert [get() for get, _ in libs] == [2] * len(libs)
+            assert [get() for get, _, _ in libs] == [2] * len(libs)
     finally:
-        for (_, set_threads), count in zip(libs, before):
+        for (_, set_threads, _), count in zip(libs, before):
             set_threads(count)
 
 
