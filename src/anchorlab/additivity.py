@@ -107,15 +107,18 @@ def exact_triple_rasters(fg: ForegroundInstance, bg: BackgroundImage, seed: int,
     return I_a, I_b, I_a + I_b
 
 
-def batch_additivity(model: EncoderModel, raster_triples, encoder_tag: str = "",
-                     ) -> AdditivityReport:
-    """Encode triples and report mean and std of S (64-bit accumulation).
+@dataclass(frozen=True)
+class ProbePart:
+    """The scores of one share of a probe's triples, in order, and how many of its
+    triples were degenerate (antipodal part sum) and left out."""
 
-    Triples are encoded _PROBE_CHUNK at a time, each as three rows of one
-    batch, so an iterator of triples is never held whole.  Degenerate
-    triples (antipodal part sum) are excluded and counted instead of failing
-    the batch.
-    """
+    scores: np.ndarray
+    excluded: int
+
+
+def score_triples(model: EncoderModel, raster_triples) -> ProbePart:
+    """S of each triple, encoded _PROBE_CHUNK at a time, each as three rows of one
+    batch, so an iterator of triples is never held whole."""
     triples = iter(raster_triples)
     scores = []
     excluded = 0
@@ -126,15 +129,38 @@ def batch_additivity(model: EncoderModel, raster_triples, encoder_tag: str = "",
                 scores.append(additivity_score(*embs))
             except DegenerateInputError:
                 excluded += 1
-    if not scores and not excluded:
-        raise ConfigError("batch_additivity needs at least one triple")
-    arr = np.asarray(scores, dtype=np.float64)
+    return ProbePart(scores=np.asarray(scores, dtype=np.float64), excluded=excluded)
+
+
+def merge_parts(parts, encoder_tag: str = "") -> AdditivityReport:
+    """The report of the triples `parts` scored, joined in the order given: mean and
+    std of S (64-bit accumulation), with the degenerate triples counted."""
+    arr = np.concatenate([part.scores for part in parts])
+    excluded = sum(part.excluded for part in parts)
+    if not arr.size and not excluded:
+        raise ConfigError("the additivity probe needs at least one triple")
     if arr.size == 0:
         raise DegenerateInputError("every triple in the batch was degenerate")
     mean = float(arr.mean())
     std = float(arr.std(ddof=0)) if arr.size > 1 else 0.0
     return AdditivityReport(scores=arr, mean=mean, std=std,
                             encoder_tag=encoder_tag, n=arr.size, excluded=excluded)
+
+
+def batch_additivity(model: EncoderModel, raster_triples, encoder_tag: str = "",
+                     ) -> AdditivityReport:
+    """Encode triples _PROBE_CHUNK at a time and report mean and std of S.
+
+    Degenerate triples (antipodal part sum) are excluded and counted instead of
+    failing the batch.
+    """
+    return merge_parts([score_triples(model, raster_triples)], encoder_tag)
+
+
+def probe_chunks(n: int) -> int:
+    """How many chunks of _PROBE_CHUNK triples a probe of n triples runs: the most
+    parts it can be split into."""
+    return -(-n // _PROBE_CHUNK)
 
 
 def sample_pairs(foregrounds, backgrounds, n: int, seed: int):
@@ -152,20 +178,31 @@ def sample_pairs(foregrounds, backgrounds, n: int, seed: int):
 
 
 def run_probe(model: EncoderModel, foregrounds, backgrounds, n: int, seed: int,
-              encoder_tag: str = "", mode: str = "standard") -> AdditivityReport:
+              encoder_tag: str = "", mode: str = "standard",
+              part: tuple[int, int] | None = None) -> AdditivityReport | ProbePart:
     """Sample n triples from the world and evaluate the probe.
 
     In standard mode each chunk of _PROBE_CHUNK triples is rendered by one
-    `render` call and encoded by one `batch_additivity` encode.
+    `render` call and encoded by one `encode_np` call.  With
+    `part=(k, P)` only the k-th of P contiguous runs of whole chunks is rendered,
+    encoded and scored, with the same rows as in a whole run, and its
+    `ProbePart` is returned: `merge_parts` of the P parts, in order, is the
+    report of the whole probe.
     """
     if mode not in ("standard", "exact"):
         raise ConfigError(f"unknown additivity probe mode {mode!r}")
     pairs = sample_pairs(foregrounds, backgrounds, n, seed)
+    k, shares = part or (0, 1)
+    if part and not 0 <= k < shares <= probe_chunks(n):
+        raise ConfigError(f"part {part} is not one of at most {probe_chunks(n)} shares")
+    lo, hi = (_PROBE_CHUNK * (probe_chunks(n) * j // shares) for j in (k, k + 1))
+    pairs = pairs[lo:hi]
     seeds = [derive_seed(seed, "additivity", fg.id, bg.id, i)
-             for i, (fg, bg) in enumerate(pairs)]
+             for i, (fg, bg) in enumerate(pairs, lo)]
     if mode == "exact":
         triples = (exact_triple_rasters(fg, bg, s, model) for (fg, bg), s in zip(pairs, seeds))
     else:
         triples = _standard_triples(pairs, seeds)
+    if part:
+        return score_triples(model, triples)
     return batch_additivity(model, triples, encoder_tag=encoder_tag)
-

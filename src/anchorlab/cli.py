@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import alignment, anchors, evaluation, scene
-from .additivity import run_probe
+from .additivity import merge_parts, probe_chunks, run_probe
 from .encoders import EncoderModel, PlantedConfig, encode_np, freeze, planted_teacher
 from .errors import ConfigError
 from .files import write_whole
@@ -217,7 +217,7 @@ class Trained:
     """One frozen encoder of a seed, with everything its methods read from it."""
 
     encoder: EncoderModel
-    bsi: float  # mean background-sensitivity index
+    bsi: evaluation.BsiReport  # background-sensitivity index, per class and their mean
     test_embs: np.ndarray  # its embeddings of the seed's test split, which every method scores
     trace: dict | None = None  # per-epoch traces of its training; None for native
     head: evaluation.ProbeHead | None = None  # lp-ft's fine-tuned head
@@ -303,7 +303,7 @@ class SeedContext:
                                              n_pairs=48, seed=derive_seed(self.seed, "bsi"),
                                              memo=self.memo)
             test_embs = encode_np(fields["encoder"], self.test_split.rasters())
-            self._trained[key] = Trained(bsi=report.mean, test_embs=test_embs, **fields)
+            self._trained[key] = Trained(bsi=report, test_embs=test_embs, **fields)
         return self._trained[key]
 
     def release(self, name: str, rho: float) -> None:
@@ -369,7 +369,7 @@ class SeedContext:
 
 
 def evaluate_method(ctx: SeedContext, method: str, rho: float):
-    """(GroupMetrics, bsi) for one method on one correlation rate."""
+    """(GroupMetrics, BsiReport) for one method on one correlation rate."""
     if method not in METHODS:
         raise ConfigError(f"unknown method tag {method!r}")
     name, how = METHODS[method]
@@ -422,24 +422,49 @@ def cmd_gen_data(cfg: ExperimentConfig, seed: int, out) -> list[Path]:
     return paths
 
 
+def _probe_share(run: tuple, k: int, shares: int) -> list[tuple]:
+    """(`ProbePart`, seconds) of each alpha of `run`, a (config, global seed,
+    foregrounds, backgrounds) tuple: part (k, shares) of its probe, scored by its
+    planted teacher, which is built here, one alpha at a time."""
+    cfg, seed, fgs, bgs = run
+    parts = []
+    for alpha in cfg.additivity_alphas:
+        t0 = time.perf_counter()
+        teacher = planted_teacher(PlantedConfig(seed=derive_seed(seed, "additivity-teacher"),
+                                                alpha=alpha),
+                                  d=cfg.d, input_hw=(cfg.hw, cfg.hw))
+        part = run_probe(teacher, fgs, bgs, cfg.additivity_n,
+                         derive_seed(seed, "additivity", alpha), part=(k, shares))
+        parts.append((part, time.perf_counter() - t0))
+    return parts
+
+
 def cmd_probe_additivity(cfg: ExperimentConfig, seed: int, out) -> Path:
+    """One run record per alpha and the table built from them.
+
+    The world is built, and its foregrounds prepared, once.  Where this process may
+    fork (`_may_fork` inside `_one_blas_thread()`), each alpha's probe chunks are
+    split into P contiguous shares, P = min(usable CPUs, chunks), which
+    `_fork_shares` runs, share 0 here; otherwise P = 1.  Each chunk is rendered and
+    encoded with the same rows either way, and each alpha's scores are joined in
+    chunk order, so the output is the same.  A record's `wall_s` is the sum of the
+    seconds its shares took.
+    """
     out = _ensure_out(out)
-    ctx = SeedContext(cfg, derive_seed(seed, "run", 0))
-    fgs, bgs = ctx.world
-    run_ids = []
+    fgs, bgs = SeedContext(cfg, derive_seed(seed, "run", 0)).world
+    scene.prepare_foregrounds(fgs)  # once, not once per share
     with _one_blas_thread():
-        for alpha in cfg.additivity_alphas:
-            t0 = time.perf_counter()
-            teacher = planted_teacher(PlantedConfig(seed=derive_seed(seed, "additivity-teacher"),
-                                                    alpha=alpha),
-                                      d=cfg.d, input_hw=(cfg.hw, cfg.hw))
-            probe_seed = derive_seed(seed, "additivity", alpha)
-            rep = run_probe(teacher, fgs, bgs, cfg.additivity_n, probe_seed,
-                            encoder_tag=f"planted-a{alpha:g}")
-            run_ids.append(_write_run_record(out, f"additivity-a{alpha:g}", cfg, probe_seed, {
+        shares = min(_usable_cpus(), probe_chunks(cfg.additivity_n)) if _may_fork() else 1
+        per_share = _fork_shares(_probe_share, (cfg, seed, fgs, bgs),
+                                 [(k, shares) for k in range(shares)])
+    run_ids = []
+    for alpha, timed in zip(cfg.additivity_alphas, zip(*per_share)):
+        rep = merge_parts([part for part, _ in timed], encoder_tag=f"planted-a{alpha:g}")
+        run_ids.append(_write_run_record(
+            out, f"additivity-a{alpha:g}", cfg, derive_seed(seed, "additivity", alpha), {
                 "encoder": rep.encoder_tag, "alpha": alpha, "n": rep.n,
                 "excluded": rep.excluded, "mean_S": rep.mean, "std_S": rep.std,
-                "wall_s": round(time.perf_counter() - t0, 3)}))
+                "wall_s": round(sum(seconds for _, seconds in timed), 3)}))
     rows = [[rec["encoder"], rec["alpha"], rec["n"], f"{rec['mean_S']:.6f}",
              f"{rec['std_S']:.6f}"] for rec in _read_run_records(out, run_ids)]
     # highest score first, ranked on the value the table shows
@@ -495,10 +520,10 @@ def _write_csv(path: Path, header, rows) -> Path:
     return write_whole(path, buf.getvalue())
 
 
-def _metrics(gm: evaluation.GroupMetrics, bsi_value: float) -> dict:
+def _metrics(gm: evaluation.GroupMetrics, bsi: evaluation.BsiReport) -> dict:
     return {"avg": gm.avg, "wga": gm.wga,
             "per_group": {f"{y}{g}": a for (y, g), a in gm.per_group.items()},
-            "bsi": bsi_value}
+            "bsi": bsi.mean, "bsi_per_class": {str(y): v for y, v in bsi.per_class.items()}}
 
 
 METRICS_HEADER = ("run_id", "method", "rho", "avg", "wga",
@@ -542,11 +567,11 @@ def _run_group(ctx: SeedContext, out: Path, run_idx: int,
         for rho in cfg.rhos:
             for method in (m for m in cfg.methods if METHODS[m][0] == name):
                 t0 = time.perf_counter()
-                gm, bsi_value = evaluate_method(ctx, method, rho)
+                gm, bsi = evaluate_method(ctx, method, rho)
                 run_ids[rho, method] = _write_run_record(
                     out, f"{method}-rho{rho:g}-s{run_idx}", cfg, ctx.seed, {
                         "rho": rho, "method": method, "run_index": run_idx,
-                        "metrics": _metrics(gm, bsi_value),
+                        "metrics": _metrics(gm, bsi),
                         "trace": ctx.trained(name, rho).trace,
                         "wall_s": round(time.perf_counter() - t0, 3)})
             # lp-ft trains one encoder per rate, the others serve every rate
@@ -555,17 +580,38 @@ def _run_group(ctx: SeedContext, out: Path, run_idx: int,
     return run_ids
 
 
-# the SeedContext of the seed a forked group runs, set in the child by its pool's initializer
-_forked_ctx: SeedContext | None = None
+# (function, state) of the shares a forked child runs, set in it by its pool's initializer
+_inherited: tuple | None = None
 
 
-def _adopt(ctx: SeedContext) -> None:
-    global _forked_ctx
-    _forked_ctx = ctx
+def _inherit(fn, state) -> None:
+    global _inherited
+    _inherited = fn, state
 
 
-def _run_forked_group(out: Path, run_idx: int, encoders) -> dict[tuple[float, str], str]:
-    return _run_group(_forked_ctx, out, run_idx, encoders)
+def _run_inherited(*args):
+    fn, state = _inherited
+    return fn(state, *args)
+
+
+def _fork_shares(fn, state, shares: list[tuple]) -> list:
+    """`[fn(state, *args) for args in shares]`: the first share runs in this process,
+    and each other in a child forked from it, which inherits `fn` and `state`
+    unpickled, so only the `args` and the results cross the pipe.  Forking is safe
+    only where `_may_fork()` holds.  A share's error reaches the caller with its
+    type; the children are joined before this returns or raises."""
+    if len(shares) == 1:
+        return [fn(state, *shares[0])]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # a fork-context pool forks all its children at the first submit, before it
+    # starts its manager thread, and hands them `initargs` without pickling
+    with ProcessPoolExecutor(len(shares) - 1, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_inherit, initargs=(fn, state)) as pool:
+        forked = [pool.submit(_run_inherited, *args) for args in shares[1:]]
+        first = fn(state, *shares[0])
+        return [first, *(future.result() for future in forked)]
 
 
 def _run_seed(cfg: ExperimentConfig, out: Path, run_idx: int, run_seed: int,
@@ -574,28 +620,17 @@ def _run_seed(cfg: ExperimentConfig, out: Path, run_idx: int, run_seed: int,
 
     The seed's world, its train and test splits (leakage-checked) and its teacher
     are built first, once, since every group reads them; so no run's `wall_s`
-    includes them.  The first group then runs in this process, and each other group
-    in a child forked from it, which inherits the built `SeedContext` unpickled.
-    Forking is safe only in a single-threaded process, such as a `_seed_pool`
-    worker.  A group's error reaches the caller with its type.  Returns the run
-    ids of all groups keyed by (rho, method)."""
+    includes them.  `_fork_shares` then runs the first group in this process, and
+    each other group in a child forked from it, which inherits the built
+    `SeedContext`; so split a seed only in a single-threaded process, such as a
+    `_seed_pool` worker.  Returns the run ids of all groups keyed by (rho, method)."""
     ctx = SeedContext(cfg, run_seed)
     for rho in cfg.rhos:
         _leakage_check(*ctx.datasets(rho))
     ctx.teacher  # built now, so that a forked group inherits it
-    if len(groups) == 1:
-        return _run_group(ctx, out, run_idx, groups[0])
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    # a fork-context pool forks all its children at the first submit, before it
-    # starts its manager thread, and hands them `initargs` without pickling
-    with ProcessPoolExecutor(len(groups) - 1, mp_context=multiprocessing.get_context("fork"),
-                             initializer=_adopt, initargs=(ctx,)) as pool:
-        forked = [pool.submit(_run_forked_group, out, run_idx, group) for group in groups[1:]]
-        run_ids = _run_group(ctx, out, run_idx, groups[0])
-        for future in forked:
-            run_ids.update(future.result())
+    run_ids = {}
+    for ids in _fork_shares(_run_group, ctx, [(out, run_idx, group) for group in groups]):
+        run_ids.update(ids)
     return run_ids
 
 
@@ -795,11 +830,11 @@ def cmd_ablate(cfg: ExperimentConfig, seed: int, out, which: str) -> Path:
 
     def run(ctx: SeedContext, param: str, value, method: str) -> None:
         t0 = time.perf_counter()
-        gm, bsi_value = evaluate_method(ctx, method, rho)
+        gm, bsi = evaluate_method(ctx, method, rho)
         run_ids.append(_write_run_record(out, f"ablate-{which}-{param}-{value}", ctx.cfg,
                                          run_seed, {
             "param": param, "value": value, "rho": rho, "method": method,
-            "metrics": _metrics(gm, bsi_value),
+            "metrics": _metrics(gm, bsi),
             "wall_s": round(time.perf_counter() - t0, 3)}))
 
     for param, value, overrides in sweep:

@@ -55,18 +55,6 @@ class EncoderModel:
         self.frozen = frozen
         self.meta = dict(meta or {})
 
-    def param_checksum(self) -> str:
-        import hashlib
-
-        h = hashlib.sha256()
-        for name in sorted(self.params):
-            h.update(name.encode())
-            h.update(self.params[name].data.tobytes())
-        for name in sorted(self.consts):
-            h.update(name.encode())
-            h.update(self.consts[name].tobytes())
-        return h.hexdigest()
-
 
 def _flat_dim(hw: tuple[int, int]) -> int:
     return hw[0] * hw[1] * 3

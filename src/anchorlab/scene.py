@@ -387,7 +387,9 @@ def resize_sinc(img: np.ndarray, out_hw: tuple[int, int]) -> np.ndarray:
     Mx = _resize_matrix(W, ow)
     flat = img.reshape(H, -1)
     tmp = (My @ flat).reshape(oh, W, -1)
-    out = np.tensordot(tmp, Mx, axes=([1], [1])).transpose(0, 2, 1)
+    # the product `np.tensordot(tmp, Mx, axes=([1], [1]))` makes, without its set-up
+    out = np.dot(tmp.transpose(0, 2, 1).reshape(-1, W), Mx.T).reshape(oh, -1, ow)
+    out = out.transpose(0, 2, 1)
     if img.ndim == 2:
         return out[:, :, 0]
     return out
@@ -412,6 +414,13 @@ def _prepare_foreground(fg: ForegroundInstance, degradation: str) -> tuple[np.nd
     crop = (fg.raster[r0:r1, c0:c1].copy(), alpha[r0:r1, c0:c1].copy())
     fg._prepared[degradation] = crop
     return crop
+
+
+def prepare_foregrounds(fgs, degradation: str = "perfect") -> None:
+    """Crop each foreground and refine its alpha for `degradation` now, as `render`
+    does on first use: a process forked afterwards inherits them."""
+    for fg in fgs:
+        _prepare_foreground(fg, degradation)
 
 
 def _scaled_size(fg: ForegroundInstance, scale: float, hw: tuple[int, int],

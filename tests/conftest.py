@@ -1,5 +1,7 @@
 """Shared fixtures: a small synthetic world and cheap encoders."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -38,3 +40,15 @@ def finite_diff(f, x: np.ndarray, eps: float = 1e-3) -> np.ndarray:
         flat[i] = orig
         gf[i] = (hi - lo) / (2 * eps)
     return g
+
+
+def param_checksum(model) -> str:
+    """sha256 of an encoder's parameters and constants, in name order."""
+    h = hashlib.sha256()
+    for name in sorted(model.params):
+        h.update(name.encode())
+        h.update(model.params[name].data.tobytes())
+    for name in sorted(model.consts):
+        h.update(name.encode())
+        h.update(model.consts[name].tobytes())
+    return h.hexdigest()

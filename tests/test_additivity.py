@@ -8,10 +8,13 @@ import pytest
 from anchorlab import additivity
 from anchorlab.additivity import (
     _PROBE_CHUNK,
+    ProbePart,
     additivity_score,
     batch_additivity,
     exact_triple_rasters,
+    merge_parts,
     neutral_background,
+    probe_chunks,
     run_probe,
     sample_pairs,
     triple_rasters,
@@ -252,3 +255,35 @@ def test_run_probe_deterministic(micro_world, micro_teacher):
     b = run_probe(micro_teacher, fgs, bgs, 12, 8)
     assert np.array_equal(a.scores, b.scores)
 
+
+
+@pytest.mark.parametrize("mode", ["standard", "exact"])
+def test_the_parts_of_a_probe_merge_to_the_whole(micro_world, micro_teacher, mode):
+    fgs, bgs = micro_world
+    n = 4 * _PROBE_CHUNK + 3
+    whole = run_probe(micro_teacher, fgs, bgs, n, 8, encoder_tag="t", mode=mode)
+    for shares in range(1, probe_chunks(n) + 1):
+        parts = [run_probe(micro_teacher, fgs, bgs, n, 8, mode=mode, part=(k, shares))
+                 for k in range(shares)]
+        # contiguous runs of whole chunks, as even as whole chunks allow
+        chunks = [probe_chunks(part.scores.size) for part in parts]
+        assert max(chunks) - min(chunks) <= 1 and sum(chunks) == probe_chunks(n)
+        assert all(part.scores.size % _PROBE_CHUNK == 0 for part in parts[:-1])
+        merged = merge_parts(parts, encoder_tag="t")
+        assert np.array_equal(merged.scores, whole.scores)
+        assert (merged.mean, merged.std, merged.n, merged.excluded, merged.encoder_tag) == (
+            whole.mean, whole.std, whole.n, whole.excluded, whole.encoder_tag)
+    for part in ((0, 0), (1, 1), (-1, 2), (0, probe_chunks(n) + 1)):
+        with pytest.raises(ConfigError, match="part"):
+            run_probe(micro_teacher, fgs, bgs, n, 8, mode=mode, part=part)
+
+
+def test_merged_parts_are_checked_whole_not_per_part():
+    empty = np.zeros(0)
+    # a part whose every triple was degenerate, beside one that scored a triple
+    merged = merge_parts([ProbePart(empty, 2), ProbePart(np.array([0.5]), 0)])
+    assert (merged.n, merged.excluded, merged.mean, merged.std) == (1, 2, 0.5, 0.0)
+    with pytest.raises(DegenerateInputError):
+        merge_parts([ProbePart(empty, 2), ProbePart(empty, 1)])
+    with pytest.raises(ConfigError):
+        merge_parts([ProbePart(empty, 0), ProbePart(empty, 0)])

@@ -21,6 +21,8 @@ from anchorlab.errors import ConfigError, ManifestError
 from anchorlab.evaluation import ProbeHead, group_metrics, probe_predict
 from anchorlab.scene import build_test_split, build_train_split
 
+from conftest import param_checksum
+
 
 def _small_cfg(**kw):
     base = dict(epochs=3, batch_size=16, lr=1e-3, M=2, seed=5)
@@ -89,7 +91,7 @@ def test_train_bap_runs_and_logs(micro_world, micro_teacher):
     student, log = train_bap(micro_teacher, aset, fgs, bgs, cfg)
     assert not student.frozen
     assert len(log.epoch_loss) == cfg.epochs
-    assert student.param_checksum() != micro_teacher.param_checksum()
+    assert param_checksum(student) != param_checksum(micro_teacher)
     # schedule conformance: one step per epoch at these sizes
     sched = T.LrSchedule(cfg.lr, cfg.warmup_frac, cfg.epochs, cfg.lr / 10)
     assert log.lr_steps == [sched.lr_at(s) for s in range(1, cfg.epochs + 1)]
@@ -174,7 +176,7 @@ def test_pretrain_teacher_frozen_deterministic(micro_world):
     a = pretrain_teacher(fgs, bgs, 3, epochs=1, d=8)
     b = pretrain_teacher(fgs, bgs, 3, epochs=1, d=8)
     assert a.frozen
-    assert a.param_checksum() == b.param_checksum()
+    assert param_checksum(a) == param_checksum(b)
     assert "head_W" not in a.params
 
 
@@ -194,4 +196,4 @@ def test_finetune_traces(micro_world, micro_teacher):
     gm = group_metrics(probe_predict(model, head, test.rasters()), test.labels(), test.groups())
     assert (gm.wga, gm.avg) == (traces["wga"][-1], traces["avg"][-1])
     assert not model.frozen
-    assert model.param_checksum() != micro_teacher.param_checksum()
+    assert param_checksum(model) != param_checksum(micro_teacher)

@@ -1,6 +1,7 @@
 """Orchestration layer: config handling, subcommands, end-to-end determinism."""
 
 import contextlib
+import hashlib
 import json
 import os
 import subprocess
@@ -12,8 +13,8 @@ import weakref
 import numpy as np
 import pytest
 
-from anchorlab import alignment, anchors, cli, encoders, evaluation, scene
-from anchorlab.additivity import AdditivityReport
+from anchorlab import additivity, alignment, anchors, cli, encoders, evaluation, scene
+from anchorlab.additivity import _PROBE_CHUNK, ProbePart
 from anchorlab.cli import (
     ALL_METHODS,
     ExperimentConfig,
@@ -31,6 +32,8 @@ from anchorlab.cli import (
 )
 from anchorlab.errors import ConfigError, ContractError
 from anchorlab.scene import DEGRADATIONS, gen_world, read_manifest
+
+from conftest import param_checksum
 
 MINI = dict(
     fg_per_class=4, bg_per_group=10, hw=32,
@@ -332,7 +335,7 @@ def test_release_drops_one_record_and_a_rebuild_matches_it():
         ctx.release(name, 1.0)
         again = ctx.trained(name, 1.0)
         assert again is not first
-        assert again.encoder.param_checksum() == first.encoder.param_checksum()
+        assert param_checksum(again.encoder) == param_checksum(first.encoder)
         assert (again.bsi, again.trace) == (first.bsi, first.trace)
     # lp-ft trains one encoder per rate: releasing it at 1.0 kept the one at 0.95
     assert ctx.trained("lp-ft", 0.95) is ft95
@@ -382,6 +385,119 @@ def test_probe_additivity_table(tmp_path, mini_cfg):
     assert len(list((tmp_path / "runs").iterdir())) == len(mini_cfg.additivity_alphas)
 
 
+# five chunks a probe, the last one part full: two CPUs split them 2 | 3, three 1 | 2 | 2
+POOLED_PROBE = dict(MINI, additivity_n=5 * _PROBE_CHUNK - 3)
+
+
+def _probe_shares(monkeypatch, cpus: int) -> list[int]:
+    """Make `cmd_probe_additivity` see `cpus` usable CPUs; returns the share count of
+    each `_fork_shares` call it makes."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    calls = []
+    real = cli._fork_shares
+    monkeypatch.setattr(cli, "_fork_shares",
+                        lambda fn, state, shares: calls.append(len(shares))
+                        or real(fn, state, shares))
+    return calls
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_pooled_and_in_process_probes_agree(tmp_path, monkeypatch, cpus):
+    cfg = ExperimentConfig(**POOLED_PROBE)
+    assert additivity.probe_chunks(cfg.additivity_n) == 5
+    shares = _probe_shares(monkeypatch, cpus)
+    cmd_probe_additivity(cfg, 3, tmp_path / "pooled")
+    assert shares == [cpus]
+    monkeypatch.setattr(cli, "_may_fork", lambda: False)
+    cmd_probe_additivity(cfg, 3, tmp_path / "serial")
+    assert shares == [cpus, 1]
+    pooled, serial = (tmp_path / "pooled", tmp_path / "serial")
+    assert ((pooled / "additivity.csv").read_bytes()
+            == (serial / "additivity.csv").read_bytes())
+    names = sorted(p.name for p in (serial / "runs").iterdir())
+    assert sorted(p.name for p in (pooled / "runs").iterdir()) == names
+    for name in names:
+        rec, serial_rec = (json.loads((out / "runs" / name).read_text())
+                           for out in (pooled, serial))
+        # the seconds its shares took, in whichever process ran them
+        assert rec.pop("wall_s") > 0
+        del serial_rec["wall_s"]
+        assert rec == serial_rec
+
+
+def _log_probe_work(monkeypatch, log):
+    """Append `render <key> <pid>` for each `render` call of the probe and `encode <key>
+    <pid>` for each encode, from whichever process makes it; a key names the items
+    or the row bytes of the call."""
+    def logged(name, real, key):
+        def call(*args):
+            with open(log, "a") as fh:
+                fh.write(f"{name} {key(*args)} {os.getpid()}\n")
+            return real(*args)
+        return call
+
+    monkeypatch.setattr(additivity, "render", logged(
+        "render", additivity.render,
+        lambda items: hash(tuple((fg.id, bg.id, scale) for fg, bg, scale in items))))
+    monkeypatch.setattr(additivity, "encode_np", logged(
+        "encode", additivity.encode_np, lambda model, rows: f"{model.meta['alpha']}-"
+        f"{len(rows)}-{hashlib.sha256(rows.tobytes()).hexdigest()[:16]}"))
+
+
+def test_a_pooled_probe_renders_and_encodes_each_chunk_once(tmp_path, monkeypatch):
+    cfg = ExperimentConfig(**POOLED_PROBE)
+    runs = {}
+    for cpus in (2, 1):
+        _probe_shares(monkeypatch, cpus)
+        log = tmp_path / f"cpus{cpus}.log"
+        with monkeypatch.context() as m:
+            _log_probe_work(m, log)
+            cmd_probe_additivity(cfg, 3, tmp_path / f"cpus{cpus}")
+        runs[cpus] = [line.split() for line in log.read_text().splitlines()]
+    pooled, serial = runs[2], runs[1]
+    chunks = len(cfg.additivity_alphas) * 5
+    # each render and encode key once, the same keys as in one process, over two pids
+    for kind in ("render", "encode"):
+        keys = [key for name, key, _ in pooled if name == kind]
+        assert len(keys) == len(set(keys)) == chunks
+        assert sorted(keys) == sorted(key for name, key, _ in serial if name == kind)
+    assert {pid for *_, pid in serial} == {str(os.getpid())}
+    assert len({pid for *_, pid in pooled}) == 2
+
+
+def test_a_forked_probe_shares_error_reaches_the_caller(tmp_path, monkeypatch):
+    real = cli.run_probe
+
+    def share_one_fails(*args, part, **kwargs):
+        if part[0] == 1:
+            raise ContractError("share 1 fails")
+        return real(*args, part=part, **kwargs)
+
+    monkeypatch.setattr(cli, "run_probe", share_one_fails)
+    shares = _probe_shares(monkeypatch, 2)
+    with pytest.raises(ContractError, match="share 1 fails"):
+        cmd_probe_additivity(ExperimentConfig(**POOLED_PROBE), 3, tmp_path)
+    assert shares == [2]
+    assert not (tmp_path / "additivity.csv").exists()
+    assert list(tmp_path.rglob("*.tmp")) == []
+
+
+@pytest.mark.parametrize("why", ["no fork", "one cpu", "one chunk"])
+def test_a_probe_opens_no_pool_where_it_need_not_fork(tmp_path, monkeypatch, why):
+    import concurrent.futures
+
+    cfg = ExperimentConfig(**(MINI if why == "one chunk" else POOLED_PROBE))
+    shares = _probe_shares(monkeypatch, 1 if why == "one cpu" else 2)
+    if why == "no fork":
+        monkeypatch.setattr(cli, "_may_fork", lambda: False)
+    opened = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        lambda *args, **kwargs: opened.append(args))
+    cmd_probe_additivity(cfg, 3, tmp_path)
+    assert (shares, opened) == ([1], [])
+    assert (tmp_path / "additivity.csv").exists()
+
+
 def test_k_ablation_csv(tmp_path, mini_cfg):
     path = cmd_k_ablation(mini_cfg, 3, tmp_path)
     lines = path.read_text().strip().splitlines()
@@ -424,6 +540,17 @@ def test_run_matrix_outputs(tmp_path, mini_cfg):
     assert len(bap["trace"]["epoch_loss"]) == len(bap["trace"]["epoch_lr"]) == mini_cfg.epochs
     native = json.loads((tmp_path / "runs" / "native-lp-rho1-s0.json").read_text())
     assert native["trace"] is None
+
+
+def test_run_matrix_records_keep_the_per_class_bsi(tmp_path, mini_cfg):
+    cmd_run_matrix(mini_cfg, 3, tmp_path)
+    ctx = SeedContext(mini_cfg, run_seeds(mini_cfg, 3)[0])
+    for method in mini_cfg.methods:
+        m = json.loads((tmp_path / "runs" / f"{method}-rho1-s0.json").read_text())["metrics"]
+        # each class's BSI beside their mean, the figure metrics.csv shows
+        report = ctx.trained(cli.METHODS[method][0], 1.0).bsi
+        assert m["bsi_per_class"] == {str(y): v for y, v in report.per_class.items()}
+        assert sorted(m["bsi_per_class"]) == ["0", "1"] and m["bsi"] == report.mean
 
 
 def test_run_matrix_records_carry_the_grid_that_ran(tmp_path, mini_cfg):
@@ -824,7 +951,8 @@ def test_metrics_csv_header_and_format(tmp_path):
     gm = evaluation.group_metrics(np.array([0, 1, 0, 1]), np.array([0, 1, 0, 1]),
                                   np.array([0, 1, 1, 1]))
     rec = {"run_id": "r1", "method": "bap-lp", "rho": 0.95, "seed": 7,
-           "metrics": cli._metrics(gm, 1.25)}
+           "metrics": cli._metrics(gm, evaluation.BsiReport(per_class={0: 1.0, 1: 1.5},
+                                                            mean=1.25))}
     path = cli._write_csv(tmp_path / "metrics.csv", cli.METRICS_HEADER, [cli._metrics_row(rec)])
     assert path.read_text().splitlines() == [
         "run_id,method,rho,avg,wga,acc_00,acc_01,acc_10,acc_11,bsi,seed",
@@ -832,10 +960,10 @@ def test_metrics_csv_header_and_format(tmp_path):
 
 
 def test_additivity_csv_header_and_format(tmp_path, mini_cfg, monkeypatch):
-    def fixed_probe(teacher, fgs, bgs, n, seed, encoder_tag):
-        score = 1.0 if encoder_tag == "planted-a2" else 0.5
-        return AdditivityReport(scores=np.full(n, score), mean=score, std=0.0,
-                                encoder_tag=encoder_tag, n=n)
+    def fixed_probe(teacher, fgs, bgs, n, seed, part):
+        assert part == (0, 1)  # the mini probe is one chunk
+        score = 1.0 if teacher.meta["alpha"] == 2.0 else 0.5
+        return ProbePart(scores=np.full(n, score), excluded=0)
 
     monkeypatch.setattr(cli, "run_probe", fixed_probe)
     path = cmd_probe_additivity(mini_cfg, 3, tmp_path)

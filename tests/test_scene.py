@@ -533,3 +533,16 @@ def test_rng_seeds_from_the_int_as_from_its_uint64(seed):
     # rng hands the int to default_rng; the generator state is the one np.uint64 gave
     assert (rng(seed).bit_generator.state
             == np.random.default_rng(np.uint64(seed)).bit_generator.state)
+
+
+def test_prepared_foregrounds_render_without_preparing_again(monkeypatch):
+    fgs, bgs = gen_world(12, 2, 2, 3, 4, (32, 32))
+    items = [(fg, bgs[i % len(bgs)], 0.6) for i, fg in enumerate(fgs)]
+    expected = scene.render(items, "noisy")
+    fresh, _ = gen_world(12, 2, 2, 3, 4, (32, 32))
+    scene.prepare_foregrounds(fresh, "noisy")
+    blurs = []
+    real = scene.gaussian_blur
+    monkeypatch.setattr(scene, "gaussian_blur", lambda img: blurs.append(1) or real(img))
+    got = scene.render([(fg, bg, scale) for fg, (_, bg, scale) in zip(fresh, items)], "noisy")
+    assert blurs == [] and np.array_equal(got, expected)
