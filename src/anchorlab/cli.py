@@ -20,7 +20,7 @@ import json
 import os
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import asdict, dataclass, replace
 from functools import cache, cached_property
 from pathlib import Path
@@ -424,15 +424,14 @@ def cmd_gen_data(cfg: ExperimentConfig, seed: int, out) -> list[Path]:
 
 def _probe_share(run: tuple, k: int, shares: int) -> list[tuple]:
     """(`ProbePart`, seconds) of each alpha of `run`, a (config, global seed,
-    foregrounds, backgrounds) tuple: part (k, shares) of its probe, scored by its
-    planted teacher, which is built here, one alpha at a time."""
-    cfg, seed, fgs, bgs = run
+    foregrounds, backgrounds, planted map) tuple: part (k, shares) of its probe,
+    scored by the planted teacher of that alpha, which shares the map's `W` and `P`."""
+    cfg, seed, fgs, bgs, planted = run
     parts = []
     for alpha in cfg.additivity_alphas:
         t0 = time.perf_counter()
-        teacher = planted_teacher(PlantedConfig(seed=derive_seed(seed, "additivity-teacher"),
-                                                alpha=alpha),
-                                  d=cfg.d, input_hw=(cfg.hw, cfg.hw))
+        teacher = EncoderModel(planted.arch, planted.d, planted.input_hw, {}, planted.consts,
+                               frozen=True, meta={**planted.meta, "alpha": alpha})
         part = run_probe(teacher, fgs, bgs, cfg.additivity_n,
                          derive_seed(seed, "additivity", alpha), part=(k, shares))
         parts.append((part, time.perf_counter() - t0))
@@ -442,20 +441,24 @@ def _probe_share(run: tuple, k: int, shares: int) -> list[tuple]:
 def cmd_probe_additivity(cfg: ExperimentConfig, seed: int, out) -> Path:
     """One run record per alpha and the table built from them.
 
-    The world is built, and its foregrounds prepared, once.  Where this process may
-    fork (`_may_fork` inside `_one_blas_thread()`), each alpha's probe chunks are
-    split into P contiguous shares, P = min(usable CPUs, chunks), which
-    `_fork_shares` runs, share 0 here; otherwise P = 1.  Each chunk is rendered and
-    encoded with the same rows either way, and each alpha's scores are joined in
-    chunk order, so the output is the same.  A record's `wall_s` is the sum of the
-    seconds its shares took.
+    The world is built, its foregrounds prepared, and the planted map drawn once:
+    every alpha's teacher is drawn from the same seed, so they differ only in
+    alpha.  Where this process may fork (`_may_fork` inside `_one_blas_thread()`),
+    each alpha's probe chunks are split into P contiguous shares, P = min(usable
+    CPUs, chunks), which `_fork_shares` runs in children while this process waits;
+    otherwise P = 1, run here.  Each chunk is rendered and encoded with the same
+    rows either way, and each alpha's scores are joined in chunk order, so the
+    output is the same.  A record's `wall_s` is the sum of the seconds its shares
+    took.
     """
     out = _ensure_out(out)
     fgs, bgs = SeedContext(cfg, derive_seed(seed, "run", 0)).world
     scene.prepare_foregrounds(fgs)  # once, not once per share
+    planted = planted_teacher(PlantedConfig(seed=derive_seed(seed, "additivity-teacher")),
+                              d=cfg.d, input_hw=(cfg.hw, cfg.hw))
     with _one_blas_thread():
         shares = min(_usable_cpus(), probe_chunks(cfg.additivity_n)) if _may_fork() else 1
-        per_share = _fork_shares(_probe_share, (cfg, seed, fgs, bgs),
+        per_share = _fork_shares(_probe_share, (cfg, seed, fgs, bgs, planted),
                                  [(k, shares) for k in range(shares)])
     run_ids = []
     for alpha, timed in zip(cfg.additivity_alphas, zip(*per_share)):
@@ -595,23 +598,23 @@ def _run_inherited(*args):
 
 
 def _fork_shares(fn, state, shares: list[tuple]) -> list:
-    """`[fn(state, *args) for args in shares]`: the first share runs in this process,
-    and each other in a child forked from it, which inherits `fn` and `state`
-    unpickled, so only the `args` and the results cross the pipe.  Forking is safe
-    only where `_may_fork()` holds.  A share's error reaches the caller with its
-    type; the children are joined before this returns or raises."""
+    """`[fn(state, *args) for args in shares]`.  One share runs in this process.
+    More run in children forked from it, one per share, while it waits; each child
+    inherits `fn` and `state` unpickled, so only the `args` and the results cross
+    the pipe.  Forking is safe only where `_may_fork()` holds.  The pool forks all
+    its children at the first submit, before it starts its manager thread, so each
+    child is single-threaded and may call `_fork_shares` itself.  A share's error
+    reaches the caller with its type, and a child that dies raises
+    `BrokenProcessPool`; the children are joined before this returns or raises."""
     if len(shares) == 1:
         return [fn(state, *shares[0])]
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    # a fork-context pool forks all its children at the first submit, before it
-    # starts its manager thread, and hands them `initargs` without pickling
-    with ProcessPoolExecutor(len(shares) - 1, mp_context=multiprocessing.get_context("fork"),
+    with ProcessPoolExecutor(len(shares), mp_context=multiprocessing.get_context("fork"),
                              initializer=_inherit, initargs=(fn, state)) as pool:
-        forked = [pool.submit(_run_inherited, *args) for args in shares[1:]]
-        first = fn(state, *shares[0])
-        return [first, *(future.result() for future in forked)]
+        forked = [pool.submit(_run_inherited, *args) for args in shares]
+        return [future.result() for future in forked]
 
 
 def _run_seed(cfg: ExperimentConfig, out: Path, run_idx: int, run_seed: int,
@@ -620,10 +623,10 @@ def _run_seed(cfg: ExperimentConfig, out: Path, run_idx: int, run_seed: int,
 
     The seed's world, its train and test splits (leakage-checked) and its teacher
     are built first, once, since every group reads them; so no run's `wall_s`
-    includes them.  `_fork_shares` then runs the first group in this process, and
-    each other group in a child forked from it, which inherits the built
-    `SeedContext`; so split a seed only in a single-threaded process, such as a
-    `_seed_pool` worker.  Returns the run ids of all groups keyed by (rho, method)."""
+    includes them.  `_fork_shares` then runs one group in this process, or more
+    in children forked from it, which inherit the built `SeedContext`; so split a
+    seed only where `_may_fork()` holds.  Returns the run ids of all groups keyed
+    by (rho, method)."""
     ctx = SeedContext(cfg, run_seed)
     for rho in cfg.rhos:
         _leakage_check(*ctx.datasets(rho))
@@ -634,33 +637,18 @@ def _run_seed(cfg: ExperimentConfig, out: Path, run_idx: int, run_seed: int,
     return run_ids
 
 
+def _run_seeds(state: tuple, jobs) -> dict[tuple[int, float, str], str]:
+    """`_run_seed` of each (seed index, run seed, encoder groups) job in `jobs` in
+    turn, `state` being (config, out); the run ids keyed by (seed index, rho, method)."""
+    cfg, out = state
+    return {(i, *cell): run_id for i, run_seed, groups in jobs
+            for cell, run_id in _run_seed(cfg, out, i, run_seed, groups).items()}
+
+
 def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-@contextmanager
-def _seed_pool(jobs: int):
-    """A pool of `jobs` seed workers forked from this process; open it only where
-    `_may_fork()` holds inside `_one_blas_thread()`.
-
-    The pool runs inside `_one_blas_thread()` itself, so each worker inherits
-    numpy, the package and OpenBLAS on one thread, and stays single-threaded,
-    which is what lets `_run_seed` fork the other encoder groups of a split seed
-    from it.  The pool forks all its workers at the first submit, before it starts
-    its manager thread.  On exit the workers are joined, after pending jobs are
-    cancelled if the block raised, and the caller's BLAS thread count is restored.
-    """
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    with _one_blas_thread():
-        pool = ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("fork"))
-        try:
-            yield pool
-        finally:
-            pool.shutdown(wait=True, cancel_futures=True)
 
 
 def _openblas_threads() -> list[tuple]:
@@ -707,12 +695,12 @@ def _one_blas_thread():
 
     For the commands that composite and encode but never train: after each
     product OpenBLAS's idle threads spin-wait for the next one, so they burn a CPU
-    through all the compositing in between.  And for `_seed_pool`: with no BLAS
-    thread left the process may fork (`_may_fork`), and each child inherits
-    OpenBLAS on one thread.  An environment variable cannot do this in process,
-    since OpenBLAS reads `OPENBLAS_NUM_THREADS` once, when numpy is imported.  A
-    training command run in process keeps the default: its products are large
-    enough for a second thread to shorten the run."""
+    through all the compositing in between.  And for every command that forks:
+    with no BLAS thread left the process may fork (`_may_fork`), and each child
+    inherits OpenBLAS on one thread.  An environment variable cannot do this in
+    process, since OpenBLAS reads `OPENBLAS_NUM_THREADS` once, when numpy is
+    imported.  A training command run in process keeps the default: its products
+    are large enough for a second thread to shorten the run."""
     libs = _openblas_threads()
     saved = [get() for get, _, _ in libs]
     for _, set_threads, shutdown in libs:
@@ -726,8 +714,8 @@ def _one_blas_thread():
 
 
 def _may_fork() -> bool:
-    """Whether this process may fork seed workers now: the `fork` start method
-    exists, OpenBLAS is loaded and every copy of it runs one thread, and
+    """Whether this process may fork `_fork_shares` children now: the `fork` start
+    method exists, OpenBLAS is loaded and every copy of it runs one thread, and
     `/proc/self/status` shows one OS thread.  A child forked while another thread
     holds a lock can deadlock on it, and a child with BLAS threads must not fork
     its own.  So it holds inside `_one_blas_thread()` on Linux with OpenBLAS, while
@@ -775,11 +763,12 @@ def cmd_run_matrix(cfg: ExperimentConfig, seed: int, out,
     """The method x rho x seed grid: one run record per cell, then the two CSVs built
     from those records, in grid order (seed, rho, method).
 
-    The grid runs as the seed jobs of `_seed_jobs` in workers forked from this
-    process, one per usable CPU and at most one per seed, when more than one seed
-    can run at once or a seed is split, and this process may fork (`_may_fork`
-    inside `_one_blas_thread()`).  Otherwise it runs in this process, on BLAS's
-    default threads.  The output is the same.
+    The seed jobs of `_seed_jobs` are dealt round-robin into one share per usable
+    CPU, at most one per seed, where this process may fork (`_may_fork` inside
+    `_one_blas_thread()`), and into one share otherwise.  `_fork_shares` runs each
+    share's jobs in turn.  A grid that forks, more than one share or a split seed,
+    runs every process on one BLAS thread; one that does not runs in this process
+    on BLAS's default threads.  The output is the same.
     """
     # the records carry the grid that runs; a bad override raises ConfigError here
     cfg = replace(cfg, methods=tuple(cfg.methods if methods is None else methods),
@@ -787,18 +776,15 @@ def cmd_run_matrix(cfg: ExperimentConfig, seed: int, out,
     out = _ensure_out(out)
     seeds = run_seeds(cfg, seed)
     cpus = _usable_cpus()
-    with _one_blas_thread():
+    with ExitStack() as blas:
+        blas.enter_context(_one_blas_thread())
         jobs = [(i, seeds[i], groups) for i, groups in _seed_jobs(cfg, cpus)]
-        workers = min(len(jobs), cpus)
-        pooled = _may_fork() and (workers > 1 or any(len(groups) > 1 for *_, groups in jobs))
-        if pooled:
-            with _seed_pool(workers) as pool:
-                futures = [pool.submit(_run_seed, cfg, out, *job) for job in jobs]
-                per_job = [f.result() for f in futures]
-    if not pooled:
-        per_job = [_run_seed(cfg, out, *job) for job in jobs]
-    run_ids = {(i, *cell): run_id
-               for (i, _, _), ids in zip(jobs, per_job) for cell, run_id in ids.items()}
+        workers = min(len(jobs), cpus) if _may_fork() else 1
+        if workers == 1 and all(len(groups) == 1 for *_, groups in jobs):
+            blas.close()  # restores the default threads
+        per_share = _fork_shares(_run_seeds, (cfg, out),
+                                 [(jobs[w::workers],) for w in range(workers)])
+    run_ids = {key: run_id for ids in per_share for key, run_id in ids.items()}
     records = _read_run_records(out, [run_ids[i, rho, method] for i in range(len(seeds))
                                       for rho in cfg.rhos for method in cfg.methods])
     path = _write_csv(out / "metrics.csv", METRICS_HEADER, map(_metrics_row, records))

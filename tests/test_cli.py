@@ -9,6 +9,7 @@ import sys
 import threading
 import warnings
 import weakref
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -575,12 +576,19 @@ def test_run_matrix_byte_identical(tmp_path, mini_cfg):
 
 
 def _cpus(monkeypatch, n):
-    """Make `cmd_run_matrix` see `n` usable CPUs; returns the jobs of each pool it opens."""
+    """Make `cmd_run_matrix` see `n` usable CPUs; returns (function name, shares) of
+    each `_fork_shares` call that forks from this process."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-    pools = []
-    real_pool = cli._seed_pool
-    monkeypatch.setattr(cli, "_seed_pool", lambda jobs: pools.append(jobs) or real_pool(jobs))
-    return pools
+    forks = []
+    real = cli._fork_shares
+
+    def counted(fn, state, shares):
+        if len(shares) > 1:
+            forks.append((fn.__name__, len(shares)))
+        return real(fn, state, shares)
+
+    monkeypatch.setattr(cli, "_fork_shares", counted)
+    return forks
 
 
 def test_run_matrix_pool_and_serial_paths_agree(tmp_path, monkeypatch):
@@ -589,17 +597,19 @@ def test_run_matrix_pool_and_serial_paths_agree(tmp_path, monkeypatch):
         del rec["wall_s"]
         return rec
 
-    # three seeds on three CPUs run a seed per worker; one seed on two CPUs runs in
-    # one worker, which forks its second group; three seeds on two CPUs split the third
-    for seeds, cpus, pool in ((3, 3, 3), (1, 2, 1), (3, 2, 2)):
+    # three seeds on three CPUs run a seed per child; one seed on two CPUs builds its
+    # base here and forks its two groups; three seeds on two CPUs run in two
+    # children, the first of which splits the third seed
+    for seeds, cpus, fork in ((3, 3, ("_run_seeds", 3)), (1, 2, ("_run_group", 2)),
+                              (3, 2, ("_run_seeds", 2))):
         cfg = ExperimentConfig(**{**MINI, "num_seeds": seeds, "methods": ALL_METHODS,
                                   "epochs": 11, "rhos": (1.0, 0.95)})
         outs = {}
         for n in (cpus, 1):
-            pools = _cpus(monkeypatch, n)
+            forks = _cpus(monkeypatch, n)
             outs[n] = tmp_path / f"seeds{seeds}-cpus{n}"
             cmd_run_matrix(cfg, 3, outs[n])
-            assert pools == ([pool] if n > 1 else [])
+            assert forks == ([fork] if n > 1 else [])
         pooled, serial = outs[cpus], outs[1]
         for name in ("metrics.csv", "summary.csv"):
             assert (pooled / name).read_bytes() == (serial / name).read_bytes()
@@ -611,9 +621,9 @@ def test_run_matrix_pool_and_serial_paths_agree(tmp_path, monkeypatch):
 
 
 def test_run_matrix_keeps_a_one_encoder_seed_in_process(tmp_path, mini_cfg, monkeypatch):
-    pools = _cpus(monkeypatch, 2)
+    forks = _cpus(monkeypatch, 2)
     cmd_run_matrix(mini_cfg, 3, tmp_path)  # bap is its one trained encoder
-    assert pools == []
+    assert forks == []
 
 
 def test_native_prototypes_are_built_only_for_a_zero_shot_native_method(tmp_path, monkeypatch):
@@ -668,11 +678,10 @@ def test_seed_jobs_split_no_seed_without_fork(monkeypatch):
         assert cli._seed_jobs(cfg, 2) == [(i, WHOLE) for i in range(3)]
 
 
-def _run_seed_logging(cfg, out, log, groups):
-    """`cli._run_seed` of `cfg`'s first seed at global seed 3, meant for a seed worker.
-    Each build of the seed's world, splits and teacher appends `<name> <pid>` to the
+def _log_seed_work(monkeypatch, log):
+    """Each build of a seed's world, splits and teacher appends `<name> <pid>` to the
     file `log`, and each run `run <method> <OpenBLAS's thread count> <pid>`, from
-    whichever process makes it.  Returns this process's pid and the run ids."""
+    whichever process makes it."""
     def log_calls(owner, attr, line):
         real = getattr(owner, attr)
 
@@ -681,27 +690,29 @@ def _run_seed_logging(cfg, out, log, groups):
                 fh.write(f"{line(*args)} {os.getpid()}\n")
             return real(*args, **kwargs)
 
-        setattr(owner, attr, logged)
+        monkeypatch.setattr(owner, attr, logged)
 
     for owner, attr in ((cli, "gen_world"), (scene, "build_train_split"),
                         (scene, "build_test_split"), (cli, "planted_teacher")):
         log_calls(owner, attr, lambda *args, _attr=attr: _attr)
     log_calls(cli, "evaluate_method", lambda ctx, method, rho: f"run {method} "
               f"{_blas_threads()}")
-    return os.getpid(), cli._run_seed(cfg, out, 0, run_seeds(cfg, 3)[0], groups)
 
 
 @pytest.fixture(scope="module")
 def split_seed_log(tmp_path_factory):
-    """One seed of every method on two rates, run as `HALVES` in a seed worker: the
-    worker's pid, the run ids and the lines `_run_seed_logging` wrote."""
+    """One seed of every method on two rates, run as `HALVES` from this process, as
+    `cmd_run_matrix` runs a split seed: this pid, the run ids and the lines
+    `_log_seed_work` wrote."""
     cfg = ExperimentConfig(**{**MINI, "methods": ALL_METHODS, "epochs": 11,
                               "rhos": (1.0, 0.95)})
     out = tmp_path_factory.mktemp("split-seed")
     log = out / "calls.log"
-    with cli._seed_pool(1) as pool:
-        pid, ids = pool.submit(_run_seed_logging, cfg, out, log, HALVES).result(timeout=300)
-    return pid, ids, [line.split() for line in log.read_text().splitlines()]
+    with pytest.MonkeyPatch.context() as m, cli._one_blas_thread():
+        assert cli._may_fork()
+        _log_seed_work(m, log)
+        ids = cli._run_seed(cfg, out, 0, run_seeds(cfg, 3)[0], HALVES)
+    return os.getpid(), ids, [line.split() for line in log.read_text().splitlines()]
 
 
 def test_a_split_seed_builds_its_world_splits_and_teacher_once(split_seed_log):
@@ -719,12 +730,12 @@ def test_the_forked_group_runs_with_single_threaded_blas(split_seed_log):
     pid, _, lines = split_seed_log
     runs = {(method, int(at), blas) for name, method, blas, at in
             (line for line in lines if line[0] == "run")}
-    first = {m for m in ALL_METHODS if cli.METHODS[m][0] in HALVES[0]}
-    assert {(m, at) for m, at, _ in runs if at == pid} == {(m, pid) for m in first}
-    # the other group ran in one child of the worker, which kept its BLAS setting
-    children = {at for _, at, _ in runs} - {pid}
-    assert len(children) == 1
-    assert {m for m, at, _ in runs if at != pid} == set(ALL_METHODS) - first
+    # each group ran in its own child, while this process waited, on the one BLAS
+    # thread the child inherited
+    at = {group: {at for m, at, _ in runs if cli.METHODS[m][0] in group} for group in HALVES}
+    assert all(len(pids) == 1 for pids in at.values())
+    assert len(set.union(*at.values()) - {pid}) == 2
+    assert {m for m, _, _ in runs} == set(ALL_METHODS)
     assert {blas for _, _, blas in runs} == {"1"}
 
 
@@ -739,64 +750,126 @@ def _os_threads() -> int:
         return next(int(line.split()[1]) for line in fh if line.startswith("Threads:"))
 
 
-def _worker_state(_) -> tuple[int, int, int]:
+def _worker_state(state, k) -> tuple[int, int, int]:
     return os.getppid(), _blas_threads(), _os_threads()
 
 
+def _log_forks(monkeypatch, log):
+    """Make every `os.fork`, in this process or a child, first append `<pid> <OS
+    threads>` of the forking process to the file `log`; returns a reader of the
+    (pid, threads) pairs logged so far."""
+    real = os.fork
+
+    def logged():
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {_os_threads()}\n")
+        return real()
+
+    monkeypatch.setattr(os, "fork", logged)
+    return lambda: [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+
+
 @needs_proc_maps
-def test_seed_workers_are_forked_from_a_single_threaded_caller():
+def test_seed_workers_are_forked_from_a_single_threaded_caller(tmp_path, monkeypatch):
     (get, set_threads, _), *_ = cli._openblas_threads()
     before = get()
     set_threads(2)
     try:
-        with cli._seed_pool(2) as pool:
-            assert pool._mp_context.get_start_method() == "fork"
-            assert (_os_threads(), get()) == (1, 1)  # before the first submit forks
-            seen = list(pool.map(_worker_state, range(2), timeout=120))
-        # a forked worker inherits OpenBLAS on one thread and starts no other thread
+        forks = _log_forks(monkeypatch, tmp_path / "forks.log")
+        with cli._one_blas_thread():
+            seen = cli._fork_shares(_worker_state, None, [(0,), (1,)])
+        # one child per share, forked while this process ran one OS thread; a child
+        # inherits OpenBLAS on one thread and starts no other thread
+        assert forks() == [(os.getpid(), 1)] * 2
         assert seen == [(os.getpid(), 1, 1)] * 2
         assert get() == 2
     finally:
         set_threads(before)
 
 
+def _nested_share(state, k):
+    """A share that forks two shares of its own: its pid, its parent's pid, whether
+    it may fork, and what `_worker_state` saw in each of its children."""
+    may_fork = cli._may_fork()
+    return os.getpid(), os.getppid(), may_fork, cli._fork_shares(_worker_state, None,
+                                                                 [(0,), (1,)])
+
+
+@needs_proc_maps
+def test_a_share_forks_its_own_shares_from_a_single_threaded_child(tmp_path, monkeypatch):
+    forks = _log_forks(monkeypatch, tmp_path / "forks.log")
+    with cli._one_blas_thread():
+        seen = cli._fork_shares(_nested_share, None, [(0,), (1,)])
+    pid = os.getpid()
+    children = [child for child, *_ in seen]
+    assert len(set(children)) == 2 and pid not in children
+    for child, parent, may_fork, inner in seen:
+        # the grandchildren's parent is that share's child, itself forked from here
+        assert (parent, may_fork) == (pid, True)
+        assert inner == [(child, 1, 1)] * 2
+    # every fork, here or in a child, came while the forking process ran one OS thread
+    assert sorted(forks()) == sorted([(pid, 1)] * 2 + [(child, 1) for child in children] * 2)
+
+
 def test_run_matrix_reraises_a_seed_workers_error(tmp_path, monkeypatch):
     # lr=1e38 passes validation; the first aligned student's weights then overflow.
-    # Two seeds run a seed per worker; one seed training two encoders is split, and
-    # its worker forks the second group.
-    for seeds, methods, pool in ((2, MINI["methods"], 2),
-                                 (1, ("native-lp", "bap-zs", "lp-ft"), 1)):
+    # Two seeds run a seed per child; one seed training two encoders is split: this
+    # process builds its base and forks both groups.
+    for seeds, methods, fork in ((2, MINI["methods"], ("_run_seeds", 2)),
+                                 (1, ("native-lp", "bap-zs", "lp-ft"), ("_run_group", 2))):
         cfg = ExperimentConfig(**{**MINI, "lr": 1e38, "num_seeds": seeds, "methods": methods})
         out = tmp_path / f"seeds{seeds}"
-        pools = _cpus(monkeypatch, 2)
+        forks = _cpus(monkeypatch, 2)
         with pytest.raises(ContractError):
             cmd_run_matrix(cfg, 3, out)
-        assert pools == [pool]
+        assert forks == [fork]
         assert not (out / "metrics.csv").exists()
         assert list(out.rglob("*.tmp")) == []
 
 
 def test_a_forked_groups_error_reaches_the_caller_with_its_type(tmp_path):
-    # native runs in the seed worker; bap, which overflows at lr=1e38, in its child
+    # native runs in one child; bap, which overflows at lr=1e38, in the other
     cfg = ExperimentConfig(**{**MINI, "lr": 1e38})
-    with cli._seed_pool(1) as pool:
-        job = pool.submit(cli._run_seed, cfg, tmp_path, 0, run_seeds(cfg, 3)[0],
-                          (("native",), ("bap",)))
-        with pytest.raises(ContractError):
-            job.result(timeout=300)
+    with cli._one_blas_thread(), pytest.raises(ContractError):
+        cli._run_seed(cfg, tmp_path, 0, run_seeds(cfg, 3)[0], (("native",), ("bap",)))
     assert sorted(p.name for p in (tmp_path / "runs").iterdir()) == ["native-lp-rho1-s0.json"]
+
+
+def _dies_at_share_one(state, k):
+    if k == 1:
+        os._exit(1)
+    return k
+
+
+def test_a_dead_child_fails_the_run_rather_than_hang(tmp_path, monkeypatch):
+    with cli._one_blas_thread(), pytest.raises(BrokenProcessPool):
+        cli._fork_shares(_dies_at_share_one, None, [(0,), (1,)])
+    # two seeds, a seed per child: the second child ends before its first run
+    real = cli._run_seed
+    monkeypatch.setattr(cli, "_run_seed", lambda cfg, out, i, *args:
+                        os._exit(1) if i == 1 else real(cfg, out, i, *args))
+    forks = _cpus(monkeypatch, 2)
+    with pytest.raises(BrokenProcessPool):
+        cmd_run_matrix(ExperimentConfig(**{**MINI, "num_seeds": 2}), 3, tmp_path)
+    assert forks == [("_run_seeds", 2)]
+    assert not (tmp_path / "metrics.csv").exists()
+    assert list(tmp_path.rglob("*.tmp")) == []
 
 
 @needs_proc_maps
 def test_run_matrix_pools_from_a_script_without_a_main_guard(tmp_path, monkeypatch):
-    # the workers are forked, so nothing imports the script again
+    # the children are forked, so nothing imports the script again
     script = tmp_path / "grid.py"
     script.write_text(
         "import os, sys\n"
         "from anchorlab import cli\n"
         "os.sched_getaffinity = lambda pid: {0, 1}\n"
-        "real_pool = cli._seed_pool\n"
-        "cli._seed_pool = lambda jobs: print('pool', jobs) or real_pool(jobs)\n"
+        "real = cli._fork_shares\n"
+        "def counted(fn, state, shares):\n"
+        "    if len(shares) > 1:\n"
+        "        print(fn.__name__, len(shares), flush=True)\n"
+        "    return real(fn, state, shares)\n"
+        "cli._fork_shares = counted\n"
         f"cfg = cli.ExperimentConfig(**{dict(MINI, num_seeds=2)!r})\n"
         "cli.cmd_run_matrix(cfg, 3, sys.argv[1])\n")
     src = os.path.dirname(os.path.dirname(cli.__file__))
@@ -804,7 +877,7 @@ def test_run_matrix_pools_from_a_script_without_a_main_guard(tmp_path, monkeypat
     done = subprocess.run([sys.executable, str(script), str(tmp_path / "pooled")], env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["pool", "2"]
+    assert done.stdout.split() == ["_run_seeds", "2"]
     _cpus(monkeypatch, 1)
     cmd_run_matrix(ExperimentConfig(**{**MINI, "num_seeds": 2}), 3, tmp_path / "serial")
     assert ((tmp_path / "pooled" / "metrics.csv").read_bytes()
@@ -816,7 +889,7 @@ def test_run_matrix_stays_in_process_where_it_may_not_fork(tmp_path, monkeypatch
     cfg = ExperimentConfig(**{**MINI, "num_seeds": 2})
     _cpus(monkeypatch, 1)
     cmd_run_matrix(cfg, 3, tmp_path / "serial")
-    pools = _cpus(monkeypatch, 2)
+    forks = _cpus(monkeypatch, 2)
     with contextlib.ExitStack() as stack:
         if why == "a live thread":
             release = threading.Event()
@@ -829,7 +902,7 @@ def test_run_matrix_stays_in_process_where_it_may_not_fork(tmp_path, monkeypatch
             stack.enter_context(cli._one_blas_thread())
             monkeypatch.setattr(cli, "_openblas_threads", lambda: [])
         cmd_run_matrix(cfg, 3, tmp_path / "two-cpus")
-    assert pools == []
+    assert forks == []
     for name in ("metrics.csv", "summary.csv"):
         assert ((tmp_path / "two-cpus" / name).read_bytes()
                 == (tmp_path / "serial" / name).read_bytes())
@@ -837,11 +910,11 @@ def test_run_matrix_stays_in_process_where_it_may_not_fork(tmp_path, monkeypatch
 
 def test_a_pooled_run_matrix_forks_without_a_deprecation_warning(tmp_path, monkeypatch):
     # Python >= 3.12 warns when a process with more than one thread forks
-    pools = _cpus(monkeypatch, 2)
+    forks = _cpus(monkeypatch, 2)
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
         cmd_run_matrix(ExperimentConfig(**{**MINI, "num_seeds": 2}), 3, tmp_path)
-    assert pools == [2]
+    assert forks == [("_run_seeds", 2)]
 
 
 def test_run_record_is_written_whole_or_not_at_all(tmp_path, mini_cfg, monkeypatch):

@@ -1,6 +1,6 @@
 """`src/` holds only what the lab runs: every public top-level function and class,
 and every public method of those classes, is used by other code in `src/`, or is on
-an allow-list with its reason."""
+an allow-list with its reason; and one function forks."""
 
 import ast
 from collections import Counter
@@ -50,3 +50,29 @@ def unreferenced_public_names() -> set[str]:
 
 def test_every_public_name_in_src_is_used_or_allowed():
     assert unreferenced_public_names() == set(ALLOWED_UNREFERENCED)
+
+
+def _fork_sites(node) -> Counter:
+    """How often `node` names `ProcessPoolExecutor` or `fork`, or calls
+    `get_context("fork")`."""
+    sites = Counter()
+    for n in ast.walk(node):
+        name = (n.name if isinstance(n, ast.alias) else n.id if isinstance(n, ast.Name)
+                else n.attr if isinstance(n, ast.Attribute) else None)
+        if name in ("ProcessPoolExecutor", "fork"):
+            sites[name] += 1
+        if (isinstance(n, ast.Call) and _uses(n.func)["get_context"]
+                and any(isinstance(a, ast.Constant) and a.value == "fork" for a in n.args)):
+            sites['get_context("fork")'] += 1
+    return sites
+
+
+def test_one_function_in_src_forks():
+    # every forked share runs through `cli._fork_shares`, whose contract (children
+    # forked from a single-threaded, waiting caller) a second fork site would bypass
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    fork_shares = next(node for node in trees["cli"].body
+                       if isinstance(node, ast.FunctionDef) and node.name == "_fork_shares")
+    assert set(_fork_sites(fork_shares)) == {"ProcessPoolExecutor", 'get_context("fork")'}
+    assert {module: _fork_sites(tree) for module, tree in trees.items() if _fork_sites(tree)} \
+        == {"cli": _fork_sites(fork_shares)}
