@@ -14,13 +14,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import hashlib
 import io
 import json
 import os
+import signal
 import sys
 import time
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from functools import cache, cached_property
 from pathlib import Path
@@ -443,60 +445,61 @@ def cmd_probe_additivity(cfg: ExperimentConfig, seed: int, out) -> Path:
 
     The world is built, its foregrounds prepared, and the planted map drawn once:
     every alpha's teacher is drawn from the same seed, so they differ only in
-    alpha.  Where this process may fork (`_may_fork` inside `_one_blas_thread()`),
-    each alpha's probe chunks are split into P contiguous shares, P = min(usable
-    CPUs, chunks), which `_fork_shares` runs in children while this process waits;
-    otherwise P = 1, run here.  Each chunk is rendered and encoded with the same
-    rows either way, and each alpha's scores are joined in chunk order, so the
-    output is the same.  A record's `wall_s` is the sum of the seconds its shares
-    took.
+    alpha.  Each alpha's probe chunks are split into P contiguous shares, P =
+    min(usable CPUs, chunks), which `_fork_shares` runs in children while this
+    process waits, or here in turn, in chunk order.  Each chunk is rendered and
+    encoded with the same rows either way, and each alpha's scores are joined in
+    chunk order, so the output is the same.  A record's `wall_s` is the sum of the
+    seconds its shares took.
     """
     out = _ensure_out(out)
-    fgs, bgs = SeedContext(cfg, derive_seed(seed, "run", 0)).world
-    scene.prepare_foregrounds(fgs)  # once, not once per share
-    planted = planted_teacher(PlantedConfig(seed=derive_seed(seed, "additivity-teacher")),
-                              d=cfg.d, input_hw=(cfg.hw, cfg.hw))
     with _one_blas_thread():
-        shares = min(_usable_cpus(), probe_chunks(cfg.additivity_n)) if _may_fork() else 1
+        fgs, bgs = SeedContext(cfg, derive_seed(seed, "run", 0)).world
+        scene.prepare_foregrounds(fgs)  # once, not once per share
+        planted = planted_teacher(PlantedConfig(seed=derive_seed(seed, "additivity-teacher")),
+                                  d=cfg.d, input_hw=(cfg.hw, cfg.hw))
+        shares = min(_usable_cpus(), probe_chunks(cfg.additivity_n))
         per_share = _fork_shares(_probe_share, (cfg, seed, fgs, bgs, planted),
                                  [(k, shares) for k in range(shares)])
-    run_ids = []
-    for alpha, timed in zip(cfg.additivity_alphas, zip(*per_share)):
-        rep = merge_parts([part for part, _ in timed], encoder_tag=f"planted-a{alpha:g}")
-        run_ids.append(_write_run_record(
-            out, f"additivity-a{alpha:g}", cfg, derive_seed(seed, "additivity", alpha), {
-                "encoder": rep.encoder_tag, "alpha": alpha, "n": rep.n,
-                "excluded": rep.excluded, "mean_S": rep.mean, "std_S": rep.std,
-                "wall_s": round(sum(seconds for _, seconds in timed), 3)}))
-    rows = [[rec["encoder"], rec["alpha"], rec["n"], f"{rec['mean_S']:.6f}",
-             f"{rec['std_S']:.6f}"] for rec in _read_run_records(out, run_ids)]
-    # highest score first, ranked on the value the table shows
-    rows.sort(key=lambda row: -float(row[3]))
-    return _write_csv(out / "additivity.csv", ("encoder", "alpha", "n", "mean_S", "std_S"), rows)
+        run_ids = []
+        for alpha, timed in zip(cfg.additivity_alphas, zip(*per_share)):
+            rep = merge_parts([part for part, _ in timed], encoder_tag=f"planted-a{alpha:g}")
+            run_ids.append(_write_run_record(
+                out, f"additivity-a{alpha:g}", cfg, derive_seed(seed, "additivity", alpha), {
+                    "encoder": rep.encoder_tag, "alpha": alpha, "n": rep.n,
+                    "excluded": rep.excluded, "mean_S": rep.mean, "std_S": rep.std,
+                    "wall_s": round(sum(seconds for _, seconds in timed), 3)}))
+        rows = [[rec["encoder"], rec["alpha"], rec["n"], f"{rec['mean_S']:.6f}",
+                 f"{rec['std_S']:.6f}"] for rec in _read_run_records(out, run_ids)]
+        # highest score first, ranked on the value the table shows
+        rows.sort(key=lambda row: -float(row[3]))
+        return _write_csv(out / "additivity.csv", ("encoder", "alpha", "n", "mean_S", "std_S"),
+                          rows)
 
 
 def cmd_k_ablation(cfg: ExperimentConfig, seed: int, out) -> Path:
     out = _ensure_out(out)
     ctx = SeedContext(cfg, derive_seed(seed, "run", 0))
-    fgs, bgs = ctx.world
-    teacher = ctx.teacher
-    protos = anchors.compute_prototypes(teacher, fgs, bgs, memo=ctx.memo)
-    report = anchors.k_sweep(teacher, _first_per_class(fgs, 25), bgs, cfg.k_grid,
-                             protos, derive_seed(seed, "ksweep"),
-                             var_trials=cfg.var_trials)
-    logk = np.log(np.asarray(report.k_grid, dtype=np.float64))
-    logv = np.log(np.asarray(report.var_eps, dtype=np.float64))
-    slope = float(np.polyfit(logk, logv, 1)[0])
-    run_ids = [_write_run_record(out, f"k-ablation-K{k}", cfg, derive_seed(seed, "ksweep"),
-                                 {"K": k, "fg_sim": f, "bg_sim_max": b, "var_eps": v,
-                                  "slope": slope})
-               for k, f, b, v in zip(report.k_grid, report.fg_sim, report.bg_sim_max,
-                                     report.var_eps)]
-    rows = [[rec["K"], f"{rec['fg_sim']:.6f}", f"{rec['bg_sim_max']:.6f}",
-             f"{rec['var_eps']:.8g}", f"{rec['slope']:.4f}"]
-            for rec in _read_run_records(out, run_ids)]
-    return _write_csv(out / "k_ablation.csv", ("K", "fg_sim", "bg_sim_max", "var_eps", "slope"),
-                      rows)
+    with _one_blas_thread():
+        fgs, bgs = ctx.world
+        teacher = ctx.teacher
+        protos = anchors.compute_prototypes(teacher, fgs, bgs, memo=ctx.memo)
+        report = anchors.k_sweep(teacher, _first_per_class(fgs, 25), bgs, cfg.k_grid,
+                                 protos, derive_seed(seed, "ksweep"),
+                                 var_trials=cfg.var_trials)
+        logk = np.log(np.asarray(report.k_grid, dtype=np.float64))
+        logv = np.log(np.asarray(report.var_eps, dtype=np.float64))
+        slope = float(np.polyfit(logk, logv, 1)[0])
+        run_ids = [_write_run_record(out, f"k-ablation-K{k}", cfg, derive_seed(seed, "ksweep"),
+                                     {"K": k, "fg_sim": f, "bg_sim_max": b, "var_eps": v,
+                                      "slope": slope})
+                   for k, f, b, v in zip(report.k_grid, report.fg_sim, report.bg_sim_max,
+                                         report.var_eps)]
+        rows = [[rec["K"], f"{rec['fg_sim']:.6f}", f"{rec['bg_sim_max']:.6f}",
+                 f"{rec['var_eps']:.8g}", f"{rec['slope']:.4f}"]
+                for rec in _read_run_records(out, run_ids)]
+        return _write_csv(out / "k_ablation.csv",
+                          ("K", "fg_sim", "bg_sim_max", "var_eps", "slope"), rows)
 
 
 def _write_run_record(out: Path, run_id: str, cfg: ExperimentConfig, seed: int,
@@ -556,40 +559,44 @@ def _summary_rows(records: list[dict]) -> list[list]:
     return rows
 
 
-def _run_group(ctx: SeedContext, out: Path, run_idx: int,
-               encoders) -> dict[tuple[float, str], str]:
-    """The (rho, method) runs of `ctx`'s seed whose methods use one of `encoders`;
-    each run's record is written as soon as it finishes.  The runs go encoder by
-    encoder, in the order given, and each trained encoder is released once its runs
-    are written, so besides the teacher the seed holds one trained encoder at a time.
-    Draws derive from names, so neither the order nor the encoders left to another
-    group change a number.  Returns the run ids keyed by (rho, method)."""
-    cfg = ctx.cfg
-    run_ids = {}
-    for name in encoders:
-        for rho in cfg.rhos:
-            for method in (m for m in cfg.methods if METHODS[m][0] == name):
-                t0 = time.perf_counter()
-                gm, bsi = evaluate_method(ctx, method, rho)
-                run_ids[rho, method] = _write_run_record(
-                    out, f"{method}-rho{rho:g}-s{run_idx}", cfg, ctx.seed, {
-                        "rho": rho, "method": method, "run_index": run_idx,
-                        "metrics": _metrics(gm, bsi),
-                        "trace": ctx.trained(name, rho).trace,
-                        "wall_s": round(time.perf_counter() - t0, 3)})
-            # lp-ft trains one encoder per rate, the others serve every rate
-            if name == "lp-ft" or rho == cfg.rhos[-1]:
-                ctx.release(name, rho)
-    return run_ids
+def _run_cells(ctx: SeedContext, out: Path, cells) -> None:
+    """Score each (run id, method, rho, fields) cell of `cells` on `ctx`'s seed, in
+    turn, and write its record as soon as it finishes: the cell's fields with its rho,
+    method, metrics, its encoder's training trace and `wall_s`.  Each trained encoder
+    is released after the last cell that reads it, so with the cells of each encoder
+    together the seed holds one trained encoder at a time besides the teacher.  Draws
+    derive from names, so neither the order nor the cells left to another group
+    change a number."""
+    last = {ctx._key(METHODS[method][0], rho): i for i, (_, method, rho, _) in enumerate(cells)}
+    for i, (run_id, method, rho, fields) in enumerate(cells):
+        t0 = time.perf_counter()
+        gm, bsi = evaluate_method(ctx, method, rho)
+        name = METHODS[method][0]
+        _write_run_record(out, run_id, ctx.cfg, ctx.seed, {
+            **fields, "rho": rho, "method": method, "metrics": _metrics(gm, bsi),
+            "trace": ctx.trained(name, rho).trace,
+            "wall_s": round(time.perf_counter() - t0, 3)})
+        if last[ctx._key(name, rho)] == i:
+            ctx.release(name, rho)
 
 
 # (function, state) of the shares a forked child runs, set in it by its pool's initializer
 _inherited: tuple | None = None
+_PR_SET_PDEATHSIG = 1  # prctl(2): the signal a process gets when its parent dies
 
 
-def _inherit(fn, state) -> None:
+def _inherit(fn, state, parent: int) -> None:
+    """Run first in each forked child: keep `fn` and `state` for its shares, and have
+    the kernel SIGKILL the child when `parent`, the process that forked it, dies; so
+    no child, nor a child of its own, outlives a killed caller or a pool that
+    terminated it.  A parent already gone by then ends the child at once."""
     global _inherited
     _inherited = fn, state
+    prctl = ctypes.CDLL(None).prctl
+    prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
+    prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+    if os.getppid() != parent:
+        os._exit(1)
 
 
 def _run_inherited(*args):
@@ -598,51 +605,46 @@ def _run_inherited(*args):
 
 
 def _fork_shares(fn, state, shares: list[tuple]) -> list:
-    """`[fn(state, *args) for args in shares]`.  One share runs in this process.
-    More run in children forked from it, one per share, while it waits; each child
-    inherits `fn` and `state` unpickled, so only the `args` and the results cross
-    the pipe.  Forking is safe only where `_may_fork()` holds.  The pool forks all
-    its children at the first submit, before it starts its manager thread, so each
-    child is single-threaded and may call `_fork_shares` itself.  A share's error
-    reaches the caller with its type, and a child that dies raises
-    `BrokenProcessPool`; the children are joined before this returns or raises."""
-    if len(shares) == 1:
-        return [fn(state, *shares[0])]
+    """`[fn(state, *args) for args in shares]`, and the one place in the lab that
+    decides to fork.  Given more than one share where this process may fork
+    (`_may_fork`), it runs each share in its own child forked from it while it waits;
+    otherwise it runs the shares here in turn.  Each child inherits `fn` and `state`
+    unpickled, so only the `args` and the results cross the pipe, and dies with its
+    parent (`_inherit`).  The pool forks all its children at the first submit, before
+    it starts its manager thread, so each child is single-threaded and may call
+    `_fork_shares` itself.  A share's error reaches the caller with its type, and a
+    child that dies raises `BrokenProcessPool`; the children are joined before this
+    returns or raises."""
+    if len(shares) == 1 or not _may_fork():
+        return [fn(state, *args) for args in shares]
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(len(shares), mp_context=multiprocessing.get_context("fork"),
-                             initializer=_inherit, initargs=(fn, state)) as pool:
+                             initializer=_inherit, initargs=(fn, state, os.getpid())) as pool:
         forked = [pool.submit(_run_inherited, *args) for args in shares]
         return [future.result() for future in forked]
 
 
-def _run_seed(cfg: ExperimentConfig, out: Path, run_idx: int, run_seed: int,
-              groups=(ENCODERS,)) -> dict[tuple[float, str], str]:
-    """The runs of one seed, as `_run_group` of each encoder group in `groups`.
+def _run_seed(out: Path, cfg: ExperimentConfig, run_seed: int, groups) -> None:
+    """`_run_cells` of each cell group of one job in `groups`.
 
-    The seed's world, its train and test splits (leakage-checked) and its teacher
-    are built first, once, since every group reads them; so no run's `wall_s`
-    includes them.  `_fork_shares` then runs one group in this process, or more
-    in children forked from it, which inherit the built `SeedContext`; so split a
-    seed only where `_may_fork()` holds.  Returns the run ids of all groups keyed
-    by (rho, method)."""
+    The job's world, the train split of each rate its cells score, its test split
+    (leakage-checked) and its teacher are built first, once, since every group reads
+    them; so no run's `wall_s` includes them.  `_fork_shares` then runs the groups:
+    in children forked from this process, which inherit the built `SeedContext`, or
+    here in turn."""
     ctx = SeedContext(cfg, run_seed)
-    for rho in cfg.rhos:
+    for rho in dict.fromkeys(rho for group in groups for _, _, rho, _ in group):
         _leakage_check(*ctx.datasets(rho))
     ctx.teacher  # built now, so that a forked group inherits it
-    run_ids = {}
-    for ids in _fork_shares(_run_group, ctx, [(out, run_idx, group) for group in groups]):
-        run_ids.update(ids)
-    return run_ids
+    _fork_shares(_run_cells, ctx, [(out, group) for group in groups])
 
 
-def _run_seeds(state: tuple, jobs) -> dict[tuple[int, float, str], str]:
-    """`_run_seed` of each (seed index, run seed, encoder groups) job in `jobs` in
-    turn, `state` being (config, out); the run ids keyed by (seed index, rho, method)."""
-    cfg, out = state
-    return {(i, *cell): run_id for i, run_seed, groups in jobs
-            for cell, run_id in _run_seed(cfg, out, i, run_seed, groups).items()}
+def _run_seeds(out: Path, jobs) -> None:
+    """`_run_seed` of each (config, run seed, cell groups) job in `jobs`, in turn."""
+    for job in jobs:
+        _run_seed(out, *job)
 
 
 def _usable_cpus() -> int:
@@ -658,7 +660,6 @@ def _openblas_threads() -> list[tuple]:
     names numpy's wheels (`scipy_openblas_*64_`) and other builds (`openblas_*`,
     `openblas_*64_`) export, and the shutdown as `blas_thread_shutdown_`, which
     OpenBLAS's own fork handler calls (a no-op where it is not exported)."""
-    import ctypes
     from itertools import product
 
     try:
@@ -693,14 +694,13 @@ def _one_blas_thread():
     joined, then restore each one's thread count, which starts its threads again,
     also when the block raises; a no-op where none is loaded.
 
-    For the commands that composite and encode but never train: after each
-    product OpenBLAS's idle threads spin-wait for the next one, so they burn a CPU
-    through all the compositing in between.  And for every command that forks:
-    with no BLAS thread left the process may fork (`_may_fork`), and each child
-    inherits OpenBLAS on one thread.  An environment variable cannot do this in
-    process, since OpenBLAS reads `OPENBLAS_NUM_THREADS` once, when numpy is
-    imported.  A training command run in process keeps the default: its products
-    are large enough for a second thread to shorten the run."""
+    Every command but `report` runs its body inside it.  With no BLAS thread left
+    the process may fork (`_may_fork`), and each child inherits OpenBLAS on one
+    thread.  A command that composites between products would otherwise burn a CPU,
+    since after each product OpenBLAS's idle threads spin-wait for the next one; and
+    at the lab's sizes a second thread shortens no training run (README).  An
+    environment variable cannot do this in process, since OpenBLAS reads
+    `OPENBLAS_NUM_THREADS` once, when numpy is imported."""
     libs = _openblas_threads()
     saved = [get() for get, _, _ in libs]
     for _, set_threads, shutdown in libs:
@@ -714,12 +714,13 @@ def _one_blas_thread():
 
 
 def _may_fork() -> bool:
-    """Whether this process may fork `_fork_shares` children now: the `fork` start
-    method exists, OpenBLAS is loaded and every copy of it runs one thread, and
-    `/proc/self/status` shows one OS thread.  A child forked while another thread
-    holds a lock can deadlock on it, and a child with BLAS threads must not fork
-    its own.  So it holds inside `_one_blas_thread()` on Linux with OpenBLAS, while
-    no other thread is alive, and never on macOS, Windows or other BLAS builds."""
+    """Whether `_fork_shares`, which alone asks, may fork children from this process
+    now: the `fork` start method exists, OpenBLAS is loaded and every copy of it runs
+    one thread, and `/proc/self/status` shows one OS thread.  A child forked while
+    another thread holds a lock can deadlock on it, and a child with BLAS threads
+    must not fork its own.  So it holds inside `_one_blas_thread()` on Linux with
+    OpenBLAS, while no other thread is alive, and never on macOS, Windows or other
+    BLAS builds."""
     import multiprocessing
 
     libs = _openblas_threads()
@@ -733,70 +734,74 @@ def _may_fork() -> bool:
         return False
 
 
-def _seed_jobs(cfg: ExperimentConfig,
-               cpus: int) -> list[tuple[int, tuple[tuple[str, ...], ...]]]:
-    """(seed index, encoder groups) of each run-matrix job: one job per seed.
+def _seed_jobs(jobs, cpus: int) -> list[tuple]:
+    """Each (config, run seed, cells) job of `jobs` as (config, run seed, cell groups).
 
-    Seeds run `cpus` at a time.  The seeds of full waves stay whole, one group of
-    every encoder their methods name, in `ENCODERS` order.  Each of the last
-    `num_seeds % cpus` seeds, a partial wave, gets `cpus // (num_seeds % cpus)`
-    groups, at most one per trained encoder (native trains nothing): its encoders
-    are dealt longest first by `ENCODER_COST`, each into the group with the least
-    cost so far.  Where this process may not fork (`_may_fork`), no seed is split.
-    No student depends on another, so a split changes no number.
+    Jobs run `cpus` at a time.  The jobs of full waves stay whole, one group of every
+    encoder their cells' methods name, in `ENCODERS` order.  Each of the last
+    `len(jobs) % cpus` jobs, a partial wave, gets `cpus // (len(jobs) % cpus)` groups,
+    at most one per trained encoder (native trains nothing): its encoders are dealt
+    longest first by `ENCODER_COST`, each into the group with the least cost so far.
+    A group holds the cells of its encoders, encoder by encoder, each in the job's
+    order.  No student depends on another, so a split changes no number.
     """
-    named = [name for name in ENCODERS if any(METHODS[m][0] == name for m in cfg.methods)]
-    trained = sum(name != "native" for name in named)
-    partial = cfg.num_seeds % cpus
-    k = max(1, min(trained, cpus // partial)) if partial and _may_fork() else 1
-    whole = (tuple(named),)
-    groups = [[] for _ in range(k)]
-    for name in sorted(named, key=ENCODER_COST.get, reverse=True):
-        min(groups, key=lambda group: sum(map(ENCODER_COST.get, group))).append(name)
-    split = tuple(map(tuple, groups)) if k > 1 else whole
-    return [(i, split if i >= cfg.num_seeds - partial else whole)
-            for i in range(cfg.num_seeds)]
+    partial = len(jobs) % cpus
+    dealt = []
+    for i, (cfg, run_seed, cells) in enumerate(jobs):
+        named = [name for name in ENCODERS if any(METHODS[m][0] == name for _, m, _, _ in cells)]
+        trained = sum(name != "native" for name in named)
+        k = max(1, min(trained, cpus // partial)) if i >= len(jobs) - partial else 1
+        groups = [[] for _ in range(k)]
+        for name in sorted(named, key=ENCODER_COST.get, reverse=True):
+            min(groups, key=lambda group: sum(map(ENCODER_COST.get, group))).append(name)
+        if k == 1:
+            groups = [named]
+        dealt.append((cfg, run_seed, [[cell for name in group for cell in cells
+                                       if METHODS[cell[1]][0] == name] for group in groups]))
+    return dealt
+
+
+def _run_jobs(out: Path, jobs) -> None:
+    """Write the record of every cell of every (config, run seed, cells) job.  The
+    groups of `_seed_jobs` are dealt round-robin, job i into share i mod shares, into
+    one share per usable CPU, at most one per job; `_fork_shares` runs the shares,
+    each share's jobs in turn."""
+    cpus = _usable_cpus()
+    dealt = _seed_jobs(jobs, cpus)
+    shares = min(len(dealt), cpus)
+    _fork_shares(_run_seeds, out, [(dealt[w::shares],) for w in range(shares)])
 
 
 def cmd_run_matrix(cfg: ExperimentConfig, seed: int, out,
                    methods=None, rhos=None) -> Path:
     """The method x rho x seed grid: one run record per cell, then the two CSVs built
-    from those records, in grid order (seed, rho, method).
-
-    The seed jobs of `_seed_jobs` are dealt round-robin into one share per usable
-    CPU, at most one per seed, where this process may fork (`_may_fork` inside
-    `_one_blas_thread()`), and into one share otherwise.  `_fork_shares` runs each
-    share's jobs in turn.  A grid that forks, more than one share or a split seed,
-    runs every process on one BLAS thread; one that does not runs in this process
-    on BLAS's default threads.  The output is the same.
-    """
+    from those records, in grid order (seed, rho, method).  Each seed is one
+    `_run_jobs` job, whose records carry the seed's index as `run_index`."""
     # the records carry the grid that runs; a bad override raises ConfigError here
     cfg = replace(cfg, methods=tuple(cfg.methods if methods is None else methods),
                   rhos=tuple(cfg.rhos if rhos is None else rhos))
     out = _ensure_out(out)
-    seeds = run_seeds(cfg, seed)
-    cpus = _usable_cpus()
-    with ExitStack() as blas:
-        blas.enter_context(_one_blas_thread())
-        jobs = [(i, seeds[i], groups) for i, groups in _seed_jobs(cfg, cpus)]
-        workers = min(len(jobs), cpus) if _may_fork() else 1
-        if workers == 1 and all(len(groups) == 1 for *_, groups in jobs):
-            blas.close()  # restores the default threads
-        per_share = _fork_shares(_run_seeds, (cfg, out),
-                                 [(jobs[w::workers],) for w in range(workers)])
-    run_ids = {key: run_id for ids in per_share for key, run_id in ids.items()}
-    records = _read_run_records(out, [run_ids[i, rho, method] for i in range(len(seeds))
-                                      for rho in cfg.rhos for method in cfg.methods])
-    path = _write_csv(out / "metrics.csv", METRICS_HEADER, map(_metrics_row, records))
-    _write_csv(out / "summary.csv", ("method", "rho", "n_runs", "avg_mean", "avg_std",
-                                     "wga_mean", "wga_std", "bsi_mean"), _summary_rows(records))
+    cells = [[(f"{method}-rho{rho:g}-s{i}", method, rho, {"run_index": i})
+              for rho in cfg.rhos for method in cfg.methods] for i in range(cfg.num_seeds)]
+    with _one_blas_thread():
+        _run_jobs(out, [(cfg, run_seed, seed_cells)
+                        for run_seed, seed_cells in zip(run_seeds(cfg, seed), cells)])
+        records = _read_run_records(out, [cell[0] for seed_cells in cells for cell in seed_cells])
+        path = _write_csv(out / "metrics.csv", METRICS_HEADER, map(_metrics_row, records))
+        _write_csv(out / "summary.csv", ("method", "rho", "n_runs", "avg_mean", "avg_std",
+                                         "wga_mean", "wga_std", "bsi_mean"),
+                   _summary_rows(records))
     return path
 
 
 def cmd_ablate(cfg: ExperimentConfig, seed: int, out, which: str) -> Path:
-    """bap-lp at the first rho over one swept setting (`seg` adds a native-lp baseline):
-    one run record per CSV row, `runs/ablate-<which>-<param>-<value>.json`, holding
-    the swept config."""
+    """bap-lp at the first rho over one swept setting: one run record per CSV row,
+    `runs/ablate-<which>-<param>-<value>.json`, holding the swept config.  `seg` adds
+    a native-lp baseline, scored on the point whose degradation is the config's.
+
+    Each sweep point is one `_run_jobs` job, so the points are spread over the usable
+    CPUs as run-matrix's seeds are.  A record's `wall_s` excludes its point's world,
+    splits and teacher, and it carries bap's training trace."""
     if which == "seg":
         sweep = [("degradation", mode, {"degradation": mode}) for mode in scene.DEGRADATIONS]
     elif which == "n_sweep":
@@ -812,27 +817,20 @@ def cmd_ablate(cfg: ExperimentConfig, seed: int, out, which: str) -> Path:
     out = _ensure_out(out)
     run_seed = derive_seed(seed, "run", 0)
     rho = cfg.rhos[0]
-    run_ids = []
-
-    def run(ctx: SeedContext, param: str, value, method: str) -> None:
-        t0 = time.perf_counter()
-        gm, bsi = evaluate_method(ctx, method, rho)
-        run_ids.append(_write_run_record(out, f"ablate-{which}-{param}-{value}", ctx.cfg,
-                                         run_seed, {
-            "param": param, "value": value, "rho": rho, "method": method,
-            "metrics": _metrics(gm, bsi),
-            "wall_s": round(time.perf_counter() - t0, 3)}))
-
-    for param, value, overrides in sweep:
-        ctx = SeedContext(replace(cfg, **overrides), run_seed)
-        run(ctx, param, value, "bap-lp")
-        if which == "seg" and value == cfg.degradation:
-            baseline_ctx = ctx
+    run_ids = [f"ablate-{which}-{param}-{value}" for param, value, _ in sweep]
+    jobs = [(replace(cfg, **overrides), run_seed,
+             [(run_id, "bap-lp", rho, {"param": param, "value": value})])
+            for run_id, (param, value, overrides) in zip(run_ids, sweep)]
     if which == "seg":
-        run(baseline_ctx, "degradation", "native-lp-baseline", "native-lp")
-    rows = [[rec["param"], rec["value"], f"{rec['metrics']['wga']:.4f}",
-             f"{rec['metrics']['avg']:.4f}"] for rec in _read_run_records(out, run_ids)]
-    return _write_csv(out / f"ablate_{which}.csv", ("param", "value", "wga", "avg"), rows)
+        run_ids.append("ablate-seg-degradation-native-lp-baseline")
+        _, _, cells = jobs[scene.DEGRADATIONS.index(cfg.degradation)]
+        cells.append((run_ids[-1], "native-lp", rho,
+                      {"param": "degradation", "value": "native-lp-baseline"}))
+    with _one_blas_thread():
+        _run_jobs(out, jobs)
+        rows = [[rec["param"], rec["value"], f"{rec['metrics']['wga']:.4f}",
+                 f"{rec['metrics']['avg']:.4f}"] for rec in _read_run_records(out, run_ids)]
+        return _write_csv(out / f"ablate_{which}.csv", ("param", "value", "wga", "avg"), rows)
 
 
 # figure analog -> the table that holds its data

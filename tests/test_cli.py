@@ -4,12 +4,15 @@ import contextlib
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
 import threading
+import time
 import warnings
 import weakref
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -285,6 +288,20 @@ def test_encoder_major_seed_writes_the_grid_order_rows(tmp_path, monkeypatch):
     assert path.read_bytes() == (tmp_path / "metrics.csv").read_bytes()
 
 
+def _grid_cells(cfg, i: int = 0) -> list[tuple]:
+    """Seed i's (run id, method, rho, fields) cells of `cfg`'s grid, as `cmd_run_matrix`
+    makes them."""
+    return [(f"{m}-rho{rho:g}-s{i}", m, rho, {"run_index": i}) for rho in cfg.rhos
+            for m in cfg.methods]
+
+
+def _groups(cfg, *encoders) -> list[list[tuple]]:
+    """Seed 0's cells of `cfg`'s grid in one group per tuple of `encoders`, encoder by
+    encoder, as `_seed_jobs` groups them."""
+    return [[cell for name in group for cell in _grid_cells(cfg)
+             if cli.METHODS[cell[1]][0] == name] for group in encoders]
+
+
 def test_run_seed_holds_one_trained_encoder_at_a_time(tmp_path, monkeypatch):
     cfg = ExperimentConfig(**{**MINI, "epochs": 11, "rhos": (1.0, 0.95),
                               "methods": ALL_METHODS})
@@ -318,7 +335,9 @@ def test_run_seed_holds_one_trained_encoder_at_a_time(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "freeze", tracking_freeze)
     monkeypatch.setattr(anchors, "build_anchor_set", tracking_anchor_set)
-    cli._run_seed(cfg, tmp_path, 0, run_seeds(cfg, 3)[0])
+    # the seed whole, as `cmd_run_matrix` deals it on one CPU
+    (job,) = cli._seed_jobs([(cfg, run_seeds(cfg, 3)[0], _grid_cells(cfg))], 1)
+    cli._run_seed(tmp_path, *job)
     # lp-ft at each rate, then control, bap with its anchors, and ortho: each is
     # released before the next one trains
     assert alive_at_freeze == [["lp-ft-0"], ["lp-ft-1"], ["control-2"], ["anchors", "bap-3"],
@@ -344,9 +363,9 @@ def test_release_drops_one_record_and_a_rebuild_matches_it():
 
 def test_run_seed_runs_only_the_given_encoders(tmp_path):
     cfg = ExperimentConfig(**{**MINI, "epochs": 11, "methods": ALL_METHODS})
-    ids = cli._run_seed(cfg, tmp_path, 0, run_seeds(cfg, 3)[0], (("lp-ft", "bap"),))
-    assert ids == {(1.0, m): f"{m}-rho1-s0" for m in ("lp-ft", "bap-lp", "bap-zs")}
-    assert sorted(p.stem for p in (tmp_path / "runs").iterdir()) == sorted(ids.values())
+    cli._run_seed(tmp_path, cfg, run_seeds(cfg, 3)[0], _groups(cfg, ("lp-ft", "bap")))
+    assert sorted(p.stem for p in (tmp_path / "runs").iterdir()) == sorted(
+        f"{m}-rho1-s0" for m in ("lp-ft", "bap-lp", "bap-zs"))
 
 
 def test_evaluate_method_unknown(mini_cfg):
@@ -406,12 +425,13 @@ def _probe_shares(monkeypatch, cpus: int) -> list[int]:
 def test_pooled_and_in_process_probes_agree(tmp_path, monkeypatch, cpus):
     cfg = ExperimentConfig(**POOLED_PROBE)
     assert additivity.probe_chunks(cfg.additivity_n) == 5
-    shares = _probe_shares(monkeypatch, cpus)
+    forks = _cpus(monkeypatch, cpus)
     cmd_probe_additivity(cfg, 3, tmp_path / "pooled")
-    assert shares == [cpus]
+    assert forks == [("_probe_share", cpus)]
+    # the same shares, run here in turn
     monkeypatch.setattr(cli, "_may_fork", lambda: False)
     cmd_probe_additivity(cfg, 3, tmp_path / "serial")
-    assert shares == [cpus, 1]
+    assert forks == [("_probe_share", cpus)]
     pooled, serial = (tmp_path / "pooled", tmp_path / "serial")
     assert ((pooled / "additivity.csv").read_bytes()
             == (serial / "additivity.csv").read_bytes())
@@ -495,7 +515,8 @@ def test_a_probe_opens_no_pool_where_it_need_not_fork(tmp_path, monkeypatch, why
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         lambda *args, **kwargs: opened.append(args))
     cmd_probe_additivity(cfg, 3, tmp_path)
-    assert (shares, opened) == ([1], [])
+    # shares by usable CPUs and chunks, which run here where it may not fork
+    assert (shares, opened) == ([2 if why == "no fork" else 1], [])
     assert (tmp_path / "additivity.csv").exists()
 
 
@@ -576,18 +597,30 @@ def test_run_matrix_byte_identical(tmp_path, mini_cfg):
 
 
 def _cpus(monkeypatch, n):
-    """Make `cmd_run_matrix` see `n` usable CPUs; returns (function name, shares) of
-    each `_fork_shares` call that forks from this process."""
+    """Make the commands see `n` usable CPUs; returns (function name, children) of
+    each `_fork_shares` call that forked children from this process, counted by
+    `os.fork` calls that returned here."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-    forks = []
-    real = cli._fork_shares
+    forks, open_calls = [], []
+    real, real_fork = cli._fork_shares, os.fork
 
     def counted(fn, state, shares):
-        if len(shares) > 1:
-            forks.append((fn.__name__, len(shares)))
-        return real(fn, state, shares)
+        open_calls.append([fn.__name__, 0])
+        try:
+            return real(fn, state, shares)
+        finally:
+            name, children = open_calls.pop()
+            if children:
+                forks.append((name, children))
+
+    def fork():
+        pid = real_fork()
+        if pid and open_calls:  # in this process, not in the child
+            open_calls[-1][1] += 1
+        return pid
 
     monkeypatch.setattr(cli, "_fork_shares", counted)
+    monkeypatch.setattr(os, "fork", fork)
     return forks
 
 
@@ -600,7 +633,7 @@ def test_run_matrix_pool_and_serial_paths_agree(tmp_path, monkeypatch):
     # three seeds on three CPUs run a seed per child; one seed on two CPUs builds its
     # base here and forks its two groups; three seeds on two CPUs run in two
     # children, the first of which splits the third seed
-    for seeds, cpus, fork in ((3, 3, ("_run_seeds", 3)), (1, 2, ("_run_group", 2)),
+    for seeds, cpus, fork in ((3, 3, ("_run_seeds", 3)), (1, 2, ("_run_cells", 2)),
                               (3, 2, ("_run_seeds", 2))):
         cfg = ExperimentConfig(**{**MINI, "num_seeds": seeds, "methods": ALL_METHODS,
                                   "epochs": 11, "rhos": (1.0, 0.95)})
@@ -663,19 +696,35 @@ GATE_METHODS = ("native-lp", "lp-ft", "control", "bap-lp")
     (5, 4, ALL_METHODS, [(i, WHOLE) for i in range(4)] + [(4, QUARTERS)]),
     (7, 4, ALL_METHODS, [(i, WHOLE) for i in range(7)]),
 ])
-def test_seed_jobs_split_a_seed_by_its_trained_encoders(seeds, cpus, methods, jobs, monkeypatch):
-    monkeypatch.setattr(cli, "_may_fork", lambda: True)
+def test_seed_jobs_split_a_seed_by_its_trained_encoders(seeds, cpus, methods, jobs):
     cfg = ExperimentConfig(**{**MINI, "num_seeds": seeds, "methods": methods, "epochs": 11})
-    assert cli._seed_jobs(cfg, cpus) == jobs
+    seed_cells = [_grid_cells(cfg, i) for i in range(seeds)]
+    dealt = cli._seed_jobs([(cfg, i, cells) for i, cells in enumerate(seed_cells)], cpus)
+    assert [(i, tuple(tuple(dict.fromkeys(cli.METHODS[m][0] for _, m, _, _ in group))
+                      for group in groups)) for _, i, groups in dealt] == jobs
+    # each job's groups hold its cells, each cell once
+    for (_, _, groups), cells in zip(dealt, seed_cells):
+        assert sorted(cell[0] for group in groups for cell in group) == sorted(
+            cell[0] for cell in cells)
 
 
-def test_seed_jobs_split_no_seed_without_fork(monkeypatch):
-    import multiprocessing
-
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-    cfg = ExperimentConfig(**{**MINI, "num_seeds": 3, "methods": ALL_METHODS, "epochs": 11})
-    with cli._one_blas_thread():  # where, but for the start method, it may fork
-        assert cli._seed_jobs(cfg, 2) == [(i, WHOLE) for i in range(3)]
+def test_a_split_seed_that_may_not_fork_runs_its_groups_in_process(tmp_path, monkeypatch):
+    cfg = ExperimentConfig(**{**MINI, "methods": ALL_METHODS, "epochs": 11})
+    _cpus(monkeypatch, 1)
+    cmd_run_matrix(cfg, 3, tmp_path / "one-cpu")
+    forks = _cpus(monkeypatch, 2)
+    groups = []
+    real = cli._run_cells
+    monkeypatch.setattr(cli, "_run_cells", lambda ctx, out, cells: groups.append(
+        (os.getpid(), {cli.METHODS[m][0] for _, m, _, _ in cells})) or real(ctx, out, cells))
+    monkeypatch.setattr(cli, "_may_fork", lambda: False)
+    cmd_run_matrix(cfg, 3, tmp_path / "split")
+    # the seed is split in two as on two CPUs, and both halves ran here in turn
+    assert forks == []
+    assert groups == [(os.getpid(), set(group)) for group in HALVES]
+    for name in ("metrics.csv", "summary.csv"):
+        assert ((tmp_path / "split" / name).read_bytes()
+                == (tmp_path / "one-cpu" / name).read_bytes())
 
 
 def _log_seed_work(monkeypatch, log):
@@ -711,7 +760,8 @@ def split_seed_log(tmp_path_factory):
     with pytest.MonkeyPatch.context() as m, cli._one_blas_thread():
         assert cli._may_fork()
         _log_seed_work(m, log)
-        ids = cli._run_seed(cfg, out, 0, run_seeds(cfg, 3)[0], HALVES)
+        cli._run_seed(out, cfg, run_seeds(cfg, 3)[0], _groups(cfg, *HALVES))
+    ids = [p.stem for p in (out / "runs").iterdir()]
     return os.getpid(), ids, [line.split() for line in log.read_text().splitlines()]
 
 
@@ -723,7 +773,8 @@ def test_a_split_seed_builds_its_world_splits_and_teacher_once(split_seed_log):
                                      ("planted_teacher", pid)])
     # every build comes before the first run, and both groups' runs came back
     assert [name for name, *_ in lines[:len(builds)]] == [name for name, _ in builds]
-    assert sorted(ids) == sorted((rho, m) for rho in (1.0, 0.95) for m in ALL_METHODS)
+    assert sorted(ids) == sorted(f"{m}-rho{rho:g}-s0" for rho in (1.0, 0.95)
+                                 for m in ALL_METHODS)
 
 
 def test_the_forked_group_runs_with_single_threaded_blas(split_seed_log):
@@ -816,7 +867,7 @@ def test_run_matrix_reraises_a_seed_workers_error(tmp_path, monkeypatch):
     # Two seeds run a seed per child; one seed training two encoders is split: this
     # process builds its base and forks both groups.
     for seeds, methods, fork in ((2, MINI["methods"], ("_run_seeds", 2)),
-                                 (1, ("native-lp", "bap-zs", "lp-ft"), ("_run_group", 2))):
+                                 (1, ("native-lp", "bap-zs", "lp-ft"), ("_run_cells", 2))):
         cfg = ExperimentConfig(**{**MINI, "lr": 1e38, "num_seeds": seeds, "methods": methods})
         out = tmp_path / f"seeds{seeds}"
         forks = _cpus(monkeypatch, 2)
@@ -831,7 +882,7 @@ def test_a_forked_groups_error_reaches_the_caller_with_its_type(tmp_path):
     # native runs in one child; bap, which overflows at lr=1e38, in the other
     cfg = ExperimentConfig(**{**MINI, "lr": 1e38})
     with cli._one_blas_thread(), pytest.raises(ContractError):
-        cli._run_seed(cfg, tmp_path, 0, run_seeds(cfg, 3)[0], (("native",), ("bap",)))
+        cli._run_seed(tmp_path, cfg, run_seeds(cfg, 3)[0], _groups(cfg, ("native",), ("bap",)))
     assert sorted(p.name for p in (tmp_path / "runs").iterdir()) == ["native-lp-rho1-s0.json"]
 
 
@@ -845,15 +896,102 @@ def test_a_dead_child_fails_the_run_rather_than_hang(tmp_path, monkeypatch):
     with cli._one_blas_thread(), pytest.raises(BrokenProcessPool):
         cli._fork_shares(_dies_at_share_one, None, [(0,), (1,)])
     # two seeds, a seed per child: the second child ends before its first run
+    cfg = ExperimentConfig(**{**MINI, "num_seeds": 2})
     real = cli._run_seed
-    monkeypatch.setattr(cli, "_run_seed", lambda cfg, out, i, *args:
-                        os._exit(1) if i == 1 else real(cfg, out, i, *args))
+    monkeypatch.setattr(cli, "_run_seed", lambda out, cfg, run_seed, groups: os._exit(1)
+                        if run_seed == run_seeds(cfg, 3)[1] else real(out, cfg, run_seed, groups))
     forks = _cpus(monkeypatch, 2)
     with pytest.raises(BrokenProcessPool):
-        cmd_run_matrix(ExperimentConfig(**{**MINI, "num_seeds": 2}), 3, tmp_path)
+        cmd_run_matrix(cfg, 3, tmp_path)
     assert forks == [("_run_seeds", 2)]
     assert not (tmp_path / "metrics.csv").exists()
     assert list(tmp_path.rglob("*.tmp")) == []
+
+
+def _sleeps(state, k):
+    """A share that names its pid in the directory `state`, then sleeps."""
+    (Path(state) / f"{os.getpid()}.pid").touch()
+    time.sleep(60)
+
+
+def _sleeps_or_dies(state, k):
+    """Share 0 forks two `_sleeps` shares; share 1 dies once both have named their pids."""
+    if k == 0:
+        return cli._fork_shares(_sleeps, state, [(0,), (1,)])
+    while len(list(Path(state).glob("*.pid"))) < 2:
+        time.sleep(0.01)
+    os._exit(1)
+
+
+def _pids_named(directory, n: int, seconds: float = 60.0) -> list[int]:
+    deadline = time.monotonic() + seconds
+    while len(pids := [int(p.stem) for p in Path(directory).glob("*.pid")]) < n:
+        assert time.monotonic() < deadline, f"{len(pids)} of {n} shares started"
+        time.sleep(0.01)
+    return pids
+
+
+def _still_running(pids, seconds: float = 2.0) -> list[int]:
+    """Those of `pids` that are neither gone nor a zombie `seconds` from now; each is
+    then killed, so that a failing test leaves nothing running."""
+    def running(pid):
+        try:
+            with open(f"/proc/{pid}/stat") as fh:
+                return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+        except FileNotFoundError:
+            return False
+
+    deadline = time.monotonic() + seconds
+    while any(map(running, pids)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    left = [pid for pid in pids if running(pid)]
+    for pid in left:
+        os.kill(pid, signal.SIGKILL)
+    return left
+
+
+@needs_proc_maps
+def test_a_terminated_childs_own_children_die_with_it(tmp_path):
+    # share 1's death breaks the pool, which SIGTERMs share 0's child; that child's
+    # two children must not outlive it
+    with cli._one_blas_thread(), pytest.raises(BrokenProcessPool):
+        cli._fork_shares(_sleeps_or_dies, str(tmp_path), [(0,), (1,)])
+    assert _still_running(_pids_named(tmp_path, 2)) == []
+
+
+@needs_proc_maps
+def test_the_children_of_a_killed_caller_die_with_it(tmp_path):
+    script = tmp_path / "caller.py"
+    script.write_text(
+        "import os, sys, time\n"
+        "from pathlib import Path\n"
+        "from anchorlab import cli\n"
+        "def sleeps(state, k):\n"
+        "    (Path(state) / f'{os.getpid()}.pid').touch()\n"
+        "    time.sleep(60)\n"
+        "with cli._one_blas_thread():\n"
+        "    cli._fork_shares(sleeps, sys.argv[1], [(0,), (1,)])\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    caller = subprocess.Popen([sys.executable, str(script), str(tmp_path)], env=env)
+    try:
+        pids = _pids_named(tmp_path, 2)
+    finally:
+        caller.kill()
+        caller.wait()
+    assert caller.pid not in pids
+    assert _still_running(pids) == []
+
+
+def test_a_child_whose_parent_is_gone_ends_at_once():
+    import multiprocessing
+
+    fork = multiprocessing.get_context("fork")
+    for parent, exitcode in ((os.getpid(), 0), (-1, 1)):
+        child = fork.Process(target=cli._inherit, args=(None, None, parent))
+        child.start()
+        child.join(30)
+        assert child.exitcode == exitcode
 
 
 @needs_proc_maps
@@ -982,6 +1120,29 @@ def test_one_blas_thread_without_openblas_is_a_no_op(monkeypatch):
             set_threads(count)
 
 
+@needs_proc_maps
+def test_the_training_commands_train_on_one_blas_thread(tmp_path, mini_cfg, monkeypatch):
+    trained = []
+    for fn_name in ("pretrain_teacher", "train_bap"):
+        def logged(*args, _real=getattr(alignment, fn_name), _name=fn_name, **kwargs):
+            trained.append((_name, _blas_threads()))
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(alignment, fn_name, logged)
+    _cpus(monkeypatch, 1)  # ablate in this process, where the training calls are logged
+    (get, set_threads, _), *_ = cli._openblas_threads()
+    before = get()
+    set_threads(2)
+    try:
+        cmd_k_ablation(ExperimentConfig(**{**MINI, "teacher": "learned-mlp",
+                                           "teacher_epochs": 1}), 3, tmp_path)
+        cmd_ablate(mini_cfg, 3, tmp_path, "k_train_sweep")
+        assert get() == 2
+    finally:
+        set_threads(before)
+    assert trained == [("pretrain_teacher", 1)] + [("train_bap", 1)] * 5
+
+
 def test_one_blas_thread_keeps_every_bit(tmp_path, mini_cfg, monkeypatch):
     def run(out):
         tables = [*cmd_gen_data(mini_cfg, 3, out), cmd_probe_additivity(mini_cfg, 3, out)]
@@ -1001,15 +1162,43 @@ def test_ablate_seg(tmp_path, mini_cfg, monkeypatch):
         return gen_world(*args)
 
     monkeypatch.setattr(cli, "gen_world", counting_gen_world)
+    _cpus(monkeypatch, 1)  # in this process, where the worlds are counted
     path = cmd_ablate(mini_cfg, 3, tmp_path, "seg")
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "param,value,wga,avg"
     values = [line.split(",")[1] for line in lines[1:]]
     assert values == ["perfect", "noisy", "botched", "bbox", "native-lp-baseline"]
-    # the native-lp baseline is scored on the loop's context for cfg.degradation
+    # the native-lp baseline is scored on the context of the cfg.degradation point
     assert len(worlds) == len(DEGRADATIONS)
+    # each bap record carries its student's training trace; native trained nothing
+    for value in values:
+        rec = json.loads((tmp_path / "runs" / f"ablate-seg-degradation-{value}.json").read_text())
+        if value == "native-lp-baseline":
+            assert rec["trace"] is None
+        else:
+            assert len(rec["trace"]["epoch_loss"]) == len(rec["trace"]["epoch_lr"]) == 2
     with pytest.raises(ConfigError):
         cmd_ablate(mini_cfg, 3, tmp_path, "lr_sweep")
+
+
+@pytest.mark.parametrize("which", ["seg", "k_train_sweep"])
+def test_forked_and_in_process_ablations_agree(tmp_path, mini_cfg, monkeypatch, which):
+    outs = {}
+    for cpus in (2, 1):
+        forks = _cpus(monkeypatch, cpus)
+        outs[cpus] = tmp_path / f"cpus{cpus}"
+        cmd_ablate(mini_cfg, 3, outs[cpus], which)
+        # on two CPUs the points run in two children, in turn in each
+        assert forks == ([("_run_seeds", 2)] if cpus == 2 else [])
+    forked, serial = outs[2], outs[1]
+    table = f"ablate_{which}.csv"
+    assert (forked / table).read_bytes() == (serial / table).read_bytes()
+    names = sorted(p.name for p in (serial / "runs").iterdir())
+    assert sorted(p.name for p in (forked / "runs").iterdir()) == names
+    for name in names:
+        rec, serial_rec = (json.loads((out / "runs" / name).read_text()) for out in outs.values())
+        del rec["wall_s"], serial_rec["wall_s"]
+        assert rec == serial_rec
 
 
 def test_ablate_n_sweep_runs_each_size_once(tmp_path, mini_cfg):

@@ -1,6 +1,6 @@
 """`src/` holds only what the lab runs: every public top-level function and class,
 and every public method of those classes, is used by other code in `src/`, or is on
-an allow-list with its reason; and one function forks."""
+an allow-list with its reason; and one function forks, and decides to."""
 
 import ast
 from collections import Counter
@@ -76,3 +76,19 @@ def test_one_function_in_src_forks():
     assert set(_fork_sites(fork_shares)) == {"ProcessPoolExecutor", 'get_context("fork")'}
     assert {module: _fork_sites(tree) for module, tree in trees.items() if _fork_sites(tree)} \
         == {"cli": _fork_sites(fork_shares)}
+
+
+def test_only_fork_shares_asks_whether_to_fork():
+    # `cli._fork_shares` alone decides whether to fork; a caller that asks `_may_fork`
+    # itself makes a second decision, which a switch such as `cli._may_fork = lambda:
+    # False` would have to reach too
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    fork_shares = next(node for node in trees["cli"].body
+                       if isinstance(node, ast.FunctionDef) and node.name == "_fork_shares")
+
+    def asks(node) -> int:
+        return sum(isinstance(n, ast.Call) and _uses(n.func)["_may_fork"] > 0
+                   for n in ast.walk(node))
+
+    assert asks(fork_shares) == 1
+    assert {module: asks(tree) for module, tree in trees.items() if asks(tree)} == {"cli": 1}
