@@ -36,7 +36,6 @@ class AdditivityReport:
     scores: np.ndarray
     mean: float
     std: float
-    encoder_tag: str
     n: int
     excluded: int = 0
 
@@ -132,9 +131,10 @@ def score_triples(model: EncoderModel, raster_triples) -> ProbePart:
     return ProbePart(scores=np.asarray(scores, dtype=np.float64), excluded=excluded)
 
 
-def merge_parts(parts, encoder_tag: str = "") -> AdditivityReport:
+def merge_parts(parts) -> AdditivityReport:
     """The report of the triples `parts` scored, joined in the order given: mean and
-    std of S (64-bit accumulation), with the degenerate triples counted."""
+    std of S (64-bit accumulation), with the degenerate triples counted.  Every report
+    is made here, also that of a probe run whole (`merge_parts([part])`)."""
     arr = np.concatenate([part.scores for part in parts])
     excluded = sum(part.excluded for part in parts)
     if not arr.size and not excluded:
@@ -143,18 +143,7 @@ def merge_parts(parts, encoder_tag: str = "") -> AdditivityReport:
         raise DegenerateInputError("every triple in the batch was degenerate")
     mean = float(arr.mean())
     std = float(arr.std(ddof=0)) if arr.size > 1 else 0.0
-    return AdditivityReport(scores=arr, mean=mean, std=std,
-                            encoder_tag=encoder_tag, n=arr.size, excluded=excluded)
-
-
-def batch_additivity(model: EncoderModel, raster_triples, encoder_tag: str = "",
-                     ) -> AdditivityReport:
-    """Encode triples _PROBE_CHUNK at a time and report mean and std of S.
-
-    Degenerate triples (antipodal part sum) are excluded and counted instead of
-    failing the batch.
-    """
-    return merge_parts([score_triples(model, raster_triples)], encoder_tag)
+    return AdditivityReport(scores=arr, mean=mean, std=std, n=arr.size, excluded=excluded)
 
 
 def probe_chunks(n: int) -> int:
@@ -178,22 +167,20 @@ def sample_pairs(foregrounds, backgrounds, n: int, seed: int):
 
 
 def run_probe(model: EncoderModel, foregrounds, backgrounds, n: int, seed: int,
-              encoder_tag: str = "", mode: str = "standard",
-              part: tuple[int, int] | None = None) -> AdditivityReport | ProbePart:
-    """Sample n triples from the world and evaluate the probe.
+              mode: str = "standard", part: tuple[int, int] = (0, 1)) -> ProbePart:
+    """Sample n triples from the world and score part `part=(k, P)` of the probe:
+    the k-th of P contiguous runs of whole chunks, rendered, encoded and scored
+    with the same rows as in a whole run.  `merge_parts` of the P parts, in order,
+    is the report of the whole probe; the default part is the whole probe.
 
     In standard mode each chunk of _PROBE_CHUNK triples is rendered by one
-    `render` call and encoded by one `encode_np` call.  With
-    `part=(k, P)` only the k-th of P contiguous runs of whole chunks is rendered,
-    encoded and scored, with the same rows as in a whole run, and its
-    `ProbePart` is returned: `merge_parts` of the P parts, in order, is the
-    report of the whole probe.
+    `render` call and encoded by one `encode_np` call.
     """
     if mode not in ("standard", "exact"):
         raise ConfigError(f"unknown additivity probe mode {mode!r}")
     pairs = sample_pairs(foregrounds, backgrounds, n, seed)
-    k, shares = part or (0, 1)
-    if part and not 0 <= k < shares <= probe_chunks(n):
+    k, shares = part
+    if not 0 <= k < shares <= probe_chunks(n):
         raise ConfigError(f"part {part} is not one of at most {probe_chunks(n)} shares")
     lo, hi = (_PROBE_CHUNK * (probe_chunks(n) * j // shares) for j in (k, k + 1))
     pairs = pairs[lo:hi]
@@ -203,6 +190,4 @@ def run_probe(model: EncoderModel, foregrounds, backgrounds, n: int, seed: int,
         triples = (exact_triple_rasters(fg, bg, s, model) for (fg, bg), s in zip(pairs, seeds))
     else:
         triples = _standard_triples(pairs, seeds)
-    if part:
-        return score_triples(model, triples)
-    return batch_additivity(model, triples, encoder_tag=encoder_tag)
+    return score_triples(model, triples)

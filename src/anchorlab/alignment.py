@@ -20,11 +20,12 @@ from .encoders import (
     EncoderModel,
     clone_unfrozen,
     encode_batch,
+    encode_np,
     freeze,
     init_encoder,
 )
 from .errors import ConfigError, ManifestError
-from .evaluation import ProbeHead, group_metrics, probe_predict, train_probe
+from .evaluation import ProbeHead, group_metrics, head_predict, train_probe
 from .rng import derive_seed, rng
 from .scene import (  # make_composite is re-exported for callers of this module
     GroupedDataset,
@@ -223,24 +224,20 @@ def finetune_on_correlated(student: EncoderModel, train: GroupedDataset,
                         seed=derive_seed(cfg.seed, "ft-probe"))
     head = {"head_W": Tensor(probe.W.copy(), requires_grad=True),
             "head_b": Tensor(probe.b.copy(), requires_grad=True)}
-    rasters = train.rasters()
-    ys = train.labels()
-    test_rasters = test.rasters()
-    test_y, test_g = test.labels(), test.groups()
     traces: dict[str, list[float]] = {"wga": [], "avg": []}
 
     def evaluate(epoch=None):
-        preds = probe_predict(model, ProbeHead(head["head_W"].data, head["head_b"].data),
-                              test_rasters)
-        gm = group_metrics(preds, test_y, test_g)
+        preds = head_predict(ProbeHead(head["head_W"].data, head["head_b"].data),
+                             encode_np(model, test.batch))
+        gm = group_metrics(preds, test.labels, test.groups)
         traces["wga"].append(gm.wga)
         traces["avg"].append(gm.avg)
 
     evaluate()
-    n = len(rasters)
+    n = len(train.batch)
     T.fit({**model.params, **head},
           lambda epoch: (rng(cfg.seed, "ft-order", epoch).permutation(n),),
-          lambda idx: head_cross_entropy(model, head, rasters[idx], ys[idx]),
+          lambda idx: head_cross_entropy(model, head, train.batch[idx], train.labels[idx]),
           n=n, batch_size=cfg.batch_size, epochs=cfg.epochs, lr=cfg.lr,
           weight_decay=cfg.weight_decay, warmup_frac=cfg.warmup_frac,
           after_epoch=evaluate)

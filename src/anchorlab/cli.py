@@ -304,7 +304,7 @@ class SeedContext:
             report = evaluation.bsi_protocol(fields["encoder"], self.world[0], bg_test,
                                              n_pairs=48, seed=derive_seed(self.seed, "bsi"),
                                              memo=self.memo)
-            test_embs = encode_np(fields["encoder"], self.test_split.rasters())
+            test_embs = encode_np(fields["encoder"], self.test_split.batch)
             self._trained[key] = Trained(bsi=report, test_embs=test_embs, **fields)
         return self._trained[key]
 
@@ -384,7 +384,7 @@ def evaluate_method(ctx: SeedContext, method: str, rho: float):
             rec.encoder, train, seed=derive_seed(ctx.seed, f"probe-{name}", rho),
             epochs=ctx.cfg.probe_epochs, lr=ctx.cfg.probe_lr)
         preds = evaluation.head_predict(head, rec.test_embs)
-    gm = evaluation.group_metrics(preds, test.labels(), test.groups())
+    gm = evaluation.group_metrics(preds, test.labels, test.groups)
     return gm, rec.bsi
 
 
@@ -399,9 +399,7 @@ def _ensure_out(out) -> Path:
 
 
 def _leakage_check(train: GroupedDataset, test: GroupedDataset) -> None:
-    train_bgs = {it.comp.bg_id for it in train.items}
-    test_bgs = {it.comp.bg_id for it in test.items}
-    overlap = train_bgs & test_bgs
+    overlap = set(train.bg_ids) & set(test.bg_ids)
     if overlap:
         raise ConfigError(f"background leakage between train and test: {sorted(overlap)[:5]}")
 
@@ -463,10 +461,10 @@ def cmd_probe_additivity(cfg: ExperimentConfig, seed: int, out) -> Path:
                                  [(k, shares) for k in range(shares)])
         run_ids = []
         for alpha, timed in zip(cfg.additivity_alphas, zip(*per_share)):
-            rep = merge_parts([part for part, _ in timed], encoder_tag=f"planted-a{alpha:g}")
+            rep = merge_parts([part for part, _ in timed])
             run_ids.append(_write_run_record(
                 out, f"additivity-a{alpha:g}", cfg, derive_seed(seed, "additivity", alpha), {
-                    "encoder": rep.encoder_tag, "alpha": alpha, "n": rep.n,
+                    "encoder": f"planted-a{alpha:g}", "alpha": alpha, "n": rep.n,
                     "excluded": rep.excluded, "mean_S": rep.mean, "std_S": rep.std,
                     "wall_s": round(sum(seconds for _, seconds in timed), 3)}))
         rows = [[rec["encoder"], rec["alpha"], rec["n"], f"{rec['mean_S']:.6f}",
@@ -796,8 +794,9 @@ def cmd_run_matrix(cfg: ExperimentConfig, seed: int, out,
 
 def cmd_ablate(cfg: ExperimentConfig, seed: int, out, which: str) -> Path:
     """bap-lp at the first rho over one swept setting: one run record per CSV row,
-    `runs/ablate-<which>-<param>-<value>.json`, holding the swept config.  `seg` adds
-    a native-lp baseline, scored on the point whose degradation is the config's.
+    `runs/ablate-<which>-<param>-<value>.json`, holding the swept config with the
+    methods its point scores.  `seg` adds a native-lp baseline, scored on the point
+    whose degradation is the config's.
 
     Each sweep point is one `_run_jobs` job, so the points are spread over the usable
     CPUs as run-matrix's seeds are.  A record's `wall_s` excludes its point's world,
@@ -818,14 +817,16 @@ def cmd_ablate(cfg: ExperimentConfig, seed: int, out, which: str) -> Path:
     run_seed = derive_seed(seed, "run", 0)
     rho = cfg.rhos[0]
     run_ids = [f"ablate-{which}-{param}-{value}" for param, value, _ in sweep]
-    jobs = [(replace(cfg, **overrides), run_seed,
-             [(run_id, "bap-lp", rho, {"param": param, "value": value})])
-            for run_id, (param, value, overrides) in zip(run_ids, sweep)]
+    points = [(overrides, [(run_id, "bap-lp", rho, {"param": param, "value": value})])
+              for run_id, (param, value, overrides) in zip(run_ids, sweep)]
     if which == "seg":
         run_ids.append("ablate-seg-degradation-native-lp-baseline")
-        _, _, cells = jobs[scene.DEGRADATIONS.index(cfg.degradation)]
+        _, cells = points[scene.DEGRADATIONS.index(cfg.degradation)]
         cells.append((run_ids[-1], "native-lp", rho,
                       {"param": "degradation", "value": "native-lp-baseline"}))
+    # a point's config, which its records carry, names the methods its cells score
+    jobs = [(replace(cfg, methods=tuple(method for _, method, _, _ in cells), **overrides),
+             run_seed, cells) for overrides, cells in points]
     with _one_blas_thread():
         _run_jobs(out, jobs)
         rows = [[rec["param"], rec["value"], f"{rec['metrics']['wga']:.4f}",

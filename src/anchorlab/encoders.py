@@ -132,11 +132,7 @@ def _pre_embed_planted(model: EncoderModel, batch: np.ndarray) -> np.ndarray:
 
 def pre_embedding(model: EncoderModel, batch: np.ndarray) -> np.ndarray:
     """Pre-normalization embeddings for a frozen model (plain ndarray path)."""
-    batch = _as_batch(batch, model.input_hw)
-    if model.arch == "planted-linear":
-        return _pre_embed_planted(model, batch)
-    out = _forward(model, Tensor(batch))
-    return out.data
+    return _forward(model, Tensor(_as_batch(batch, model.input_hw))).data
 
 
 def _as_batch(x: np.ndarray, hw: tuple[int, int]) -> np.ndarray:
@@ -162,14 +158,10 @@ def _forward(model: EncoderModel, x: Tensor) -> Tensor:
     raise ConfigError(f"unknown architecture {model.arch!r}")
 
 
-def encode_batch(model: EncoderModel, batch) -> Tensor:
-    """Unit-norm embeddings [B, d]; differentiable when the model is trainable."""
-    if isinstance(batch, Tensor):
-        data = _as_batch(batch.data, model.input_hw)
-        x = batch if data.shape == batch.data.shape else Tensor(data)
-    else:
-        x = Tensor(_as_batch(batch, model.input_hw))
-    z = _forward(model, x)
+def encode_batch(model: EncoderModel, batch: np.ndarray) -> Tensor:
+    """Unit-norm embeddings [B, d] of rasters; differentiable when the model is
+    trainable."""
+    z = _forward(model, Tensor(_as_batch(batch, model.input_hw)))
     return T.l2_normalize(z, axis=-1)
 
 

@@ -91,14 +91,8 @@ def train_probe(encoder: EncoderModel, train: GroupedDataset, seed: int = 0,
     """Linear probe on a frozen encoder's embeddings of the train split."""
     if not encoder.frozen:
         raise ContractError("probes must be trained on a frozen encoder")
-    embs = encode_np(encoder, train.rasters())
-    labels = train.labels()
-    return fit_linear_head(embs, labels, int(labels.max()) + 1, seed,
-                           epochs=epochs, lr=lr)
-
-
-def probe_predict(encoder: EncoderModel, head: ProbeHead, rasters: np.ndarray) -> np.ndarray:
-    return head_predict(head, encode_np(encoder, rasters))
+    return fit_linear_head(encode_np(encoder, train.batch), train.labels,
+                           int(train.labels.max()) + 1, seed, epochs=epochs, lr=lr)
 
 
 def head_predict(head: ProbeHead, embs: np.ndarray) -> np.ndarray:
@@ -110,14 +104,9 @@ def head_predict(head: ProbeHead, embs: np.ndarray) -> np.ndarray:
 # prototype classification
 
 
-def prototype_predict(encoder: EncoderModel, prototypes: dict[int, np.ndarray],
-                      rasters: np.ndarray) -> np.ndarray:
-    """Argmax cosine over class prototypes; ties break to the lowest class."""
-    return nearest_prototype(prototypes, encode_np(encoder, rasters))
-
-
 def nearest_prototype(prototypes: dict[int, np.ndarray], embs: np.ndarray) -> np.ndarray:
-    """`prototype_predict` on embeddings already computed."""
+    """The class of each embedding's most cosine-similar prototype, by argmax over
+    the unit prototypes; ties break to the lowest class."""
     if len(prototypes) < 2:
         raise ConfigError("need at least two class prototypes")
     classes = sorted(prototypes)
@@ -241,7 +230,7 @@ def _background_probe_accuracy(encoder: EncoderModel, backgrounds, foregrounds,
     head = fit_linear_head(encode_np(encoder, X_tr), y_tr, int(y_tr.max()) + 1,
                            derive_seed(seed, "retention-head"), epochs=20,
                            weighted=False)
-    return float((probe_predict(encoder, head, X_te) == y_te).mean())
+    return float((head_predict(head, encode_np(encoder, X_te)) == y_te).mean())
 
 
 def retention_eval(encoder_before: EncoderModel, encoder_after: EncoderModel,

@@ -109,30 +109,22 @@ class CompositeRecord:
 
 
 @dataclass
-class GroupedItem:
-    comp: CompositeRecord
-    y: int
-    g: int
-
-
-@dataclass
 class GroupedDataset:
-    """One split; item i's `comp.raster` is row i of the read-only `batch`.  `rho` is
-    the split's class/group correlation, `BALANCED_RHO` for a test split."""
+    """One split as aligned columns: row i of the read-only float32 `batch` is
+    foreground `fg_ids[i]`, of class `labels[i]`, composited on background
+    `bg_ids[i]`, of group `groups[i]`, at the scale item seed `seeds[i]` draws, with
+    the split's mask `degradation`.  `rho` is the split's class/group correlation,
+    `BALANCED_RHO` for a test split."""
 
-    items: list[GroupedItem]
+    batch: np.ndarray = field(repr=False)
+    labels: np.ndarray
+    groups: np.ndarray
+    fg_ids: list[str]
+    bg_ids: list[str]
+    seeds: list[int]
+    degradation: str
     rho: float
     split: str
-    batch: np.ndarray = field(repr=False)
-
-    def rasters(self) -> np.ndarray:
-        return self.batch
-
-    def labels(self) -> np.ndarray:
-        return np.array([it.y for it in self.items], dtype=np.int64)
-
-    def groups(self) -> np.ndarray:
-        return np.array([it.g for it in self.items], dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -545,15 +537,12 @@ def split_backgrounds(backgrounds: list[BackgroundImage],
 def _rendered_split(specs, rho: float, split: str, degradation: str = "perfect",
                     memo: RenderMemo | None = None) -> GroupedDataset:
     """A split of (fg, bg, item_seed) specs rendered in one `render` call."""
-    scales = [scene_scale(s) for _, _, s in specs]
-    batch = render([(fg, bg, sc) for (fg, bg, _), sc in zip(specs, scales)],
-                   degradation, memo)
+    batch = render([(fg, bg, scene_scale(s)) for fg, bg, s in specs], degradation, memo)
     batch.flags.writeable = False
-    items = [GroupedItem(comp=CompositeRecord(raster=row, fg_id=fg.id, bg_id=bg.id,
-                                              scale=sc, degradation=degradation, seed=s),
-                         y=fg.y, g=bg.g)
-             for row, (fg, bg, s), sc in zip(batch, specs, scales)]
-    return GroupedDataset(items, rho, split, batch)
+    return GroupedDataset(batch, np.array([fg.y for fg, _, _ in specs], dtype=np.int64),
+                          np.array([bg.g for _, bg, _ in specs], dtype=np.int64),
+                          [fg.id for fg, _, _ in specs], [bg.id for _, bg, _ in specs],
+                          [s for _, _, s in specs], degradation, rho, split)
 
 
 def _split_cells(foregrounds: list[ForegroundInstance], backgrounds: list[BackgroundImage],
@@ -620,11 +609,11 @@ def write_manifest(path, train: GroupedDataset, test: GroupedDataset,
     whole or not at all, so a crash never leaves a shorter manifest behind."""
     lines = [json.dumps({"kind": "header", **world_config}, sort_keys=True)]
     for split_name, ds in (("train", train), ("test", test)):
-        for i, it in enumerate(ds.items):
+        for i, (fg_id, bg_id, y, g, seed) in enumerate(zip(ds.fg_ids, ds.bg_ids, ds.labels,
+                                                           ds.groups, ds.seeds)):
             rec = {"kind": "item", "composite_id": f"{split_name}-{i}",
-                   "fg_id": it.comp.fg_id, "bg_id": it.comp.bg_id,
-                   "y": it.y, "g": it.g, "split": split_name,
-                   "degradation": it.comp.degradation, "seed": it.comp.seed}
+                   "fg_id": fg_id, "bg_id": bg_id, "y": int(y), "g": int(g),
+                   "split": split_name, "degradation": ds.degradation, "seed": seed}
             lines.append(json.dumps(rec, sort_keys=True))
     write_whole(path, "\n".join(lines) + "\n")
 

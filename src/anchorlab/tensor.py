@@ -61,29 +61,14 @@ class Tensor:
     def __add__(self, other):
         return add(self, _coerce(other))
 
-    def __radd__(self, other):
-        return add(_coerce(other), self)
-
     def __sub__(self, other):
         return sub(self, _coerce(other))
-
-    def __rsub__(self, other):
-        return sub(_coerce(other), self)
 
     def __mul__(self, other):
         return mul(self, _coerce(other))
 
-    def __rmul__(self, other):
-        return mul(_coerce(other), self)
-
     def __truediv__(self, other):
         return div(self, _coerce(other))
-
-    def __neg__(self):
-        return mul(self, Tensor(np.float32(-1.0)))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def _coerce(x) -> Tensor:

@@ -16,7 +16,7 @@ import pytest
 
 from anchorlab import alignment, anchors, evaluation
 from anchorlab import tensor as T
-from anchorlab.additivity import run_probe
+from anchorlab.additivity import merge_parts, run_probe
 from anchorlab.cli import ExperimentConfig, SeedContext, cmd_run_matrix, evaluate_method, run_seeds
 from anchorlab.encoders import (
     PlantedConfig,
@@ -223,8 +223,9 @@ def test_additivity_exact_and_monotone(probe_world):
         teacher = planted_teacher(
             PlantedConfig(seed=derive_seed(GLOBAL_SEED, "accept-teacher"), alpha=alpha),
             d=64, input_hw=(64, 64))
-        rep = run_probe(teacher, fgs, bgs, 1000,
-                        derive_seed(GLOBAL_SEED, "accept-additivity"), mode="exact")
+        rep = merge_parts([run_probe(teacher, fgs, bgs, 1000,
+                                     derive_seed(GLOBAL_SEED, "accept-additivity"),
+                                     mode="exact")])
         means.append(rep.mean)
         if alpha == 0.0:
             exact_dev = float(np.abs(rep.scores - 1.0).max())
@@ -366,8 +367,8 @@ def test_orthogonal_targets_destroy_transfer(ctx0):
         rasters.append(make_composite(fg, bg, derive_seed(s0, "ood2", i)).raster)
         ys.append(fg.y)
         gs.append(bg.g)
-    preds = evaluation.prototype_predict(freeze(ctx0.trained("ortho", 1.0).encoder), protos,
-                                         np.stack(rasters))
+    preds = evaluation.nearest_prototype(
+        protos, encode_np(freeze(ctx0.trained("ortho", 1.0).encoder), np.stack(rasters)))
     gm_ood = evaluation.group_metrics(preds, np.array(ys), np.array(gs))
     assert gm_in.wga >= 0.85 and gm_ood.wga <= 0.40, \
         (f"in-distribution WGA {gm_in.wga:.3f} (need >= 0.85), "

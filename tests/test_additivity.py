@@ -10,13 +10,13 @@ from anchorlab.additivity import (
     _PROBE_CHUNK,
     ProbePart,
     additivity_score,
-    batch_additivity,
     exact_triple_rasters,
     merge_parts,
     neutral_background,
     probe_chunks,
     run_probe,
     sample_pairs,
+    score_triples,
     triple_rasters,
 )
 from anchorlab.encoders import PlantedConfig, encode_np, planted_teacher, pre_embedding
@@ -67,18 +67,17 @@ def test_batch_mean_matches_arithmetic(micro_world, micro_teacher):
     fgs, bgs = micro_world
     triples = [triple_rasters(fg, bgs[i % len(bgs)], 100 + i)
                for i, fg in enumerate(fgs)]
-    report = batch_additivity(micro_teacher, triples, encoder_tag="t")
+    report = merge_parts([score_triples(micro_teacher, triples)])
     assert report.n == len(triples)
     assert report.mean == pytest.approx(float(report.scores.mean()), abs=1e-7)
     assert report.std == pytest.approx(float(report.scores.std(ddof=0)), abs=1e-7)
-    assert report.encoder_tag == "t"
     with pytest.raises(ConfigError):
-        batch_additivity(micro_teacher, [])
+        merge_parts([score_triples(micro_teacher, [])])
 
 
 def test_exact_mode_planted_alpha0_is_one(micro_world, micro_teacher):
     fgs, bgs = micro_world
-    report = run_probe(micro_teacher, fgs[:4], bgs[:4], 8, 9, mode="exact")
+    report = merge_parts([run_probe(micro_teacher, fgs[:4], bgs[:4], 8, 9, mode="exact")])
     assert report.mean == pytest.approx(1.0, abs=1e-5)
     assert np.all(np.abs(report.scores - 1.0) < 1e-5)
 
@@ -86,7 +85,7 @@ def test_exact_mode_planted_alpha0_is_one(micro_world, micro_teacher):
 def test_exact_mode_nonlinearity_lowers_scores(micro_world):
     fgs, bgs = micro_world
     bent = planted_teacher(PlantedConfig(seed=7, alpha=2.0), d=16, input_hw=(32, 32))
-    report = run_probe(bent, fgs[:4], bgs[:4], 8, 9, mode="exact")
+    report = merge_parts([run_probe(bent, fgs[:4], bgs[:4], 8, 9, mode="exact")])
     assert report.mean < 1.0 - 1e-4
 
 
@@ -203,7 +202,7 @@ def _per_triple_probe(model, foregrounds, backgrounds, n, seed, mode):
 def test_run_probe_matches_the_per_triple_loop(mode, alpha, hw, d, n):
     fgs, bgs = gen_world(31, 2, 2, 5, 12, hw)
     model = planted_teacher(PlantedConfig(seed=5, alpha=alpha), d=d, input_hw=hw)
-    report = run_probe(model, fgs, bgs, n, 17, mode=mode)
+    report = merge_parts([run_probe(model, fgs, bgs, n, 17, mode=mode)])
     scores, excluded = _per_triple_probe(model, fgs, bgs, n, 17, mode)
     assert (report.n, report.excluded) == (scores.size, excluded) == (n, 0)
     # BLAS sums a planted map's products in an order that can depend on the batch
@@ -224,7 +223,7 @@ def test_run_probe_renders_and_encodes_once_per_chunk(micro_world, micro_teacher
                         lambda items: renders.append(len(items)) or real_render(items))
     monkeypatch.setattr(additivity, "encode_np",
                         lambda model, rows: encodes.append(len(rows)) or real_encode(model, rows))
-    report = run_probe(micro_teacher, fgs, bgs, n, 8)
+    report = merge_parts([run_probe(micro_teacher, fgs, bgs, n, 8)])
     assert report.n == n
     chunks = math.ceil(n / _PROBE_CHUNK)
     assert renders == [2 * _PROBE_CHUNK] * (chunks - 1) + [2]
@@ -238,15 +237,15 @@ def test_batch_additivity_counts_a_degenerate_triple_past_a_chunk(micro_world,
                for i in range(_PROBE_CHUNK)]
     iso = triples[0][0]
     triples.append((iso, -iso, iso))  # antipodal parts under the linear planted map
-    report = batch_additivity(micro_teacher, iter(triples))
+    report = merge_parts([score_triples(micro_teacher, iter(triples))])
     assert (report.n, report.excluded) == (_PROBE_CHUNK, 1)
-    one_at_a_time = [batch_additivity(micro_teacher, [t]).scores[0] for t in triples[:-1]]
+    one_at_a_time = [score_triples(micro_teacher, [t]).scores[0] for t in triples[:-1]]
     assert np.max(np.abs(report.scores - one_at_a_time)) <= 1e-6
     with pytest.raises(DegenerateInputError):
-        batch_additivity(micro_teacher, triples[-1:])
+        merge_parts([score_triples(micro_teacher, triples[-1:])])
     for empty in ([], iter(())):
         with pytest.raises(ConfigError):
-            batch_additivity(micro_teacher, empty)
+            merge_parts([score_triples(micro_teacher, empty)])
 
 
 def test_run_probe_deterministic(micro_world, micro_teacher):
@@ -261,7 +260,7 @@ def test_run_probe_deterministic(micro_world, micro_teacher):
 def test_the_parts_of_a_probe_merge_to_the_whole(micro_world, micro_teacher, mode):
     fgs, bgs = micro_world
     n = 4 * _PROBE_CHUNK + 3
-    whole = run_probe(micro_teacher, fgs, bgs, n, 8, encoder_tag="t", mode=mode)
+    whole = merge_parts([run_probe(micro_teacher, fgs, bgs, n, 8, mode=mode)])
     for shares in range(1, probe_chunks(n) + 1):
         parts = [run_probe(micro_teacher, fgs, bgs, n, 8, mode=mode, part=(k, shares))
                  for k in range(shares)]
@@ -269,10 +268,10 @@ def test_the_parts_of_a_probe_merge_to_the_whole(micro_world, micro_teacher, mod
         chunks = [probe_chunks(part.scores.size) for part in parts]
         assert max(chunks) - min(chunks) <= 1 and sum(chunks) == probe_chunks(n)
         assert all(part.scores.size % _PROBE_CHUNK == 0 for part in parts[:-1])
-        merged = merge_parts(parts, encoder_tag="t")
+        merged = merge_parts(parts)
         assert np.array_equal(merged.scores, whole.scores)
-        assert (merged.mean, merged.std, merged.n, merged.excluded, merged.encoder_tag) == (
-            whole.mean, whole.std, whole.n, whole.excluded, whole.encoder_tag)
+        assert (merged.mean, merged.std, merged.n, merged.excluded) == (
+            whole.mean, whole.std, whole.n, whole.excluded)
     for part in ((0, 0), (1, 1), (-1, 2), (0, probe_chunks(n) + 1)):
         with pytest.raises(ConfigError, match="part"):
             run_probe(micro_teacher, fgs, bgs, n, 8, mode=mode, part=part)

@@ -18,7 +18,7 @@ from anchorlab.alignment import (
 from anchorlab.anchors import build_anchor_set, orthogonal_targets
 from anchorlab.encoders import encode_np
 from anchorlab.errors import ConfigError, ManifestError
-from anchorlab.evaluation import ProbeHead, group_metrics, probe_predict
+from anchorlab.evaluation import ProbeHead, group_metrics, head_predict
 from anchorlab.scene import build_test_split, build_train_split
 
 from conftest import param_checksum
@@ -193,7 +193,8 @@ def test_finetune_traces(micro_world, micro_teacher):
     assert isinstance(head, ProbeHead)
     assert head.W.shape == (micro_teacher.d, 2) and head.b.shape == (2,)
     # the returned head is the one the last traced epoch was scored with
-    gm = group_metrics(probe_predict(model, head, test.rasters()), test.labels(), test.groups())
+    gm = group_metrics(head_predict(head, encode_np(model, test.batch)), test.labels,
+                       test.groups)
     assert (gm.wga, gm.avg) == (traces["wga"][-1], traces["avg"][-1])
     assert not model.frozen
     assert param_checksum(model) != param_checksum(micro_teacher)

@@ -247,7 +247,7 @@ def test_method_table_builds_each_encoder_and_bsi_once(monkeypatch):
     real_encode = encoders.encode_batch
 
     def counting_encode(model, batch):
-        if batch is ctx.test_split.rasters():
+        if batch is ctx.test_split.batch:
             calls.append("test split")
         return real_encode(model, batch)
 
@@ -1179,6 +1179,25 @@ def test_ablate_seg(tmp_path, mini_cfg, monkeypatch):
             assert len(rec["trace"]["epoch_loss"]) == len(rec["trace"]["epoch_lr"]) == 2
     with pytest.raises(ConfigError):
         cmd_ablate(mini_cfg, 3, tmp_path, "lr_sweep")
+
+
+def test_ablate_points_name_only_the_methods_they_score(tmp_path, monkeypatch):
+    calls = []
+    real = anchors.compute_prototypes
+    monkeypatch.setattr(anchors, "compute_prototypes",
+                        lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+    _cpus(monkeypatch, 1)  # in this process, where the calls are counted
+    cfg = ExperimentConfig(**{**MINI, "methods": ("native-zs", "bap-lp")})
+    cmd_ablate(cfg, 3, tmp_path, "seg")
+    # the native-lp baseline never reads the teacher's class prototypes
+    assert calls == []
+    methods = {path.stem: json.loads(path.read_text())["config"]["methods"]
+               for path in (tmp_path / "runs").iterdir()}
+    baseline_point = {"ablate-seg-degradation-perfect",
+                      "ablate-seg-degradation-native-lp-baseline"}
+    assert len(methods) == len(DEGRADATIONS) + 1
+    assert methods == {run_id: ["bap-lp", "native-lp"] if run_id in baseline_point
+                       else ["bap-lp"] for run_id in methods}
 
 
 @pytest.mark.parametrize("which", ["seg", "k_train_sweep"])

@@ -11,8 +11,8 @@ from anchorlab.evaluation import (
     class_weights,
     fit_linear_head,
     group_metrics,
-    probe_predict,
-    prototype_predict,
+    head_predict,
+    nearest_prototype,
     retention_eval,
     train_probe,
 )
@@ -54,8 +54,8 @@ def test_train_probe_requires_frozen(micro_world, micro_teacher):
     with pytest.raises(ContractError):
         train_probe(thawed, train)
     head = train_probe(micro_teacher, train, seed=2, epochs=5)
-    preds = probe_predict(micro_teacher, head, test.rasters())
-    assert preds.shape == (len(test.items),)
+    preds = head_predict(head, encode_np(micro_teacher, test.batch))
+    assert preds.shape == (len(test.batch),)
     assert set(np.unique(preds)) <= {0, 1}
 
 
@@ -66,11 +66,12 @@ def test_train_probe_requires_frozen(micro_world, micro_teacher):
 def test_prototype_tie_breaks_low_and_errors(micro_world, micro_teacher):
     _, bgs = micro_world
     raster = bgs[0].raster[None]
-    emb = encode_np(micro_teacher, raster)[0]
+    embs = encode_np(micro_teacher, raster)
+    emb = embs[0]
     # two identical prototypes tie exactly: the lower class wins
-    assert prototype_predict(micro_teacher, {1: emb, 0: emb.copy()}, raster).tolist() == [0]
+    assert nearest_prototype({1: emb, 0: emb.copy()}, embs).tolist() == [0]
     with pytest.raises(ConfigError):
-        prototype_predict(micro_teacher, {0: emb}, raster)
+        nearest_prototype({0: emb}, embs)
 
 
 def test_prototype_scale_invariance(micro_world, micro_teacher):
@@ -78,10 +79,10 @@ def test_prototype_scale_invariance(micro_world, micro_teacher):
     rasters = np.stack([bg.raster for bg in bgs])
     embs = encode_np(micro_teacher, rasters)
     protos = {0: embs[0], 1: embs[-1]}
-    preds = prototype_predict(micro_teacher, protos, rasters)
+    preds = nearest_prototype(protos, embs)
     assert set(preds.tolist()) == {0, 1}
     scaled = {0: 5.0 * embs[0], 1: embs[-1]}
-    assert np.array_equal(prototype_predict(micro_teacher, scaled, rasters), preds)
+    assert np.array_equal(nearest_prototype(scaled, embs), preds)
 
 
 def test_prototype_predict_self_retrieval(micro_world, micro_teacher):
@@ -90,7 +91,7 @@ def test_prototype_predict_self_retrieval(micro_world, micro_teacher):
     embs = encode_np(micro_teacher, rasters)
     protos = {0: embs[0], 1: embs[1]}
     # each raster retrieves its own prototype
-    assert prototype_predict(micro_teacher, protos, rasters).tolist() == [0, 1]
+    assert nearest_prototype(protos, embs).tolist() == [0, 1]
 
 
 # ---------------------------------------------------------------------------

@@ -378,33 +378,30 @@ def test_build_grouped_dataset_counts(micro_world):
     fgs, bgs = micro_world
     train = build_train_split(fgs, bgs, 0.9, 20, 17)
     test = build_test_split(fgs, bgs, 5, 17)
-    assert len(train.items) == 40 and len(test.items) == 20
+    assert len(train.batch) == 40 and len(test.batch) == 20
     for y in (0, 1):
-        majority = sum(1 for it in train.items if it.y == y and it.g == y)
+        majority = int(((train.labels == y) & (train.groups == y)).sum())
         assert majority == round(0.9 * 20)
     # test split is balanced per cell
     for y in (0, 1):
         for g in (0, 1):
-            assert sum(1 for it in test.items if it.y == y and it.g == g) == 5
+            assert int(((test.labels == y) & (test.groups == g)).sum()) == 5
     # background leakage guard
-    train_bgs = {it.comp.bg_id for it in train.items}
-    test_bgs = {it.comp.bg_id for it in test.items}
-    assert train_bgs & test_bgs == set()
+    assert set(train.bg_ids) & set(test.bg_ids) == set()
 
 
 def test_test_split_does_not_depend_on_the_rate(micro_world):
     fgs, bgs = micro_world
     test = build_test_split(fgs, bgs, 3, 17)
     again = build_test_split(fgs, bgs, 3, 17)
-    assert np.array_equal(again.rasters(), test.rasters())
-    assert [it.comp.seed for it in again.items] == [it.comp.seed for it in test.items]
+    assert np.array_equal(again.batch, test.batch)
+    assert again.seeds == test.seeds
     assert test.rho == BALANCED_RHO and test.split == "test"
     # every rate's train split draws from the backgrounds the test split leaves out
-    test_bgs = {it.comp.bg_id for it in test.items}
     for rho in (1.0, 0.9, 0.5):
         train = build_train_split(fgs, bgs, rho, 6, 17)
         assert train.rho == rho and train.split == "train"
-        assert {it.comp.bg_id for it in train.items} & test_bgs == set()
+        assert set(train.bg_ids) & set(test.bg_ids) == set()
 
 
 def test_build_grouped_dataset_errors(micro_world):
@@ -418,27 +415,27 @@ def test_build_grouped_dataset_errors(micro_world):
         build_test_split(three, bgs, 2, 1)
 
 
-def test_dataset_rasters_are_one_read_only_array(micro_world):
+def test_dataset_columns_align_with_one_read_only_batch(micro_world, tmp_path):
     fgs, bgs = micro_world
-    for ds in (build_train_split(fgs, bgs, 0.9, 5, 8), build_test_split(fgs, bgs, 2, 8)):
-        batch = ds.rasters()
-        assert ds.rasters() is batch
-        assert batch.dtype == np.float32 and not batch.flags.writeable
+    train, test = build_train_split(fgs, bgs, 0.9, 5, 8), build_test_split(fgs, bgs, 2, 8)
+    path = tmp_path / "manifest.jsonl"
+    write_manifest(path, train, test, {"world_seed": 4242, "num_classes": 2,
+                                       "num_bg_groups": 2, "fg_per_class": 4,
+                                       "bg_per_group": 10, "hw": [32, 32], "rho": 0.9})
+    regenerated, _ = regenerate_from_manifest(path)
+    class_of = {fg.id: fg.y for fg in fgs}
+    group_of = {bg.id: bg.g for bg in bgs}
+    for ds, n, split in ((train, 10, "train"), (test, 8, "test"), (regenerated, 10, "train")):
+        assert ds.batch.shape == (n, 32, 32, 3) and ds.batch.dtype == np.float32
+        for column in (ds.labels, ds.groups, ds.fg_ids, ds.bg_ids, ds.seeds):
+            assert len(column) == n
+        assert not ds.batch.flags.writeable
         with pytest.raises(ValueError):
-            batch[0, 0, 0, 0] = 0.0
-        assert len(batch) == len(ds.items)
-        for row, it in zip(batch, ds.items):
-            assert np.shares_memory(it.comp.raster, batch)
-            assert np.array_equal(it.comp.raster, row)
-
-
-def test_dataset_accessors(micro_world):
-    fgs, bgs = micro_world
-    train = build_train_split(fgs, bgs, 1.0, 4, 3)
-    assert train.rasters().shape == (8, 32, 32, 3)
-    assert train.labels().shape == (8,)
-    assert train.groups().shape == (8,)
-    assert train.rho == 1.0 and train.split == "train"
+            ds.batch[0, 0, 0, 0] = 0.0
+        assert ds.labels.tolist() == [class_of[fg_id] for fg_id in ds.fg_ids]
+        assert ds.groups.tolist() == [group_of[bg_id] for bg_id in ds.bg_ids]
+        assert ds.split == split and ds.degradation == "perfect"
+    assert train.rho == regenerated.rho == 0.9 and test.rho == BALANCED_RHO
 
 
 # ---------------------------------------------------------------------------
@@ -455,11 +452,12 @@ def test_manifest_bitwise_regeneration(tmp_path):
     write_manifest(path, train, test, header)
     got_header, items = read_manifest(path)
     assert got_header["world_seed"] == 31
-    assert len(items) == len(train.items) + len(test.items)
+    assert len(items) == len(train.batch) + len(test.batch)
     train2, test2 = regenerate_from_manifest(path)
-    for orig, back in zip(train.items + test.items, train2.items + test2.items):
-        assert orig.y == back.y and orig.g == back.g
-        assert np.array_equal(orig.comp.raster, back.comp.raster)
+    for orig, back in ((train, train2), (test, test2)):
+        assert np.array_equal(orig.labels, back.labels)
+        assert np.array_equal(orig.groups, back.groups)
+        assert np.array_equal(orig.batch, back.batch)
 
 
 def test_manifest_split_with_mixed_degradations_is_rejected(tmp_path):

@@ -17,7 +17,6 @@ ALLOWED_UNREFERENCED = {
     "scene.regenerate_from_manifest": "manifest format: rebuilds the rasters a manifest names",
     "scene.make_composite": "perfbench's tracer tests pin its re-exports",
     "additivity.triple_rasters": "gate instrument: one standard probe triple",
-    "evaluation.prototype_predict": "gate instrument: zero-shot prediction from rasters",
     "evaluation.retention_eval": "gate instrument: background information kept",
     "cli.ExperimentConfig.to_json": "the writer side of `from_json`: a config round-trips",
     "tensor.Tensor.item": "the tests read a scalar loss with it, as numpy's `item` does",
