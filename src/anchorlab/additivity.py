@@ -75,14 +75,15 @@ def _standard_triples(pairs, seeds):
             yield rendered[2 * k], bg.raster, rendered[2 * k + 1]
 
 
-def exact_triple_rasters(fg: ForegroundInstance, bg: BackgroundImage, seed: int,
+def exact_triple_rasters(fg: ForegroundInstance, bg: BackgroundImage,
                          teacher: EncoderModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Disjoint-support norm-equalized triple, exactly additive under a linear map.
 
     The object sits in the left half of a black canvas, the background fills
     the right half, and the composite is the pixelwise sum.  One part is
     rescaled so both pre-embeddings have equal norm, which makes the sum of
-    the normalized parts parallel to the composite embedding.
+    the normalized parts parallel to the composite embedding.  Scale and
+    placement are fixed, so the triple depends on no item seed.
     """
     H, W = bg.raster.shape[:2]
     fg_scaled, a = scaled_foreground(fg, 0.45, (H, W))
@@ -184,10 +185,9 @@ def run_probe(model: EncoderModel, foregrounds, backgrounds, n: int, seed: int,
         raise ConfigError(f"part {part} is not one of at most {probe_chunks(n)} shares")
     lo, hi = (_PROBE_CHUNK * (probe_chunks(n) * j // shares) for j in (k, k + 1))
     pairs = pairs[lo:hi]
-    seeds = [derive_seed(seed, "additivity", fg.id, bg.id, i)
-             for i, (fg, bg) in enumerate(pairs, lo)]
     if mode == "exact":
-        triples = (exact_triple_rasters(fg, bg, s, model) for (fg, bg), s in zip(pairs, seeds))
+        triples = (exact_triple_rasters(fg, bg, model) for fg, bg in pairs)
     else:
-        triples = _standard_triples(pairs, seeds)
+        triples = _standard_triples(pairs, [derive_seed(seed, "additivity", fg.id, bg.id, i)
+                                            for i, (fg, bg) in enumerate(pairs, lo)])
     return score_triples(model, triples)

@@ -25,7 +25,7 @@ from .encoders import (
     init_encoder,
 )
 from .errors import ConfigError, ManifestError
-from .evaluation import ProbeHead, group_metrics, head_predict, train_probe
+from .evaluation import ProbeHead, group_metrics, head_predict, init_head, train_probe
 from .rng import derive_seed, rng
 from .scene import (  # make_composite is re-exported for callers of this module
     GroupedDataset,
@@ -66,7 +66,7 @@ class AlignConfig:
 
 
 def composite_stream(foregrounds, bg_pool, M: int, seed: int, epoch: int):
-    """Deterministic per-epoch list of (fg, bg, item_seed, comp_id).
+    """Deterministic per-epoch list of (fg, bg, item_seed), the form split specs take.
 
     Each foreground gets M fresh random backgrounds; the draw depends only on
     (seed, epoch, fg, m), so the stream is shared verbatim by any consumer
@@ -78,7 +78,7 @@ def composite_stream(foregrounds, bg_pool, M: int, seed: int, epoch: int):
         for m in range(M):
             bg = bg_pool[int(g.integers(0, len(bg_pool)))]
             item_seed = derive_seed(seed, "stream", epoch, fg.id, bg.id, m)
-            items.append((fg, bg, item_seed, f"{fg.id}|{bg.id}|{epoch}|{m}"))
+            items.append((fg, bg, item_seed))
     order = rng(seed, "stream-order", epoch).permutation(len(items))
     return [items[i] for i in order]
 
@@ -91,24 +91,24 @@ def cosine_loss(student: EncoderModel, target_of):
     """Loss for `fit`: mean 1 - cos(student embedding, target_of(fg))."""
 
     def loss(items, rasters) -> Tensor:
-        targets = np.stack([target_of(fg) for fg, _, _, _ in items])
+        targets = np.stack([target_of(fg) for fg, _, _ in items])
         cos = T.tsum(T.mul(encode_batch(student, rasters), Tensor(targets)), axis=1)
         return T.tmean(Tensor(np.float32(1.0)) - cos)
 
     return loss
 
 
-def head_cross_entropy(student: EncoderModel, head: dict[str, Tensor],
+def head_cross_entropy(student: EncoderModel, head: ProbeHead,
                        rasters: np.ndarray, ys: np.ndarray) -> Tensor:
-    logits = T.matmul(encode_batch(student, rasters), head["head_W"]) + head["head_b"]
+    logits = T.matmul(encode_batch(student, rasters), head.W) + head.b
     return T.softmax_cross_entropy(logits, ys)
 
 
-def ce_loss(student: EncoderModel, head: dict[str, Tensor], label_of):
+def ce_loss(student: EncoderModel, head: ProbeHead, label_of):
     """Loss for `fit`: cross-entropy of a linear head on label_of(fg, bg)."""
 
     def loss(items, rasters) -> Tensor:
-        ys = np.array([label_of(fg, bg) for fg, bg, _, _ in items])
+        ys = np.array([label_of(fg, bg) for fg, bg, _ in items])
         if len(np.unique(ys)) < 2:
             warnings.warn("single-class batch in the label stream")
         return head_cross_entropy(student, head, rasters, ys)
@@ -117,21 +117,23 @@ def ce_loss(student: EncoderModel, head: dict[str, Tensor], label_of):
 
 
 def _train_loop(student: EncoderModel, loss_fn, foregrounds, bg_pool, cfg: AlignConfig,
-                head: dict[str, Tensor] | None = None,
+                head: ProbeHead | None = None,
                 head_only_epochs: int = 0, memo: RenderMemo | None = None) -> T.FitLog:
-    """Fit the student on each epoch's composite stream, rendered as the epoch starts."""
+    """Fit the student, and `head` with it, on each epoch's composite stream,
+    rendered as the epoch starts."""
     memo = RenderMemo() if memo is None else memo
+    head_params = head.params() if head else {}
 
     def epoch_data(epoch):
         stream = composite_stream(foregrounds, bg_pool, cfg.M, cfg.seed, epoch)
-        rasters = render([(fg, bg, scene_scale(s)) for fg, bg, s, _ in stream],
+        rasters = render([(fg, bg, scene_scale(s)) for fg, bg, s in stream],
                          cfg.degradation, memo)
         return stream, rasters
 
-    return T.fit({**student.params, **(head or {})}, epoch_data, loss_fn,
+    return T.fit({**student.params, **head_params}, epoch_data, loss_fn,
                  n=len(foregrounds) * cfg.M, batch_size=cfg.batch_size,
                  epochs=cfg.epochs, lr=cfg.lr, weight_decay=cfg.weight_decay,
-                 warmup_frac=cfg.warmup_frac, head=head,
+                 warmup_frac=cfg.warmup_frac, head=head_params,
                  head_only_epochs=head_only_epochs)
 
 
@@ -159,14 +161,6 @@ def train_orthogonal(teacher: EncoderModel, targets: list[np.ndarray],
     return student, _train_loop(student, loss, foregrounds, bg_pool, cfg, memo=memo)
 
 
-def _head_params(d: int, num_classes: int, seed: int) -> dict[str, Tensor]:
-    g = rng(seed, "head")
-    return {
-        "head_W": Tensor(0.01 * g.standard_normal((d, num_classes)), requires_grad=True),
-        "head_b": Tensor(np.zeros(num_classes), requires_grad=True),
-    }
-
-
 def train_control(teacher: EncoderModel, foregrounds, bg_pool, cfg: AlignConfig,
                   probe_epochs: int = CONTROL_WARMUP_EPOCHS,
                   memo: RenderMemo | None = None) -> tuple[EncoderModel, T.FitLog]:
@@ -180,8 +174,8 @@ def train_control(teacher: EncoderModel, foregrounds, bg_pool, cfg: AlignConfig,
     if probe_epochs >= cfg.epochs:
         raise ConfigError("probe stage must leave at least one fine-tuning epoch")
     student = clone_unfrozen(teacher)
-    head = _head_params(student.d, len({fg.y for fg in foregrounds}),
-                        derive_seed(cfg.seed, "control-head"))
+    head = init_head(student.d, len({fg.y for fg in foregrounds}),
+                     rng(derive_seed(cfg.seed, "control-head"), "head"))
     loss = ce_loss(student, head, lambda fg, bg: fg.y)
     return student, _train_loop(student, loss, foregrounds, bg_pool, cfg, head=head,
                                 head_only_epochs=probe_epochs, memo=memo)
@@ -201,8 +195,7 @@ def pretrain_teacher(foregrounds, backgrounds, seed: int, epochs: int = 6,
     model = init_encoder("mlp", derive_seed(seed, "teacher"), d=d, input_hw=hw)
     num_groups = len({bg.g for bg in backgrounds})
     num_classes = len({fg.y for fg in foregrounds})
-    head = _head_params(d, num_classes * num_groups,
-                        derive_seed(seed, "teacher-head"))
+    head = init_head(d, num_classes * num_groups, rng(derive_seed(seed, "teacher-head"), "head"))
     cfg = AlignConfig(epochs=epochs, batch_size=128, lr=TEACHER_LR, M=4,
                       degradation=degradation,
                       seed=derive_seed(seed, "teacher-train"))
@@ -220,25 +213,22 @@ def finetune_on_correlated(student: EncoderModel, train: GroupedDataset,
     update yet); later entries track the balanced test set after each epoch.
     """
     model = clone_unfrozen(student)
-    probe = train_probe(freeze(model), train,
-                        seed=derive_seed(cfg.seed, "ft-probe"))
-    head = {"head_W": Tensor(probe.W.copy(), requires_grad=True),
-            "head_b": Tensor(probe.b.copy(), requires_grad=True)}
+    # the frozen probe's head is then fine-tuned in place, along with the encoder
+    head = train_probe(freeze(model), train, seed=derive_seed(cfg.seed, "ft-probe"))
     traces: dict[str, list[float]] = {"wga": [], "avg": []}
 
     def evaluate(epoch=None):
-        preds = head_predict(ProbeHead(head["head_W"].data, head["head_b"].data),
-                             encode_np(model, test.batch))
+        preds = head_predict(head, encode_np(model, test.batch))
         gm = group_metrics(preds, test.labels, test.groups)
         traces["wga"].append(gm.wga)
         traces["avg"].append(gm.avg)
 
     evaluate()
     n = len(train.batch)
-    T.fit({**model.params, **head},
+    T.fit({**model.params, **head.params()},
           lambda epoch: (rng(cfg.seed, "ft-order", epoch).permutation(n),),
           lambda idx: head_cross_entropy(model, head, train.batch[idx], train.labels[idx]),
           n=n, batch_size=cfg.batch_size, epochs=cfg.epochs, lr=cfg.lr,
           weight_decay=cfg.weight_decay, warmup_frac=cfg.warmup_frac,
           after_epoch=evaluate)
-    return model, ProbeHead(head["head_W"].data.copy(), head["head_b"].data.copy()), traces
+    return model, head, traces

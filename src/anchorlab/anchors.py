@@ -43,12 +43,6 @@ class KSweepReport:
     var_eps: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class Prototypes:
-    by_class: dict[int, np.ndarray]
-    by_group: dict[int, np.ndarray]
-
-
 def _sample_pool(pool, K: int, g: np.random.Generator) -> list:
     if len(pool) >= K:
         idx = g.choice(len(pool), size=K, replace=False)
@@ -120,55 +114,53 @@ def residual_variance(bg_embs: np.ndarray, K: int, trials: int, mu: np.ndarray,
     return total / trials
 
 
-def compute_prototypes(teacher: EncoderModel, foregrounds, backgrounds,
-                       memo: RenderMemo | None = None) -> Prototypes:
-    """Class and background-group prototypes as normalized mean embeddings.
-
-    Class prototypes come from isolated foregrounds on the neutral canvas;
-    group prototypes from pure backgrounds, one per group present, so an
-    empty `backgrounds` gives the class prototypes alone.
-    """
+def compute_prototypes(teacher: EncoderModel, foregrounds,
+                       memo: RenderMemo | None = None) -> dict[int, np.ndarray]:
+    """{class: unit prototype}: the normalized mean embedding of the class's
+    foregrounds, each isolated on the neutral canvas at ANCHOR_SCALE."""
     by_class: dict[int, list[ForegroundInstance]] = {}
     for fg in foregrounds:
         by_class.setdefault(fg.y, []).append(fg)
     neutral = neutral_background(teacher.input_hw)
-    class_protos = {}
+    protos = {}
     for y, members in sorted(by_class.items()):
         rasters = render([(fg, neutral, ANCHOR_SCALE) for fg in members], memo=memo)
-        class_protos[y] = unit_mean(encode_np(teacher, rasters), f"class {y} prototype")
-    by_group: dict[int, list[BackgroundImage]] = {}
-    for bg in backgrounds:
-        by_group.setdefault(bg.g, []).append(bg)
-    group_protos = {grp: unit_mean(background_embeddings(teacher, pool),
-                                   f"background group {grp} prototype")
-                    for grp, pool in sorted(by_group.items())}
-    return Prototypes(by_class=class_protos, by_group=group_protos)
+        protos[y] = unit_mean(encode_np(teacher, rasters), f"class {y} prototype")
+    return protos
 
 
-def k_sweep(teacher: EncoderModel, foregrounds, bg_pool, k_grid, prototypes: Prototypes,
-            seed: int, var_trials: int = 200) -> KSweepReport:
-    """Anchor quality versus K: class similarity, background leakage, Var(eps)."""
+def k_sweep(teacher: EncoderModel, foregrounds, bg_pool, k_grid,
+            class_protos: dict[int, np.ndarray], seed: int, var_trials: int = 200,
+            memo: RenderMemo | None = None) -> KSweepReport:
+    """Anchor quality versus K: class similarity, background leakage, Var(eps).
+
+    Leakage is an anchor's highest cosine to a background-group prototype, the
+    `unit_mean` of that group's rows of the pool's one `background_embeddings`.
+    The swept anchors render through `memo`, a fresh one when None.
+    """
     k_grid = tuple(int(k) for k in k_grid)
     if not k_grid:
         raise ConfigError("empty K grid")
     if list(k_grid) != sorted(k_grid):
         raise ConfigError("K grid must be ascending")
     for fg in foregrounds:
-        if fg.y not in prototypes.by_class:
+        if fg.y not in class_protos:
             raise ConfigError(f"missing class prototype for class {fg.y}")
-    if not prototypes.by_group:
-        raise ConfigError("missing background-group prototypes")
+    if not bg_pool:
+        raise ConfigError("background pool is empty")
     bg_embs = background_embeddings(teacher, bg_pool)
     mu = bg_embs.astype(np.float64).mean(axis=0)
-    bg_proto_mat = np.stack([prototypes.by_group[g] for g in sorted(prototypes.by_group)])
+    groups = np.array([bg.g for bg in bg_pool])
+    bg_proto_mat = np.stack([unit_mean(bg_embs[groups == g], f"background group {g} prototype")
+                             for g in np.unique(groups)])
     fg_sims, bg_sims, var_eps = [], [], []
-    memo = RenderMemo()
+    memo = RenderMemo() if memo is None else memo
     for K in k_grid:
         f_acc, b_acc = [], []
         for fg in foregrounds:
             a = extract_anchor(teacher, fg, bg_pool, K, derive_seed(seed, "sweep", fg.id, K),
                                memo=memo)
-            f_acc.append(T.cosine_sim_np(a, prototypes.by_class[fg.y]))
+            f_acc.append(T.cosine_sim_np(a, class_protos[fg.y]))
             b_acc.append(float((bg_proto_mat @ a).max()))
         fg_sims.append(float(np.mean(f_acc)))
         bg_sims.append(float(np.mean(b_acc)))

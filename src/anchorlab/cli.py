@@ -318,12 +318,11 @@ class SeedContext:
 
     def _build_native(self, rho: float) -> dict:
         # the teacher is scored zero-shot against its own class prototypes, built only
-        # when a zero-shot native method runs; no backgrounds, since the group
-        # prototypes would go unread
+        # when a zero-shot native method runs
         if ("native", "zs") not in {METHODS[m] for m in self.cfg.methods}:
             return {"encoder": self.teacher}
         protos = anchors.compute_prototypes(self.teacher, _first_per_class(self.world[0], 40),
-                                            (), memo=self.memo).by_class
+                                            memo=self.memo)
         return {"encoder": self.teacher, "protos": protos}
 
     def _build_lp_ft(self, rho: float) -> dict:
@@ -481,10 +480,10 @@ def cmd_k_ablation(cfg: ExperimentConfig, seed: int, out) -> Path:
     with _one_blas_thread():
         fgs, bgs = ctx.world
         teacher = ctx.teacher
-        protos = anchors.compute_prototypes(teacher, fgs, bgs, memo=ctx.memo)
+        protos = anchors.compute_prototypes(teacher, fgs, memo=ctx.memo)
         report = anchors.k_sweep(teacher, _first_per_class(fgs, 25), bgs, cfg.k_grid,
                                  protos, derive_seed(seed, "ksweep"),
-                                 var_trials=cfg.var_trials)
+                                 var_trials=cfg.var_trials, memo=ctx.memo)
         logk = np.log(np.asarray(report.k_grid, dtype=np.float64))
         logv = np.log(np.asarray(report.var_eps, dtype=np.float64))
         slope = float(np.polyfit(logk, logv, 1)[0])

@@ -37,8 +37,15 @@ _RETENTION_TEST = 300
 
 @dataclass
 class ProbeHead:
-    W: np.ndarray  # d x num_classes
-    b: np.ndarray
+    """A linear head, logits = emb @ W + b, as trainable tensors: the form of every
+    head the lab trains, a probe's or one trained along with its encoder."""
+
+    W: Tensor  # d x num_classes
+    b: Tensor
+
+    def params(self) -> dict[str, Tensor]:
+        """The head's parameters, as `tensor.fit` takes them."""
+        return {"head_W": self.W, "head_b": self.b}
 
 
 @dataclass(frozen=True)
@@ -66,24 +73,28 @@ def class_weights(labels: np.ndarray, num_classes: int) -> np.ndarray:
     return (len(labels) / (num_classes * counts)).astype(np.float64)
 
 
+def init_head(d: int, num_classes: int, g: np.random.Generator) -> ProbeHead:
+    """A fresh head: W drawn from N(0, 0.01^2) by `g`, b zero."""
+    return ProbeHead(Tensor(0.01 * g.standard_normal((d, num_classes)), requires_grad=True),
+                     Tensor(np.zeros(num_classes), requires_grad=True))
+
+
 def fit_linear_head(embs: np.ndarray, labels: np.ndarray, num_classes: int,
                     seed: int, epochs: int = PROBE_EPOCHS, lr: float = PROBE_LR,
                     weighted: bool = True) -> ProbeHead:
     """Class-weighted cross-entropy linear head on fixed embeddings."""
     n, d = embs.shape
     weights = class_weights(labels, num_classes) if weighted else None
-    g = rng(seed, "probe-init")
-    Wp = Tensor(0.01 * g.standard_normal((d, num_classes)), requires_grad=True)
-    bp = Tensor(np.zeros(num_classes), requires_grad=True)
+    head = init_head(d, num_classes, rng(seed, "probe-init"))
 
     def loss(idx):
-        logits = T.matmul(Tensor(embs[idx]), Wp) + bp
+        logits = T.matmul(Tensor(embs[idx]), head.W) + head.b
         return T.softmax_cross_entropy(logits, labels[idx], weights)
 
-    T.fit({"W": Wp, "b": bp}, lambda epoch: (rng(seed, "probe-order", epoch).permutation(n),),
+    T.fit(head.params(), lambda epoch: (rng(seed, "probe-order", epoch).permutation(n),),
           loss, n=n, batch_size=PROBE_BATCH, epochs=epochs, lr=lr, weight_decay=0.0,
           warmup_frac=0.10)
-    return ProbeHead(W=Wp.data.copy(), b=bp.data.copy())
+    return head
 
 
 def train_probe(encoder: EncoderModel, train: GroupedDataset, seed: int = 0,
@@ -97,7 +108,7 @@ def train_probe(encoder: EncoderModel, train: GroupedDataset, seed: int = 0,
 
 def head_predict(head: ProbeHead, embs: np.ndarray) -> np.ndarray:
     """The class a linear head gives each embedding."""
-    return (embs @ head.W + head.b).argmax(axis=1)
+    return (embs @ head.W.data + head.b.data).argmax(axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -62,7 +62,6 @@ CLASS_STYLES = [
     ("ring", (0.42, 0.48, 0.42)),
     ("disk", (0.60, 0.40, 0.45)),
     ("cross", (0.55, 0.35, 0.50)),
-    ("triangle", (0.35, 0.40, 0.60)),
 ]
 
 # (family, two-color palette) per background group; palettes are far apart
@@ -70,8 +69,6 @@ CLASS_STYLES = [
 GROUP_STYLES = [
     ("stripes", ((0.10, 0.25, 0.70), (0.35, 0.75, 0.90))),
     ("checker", ((0.75, 0.20, 0.10), (0.95, 0.65, 0.20))),
-    ("noise", ((0.45, 0.15, 0.60), (0.80, 0.70, 0.85))),
-    ("stripes", ((0.80, 0.80, 0.20), (0.25, 0.55, 0.15))),
 ]
 
 
@@ -96,16 +93,6 @@ def neutral_background(hw: tuple[int, int] = (64, 64)) -> BackgroundImage:
     """The uniform NEUTRAL_GRAY canvas that isolated objects are shown on."""
     return BackgroundImage(id="neutral", g=-1,
                            raster=np.full((*hw, 3), NEUTRAL_GRAY, dtype=np.float32))
-
-
-@dataclass
-class CompositeRecord:
-    raster: np.ndarray
-    fg_id: str
-    bg_id: str
-    scale: float
-    degradation: str
-    seed: int
 
 
 @dataclass
@@ -194,37 +181,26 @@ def make_foreground(seed: int, fg_id: str, y: int,
     return ForegroundInstance(id=fg_id, y=y, raster=raster, mask=mask, bbox=bbox)
 
 
-def _upsample_nearest(small: np.ndarray, H: int, W: int) -> np.ndarray:
-    ry = H // small.shape[0]
-    rx = W // small.shape[1]
-    return np.repeat(np.repeat(small, ry, axis=0), rx, axis=1)
-
-
 def make_background(seed: int, bg_id: str, group: int,
                     hw: tuple[int, int] = (64, 64)) -> BackgroundImage:
     H, W = hw
-    family, (col_a, col_b) = GROUP_STYLES[group % len(GROUP_STYLES)]
+    family, (col_a, col_b) = GROUP_STYLES[group]
     g = rng(seed, "bg", bg_id)
     col_a = np.asarray(col_a, dtype=np.float32)
     col_b = np.asarray(col_b, dtype=np.float32)
-    if family.startswith("stripes"):
+    if family == "stripes":
         r, c = np.mgrid[0:H, 0:W].astype(np.float32)
         theta = g.uniform(0, np.pi)
         freq = g.uniform(0.3, 0.8)
         phase = g.uniform(0, 2 * np.pi)
         t = 0.5 + 0.5 * np.sin(freq * (r * np.cos(theta) + c * np.sin(theta)) + phase)
-    elif family == "checker":
+    else:  # checker
         tile = int(g.integers(5, 11))
         orow = int(g.integers(0, tile))
         ocol = int(g.integers(0, tile))
         r, c = np.mgrid[0:H, 0:W]
         t = (((r + orow) // tile + (c + ocol) // tile) % 2).astype(np.float32)
         t = 0.15 + 0.7 * t  # keep both tile colors inside the palette span
-    elif family == "noise":
-        small = g.random((8, 8)).astype(np.float32)
-        t = _upsample_nearest(small, H, W)
-    else:
-        raise ConfigError(f"unknown background family {family!r}")
     raster = col_a[None, None, :] + t[:, :, None] * (col_b - col_a)[None, None, :]
     raster += g.normal(0.0, 0.015, size=raster.shape).astype(np.float32)
     return BackgroundImage(id=bg_id, g=group, raster=np.clip(raster, 0.0, 1.0))
@@ -496,20 +472,16 @@ def scene_scale(seed: int) -> float:
 
 
 def composite(fg: ForegroundInstance, bg: BackgroundImage, scale: float,
-              seed: int, degradation: str = "perfect") -> CompositeRecord:
-    """One centred composite: a one-item `render`.
-
-    The record keeps `seed`, so it regenerates bitwise from (ids, seed, config).
-    """
-    raster = render([(fg, bg, scale)], degradation)[0]
-    return CompositeRecord(raster=raster, fg_id=fg.id, bg_id=bg.id, scale=scale,
-                           degradation=degradation, seed=seed)
+              degradation: str = "perfect") -> np.ndarray:
+    """The float32 raster of one centred composite: a one-item `render`."""
+    return render([(fg, bg, scale)], degradation)[0]
 
 
 def make_composite(fg: ForegroundInstance, bg: BackgroundImage, seed: int,
-                   degradation: str = "perfect") -> CompositeRecord:
-    """Composite with the scale drawn from SCENE_SCALE_RANGE by the item seed."""
-    return composite(fg, bg, scene_scale(seed), seed, degradation)
+                   degradation: str = "perfect") -> np.ndarray:
+    """The raster of the composite whose scale item seed `seed` draws from
+    SCENE_SCALE_RANGE, as a stream item's: it regenerates bitwise from (fg, bg, seed)."""
+    return composite(fg, bg, scene_scale(seed), degradation)
 
 
 # ---------------------------------------------------------------------------

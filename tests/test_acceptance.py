@@ -299,15 +299,18 @@ def test_k_sweep_directionality(probe_world):
     t0 = time.perf_counter()
     fgs, bgs, teacher = probe_world
     assert len(fgs) >= 50
-    protos = anchors.compute_prototypes(teacher, fgs, bgs)
-    bg_mat = np.stack([protos.by_group[g] for g in sorted(protos.by_group)])
+    protos = anchors.compute_prototypes(teacher, fgs)
+    # a background group's prototype: the unit mean of its pure backgrounds' embeddings
+    pools = [[bg for bg in bgs if bg.g == g] for g in sorted({bg.g for bg in bgs})]
+    bg_mat = np.stack([anchors.unit_mean(anchors.background_embeddings(teacher, pool),
+                                         "background group prototype") for pool in pools])
     fg_wins = bg_wins = 0
     for fg in fgs:
         a1 = anchors.extract_anchor(teacher, fg, bgs, 1,
                                     derive_seed(GLOBAL_SEED, "sweep", fg.id, 1))
         a40 = anchors.extract_anchor(teacher, fg, bgs, 40,
                                      derive_seed(GLOBAL_SEED, "sweep", fg.id, 40))
-        proto = protos.by_class[fg.y]
+        proto = protos[fg.y]
         fg_wins += float(a40 @ proto) > float(a1 @ proto)
         bg_wins += float((bg_mat @ a40).max()) < float((bg_mat @ a1).max())
     n = len(fgs)
@@ -358,13 +361,13 @@ def test_orthogonal_targets_destroy_transfer(ctx0):
     fgs7, _ = gen_world(derive_seed(s0, "ood-world"), 7, 2, 40, 150, (64, 64))
     pair = [fg for fg in fgs7 if fg.y in (5, 6)]
     _, bg_test = ctx0.bg_pools
-    protos = anchors.compute_prototypes(ctx0.teacher, pair, ()).by_class
+    protos = anchors.compute_prototypes(ctx0.teacher, pair)
     g = rng(s0, "ood-eval")
     rasters, ys, gs = [], [], []
     for i in range(400):
         fg = pair[g.integers(len(pair))]
         bg = bg_test[g.integers(len(bg_test))]
-        rasters.append(make_composite(fg, bg, derive_seed(s0, "ood2", i)).raster)
+        rasters.append(make_composite(fg, bg, derive_seed(s0, "ood2", i)))
         ys.append(fg.y)
         gs.append(bg.g)
     preds = evaluation.nearest_prototype(
@@ -389,9 +392,7 @@ def test_embedding_variance_contracts(ctx0):
     for fg in fgs:
         g = rng(s0, "contract", fg.id)
         picks = [bg_test[int(g.integers(len(bg_test)))] for _ in range(32)]
-        ras = np.stack([composite(fg, bg, ANCHOR_SCALE,
-                                  derive_seed(s0, "fresh-bg", fg.id, j)).raster
-                        for j, bg in enumerate(picks)])
+        ras = np.stack([composite(fg, bg, ANCHOR_SCALE) for bg in picks])
         for_t = encode_np(teacher, ras).astype(np.float64)
         for_s = encode_np(student, ras).astype(np.float64)
         var_t = float(((for_t - for_t.mean(0)) ** 2).sum(1).mean())

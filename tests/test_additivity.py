@@ -91,7 +91,7 @@ def test_exact_mode_nonlinearity_lowers_scores(micro_world):
 
 def test_exact_triple_disjoint_support(micro_world, micro_teacher):
     fgs, bgs = micro_world
-    I_a, I_b, I_ab = exact_triple_rasters(fgs[0], bgs[0], 3, micro_teacher)
+    I_a, I_b, I_ab = exact_triple_rasters(fgs[0], bgs[0], micro_teacher)
     # supports never overlap, so the composite is a pixelwise sum
     assert float((np.abs(I_a) * np.abs(I_b)).sum()) == 0.0
     assert np.allclose(I_ab, I_a + I_b)
@@ -107,7 +107,7 @@ def test_exact_triple_object_is_the_scaled_foreground(micro_world, micro_teacher
     dim = BackgroundImage(id="dim", g=0, raster=np.full((32, 32, 3), 0.02, dtype=np.float32))
     factors = set()
     for fg, bg in [(fg, bgs[3 * i]) for i, fg in enumerate(fgs[:4])] + [(fgs[5], dim)]:
-        I_a, _, _ = exact_triple_rasters(fg, bg, 3, micro_teacher)
+        I_a, _, _ = exact_triple_rasters(fg, bg, micro_teacher)
         H, W = bg.raster.shape[:2]
         fg_scaled, a = scaled_foreground(fg, 0.45, (H, W))
         oh, ow = a.shape[:2]
@@ -144,8 +144,8 @@ def test_standard_triple_is_two_composites_from_one_resize(micro_world, monkeypa
     iso, bg, comp = triple_rasters(fgs[0], bgs[0], 5)
     assert len(calls) == 2  # the object's raster and alpha, shared by both composites
     assert bg is bgs[0].raster
-    assert np.array_equal(iso, make_composite(fgs[0], neutral_background((32, 32)), 5).raster)
-    assert np.array_equal(comp, make_composite(fgs[0], bgs[0], 5).raster)
+    assert np.array_equal(iso, make_composite(fgs[0], neutral_background((32, 32)), 5))
+    assert np.array_equal(comp, make_composite(fgs[0], bgs[0], 5))
 
 
 def test_neutral_background_constant():
@@ -184,7 +184,7 @@ def _per_triple_probe(model, foregrounds, backgrounds, n, seed, mode):
     for i, (fg, bg) in enumerate(pairs):
         item_seed = derive_seed(seed, "additivity", fg.id, bg.id, i)
         if mode == "exact":
-            I_a, I_b, I_ab = exact_triple_rasters(fg, bg, item_seed, model)
+            I_a, I_b, I_ab = exact_triple_rasters(fg, bg, model)
         else:
             I_a, I_b, I_ab = triple_rasters(fg, bg, item_seed)
         embs = encode_np(model, np.stack([I_a, I_b, I_ab]))

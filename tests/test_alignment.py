@@ -38,7 +38,7 @@ def test_align_loss_oracles(micro_teacher, micro_world):
     fgs, bgs = micro_world
     raster = bgs[0].raster
     emb = encode_np(micro_teacher, raster[None])[0]
-    items = [(fgs[0], bgs[0], 0, "c")]
+    items = [(fgs[0], bgs[0], 0)]
 
     def align_loss(anchor):
         return cosine_loss(micro_teacher, lambda fg: anchor)(items, raster[None])
@@ -64,9 +64,9 @@ def test_composite_stream_deterministic(micro_world):
     fgs, bgs = micro_world
     a = composite_stream(fgs, bgs, 3, 9, 0)
     b = composite_stream(fgs, bgs, 3, 9, 0)
-    assert [x[3] for x in a] == [x[3] for x in b]
+    assert [x[2] for x in a] == [x[2] for x in b]
     c = composite_stream(fgs, bgs, 3, 9, 1)
-    assert [x[3] for x in a] != [x[3] for x in c]
+    assert [x[2] for x in a] != [x[2] for x in c]
 
 
 def test_composite_stream_counts(micro_world):
@@ -74,9 +74,8 @@ def test_composite_stream_counts(micro_world):
     stream = composite_stream(fgs, bgs, 4, 2, 0)
     assert len(stream) == len(fgs) * 4
     per_fg = {}
-    for fg, bg, s, cid in stream:
+    for fg, bg, s in stream:
         per_fg[fg.id] = per_fg.get(fg.id, 0) + 1
-        assert cid.startswith(fg.id)
     assert set(per_fg.values()) == {4}
 
 
@@ -114,7 +113,7 @@ def test_bap_and_control_share_the_stream(micro_world, micro_teacher, monkeypatc
 
     def recording(*args):
         stream = real(*args)
-        consumed[-1].append([(fg.id, bg.id, s, cid) for fg, bg, s, cid in stream])
+        consumed[-1].append([(fg.id, bg.id, s) for fg, bg, s in stream])
         return stream
 
     monkeypatch.setattr(alignment, "composite_stream", recording)
@@ -191,7 +190,7 @@ def test_finetune_traces(micro_world, micro_teacher):
     for key in ("wga", "avg"):
         assert all(0.0 <= v <= 1.0 for v in traces[key])
     assert isinstance(head, ProbeHead)
-    assert head.W.shape == (micro_teacher.d, 2) and head.b.shape == (2,)
+    assert head.W.data.shape == (micro_teacher.d, 2) and head.b.data.shape == (2,)
     # the returned head is the one the last traced epoch was scored with
     gm = group_metrics(head_predict(head, encode_np(model, test.batch)), test.labels,
                        test.groups)

@@ -5,7 +5,6 @@ import pytest
 
 from anchorlab import anchors
 from anchorlab.anchors import (
-    Prototypes,
     background_embeddings,
     build_anchor_set,
     compute_prototypes,
@@ -27,7 +26,7 @@ def test_extract_anchor_k1_matches_single_embedding(micro_world, micro_teacher):
     # reconstruct the single draw the extractor makes
     g = rng(77, "anchor", fg.id, 1)
     idx = g.choice(len(bgs), size=1, replace=False)[0]
-    raster = composite(fg, bgs[idx], ANCHOR_SCALE, 77).raster
+    raster = composite(fg, bgs[idx], ANCHOR_SCALE)
     expected = encode_np(micro_teacher, raster[None])[0]
     assert np.allclose(a, expected, atol=1e-6)
     assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-5)
@@ -81,26 +80,21 @@ def test_residual_variance_decreases_with_k(micro_world, micro_teacher):
 
 
 def test_compute_prototypes(micro_world, micro_teacher, monkeypatch):
-    fgs, bgs = micro_world
-    protos = compute_prototypes(micro_teacher, fgs, bgs)
-    assert set(protos.by_class) == {0, 1}
-    assert set(protos.by_group) == {0, 1}
-    for v in list(protos.by_class.values()) + list(protos.by_group.values()):
+    fgs, _ = micro_world
+    protos = compute_prototypes(micro_teacher, fgs)
+    assert set(protos) == {0, 1}
+    for v in protos.values():
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-5)
-    # no backgrounds: the same class prototypes and no group prototypes
-    alone = compute_prototypes(micro_teacher, fgs, ())
-    assert alone.by_group == {}
-    assert all(np.array_equal(alone.by_class[y], protos.by_class[y]) for y in (0, 1))
     # embeddings that cancel give a zero-mean prototype, which has no direction
     monkeypatch.setattr(anchors, "encode_np", lambda teacher, rasters: np.array(
         [[1.0, 0.0], [-1.0, 0.0]] * (len(rasters) // 2), dtype=np.float32))
     with pytest.raises(DegenerateInputError):
-        compute_prototypes(micro_teacher, fgs, ())
+        compute_prototypes(micro_teacher, fgs)
 
 
 def test_k_sweep_report_and_errors(micro_world, micro_teacher):
     fgs, bgs = micro_world
-    protos = compute_prototypes(micro_teacher, fgs, bgs)
+    protos = compute_prototypes(micro_teacher, fgs)
     report = k_sweep(micro_teacher, fgs[:2], bgs, (1, 4), protos, 6, var_trials=50)
     assert report.k_grid == (1, 4)
     assert len(report.fg_sim) == len(report.bg_sim_max) == len(report.var_eps) == 2
@@ -110,8 +104,9 @@ def test_k_sweep_report_and_errors(micro_world, micro_teacher):
     with pytest.raises(ConfigError):
         k_sweep(micro_teacher, fgs[:2], bgs, (4, 1), protos, 6)
     with pytest.raises(ConfigError):
-        k_sweep(micro_teacher, fgs[:2], bgs, (1,),
-                Prototypes(by_class={}, by_group=protos.by_group), 6)
+        k_sweep(micro_teacher, fgs[:2], bgs, (1,), {}, 6)
+    with pytest.raises(ConfigError):
+        k_sweep(micro_teacher, fgs[:2], [], (1,), protos, 6)
 
 
 def test_orthogonal_targets_properties():

@@ -545,6 +545,20 @@ def test_k_ablation_sweeps_the_first_25_foregrounds_of_each_class(tmp_path, monk
     assert swept == [f"fg-{y}-{i}" for y in (0, 1) for i in range(25)]
 
 
+def test_k_ablation_encodes_its_pool_once_and_resizes_through_the_seeds_memo(
+        tmp_path, mini_cfg, monkeypatch):
+    # the group prototypes are read off the sweep's one encode of the pool, and the
+    # swept anchors reuse the ANCHOR_SCALE resizes the class prototypes made
+    calls = []
+    for module, name in ((anchors, "background_embeddings"), (scene, "scaled_foreground")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, real=real, name=name, **kwargs:
+                            calls.append(name) or real(*args, **kwargs))
+    cmd_k_ablation(mini_cfg, 3, tmp_path)
+    assert calls.count("background_embeddings") == 1
+    assert calls.count("scaled_foreground") == 2 * mini_cfg.fg_per_class
+
+
 def test_run_matrix_outputs(tmp_path, mini_cfg):
     path = cmd_run_matrix(mini_cfg, 3, tmp_path)
     assert path.name == "metrics.csv"

@@ -41,10 +41,10 @@ def test_fit_linear_head_separable():
     ]).astype(np.float32)
     labels = np.array([0] * 40 + [1] * 40)
     head = fit_linear_head(embs, labels, 2, seed=1, epochs=10, lr=5e-2)
-    preds = (embs @ head.W + head.b).argmax(axis=1)
+    preds = (embs @ head.W.data + head.b.data).argmax(axis=1)
     assert (preds == labels).mean() == 1.0
     again = fit_linear_head(embs, labels, 2, seed=1, epochs=10, lr=5e-2)
-    assert np.array_equal(head.W, again.W)
+    assert np.array_equal(head.W.data, again.W.data)
 
 
 def test_train_probe_requires_frozen(micro_world, micro_teacher):

@@ -239,13 +239,11 @@ def test_background_families_differ():
 
 def test_composite_center_and_determinism(micro_world):
     fgs, bgs = micro_world
-    rec = composite(fgs[0], bgs[0], 0.6, 123)
-    assert rec.raster.shape == bgs[0].raster.shape
-    assert rec.fg_id == fgs[0].id and rec.bg_id == bgs[0].id
-    again = composite(fgs[0], bgs[0], 0.6, 123)
-    assert np.array_equal(rec.raster, again.raster)
+    raster = composite(fgs[0], bgs[0], 0.6)
+    assert raster.shape == bgs[0].raster.shape and raster.dtype == np.float32
+    assert np.array_equal(raster, composite(fgs[0], bgs[0], 0.6))
     # far corners are untouched background
-    assert np.array_equal(rec.raster[0, 0], bgs[0].raster[0, 0].astype(np.float32))
+    assert np.array_equal(raster[0, 0], bgs[0].raster[0, 0].astype(np.float32))
 
 
 @pytest.mark.parametrize("mode", ["perfect", "bbox"])
@@ -261,8 +259,7 @@ def test_composite_is_the_centred_blend_of_scaled_foreground(micro_world, mode):
     r0, c0 = (H - oh) // 2, (W - ow) // 2
     region = expected[r0 : r0 + oh, c0 : c0 + ow]
     expected[r0 : r0 + oh, c0 : c0 + ow] = a * fg_scaled + (1.0 - a) * region
-    assert np.array_equal(composite(fgs[1], bg, 0.65, 9, mode).raster,
-                          expected.astype(np.float32))
+    assert np.array_equal(composite(fgs[1], bg, 0.65, mode), expected.astype(np.float32))
 
 
 def test_composite_config_errors(micro_world):
@@ -271,25 +268,24 @@ def test_composite_config_errors(micro_world):
         with pytest.raises(ConfigError):
             scaled_foreground(fgs[0], scale, (32, 32))
         with pytest.raises(ConfigError):
-            composite(fgs[0], bgs[0], scale, 1)
+            composite(fgs[0], bgs[0], scale)
 
 
 def test_make_composite_scale_in_range_and_seeded(micro_world):
     fgs, bgs = micro_world
-    scales = [make_composite(fgs[0], bgs[0], seed).scale for seed in range(20)]
+    scales = [scene_scale(seed) for seed in range(20)]
     assert all(SCENE_SCALE_RANGE[0] <= s <= SCENE_SCALE_RANGE[1] for s in scales)
     assert len(set(scales)) > 1
     again = make_composite(fgs[0], bgs[0], 9)
-    assert again.scale == scales[9]
-    assert np.array_equal(again.raster, make_composite(fgs[0], bgs[0], 9).raster)
+    assert np.array_equal(again, composite(fgs[0], bgs[0], scales[9]))
+    assert np.array_equal(again, make_composite(fgs[0], bgs[0], 9))
 
 
 def test_make_composite_modes(micro_world):
     fgs, bgs = micro_world
     perfect = make_composite(fgs[0], bgs[0], 5)
     box = make_composite(fgs[0], bgs[0], 5, degradation="bbox")
-    assert not np.array_equal(perfect.raster, box.raster)
-    assert box.degradation == "bbox"
+    assert not np.array_equal(perfect, box)
 
 
 @pytest.mark.parametrize("mode", DEGRADATIONS)
@@ -304,8 +300,8 @@ def test_crop_cache_is_keyed_by_degradation(micro_world, mode):
     for other in DEGRADATIONS:
         if other != mode:
             make_composite(used, bgs[0], 5, degradation=other)
-    got = make_composite(used, bgs[0], 5, degradation=mode).raster
-    assert np.array_equal(got, make_composite(fresh(), bgs[0], 5, degradation=mode).raster)
+    got = make_composite(used, bgs[0], 5, degradation=mode)
+    assert np.array_equal(got, make_composite(fresh(), bgs[0], 5, degradation=mode))
 
 
 def _reference_blend(fg, bg, scale, mode):
@@ -327,7 +323,7 @@ def test_render_rows_are_the_blend_rounded_once(micro_world, mode):
     assert stripes.raster.dtype == np.float64 and checker.raster.dtype == np.float32
     specs = [(fg, bg, seed) for bg in (stripes, checker) for fg in fgs[:2] for seed in (3, 4, 3)]
     items = [(fg, bg, scene_scale(seed)) for fg, bg, seed in specs]
-    expected = [make_composite(fg, bg, seed, mode).raster.astype(np.float32)
+    expected = [make_composite(fg, bg, seed, mode).astype(np.float32)
                 for fg, bg, seed in specs]
     memo = RenderMemo()
     miss = render(items, mode, memo)

@@ -1,6 +1,7 @@
 """`src/` holds only what the lab runs: every public top-level function and class,
 and every public method of those classes, is used by other code in `src/`, or is on
-an allow-list with its reason; and one function forks, and decides to."""
+an allow-list with its reason; every parameter of a public function is read; and
+one function forks, and decides to."""
 
 import ast
 from collections import Counter
@@ -49,6 +50,30 @@ def unreferenced_public_names() -> set[str]:
 
 def test_every_public_name_in_src_is_used_or_allowed():
     assert unreferenced_public_names() == set(ALLOWED_UNREFERENCED)
+
+
+def unread_parameters() -> set[str]:
+    """`module.name(parameter)` of each parameter, but `self` and `cls`, of a public
+    function or method in `src/` that its body, nested callbacks included, never reads."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    unread = set()
+    for module, tree in trees.items():
+        for name, node in _public(module, tree):
+            if isinstance(node, ast.FunctionDef):
+                a = node.args
+                params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg,
+                                          a.kwarg) if p is not None]
+                read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                unread |= {f"{name}({p})" for p in params
+                           if p not in read and p not in ("self", "cls")}
+    return unread
+
+
+def test_every_parameter_of_a_public_function_in_src_is_read():
+    # a parameter nothing reads is a knob that turns nothing, and every caller must
+    # still pass it
+    assert unread_parameters() == set()
 
 
 def _fork_sites(node) -> Counter:
