@@ -33,7 +33,6 @@ _PROBE_CHUNK = 32
 
 @dataclass(frozen=True)
 class AdditivityReport:
-    scores: np.ndarray
     mean: float
     std: float
     n: int
@@ -144,7 +143,7 @@ def merge_parts(parts) -> AdditivityReport:
         raise DegenerateInputError("every triple in the batch was degenerate")
     mean = float(arr.mean())
     std = float(arr.std(ddof=0)) if arr.size > 1 else 0.0
-    return AdditivityReport(scores=arr, mean=mean, std=std, n=arr.size, excluded=excluded)
+    return AdditivityReport(mean=mean, std=std, n=arr.size, excluded=excluded)
 
 
 def probe_chunks(n: int) -> int:

@@ -129,13 +129,15 @@ def compute_prototypes(teacher: EncoderModel, foregrounds,
     return protos
 
 
-def k_sweep(teacher: EncoderModel, foregrounds, bg_pool, k_grid,
+def k_sweep(teacher: EncoderModel, foregrounds, bg_pool, bg_embs: np.ndarray, k_grid,
             class_protos: dict[int, np.ndarray], seed: int, var_trials: int = 200,
             memo: RenderMemo | None = None) -> KSweepReport:
     """Anchor quality versus K: class similarity, background leakage, Var(eps).
 
-    Leakage is an anchor's highest cosine to a background-group prototype, the
-    `unit_mean` of that group's rows of the pool's one `background_embeddings`.
+    `bg_embs` is the pool's `background_embeddings`, row for row.  Leakage is an
+    anchor's highest cosine to a background-group prototype, the `unit_mean` of
+    that group's rows of `bg_embs`.  Each K's anchors and variance trials draw
+    from seeds named by K, so a K's results do not depend on the rest of the grid.
     The swept anchors render through `memo`, a fresh one when None.
     """
     k_grid = tuple(int(k) for k in k_grid)
@@ -148,7 +150,6 @@ def k_sweep(teacher: EncoderModel, foregrounds, bg_pool, k_grid,
             raise ConfigError(f"missing class prototype for class {fg.y}")
     if not bg_pool:
         raise ConfigError("background pool is empty")
-    bg_embs = background_embeddings(teacher, bg_pool)
     mu = bg_embs.astype(np.float64).mean(axis=0)
     groups = np.array([bg.g for bg in bg_pool])
     bg_proto_mat = np.stack([unit_mean(bg_embs[groups == g], f"background group {g} prototype")

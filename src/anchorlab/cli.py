@@ -31,7 +31,7 @@ import numpy as np
 
 from . import alignment, anchors, evaluation, scene
 from .additivity import merge_parts, probe_chunks, run_probe
-from .encoders import EncoderModel, PlantedConfig, encode_np, freeze, planted_teacher
+from .encoders import EncoderModel, encode_np, freeze, planted_teacher
 from .errors import ConfigError
 from .files import write_whole
 from .rng import derive_seed
@@ -67,7 +67,6 @@ class ExperimentConfig:
     teacher: str = "learned-mlp"
     teacher_epochs: int = 6
     d: int = 64
-    planted_alpha: float = 0.0
     # anchor + alignment phase
     M: int = 5
     K: int = 10
@@ -137,9 +136,6 @@ class ExperimentConfig:
         if self.teacher == "learned-mlp" and self.teacher_epochs < 1:
             raise ConfigError(f"the learned-mlp teacher needs teacher_epochs >= 1, "
                               f"got {self.teacher_epochs}")
-        if self.teacher == "planted" and self.planted_alpha < 0:
-            raise ConfigError(f"the planted teacher needs planted_alpha >= 0, "
-                              f"got {self.planted_alpha}")
         if self.probe_lr <= 0:
             raise ConfigError(f"probe_lr must be positive, got {self.probe_lr}")
         # the alignment and lp-ft phases run under these settings
@@ -259,9 +255,8 @@ class SeedContext:
     def teacher(self) -> EncoderModel:
         c = self.cfg
         if c.teacher == "planted":
-            return planted_teacher(PlantedConfig(seed=derive_seed(self.seed, "planted"),
-                                                 alpha=c.planted_alpha),
-                                   d=c.d, input_hw=(c.hw, c.hw))
+            return planted_teacher(derive_seed(self.seed, "planted"), d=c.d,
+                                   input_hw=(c.hw, c.hw))
         return alignment.pretrain_teacher(self.world[0], self.bg_pools[0],
                                           derive_seed(self.seed, "teacher"),
                                           epochs=c.teacher_epochs, d=c.d,
@@ -429,8 +424,8 @@ def _probe_share(run: tuple, k: int, shares: int) -> list[tuple]:
     parts = []
     for alpha in cfg.additivity_alphas:
         t0 = time.perf_counter()
-        teacher = EncoderModel(planted.arch, planted.d, planted.input_hw, {}, planted.consts,
-                               frozen=True, meta={**planted.meta, "alpha": alpha})
+        teacher = EncoderModel(planted.arch, planted.d, planted.input_hw, {},
+                               {**planted.consts, "alpha": np.float64(alpha)}, frozen=True)
         part = run_probe(teacher, fgs, bgs, cfg.additivity_n,
                          derive_seed(seed, "additivity", alpha), part=(k, shares))
         parts.append((part, time.perf_counter() - t0))
@@ -453,8 +448,8 @@ def cmd_probe_additivity(cfg: ExperimentConfig, seed: int, out) -> Path:
     with _one_blas_thread():
         fgs, bgs = SeedContext(cfg, derive_seed(seed, "run", 0)).world
         scene.prepare_foregrounds(fgs)  # once, not once per share
-        planted = planted_teacher(PlantedConfig(seed=derive_seed(seed, "additivity-teacher")),
-                                  d=cfg.d, input_hw=(cfg.hw, cfg.hw))
+        planted = planted_teacher(derive_seed(seed, "additivity-teacher"), d=cfg.d,
+                                  input_hw=(cfg.hw, cfg.hw))
         shares = min(_usable_cpus(), probe_chunks(cfg.additivity_n))
         per_share = _fork_shares(_probe_share, (cfg, seed, fgs, bgs, planted),
                                  [(k, shares) for k in range(shares)])
@@ -474,24 +469,46 @@ def cmd_probe_additivity(cfg: ExperimentConfig, seed: int, out) -> Path:
                           rows)
 
 
+def _k_share(run: tuple, ks: tuple[int, ...]) -> anchors.KSweepReport:
+    """`anchors.k_sweep` of the ascending K values `ks`, on `run`, a (config, global
+    seed, teacher, swept foregrounds, background pool, its embeddings, class
+    prototypes, render memo) tuple."""
+    cfg, seed, teacher, fgs, bgs, bg_embs, protos, memo = run
+    return anchors.k_sweep(teacher, fgs, bgs, bg_embs, ks, protos, derive_seed(seed, "ksweep"),
+                           var_trials=cfg.var_trials, memo=memo)
+
+
 def cmd_k_ablation(cfg: ExperimentConfig, seed: int, out) -> Path:
+    """One run record per K and the table built from them.
+
+    The teacher, its class prototypes and the pool's one `background_embeddings` are
+    built first.  The K grid is then dealt, largest K first, each into the share with
+    the least K so far, into min(usable CPUs, len(k_grid)) shares, since a K's cost
+    grows with K; `_fork_shares` runs them, each share its K values in ascending
+    order.  A K's results do not depend on the others, so joined in grid order they
+    are the same however the grid is dealt; the slope is fitted over the whole grid.
+    """
     out = _ensure_out(out)
     ctx = SeedContext(cfg, derive_seed(seed, "run", 0))
     with _one_blas_thread():
         fgs, bgs = ctx.world
         teacher = ctx.teacher
         protos = anchors.compute_prototypes(teacher, fgs, memo=ctx.memo)
-        report = anchors.k_sweep(teacher, _first_per_class(fgs, 25), bgs, cfg.k_grid,
-                                 protos, derive_seed(seed, "ksweep"),
-                                 var_trials=cfg.var_trials, memo=ctx.memo)
-        logk = np.log(np.asarray(report.k_grid, dtype=np.float64))
-        logv = np.log(np.asarray(report.var_eps, dtype=np.float64))
+        run = (cfg, seed, teacher, _first_per_class(fgs, 25), bgs,
+               anchors.background_embeddings(teacher, bgs), protos, ctx.memo)
+        dealt = [[] for _ in range(min(_usable_cpus(), len(cfg.k_grid)))]
+        for k in sorted(cfg.k_grid, reverse=True):
+            min(dealt, key=sum).append(k)
+        grid, fg_sim, bg_sim_max, var_eps = zip(*sorted(
+            row for rep in _fork_shares(_k_share, run, [(tuple(sorted(ks)),) for ks in dealt])
+            for row in zip(rep.k_grid, rep.fg_sim, rep.bg_sim_max, rep.var_eps)))
+        logk = np.log(np.asarray(grid, dtype=np.float64))
+        logv = np.log(np.asarray(var_eps, dtype=np.float64))
         slope = float(np.polyfit(logk, logv, 1)[0])
         run_ids = [_write_run_record(out, f"k-ablation-K{k}", cfg, derive_seed(seed, "ksweep"),
                                      {"K": k, "fg_sim": f, "bg_sim_max": b, "var_eps": v,
                                       "slope": slope})
-                   for k, f, b, v in zip(report.k_grid, report.fg_sim, report.bg_sim_max,
-                                         report.var_eps)]
+                   for k, f, b, v in zip(grid, fg_sim, bg_sim_max, var_eps)]
         rows = [[rec["K"], f"{rec['fg_sim']:.6f}", f"{rec['bg_sim_max']:.6f}",
                  f"{rec['var_eps']:.8g}", f"{rec['slope']:.4f}"]
                 for rec in _read_run_records(out, run_ids)]
@@ -795,7 +812,9 @@ def cmd_ablate(cfg: ExperimentConfig, seed: int, out, which: str) -> Path:
     """bap-lp at the first rho over one swept setting: one run record per CSV row,
     `runs/ablate-<which>-<param>-<value>.json`, holding the swept config with the
     methods its point scores.  `seg` adds a native-lp baseline, scored on the point
-    whose degradation is the config's.
+    whose degradation is the config's.  A learned teacher reads the config's
+    degradation, so each `seg` point's teacher is pre-trained on composites cut
+    with that point's masks: the row measures teacher and student together.
 
     Each sweep point is one `_run_jobs` job, so the points are spread over the usable
     CPUs as run-matrix's seeds are.  A record's `wall_s` excludes its point's world,

@@ -17,8 +17,6 @@ gradients and are safe to share across workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import tensor as T
@@ -29,31 +27,18 @@ from .tensor import Tensor
 MLP_HIDDEN = 256
 
 
-@dataclass(frozen=True)
-class PlantedConfig:
-    """Configuration of the planted analytically-additive teacher."""
-
-    seed: int
-    alpha: float = 0.0
-
-    def __post_init__(self):
-        if self.alpha < 0:
-            raise ConfigError("non-additivity coefficient alpha must be >= 0")
-
-
 class EncoderModel:
     """An encoder with a named parameter set and a frozen/trainable role."""
 
     def __init__(self, arch: str, d: int, input_hw: tuple[int, int],
                  params: dict[str, Tensor], consts: dict[str, np.ndarray],
-                 frozen: bool, meta: dict | None = None):
+                 frozen: bool):
         self.arch = arch
         self.d = d
         self.input_hw = tuple(input_hw)
         self.params = params
         self.consts = consts
         self.frozen = frozen
-        self.meta = dict(meta or {})
 
 
 def _flat_dim(hw: tuple[int, int]) -> int:
@@ -76,25 +61,28 @@ def _avg_pool4(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def planted_teacher(cfg: PlantedConfig, d: int = 64, input_hw: tuple[int, int] = (64, 64)) -> EncoderModel:
-    """Frozen teacher with tunable foreground/background additivity.
+def planted_teacher(seed: int, d: int = 64, input_hw: tuple[int, int] = (64, 64),
+                    alpha: float = 0.0) -> EncoderModel:
+    """Frozen teacher with tunable foreground/background additivity: `alpha` >= 0
+    weighs the non-additive term, a constant of the map beside `W` and `P`.
 
     Stands in for a pre-trained contrastive backbone: the plain Gaussian W
     keeps the shared mid-gray image component, so all natural rasters map
     into a narrow cone (nonzero background mean), mirroring real encoders.
     """
+    if alpha < 0:
+        raise ConfigError("non-additivity coefficient alpha must be >= 0")
     H, W = input_hw
     if H % 4 or W % 4:
         raise ConfigError("planted teacher needs extents divisible by 4")
     D = _flat_dim(input_hw)
-    g = rng(cfg.seed, "planted")
+    g = rng(seed, "planted")
     Wmat = (g.standard_normal((D, d)) / np.sqrt(D)).astype(np.float32)
     Dp = (H // 4) * (W // 4) * 3
     Pmat = (g.standard_normal((Dp, d)) / np.sqrt(Dp)).astype(np.float32)
     return EncoderModel(
         arch="planted-linear", d=d, input_hw=input_hw, params={},
-        consts={"W": Wmat, "P": Pmat}, frozen=True,
-        meta={"seed": cfg.seed, "alpha": cfg.alpha},
+        consts={"W": Wmat, "P": Pmat, "alpha": np.float64(alpha)}, frozen=True,
     )
 
 
@@ -116,14 +104,14 @@ def init_encoder(arch: str, seed: int, d: int = 64, input_hw: tuple[int, int] = 
     else:
         raise ConfigError(f"unknown architecture {arch!r}")
     return EncoderModel(arch=arch, d=d, input_hw=input_hw, params=params,
-                        consts={}, frozen=False, meta={"seed": seed})
+                        consts={}, frozen=False)
 
 
 def _pre_embed_planted(model: EncoderModel, batch: np.ndarray) -> np.ndarray:
     B = batch.shape[0]
     flat = batch.reshape(B, -1).astype(np.float32, copy=False)
     z = flat @ model.consts["W"]
-    alpha = float(model.meta.get("alpha", 0.0))
+    alpha = float(model.consts["alpha"])
     if alpha > 0:
         pooled = _avg_pool4(batch)
         z = z + alpha * (pooled**2).reshape(B, -1) @ model.consts["P"]
@@ -179,12 +167,11 @@ def clone_unfrozen(teacher: EncoderModel) -> EncoderModel:
     if teacher.arch == "planted-linear":
         params = {"W": Tensor(teacher.consts["W"].copy(), requires_grad=True)}
         return EncoderModel(arch="linear", d=teacher.d, input_hw=teacher.input_hw,
-                            params=params, consts={}, frozen=False,
-                            meta={**teacher.meta, "cloned_from": "planted-linear"})
+                            params=params, consts={}, frozen=False)
     params = {k: Tensor(v.data.copy(), requires_grad=True) for k, v in teacher.params.items()}
     return EncoderModel(arch=teacher.arch, d=teacher.d, input_hw=teacher.input_hw,
                         params=params, consts={k: v.copy() for k, v in teacher.consts.items()},
-                        frozen=False, meta=dict(teacher.meta))
+                        frozen=False)
 
 
 def freeze(model: EncoderModel) -> EncoderModel:
@@ -192,4 +179,4 @@ def freeze(model: EncoderModel) -> EncoderModel:
     params = {k: Tensor(v.data.copy(), requires_grad=False) for k, v in model.params.items()}
     return EncoderModel(arch=model.arch, d=model.d, input_hw=model.input_hw,
                         params=params, consts={k: v.copy() for k, v in model.consts.items()},
-                        frozen=True, meta=dict(model.meta))
+                        frozen=True)

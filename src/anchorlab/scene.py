@@ -46,7 +46,6 @@ SCENE_SCALE_RANGE = (0.6, 0.8)
 ANCHOR_SCALE = 0.8
 
 TEST_FRACTION = 0.2  # share of each background group held out for testing
-BALANCED_RHO = 0.5  # the test split's rate: every (class, group) cell equally filled
 
 # cap on the blend parts one RenderMemo stores: a default-config seed's
 # distinct sizes take 83.4 MiB
@@ -78,7 +77,6 @@ class ForegroundInstance:
     y: int
     raster: np.ndarray  # H x W x 3 in [0,1], object on neutral gray
     mask: np.ndarray  # H x W uint8 in 0..255
-    bbox: tuple[int, int, int, int]  # r0, r1, c0, c1 (exclusive)
     _prepared: dict = field(default_factory=dict, repr=False, compare=False)
 
 
@@ -100,8 +98,7 @@ class GroupedDataset:
     """One split as aligned columns: row i of the read-only float32 `batch` is
     foreground `fg_ids[i]`, of class `labels[i]`, composited on background
     `bg_ids[i]`, of group `groups[i]`, at the scale item seed `seeds[i]` draws, with
-    the split's mask `degradation`.  `rho` is the split's class/group correlation,
-    `BALANCED_RHO` for a test split."""
+    the split's mask `degradation`."""
 
     batch: np.ndarray = field(repr=False)
     labels: np.ndarray
@@ -110,8 +107,6 @@ class GroupedDataset:
     bg_ids: list[str]
     seeds: list[int]
     degradation: str
-    rho: float
-    split: str
 
 
 # ---------------------------------------------------------------------------
@@ -175,10 +170,7 @@ def make_foreground(seed: int, fg_id: str, y: int,
     context += g.normal(0.0, 0.03, size=context.shape).astype(np.float32)
     raster[~inside] = np.clip(context, 0.0, 1.0)[~inside]
     mask = np.where(inside, 255, 0).astype(np.uint8)
-    rows = np.flatnonzero(inside.any(axis=1))
-    cols = np.flatnonzero(inside.any(axis=0))
-    bbox = (int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1)
-    return ForegroundInstance(id=fg_id, y=y, raster=raster, mask=mask, bbox=bbox)
+    return ForegroundInstance(id=fg_id, y=y, raster=raster, mask=mask)
 
 
 def make_background(seed: int, bg_id: str, group: int,
@@ -506,7 +498,7 @@ def split_backgrounds(backgrounds: list[BackgroundImage],
     return train, test
 
 
-def _rendered_split(specs, rho: float, split: str, degradation: str = "perfect",
+def _rendered_split(specs, degradation: str = "perfect",
                     memo: RenderMemo | None = None) -> GroupedDataset:
     """A split of (fg, bg, item_seed) specs rendered in one `render` call."""
     batch = render([(fg, bg, scene_scale(s)) for fg, bg, s in specs], degradation, memo)
@@ -514,7 +506,7 @@ def _rendered_split(specs, rho: float, split: str, degradation: str = "perfect",
     return GroupedDataset(batch, np.array([fg.y for fg, _, _ in specs], dtype=np.int64),
                           np.array([bg.g for _, bg, _ in specs], dtype=np.int64),
                           [fg.id for fg, _, _ in specs], [bg.id for _, bg, _ in specs],
-                          [s for _, _, s in specs], degradation, rho, split)
+                          [s for _, _, s in specs], degradation)
 
 
 def _split_cells(foregrounds: list[ForegroundInstance], backgrounds: list[BackgroundImage],
@@ -549,7 +541,7 @@ def build_train_split(foregrounds: list[ForegroundInstance],
             fg = fg_by_class[y][int(gsel.integers(0, len(fg_by_class[y])))]
             bg = pool[int(gsel.integers(0, len(pool)))]
             specs.append((fg, bg, derive_seed(seed, fg.id, bg.id, i)))
-    return _rendered_split(specs, rho, "train", memo=memo)
+    return _rendered_split(specs, memo=memo)
 
 
 def build_test_split(foregrounds: list[ForegroundInstance],
@@ -568,7 +560,7 @@ def build_test_split(foregrounds: list[ForegroundInstance],
                 pool = bg_by_group[grp]
                 bg = pool[int(gsel.integers(0, len(pool)))]
                 specs.append((fg, bg, derive_seed(seed, fg.id, bg.id, i)))
-    return _rendered_split(specs, BALANCED_RHO, "test", memo=memo)
+    return _rendered_split(specs, memo=memo)
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +584,7 @@ def write_manifest(path, train: GroupedDataset, test: GroupedDataset,
 
 # what `regenerate_from_manifest` reads from the header and from each item line
 _HEADER_FIELDS = ("world_seed", "num_classes", "num_bg_groups", "fg_per_class",
-                  "bg_per_group", "hw", "rho")
+                  "bg_per_group", "hw")
 _ITEM_FIELDS = ("fg_id", "bg_id", "split", "degradation", "seed")
 
 
@@ -655,7 +647,5 @@ def regenerate_from_manifest(path) -> tuple[GroupedDataset, GroupedDataset]:
         if len(modes) != 1:
             raise ManifestError(f"{split} split needs one degradation, has {sorted(modes)}")
         out.append(_rendered_split([(fg_map[rec["fg_id"]], bg_map[rec["bg_id"]], rec["seed"])
-                                    for rec in recs],
-                                   header["rho"] if split == "train" else BALANCED_RHO, split,
-                                   modes.pop(), memo))
+                                    for rec in recs], modes.pop(), memo))
     return out[0], out[1]

@@ -5,7 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from anchorlab.encoders import PlantedConfig, init_encoder, planted_teacher
+from anchorlab.encoders import init_encoder, planted_teacher
 from anchorlab.scene import gen_world
 
 
@@ -18,7 +18,7 @@ def micro_world():
 @pytest.fixture(scope="session")
 def micro_teacher():
     """Frozen planted teacher matched to the micro world's resolution."""
-    return planted_teacher(PlantedConfig(seed=7, alpha=0.0), d=16, input_hw=(32, 32))
+    return planted_teacher(7, d=16, input_hw=(32, 32), alpha=0.0)
 
 
 @pytest.fixture()

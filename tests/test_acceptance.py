@@ -19,7 +19,6 @@ from anchorlab import tensor as T
 from anchorlab.additivity import merge_parts, run_probe
 from anchorlab.cli import ExperimentConfig, SeedContext, cmd_run_matrix, evaluate_method, run_seeds
 from anchorlab.encoders import (
-    PlantedConfig,
     encode_batch,
     encode_np,
     freeze,
@@ -51,8 +50,8 @@ GLOBAL_SEED = 0
 def probe_world():
     """Mid-sized planted-teacher world for the additivity and anchor criteria."""
     fgs, bgs = gen_world(derive_seed(GLOBAL_SEED, "accept-world"), 2, 2, 25, 150, (64, 64))
-    teacher = planted_teacher(PlantedConfig(seed=derive_seed(GLOBAL_SEED, "accept-teacher"),
-                                            alpha=0.0), d=64, input_hw=(64, 64))
+    teacher = planted_teacher(derive_seed(GLOBAL_SEED, "accept-teacher"), d=64,
+                              input_hw=(64, 64), alpha=0.0)
     return fgs, bgs, teacher
 
 
@@ -220,15 +219,13 @@ def test_additivity_exact_and_monotone(probe_world):
     means = []
     exact_dev = None
     for alpha in (0.0, 0.5, 2.0):
-        teacher = planted_teacher(
-            PlantedConfig(seed=derive_seed(GLOBAL_SEED, "accept-teacher"), alpha=alpha),
-            d=64, input_hw=(64, 64))
-        rep = merge_parts([run_probe(teacher, fgs, bgs, 1000,
-                                     derive_seed(GLOBAL_SEED, "accept-additivity"),
-                                     mode="exact")])
-        means.append(rep.mean)
+        teacher = planted_teacher(derive_seed(GLOBAL_SEED, "accept-teacher"), d=64,
+                                  input_hw=(64, 64), alpha=alpha)
+        part = run_probe(teacher, fgs, bgs, 1000, derive_seed(GLOBAL_SEED, "accept-additivity"),
+                         mode="exact")
+        means.append(merge_parts([part]).mean)
         if alpha == 0.0:
-            exact_dev = float(np.abs(rep.scores - 1.0).max())
+            exact_dev = float(np.abs(part.scores - 1.0).max())
     wall = time.perf_counter() - t0
     assert exact_dev < 1e-5 and means[0] > means[1] > means[2] and wall < 60.0, \
         (f"alpha=0 max |S-1| {exact_dev:.2e} (need < 1e-5); "

@@ -19,7 +19,7 @@ from anchorlab.additivity import (
     score_triples,
     triple_rasters,
 )
-from anchorlab.encoders import PlantedConfig, encode_np, planted_teacher, pre_embedding
+from anchorlab.encoders import encode_np, planted_teacher, pre_embedding
 from anchorlab.errors import ConfigError, DegenerateInputError
 from anchorlab import scene
 from anchorlab.rng import derive_seed
@@ -67,24 +67,25 @@ def test_batch_mean_matches_arithmetic(micro_world, micro_teacher):
     fgs, bgs = micro_world
     triples = [triple_rasters(fg, bgs[i % len(bgs)], 100 + i)
                for i, fg in enumerate(fgs)]
-    report = merge_parts([score_triples(micro_teacher, triples)])
+    part = score_triples(micro_teacher, triples)
+    report = merge_parts([part])
     assert report.n == len(triples)
-    assert report.mean == pytest.approx(float(report.scores.mean()), abs=1e-7)
-    assert report.std == pytest.approx(float(report.scores.std(ddof=0)), abs=1e-7)
+    assert report.mean == pytest.approx(float(part.scores.mean()), abs=1e-7)
+    assert report.std == pytest.approx(float(part.scores.std(ddof=0)), abs=1e-7)
     with pytest.raises(ConfigError):
         merge_parts([score_triples(micro_teacher, [])])
 
 
 def test_exact_mode_planted_alpha0_is_one(micro_world, micro_teacher):
     fgs, bgs = micro_world
-    report = merge_parts([run_probe(micro_teacher, fgs[:4], bgs[:4], 8, 9, mode="exact")])
-    assert report.mean == pytest.approx(1.0, abs=1e-5)
-    assert np.all(np.abs(report.scores - 1.0) < 1e-5)
+    part = run_probe(micro_teacher, fgs[:4], bgs[:4], 8, 9, mode="exact")
+    assert merge_parts([part]).mean == pytest.approx(1.0, abs=1e-5)
+    assert np.all(np.abs(part.scores - 1.0) < 1e-5)
 
 
 def test_exact_mode_nonlinearity_lowers_scores(micro_world):
     fgs, bgs = micro_world
-    bent = planted_teacher(PlantedConfig(seed=7, alpha=2.0), d=16, input_hw=(32, 32))
+    bent = planted_teacher(7, d=16, input_hw=(32, 32), alpha=2.0)
     report = merge_parts([run_probe(bent, fgs[:4], bgs[:4], 8, 9, mode="exact")])
     assert report.mean < 1.0 - 1e-4
 
@@ -201,17 +202,18 @@ def _per_triple_probe(model, foregrounds, backgrounds, n, seed, mode):
                                       ((32, 32), 16, _PROBE_CHUNK + 7)])
 def test_run_probe_matches_the_per_triple_loop(mode, alpha, hw, d, n):
     fgs, bgs = gen_world(31, 2, 2, 5, 12, hw)
-    model = planted_teacher(PlantedConfig(seed=5, alpha=alpha), d=d, input_hw=hw)
-    report = merge_parts([run_probe(model, fgs, bgs, n, 17, mode=mode)])
+    model = planted_teacher(5, d=d, input_hw=hw, alpha=alpha)
+    part = run_probe(model, fgs, bgs, n, 17, mode=mode)
+    report = merge_parts([part])
     scores, excluded = _per_triple_probe(model, fgs, bgs, n, 17, mode)
     assert (report.n, report.excluded) == (scores.size, excluded) == (n, 0)
     # BLAS sums a planted map's products in an order that can depend on the batch
     # height.  For the default 12288x64 W every batch of >= 2 rows gives the same
     # row bits; the 4x4-pooled P product, and W at other shapes, can move by ~1e-7.
     if alpha == 0 and (hw, d) == ((64, 64), 64):
-        assert np.array_equal(report.scores, scores)
+        assert np.array_equal(part.scores, scores)
     else:
-        assert np.max(np.abs(report.scores - scores)) <= 1e-6
+        assert np.max(np.abs(part.scores - scores)) <= 1e-6
 
 
 def test_run_probe_renders_and_encodes_once_per_chunk(micro_world, micro_teacher, monkeypatch):
@@ -230,17 +232,17 @@ def test_run_probe_renders_and_encodes_once_per_chunk(micro_world, micro_teacher
     assert encodes == [3 * _PROBE_CHUNK] * (chunks - 1) + [3]
 
 
-def test_batch_additivity_counts_a_degenerate_triple_past_a_chunk(micro_world,
-                                                                   micro_teacher):
+def test_score_triples_counts_a_degenerate_triple_past_a_chunk(micro_world, micro_teacher):
     fgs, bgs = micro_world
     triples = [triple_rasters(fgs[i % len(fgs)], bgs[i % len(bgs)], 40 + i)
                for i in range(_PROBE_CHUNK)]
     iso = triples[0][0]
     triples.append((iso, -iso, iso))  # antipodal parts under the linear planted map
-    report = merge_parts([score_triples(micro_teacher, iter(triples))])
+    part = score_triples(micro_teacher, iter(triples))
+    report = merge_parts([part])
     assert (report.n, report.excluded) == (_PROBE_CHUNK, 1)
     one_at_a_time = [score_triples(micro_teacher, [t]).scores[0] for t in triples[:-1]]
-    assert np.max(np.abs(report.scores - one_at_a_time)) <= 1e-6
+    assert np.max(np.abs(part.scores - one_at_a_time)) <= 1e-6
     with pytest.raises(DegenerateInputError):
         merge_parts([score_triples(micro_teacher, triples[-1:])])
     for empty in ([], iter(())):
@@ -260,7 +262,8 @@ def test_run_probe_deterministic(micro_world, micro_teacher):
 def test_the_parts_of_a_probe_merge_to_the_whole(micro_world, micro_teacher, mode):
     fgs, bgs = micro_world
     n = 4 * _PROBE_CHUNK + 3
-    whole = merge_parts([run_probe(micro_teacher, fgs, bgs, n, 8, mode=mode)])
+    whole_part = run_probe(micro_teacher, fgs, bgs, n, 8, mode=mode)
+    whole = merge_parts([whole_part])
     for shares in range(1, probe_chunks(n) + 1):
         parts = [run_probe(micro_teacher, fgs, bgs, n, 8, mode=mode, part=(k, shares))
                  for k in range(shares)]
@@ -269,7 +272,7 @@ def test_the_parts_of_a_probe_merge_to_the_whole(micro_world, micro_teacher, mod
         assert max(chunks) - min(chunks) <= 1 and sum(chunks) == probe_chunks(n)
         assert all(part.scores.size % _PROBE_CHUNK == 0 for part in parts[:-1])
         merged = merge_parts(parts)
-        assert np.array_equal(merged.scores, whole.scores)
+        assert np.array_equal(np.concatenate([part.scores for part in parts]), whole_part.scores)
         assert (merged.mean, merged.std, merged.n, merged.excluded) == (
             whole.mean, whole.std, whole.n, whole.excluded)
     for part in ((0, 0), (1, 1), (-1, 2), (0, probe_chunks(n) + 1)):

@@ -95,18 +95,19 @@ def test_compute_prototypes(micro_world, micro_teacher, monkeypatch):
 def test_k_sweep_report_and_errors(micro_world, micro_teacher):
     fgs, bgs = micro_world
     protos = compute_prototypes(micro_teacher, fgs)
-    report = k_sweep(micro_teacher, fgs[:2], bgs, (1, 4), protos, 6, var_trials=50)
+    embs = background_embeddings(micro_teacher, bgs)
+    report = k_sweep(micro_teacher, fgs[:2], bgs, embs, (1, 4), protos, 6, var_trials=50)
     assert report.k_grid == (1, 4)
     assert len(report.fg_sim) == len(report.bg_sim_max) == len(report.var_eps) == 2
     assert report.var_eps[1] < report.var_eps[0]
     with pytest.raises(ConfigError):
-        k_sweep(micro_teacher, fgs[:2], bgs, (), protos, 6)
+        k_sweep(micro_teacher, fgs[:2], bgs, embs, (), protos, 6)
     with pytest.raises(ConfigError):
-        k_sweep(micro_teacher, fgs[:2], bgs, (4, 1), protos, 6)
+        k_sweep(micro_teacher, fgs[:2], bgs, embs, (4, 1), protos, 6)
     with pytest.raises(ConfigError):
-        k_sweep(micro_teacher, fgs[:2], bgs, (1,), {}, 6)
+        k_sweep(micro_teacher, fgs[:2], bgs, embs, (1,), {}, 6)
     with pytest.raises(ConfigError):
-        k_sweep(micro_teacher, fgs[:2], [], (1,), protos, 6)
+        k_sweep(micro_teacher, fgs[:2], [], embs[:0], (1,), protos, 6)
 
 
 def test_orthogonal_targets_properties():

@@ -134,10 +134,6 @@ def test_config_rejects_untrainable_teacher():
         ExperimentConfig(**{**MINI, "teacher": "learned-mlp", "teacher_epochs": 0})
     # the planted teacher is built, not trained, so its epochs are never read
     ExperimentConfig(**{**MINI, "teacher": "planted", "teacher_epochs": 0})
-    with pytest.raises(ConfigError, match="planted_alpha"):
-        ExperimentConfig(**{**MINI, "teacher": "planted", "planted_alpha": -0.5})
-    # and the learned teacher never reads the planted one's alpha
-    ExperimentConfig(**{**MINI, "teacher": "learned-mlp", "planted_alpha": -0.5})
 
 
 @pytest.mark.parametrize("text, key", [
@@ -461,7 +457,7 @@ def _log_probe_work(monkeypatch, log):
         "render", additivity.render,
         lambda items: hash(tuple((fg.id, bg.id, scale) for fg, bg, scale in items))))
     monkeypatch.setattr(additivity, "encode_np", logged(
-        "encode", additivity.encode_np, lambda model, rows: f"{model.meta['alpha']}-"
+        "encode", additivity.encode_np, lambda model, rows: f"{float(model.consts['alpha'])}-"
         f"{len(rows)}-{hashlib.sha256(rows.tobytes()).hexdigest()[:16]}"))
 
 
@@ -540,6 +536,7 @@ def test_k_ablation_sweeps_the_first_25_foregrounds_of_each_class(tmp_path, monk
         raise Swept
 
     monkeypatch.setattr(anchors, "k_sweep", capture)
+    monkeypatch.setattr(cli, "_may_fork", lambda: False)  # the capture runs here
     with pytest.raises(Swept):
         cmd_k_ablation(ExperimentConfig(**{**MINI, "fg_per_class": 50}), 3, tmp_path)
     assert swept == [f"fg-{y}-{i}" for y in (0, 1) for i in range(25)]
@@ -557,6 +554,25 @@ def test_k_ablation_encodes_its_pool_once_and_resizes_through_the_seeds_memo(
     cmd_k_ablation(mini_cfg, 3, tmp_path)
     assert calls.count("background_embeddings") == 1
     assert calls.count("scaled_foreground") == 2 * mini_cfg.fg_per_class
+
+
+def test_forked_and_in_process_k_ablations_agree(tmp_path, monkeypatch):
+    # two CPUs deal the grid largest K first into the shares 5, 1 | 3, 2, each swept
+    # in ascending order in its own child; the rows join in grid order
+    cfg = ExperimentConfig(**{**MINI, "k_grid": (1, 2, 3, 5)})
+    forks = _cpus(monkeypatch, 2)
+    cmd_k_ablation(cfg, 3, tmp_path / "forked")
+    assert forks == [("_k_share", 2)]
+    # the same shares, run here in turn
+    monkeypatch.setattr(cli, "_may_fork", lambda: False)
+    cmd_k_ablation(cfg, 3, tmp_path / "serial")
+    assert forks == [("_k_share", 2)]
+    forked, serial = (tmp_path / "forked", tmp_path / "serial")
+    assert (forked / "k_ablation.csv").read_bytes() == (serial / "k_ablation.csv").read_bytes()
+    names = sorted(p.name for p in (serial / "runs").iterdir())
+    assert sorted(p.name for p in (forked / "runs").iterdir()) == names
+    for name in names:
+        assert (forked / "runs" / name).read_bytes() == (serial / "runs" / name).read_bytes()
 
 
 def test_run_matrix_outputs(tmp_path, mini_cfg):
@@ -1257,7 +1273,7 @@ def test_metrics_csv_header_and_format(tmp_path):
 def test_additivity_csv_header_and_format(tmp_path, mini_cfg, monkeypatch):
     def fixed_probe(teacher, fgs, bgs, n, seed, part):
         assert part == (0, 1)  # the mini probe is one chunk
-        score = 1.0 if teacher.meta["alpha"] == 2.0 else 0.5
+        score = 1.0 if float(teacher.consts["alpha"]) == 2.0 else 0.5
         return ProbePart(scores=np.full(n, score), excluded=0)
 
     monkeypatch.setattr(cli, "run_probe", fixed_probe)

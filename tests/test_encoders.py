@@ -5,7 +5,6 @@ import pytest
 
 from anchorlab import tensor as T
 from anchorlab.encoders import (
-    PlantedConfig,
     _avg_pool4,
     clone_unfrozen,
     encode_batch,
@@ -36,7 +35,7 @@ def test_planted_alpha0_is_linear(micro_teacher):
 
 
 def test_planted_alpha_breaks_linearity():
-    t = planted_teacher(PlantedConfig(seed=7, alpha=2.0), d=16, input_hw=(32, 32))
+    t = planted_teacher(7, d=16, input_hw=(32, 32), alpha=2.0)
     x1 = _rand_raster(1)[0]
     x2 = _rand_raster(2)[0]
     z1 = pre_embedding(t, x1)[0]
@@ -59,14 +58,14 @@ def test_avg_pool4_matches_the_strided_mean_bit_for_bit(B, hw):
 
 
 def test_planted_is_frozen_and_deterministic():
-    a = planted_teacher(PlantedConfig(seed=3), d=8, input_hw=(32, 32))
-    b = planted_teacher(PlantedConfig(seed=3), d=8, input_hw=(32, 32))
+    a = planted_teacher(3, d=8, input_hw=(32, 32))
+    b = planted_teacher(3, d=8, input_hw=(32, 32))
     assert a.frozen and not a.params
     assert param_checksum(a) == param_checksum(b)
     with pytest.raises(ConfigError):
-        planted_teacher(PlantedConfig(seed=3), d=8, input_hw=(30, 30))
+        planted_teacher(3, d=8, input_hw=(30, 30))
     with pytest.raises(ConfigError):
-        PlantedConfig(seed=1, alpha=-0.5)
+        planted_teacher(1, d=8, input_hw=(32, 32), alpha=-0.5)
 
 
 @pytest.mark.parametrize("arch", ["linear", "mlp"])

@@ -85,7 +85,7 @@ def test_prototype_scale_invariance(micro_world, micro_teacher):
     assert np.array_equal(nearest_prototype(scaled, embs), preds)
 
 
-def test_prototype_predict_self_retrieval(micro_world, micro_teacher):
+def test_nearest_prototype_self_retrieval(micro_world, micro_teacher):
     _, bgs = micro_world
     rasters = np.stack([bgs[0].raster, bgs[1].raster])
     embs = encode_np(micro_teacher, rasters)

@@ -14,7 +14,6 @@ from anchorlab import scene
 from anchorlab.errors import ConfigError, DegenerateMaskError, ManifestError
 from anchorlab.rng import derive_seed, rng
 from anchorlab.scene import (
-    BALANCED_RHO,
     CLASS_STYLES,
     DEGRADATIONS,
     GROUP_STYLES,
@@ -208,9 +207,6 @@ def test_gen_world_shapes_and_determinism():
     for fg in fgs:
         assert fg.raster.shape == (32, 32, 3)
         assert set(np.unique(fg.mask)) <= {0, 255}
-        r0, r1, c0, c1 = fg.bbox
-        assert (fg.mask[r0:r1, c0:c1] > 0).any()
-        assert not (fg.mask[:r0] > 0).any() and not (fg.mask[r1:] > 0).any()
     again = gen_world(11, 2, 2, 3, 4, (32, 32))
     assert np.array_equal(fgs[0].raster, again[0][0].raster)
     assert np.array_equal(bgs[0].raster, again[1][0].raster)
@@ -294,7 +290,7 @@ def test_crop_cache_is_keyed_by_degradation(micro_world, mode):
 
     def fresh():
         fg = fgs[0]
-        return ForegroundInstance(fg.id, fg.y, fg.raster, fg.mask, fg.bbox)
+        return ForegroundInstance(fg.id, fg.y, fg.raster, fg.mask)
 
     used = fresh()
     for other in DEGRADATIONS:
@@ -392,11 +388,9 @@ def test_test_split_does_not_depend_on_the_rate(micro_world):
     again = build_test_split(fgs, bgs, 3, 17)
     assert np.array_equal(again.batch, test.batch)
     assert again.seeds == test.seeds
-    assert test.rho == BALANCED_RHO and test.split == "test"
     # every rate's train split draws from the backgrounds the test split leaves out
     for rho in (1.0, 0.9, 0.5):
         train = build_train_split(fgs, bgs, rho, 6, 17)
-        assert train.rho == rho and train.split == "train"
         assert set(train.bg_ids) & set(test.bg_ids) == set()
 
 
@@ -421,7 +415,7 @@ def test_dataset_columns_align_with_one_read_only_batch(micro_world, tmp_path):
     regenerated, _ = regenerate_from_manifest(path)
     class_of = {fg.id: fg.y for fg in fgs}
     group_of = {bg.id: bg.g for bg in bgs}
-    for ds, n, split in ((train, 10, "train"), (test, 8, "test"), (regenerated, 10, "train")):
+    for ds, n in ((train, 10), (test, 8), (regenerated, 10)):
         assert ds.batch.shape == (n, 32, 32, 3) and ds.batch.dtype == np.float32
         for column in (ds.labels, ds.groups, ds.fg_ids, ds.bg_ids, ds.seeds):
             assert len(column) == n
@@ -430,8 +424,7 @@ def test_dataset_columns_align_with_one_read_only_batch(micro_world, tmp_path):
             ds.batch[0, 0, 0, 0] = 0.0
         assert ds.labels.tolist() == [class_of[fg_id] for fg_id in ds.fg_ids]
         assert ds.groups.tolist() == [group_of[bg_id] for bg_id in ds.bg_ids]
-        assert ds.split == split and ds.degradation == "perfect"
-    assert train.rho == regenerated.rho == 0.9 and test.rho == BALANCED_RHO
+        assert ds.degradation == "perfect"
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """`src/` holds only what the lab runs: every public top-level function and class,
 and every public method of those classes, is used by other code in `src/`, or is on
-an allow-list with its reason; every parameter of a public function is read; and
-one function forks, and decides to."""
+an allow-list with its reason; every parameter of a public function and every field
+of a dataclass is read; and one function forks, and decides to."""
 
 import ast
 from collections import Counter
@@ -22,6 +22,10 @@ ALLOWED_UNREFERENCED = {
     "cli.ExperimentConfig.to_json": "the writer side of `from_json`: a config round-trips",
     "tensor.Tensor.item": "the tests read a scalar loss with it, as numpy's `item` does",
 }
+
+# `module.Class.field` of dataclass fields that no code in src/ reads, each with why it
+# stays; none today
+ALLOWED_UNREAD_FIELDS: dict[str, str] = {}
 
 
 def _uses(node) -> Counter:
@@ -74,6 +78,33 @@ def test_every_parameter_of_a_public_function_in_src_is_read():
     # a parameter nothing reads is a knob that turns nothing, and every caller must
     # still pass it
     assert unread_parameters() == set()
+
+
+def _loaded_attributes(node) -> Counter:
+    """How often each attribute is loaded under `node`, but where it is itself the
+    function of a call: `ds.split` reads a field, `line.split(",")` calls a method."""
+    called = {id(n.func) for n in ast.walk(node) if isinstance(n, ast.Call)}
+    return Counter(n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
+                   and isinstance(n.ctx, ast.Load) and id(n) not in called)
+
+
+def unread_dataclass_fields() -> set[str]:
+    """`module.Class.field` of each field of a dataclass defined in `src/` whose name
+    no code in `src/` loads as an attribute.  It works by name, so a field that shares
+    its name with an attribute read elsewhere passes."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    read = sum((_loaded_attributes(tree) for tree in trees.values()), Counter())
+    return {f"{module}.{node.name}.{stmt.target.id}"
+            for module, tree in trees.items() for node in tree.body
+            if isinstance(node, ast.ClassDef)
+            and any(_uses(decorator)["dataclass"] for decorator in node.decorator_list)
+            for stmt in node.body
+            if isinstance(stmt, ast.AnnAssign) and not read[stmt.target.id]}
+
+
+def test_every_dataclass_field_in_src_is_read_or_allowed():
+    # a field nothing reads is computed, stored and carried for no one
+    assert unread_dataclass_fields() == set(ALLOWED_UNREAD_FIELDS)
 
 
 def _fork_sites(node) -> Counter:
