@@ -482,10 +482,9 @@ def cmd_k_ablation(cfg: ExperimentConfig, seed: int, out) -> Path:
     """One run record per K and the table built from them.
 
     The teacher, its class prototypes and the pool's one `background_embeddings` are
-    built first.  The K grid is then dealt, largest K first, each into the share with
-    the least K so far, into min(usable CPUs, len(k_grid)) shares, since a K's cost
-    grows with K; `_fork_shares` runs them, each share its K values in ascending
-    order.  A K's results do not depend on the others, so joined in grid order they
+    built first.  The K grid is then dealt by `_deal`, a K costing K, into
+    min(usable CPUs, len(k_grid)) shares; `_fork_shares` runs them, each share its K
+    values in ascending order.  A K's results do not depend on the others, so joined in grid order they
     are the same however the grid is dealt; the slope is fitted over the whole grid.
     """
     out = _ensure_out(out)
@@ -496,9 +495,7 @@ def cmd_k_ablation(cfg: ExperimentConfig, seed: int, out) -> Path:
         protos = anchors.compute_prototypes(teacher, fgs, memo=ctx.memo)
         run = (cfg, seed, teacher, _first_per_class(fgs, 25), bgs,
                anchors.background_embeddings(teacher, bgs), protos, ctx.memo)
-        dealt = [[] for _ in range(min(_usable_cpus(), len(cfg.k_grid)))]
-        for k in sorted(cfg.k_grid, reverse=True):
-            min(dealt, key=sum).append(k)
+        dealt = _deal(cfg.k_grid, min(_usable_cpus(), len(cfg.k_grid)), int)
         grid, fg_sim, bg_sim_max, var_eps = zip(*sorted(
             row for rep in _fork_shares(_k_share, run, [(tuple(sorted(ks)),) for ks in dealt])
             for row in zip(rep.k_grid, rep.fg_sim, rep.bg_sim_max, rep.var_eps)))
@@ -748,16 +745,25 @@ def _may_fork() -> bool:
         return False
 
 
+def _deal(items, n: int, cost) -> list[list]:
+    """`items` dealt into `n` groups, the costliest first, each into the group with
+    the least `cost` so far."""
+    groups = [[] for _ in range(n)]
+    for entry in sorted(items, key=cost, reverse=True):
+        min(groups, key=lambda group: sum(map(cost, group))).append(entry)
+    return groups
+
+
 def _seed_jobs(jobs, cpus: int) -> list[tuple]:
     """Each (config, run seed, cells) job of `jobs` as (config, run seed, cell groups).
 
     Jobs run `cpus` at a time.  The jobs of full waves stay whole, one group of every
     encoder their cells' methods name, in `ENCODERS` order.  Each of the last
     `len(jobs) % cpus` jobs, a partial wave, gets `cpus // (len(jobs) % cpus)` groups,
-    at most one per trained encoder (native trains nothing): its encoders are dealt
-    longest first by `ENCODER_COST`, each into the group with the least cost so far.
-    A group holds the cells of its encoders, encoder by encoder, each in the job's
-    order.  No student depends on another, so a split changes no number.
+    at most one per trained encoder (native trains nothing), its encoders dealt by
+    `_deal` on `ENCODER_COST`.  A group holds the cells of its encoders, encoder by
+    encoder, each in the job's order.  No student depends on another, so a split
+    changes no number.
     """
     partial = len(jobs) % cpus
     dealt = []
@@ -765,11 +771,7 @@ def _seed_jobs(jobs, cpus: int) -> list[tuple]:
         named = [name for name in ENCODERS if any(METHODS[m][0] == name for _, m, _, _ in cells)]
         trained = sum(name != "native" for name in named)
         k = max(1, min(trained, cpus // partial)) if i >= len(jobs) - partial else 1
-        groups = [[] for _ in range(k)]
-        for name in sorted(named, key=ENCODER_COST.get, reverse=True):
-            min(groups, key=lambda group: sum(map(ENCODER_COST.get, group))).append(name)
-        if k == 1:
-            groups = [named]
+        groups = _deal(named, k, ENCODER_COST.get) if k > 1 else [named]
         dealt.append((cfg, run_seed, [[cell for name in group for cell in cells
                                        if METHODS[cell[1]][0] == name] for group in groups]))
     return dealt

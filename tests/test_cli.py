@@ -551,6 +551,7 @@ def test_k_ablation_encodes_its_pool_once_and_resizes_through_the_seeds_memo(
         real = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *args, real=real, name=name, **kwargs:
                             calls.append(name) or real(*args, **kwargs))
+    _cpus(monkeypatch, 1)  # in this process, where the calls are counted
     cmd_k_ablation(mini_cfg, 3, tmp_path)
     assert calls.count("background_embeddings") == 1
     assert calls.count("scaled_foreground") == 2 * mini_cfg.fg_per_class
