@@ -8,7 +8,6 @@ sum of its part embeddings, S = cos(v_ab, v_a + v_b), over batches of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -49,29 +48,25 @@ def additivity_score(v_a: np.ndarray, v_b: np.ndarray, v_ab: np.ndarray) -> floa
     return float(v @ s / (np.linalg.norm(v) * ns))
 
 
-def triple_rasters(fg: ForegroundInstance, bg: BackgroundImage,
-                   seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Standard probe triple: object on a neutral canvas, background, composite."""
+def triple_rasters(fg: ForegroundInstance, bg: BackgroundImage, seed: int) -> np.ndarray:
+    """Standard probe triple as the float32 rows of one (3, H, W, 3) batch: object on a
+    neutral canvas, background, composite."""
     return next(_standard_triples([(fg, bg)], [seed]))
 
 
 def _standard_triples(pairs, seeds):
-    """`triple_rasters` of each pair, with one `render` call per _PROBE_CHUNK pairs.
+    """The pairs' triples in triple order, 3 float32 rows a pair as in `triple_rasters`,
+    one `render` batch per _PROBE_CHUNK pairs.
 
     The isolated-object raster uses the same scale draw and placement as the
     composite, so the two differ only in what sits behind the object, and
     the `render` call resizes the object once for both.
     """
     neutral = neutral_background(pairs[0][1].raster.shape[:2])
-    for start in range(0, len(pairs), _PROBE_CHUNK):
-        chunk = pairs[start : start + _PROBE_CHUNK]
-        items = []
-        for (fg, bg), s in zip(chunk, seeds[start : start + _PROBE_CHUNK]):
-            scale = scene_scale(s)
-            items += [(fg, neutral, scale), (fg, bg, scale)]
-        rendered = render(items)
-        for k, (_, bg) in enumerate(chunk):
-            yield rendered[2 * k], bg.raster, rendered[2 * k + 1]
+    scaled = [(fg, bg, scene_scale(s)) for (fg, bg), s in zip(pairs, seeds)]
+    for start in range(0, len(scaled), _PROBE_CHUNK):
+        yield render([entry for fg, bg, scale in scaled[start : start + _PROBE_CHUNK]
+                      for entry in ((fg, neutral, scale), (None, bg, None), (fg, bg, scale))])
 
 
 def exact_triple_rasters(fg: ForegroundInstance, bg: BackgroundImage,
@@ -115,15 +110,13 @@ class ProbePart:
     excluded: int
 
 
-def score_triples(model: EncoderModel, raster_triples) -> ProbePart:
-    """S of each triple, encoded _PROBE_CHUNK at a time, each as three rows of one
-    batch, so an iterator of triples is never held whole."""
-    triples = iter(raster_triples)
+def score_triples(model: EncoderModel, batches) -> ProbePart:
+    """S of each triple of `batches`, rasters in triple order (object, background,
+    composite; a triple is a 3-row batch), each encoded by one `encode_np` call."""
     scores = []
     excluded = 0
-    while chunk := list(islice(triples, _PROBE_CHUNK)):
-        rows = np.stack([r for triple in chunk for r in triple], dtype=np.float32)
-        for embs in encode_np(model, rows).reshape(len(chunk), 3, -1):
+    for rows in batches:
+        for embs in encode_np(model, rows).reshape(-1, 3, model.d):
             try:
                 scores.append(additivity_score(*embs))
             except DegenerateInputError:
@@ -173,8 +166,8 @@ def run_probe(model: EncoderModel, foregrounds, backgrounds, n: int, seed: int,
     with the same rows as in a whole run.  `merge_parts` of the P parts, in order,
     is the report of the whole probe; the default part is the whole probe.
 
-    In standard mode each chunk of _PROBE_CHUNK triples is rendered by one
-    `render` call and encoded by one `encode_np` call.
+    Each chunk of _PROBE_CHUNK triples is one batch, encoded by one `encode_np`
+    call; in standard mode it is rendered by one `render` call.
     """
     if mode not in ("standard", "exact"):
         raise ConfigError(f"unknown additivity probe mode {mode!r}")
@@ -185,8 +178,10 @@ def run_probe(model: EncoderModel, foregrounds, backgrounds, n: int, seed: int,
     lo, hi = (_PROBE_CHUNK * (probe_chunks(n) * j // shares) for j in (k, k + 1))
     pairs = pairs[lo:hi]
     if mode == "exact":
-        triples = (exact_triple_rasters(fg, bg, model) for fg, bg in pairs)
+        batches = (np.stack([r for fg, bg in pairs[i : i + _PROBE_CHUNK]
+                             for r in exact_triple_rasters(fg, bg, model)], dtype=np.float32)
+                   for i in range(0, len(pairs), _PROBE_CHUNK))
     else:
-        triples = _standard_triples(pairs, [derive_seed(seed, "additivity", fg.id, bg.id, i)
+        batches = _standard_triples(pairs, [derive_seed(seed, "additivity", fg.id, bg.id, i)
                                             for i, (fg, bg) in enumerate(pairs, lo)])
-    return score_triples(model, triples)
+    return score_triples(model, batches)

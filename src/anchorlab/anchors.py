@@ -91,11 +91,9 @@ def build_anchor_set(teacher: EncoderModel, foregrounds, bg_pool, K: int,
 
 def background_embeddings(teacher: EncoderModel, backgrounds) -> np.ndarray:
     """Unit embeddings of pure background rasters, in pool order."""
-    out = []
-    for i in range(0, len(backgrounds), _BG_CHUNK):
-        rasters = np.stack([b.raster for b in backgrounds[i : i + _BG_CHUNK]])
-        out.append(encode_np(teacher, rasters))
-    return np.concatenate(out, axis=0)
+    chunks = (backgrounds[i : i + _BG_CHUNK] for i in range(0, len(backgrounds), _BG_CHUNK))
+    return np.concatenate([encode_np(teacher, render([(None, b, None) for b in chunk]))
+                           for chunk in chunks], axis=0)
 
 
 def residual_variance(bg_embs: np.ndarray, K: int, trials: int, mu: np.ndarray,

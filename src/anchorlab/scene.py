@@ -13,9 +13,10 @@ the background, always centred.  Every composite is fully determined by
 (ids, per-item seed, config), so generation is order-independent.
 
 `render` is the one place composites are rendered: every stream (datasets,
-alignment epochs, anchors, prototypes, BSI, additivity triples) goes through
-it as one float32 batch, and `composite` is its one-item case.  It resizes
-each distinct (foreground, degradation, output size) once per `RenderMemo`.
+alignment epochs, anchors, prototypes, BSI, additivity triples, background
+embeddings) goes through it as one float32 batch, and `composite` is its
+one-item case.  It resizes each distinct (foreground, degradation, output
+size) once per `RenderMemo`.
 """
 
 from __future__ import annotations
@@ -360,7 +361,7 @@ def resize_sinc(img: np.ndarray, out_hw: tuple[int, int]) -> np.ndarray:
 
 
 def _prepare_foreground(fg: ForegroundInstance, degradation: str) -> tuple[np.ndarray, np.ndarray]:
-    """Cropped foreground raster + refined alpha for a degradation mode (cached)."""
+    """Foreground crop (a read-only view) + refined alpha for a degradation mode (cached)."""
     cached = fg._prepared.get(degradation)
     if cached is not None:
         return cached
@@ -371,7 +372,9 @@ def _prepare_foreground(fg: ForegroundInstance, degradation: str) -> tuple[np.nd
     rows = np.flatnonzero(support.any(axis=1))
     cols = np.flatnonzero(support.any(axis=0))
     r0, r1, c0, c1 = rows[0], rows[-1] + 1, cols[0], cols[-1] + 1
-    crop = (fg.raster[r0:r1, c0:c1].copy(), alpha[r0:r1, c0:c1].copy())
+    view = fg.raster[r0:r1, c0:c1]
+    view.flags.writeable = False
+    crop = (view, alpha[r0:r1, c0:c1].copy())  # the full-canvas alpha is a temporary
     fg._prepared[degradation] = crop
     return crop
 
@@ -440,16 +443,19 @@ def render(items, degradation: str = "perfect", memo: RenderMemo | None = None) 
     Each foreground is centred on its background.  The blend runs in the
     background's dtype (float64 for stripes) and is rounded to float32 once,
     as it is written into its row: blending in float32 would change the bits.
-    Without a `memo`, resizes are shared within this call only.
+    A background-only item `(None, bg, _)` ignores its scale; its row is `bg.raster`
+    cast to float32.  Without a `memo`, resizes are shared within this call only.
     """
     memo = RenderMemo() if memo is None else memo
     H, W = items[0][1].raster.shape[:2]
     out = np.empty((len(items), H, W, 3), dtype=np.float32)
     for row, (fg, bg, scale) in zip(out, items):
+        row[...] = bg.raster
+        if fg is None:
+            continue
         premul, inv = _blend_parts(memo, fg, scale, (H, W), degradation)
         oh, ow = inv.shape[:2]
         r0, c0 = (H - oh) // 2, (W - ow) // 2
-        row[...] = bg.raster
         # `1 - a` spread over the channels: the same products as broadcasting its
         # (oh, ow, 1) shape, in a quarter to a third less time.  The memo keeps one
         # channel, since bigger entries would leave more sizes past its cap.

@@ -144,7 +144,7 @@ def test_standard_triple_is_two_composites_from_one_resize(micro_world, monkeypa
     monkeypatch.setattr(scene, "resize_sinc", lambda img, hw: calls.append(hw) or real(img, hw))
     iso, bg, comp = triple_rasters(fgs[0], bgs[0], 5)
     assert len(calls) == 2  # the object's raster and alpha, shared by both composites
-    assert bg is bgs[0].raster
+    assert bg.dtype == np.float32 and np.array_equal(bg, bgs[0].raster.astype(np.float32))
     assert np.array_equal(iso, make_composite(fgs[0], neutral_background((32, 32)), 5))
     assert np.array_equal(comp, make_composite(fgs[0], bgs[0], 5))
 
@@ -228,7 +228,7 @@ def test_run_probe_renders_and_encodes_once_per_chunk(micro_world, micro_teacher
     report = merge_parts([run_probe(micro_teacher, fgs, bgs, n, 8)])
     assert report.n == n
     chunks = math.ceil(n / _PROBE_CHUNK)
-    assert renders == [2 * _PROBE_CHUNK] * (chunks - 1) + [2]
+    assert renders == [3 * _PROBE_CHUNK] * (chunks - 1) + [3]
     assert encodes == [3 * _PROBE_CHUNK] * (chunks - 1) + [3]
 
 

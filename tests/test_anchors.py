@@ -65,7 +65,7 @@ def test_background_embeddings_order_and_norm(micro_world, micro_teacher, monkey
     assert embs.shape == (len(bgs), micro_teacher.d)
     assert np.allclose(np.linalg.norm(embs, axis=1), 1.0, atol=1e-5)
     direct = encode_np(micro_teacher, np.stack([b.raster for b in bgs]))
-    assert np.allclose(embs, direct, atol=1e-6)
+    assert np.array_equal(embs, direct)
 
 
 def test_residual_variance_decreases_with_k(micro_world, micro_teacher):

@@ -455,7 +455,7 @@ def _log_probe_work(monkeypatch, log):
 
     monkeypatch.setattr(additivity, "render", logged(
         "render", additivity.render,
-        lambda items: hash(tuple((fg.id, bg.id, scale) for fg, bg, scale in items))))
+        lambda items: hash(tuple((fg and fg.id, bg.id, scale) for fg, bg, scale in items))))
     monkeypatch.setattr(additivity, "encode_np", logged(
         "encode", additivity.encode_np, lambda model, rows: f"{float(model.consts['alpha'])}-"
         f"{len(rows)}-{hashlib.sha256(rows.tobytes()).hexdigest()[:16]}"))

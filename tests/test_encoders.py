@@ -6,6 +6,7 @@ import pytest
 from anchorlab import tensor as T
 from anchorlab.encoders import (
     _avg_pool4,
+    _pre_embed_planted,
     clone_unfrozen,
     encode_batch,
     encode_np,
@@ -42,6 +43,20 @@ def test_planted_alpha_breaks_linearity():
     z2 = pre_embedding(t, x2)[0]
     z12 = pre_embedding(t, x1 + x2)[0]
     assert not np.allclose(z12, z1 + z2, atol=1e-3)
+
+
+def test_planted_alpha_term_is_float32_arithmetic():
+    t = planted_teacher(7, d=16, input_hw=(32, 32), alpha=2.0)
+    B = 24
+    x = _rand_raster(3, n=B)
+    W, P = t.consts["W"], t.consts["P"]
+    assert W.dtype == P.dtype == np.float32
+    explicit = x.reshape(B, -1) @ W + 2.0 * ((_avg_pool4(x) ** 2).reshape(B, -1) @ P)
+    assert explicit.dtype == np.float32
+    assert _pre_embed_planted(t, x).dtype == np.float32
+    z = pre_embedding(t, x)
+    assert z.dtype == np.float32
+    assert np.array_equal(z, explicit)
 
 
 @pytest.mark.parametrize("B", [1, 3, 96])

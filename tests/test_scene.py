@@ -333,6 +333,36 @@ def test_render_rows_are_the_blend_rounded_once(micro_world, mode):
         assert np.array_equal(expected[i], reference)
 
 
+def test_render_background_only_rows_are_the_cast_raster(micro_world):
+    fgs, bgs = micro_world
+    stripes = bgs[0]
+    checker = next(bg for bg in bgs if bg.g == 1)
+    assert stripes.raster.dtype == np.float64 and checker.raster.dtype == np.float32
+    composites = [(fg, bg, scene_scale(seed)) for bg in (stripes, checker)
+                  for fg, seed in zip(fgs[:3], (3, 4, 5))]
+    mixed = [(None, stripes, None), composites[0], (None, checker, 0.7), *composites[1:4],
+             (None, stripes, 0.3), *composites[4:]]
+    rows = render(mixed)
+    alone = render(composites)
+    assert rows.dtype == np.float32 and rows.shape == (len(mixed), 32, 32, 3)
+    composite_rows = []
+    for row, (fg, bg, _) in zip(rows, mixed):
+        if fg is None:
+            assert np.array_equal(row, bg.raster.astype(np.float32))
+        else:
+            composite_rows.append(row)
+    assert np.array_equal(np.stack(composite_rows), alone)
+
+
+def test_prepared_crop_is_a_read_only_view_of_the_world_raster(micro_world):
+    fgs, _ = micro_world
+    crop = scene._prepare_foreground(fgs[0], "perfect")[0]
+    assert np.shares_memory(crop, fgs[0].raster)
+    with pytest.raises(ValueError):
+        crop[...] = 0.0
+    assert fgs[0].raster.flags.writeable
+
+
 def test_render_memo_at_its_cap_stores_nothing(micro_world, monkeypatch):
     fgs, bgs = micro_world
     items = [(fgs[0], bgs[0], 0.7), (fgs[0], bgs[11], 0.7)]

@@ -1,7 +1,8 @@
 """`src/` holds only what the lab runs: every public top-level function and class,
 and every public method of those classes, is used by other code in `src/`, or is on
 an allow-list with its reason; every parameter of a public function and every field
-of a dataclass is read; and one function forks, and decides to."""
+of a dataclass is read; one function forks, and decides to; and `scene.render` builds
+every encoded raster batch."""
 
 import ast
 from collections import Counter
@@ -147,3 +148,20 @@ def test_only_fork_shares_asks_whether_to_fork():
 
     assert asks(fork_shares) == 1
     assert {module: asks(tree) for module, tree in trees.items() if asks(tree)} == {"cli": 1}
+
+
+def raster_stacks() -> set[str]:
+    """`module:line` of each `np.stack` call in `src/` whose arguments read an attribute
+    `.raster`."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    return {f"{module}:{n.lineno}" for module, tree in trees.items() for n in ast.walk(tree)
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+            and n.func.attr == "stack"
+            and any(isinstance(a, ast.Attribute) and a.attr == "raster"
+                    for arg in (*n.args, *(k.value for k in n.keywords)) for a in ast.walk(arg))}
+
+
+def test_no_function_in_src_stacks_rasters():
+    # `scene.render` is the one builder of raster batches: it writes each row once,
+    # in float32, where a stack of `.raster` arrays makes a second, float64 for stripes
+    assert raster_stacks() == set()
