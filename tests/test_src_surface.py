@@ -1,8 +1,8 @@
 """`src/` holds only what the lab runs: every public top-level function and class,
 and every public method of those classes, is used by other code in `src/`, or is on
 an allow-list with its reason; every parameter of a public function and every field
-of a dataclass is read; one function forks, and decides to; and `scene.render` builds
-every encoded raster batch."""
+of a dataclass is read; one function forks, and decides to; `scene.render` builds
+every encoded raster batch; and `tensor._cube` is the one `** 3`."""
 
 import ast
 from collections import Counter
@@ -165,3 +165,20 @@ def test_no_function_in_src_stacks_rasters():
     # `scene.render` is the one builder of raster batches: it writes each row once,
     # in float32, where a stack of `.raster` arrays makes a second, float64 for stripes
     assert raster_stacks() == set()
+
+
+def cube_sites() -> set[str]:
+    """`module.function:line` of each `** 3` in `src/` outside `tensor._cube`, named by
+    its top-level function or class."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    return {f"{module}.{getattr(top, 'name', '')}:{n.lineno}"
+            for module, tree in trees.items() for top in tree.body for n in ast.walk(top)
+            if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Pow)
+            and isinstance(n.right, ast.Constant) and n.right.value == 3
+            and (module, getattr(top, "name", "")) != ("tensor", "_cube")}
+
+
+def test_only_tensor_cube_cubes():
+    # NumPy's float32 `x**3` takes a per-element path ~50x slower for each negative
+    # element; `tensor._cube` gives the same bits without it
+    assert cube_sites() == set()

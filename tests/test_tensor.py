@@ -65,6 +65,31 @@ def test_unary_grads(seed):
     _check(lambda x: T.tsum(T.gelu(x)), np_gelu, (2, 4), seed)
 
 
+# negatives whose float64 cube, rounded to float32, is one ulp off `x**3`
+_F64_CUBE_MISSES = [0xBFC0EC78, 0xBF40EC78, 0xBFCB96B4, 0xBF30981D, 0xBFCB7330, 0xBEB66CFE,
+                    0xBF9C8F59, 0xBE0D7BB9, 0xBE7D1615, 0xBF266F6D, 0xBF517C25, 0xBFBDEE3A]
+
+
+def _assert_cube_bits(x):
+    with np.errstate(all="ignore"):
+        assert np.array_equal(T._cube(x).view(np.uint32), (x**3).view(np.uint32))
+
+
+def test_cube_matches_power_bit_for_bit():
+    g = np.random.default_rng(0)
+    # every exponent and both signs, with +-0, +-inf, NaNs and subnormals among them
+    bits = g.integers(0, 2**32, size=2**20, dtype=np.uint64).astype(np.uint32)
+    bits[:6] = [0, 0x80000000, 0x7F800000, 0xFF800000, 0xFFC00001, 0x80000001]
+    _assert_cube_bits(bits.view(np.float32))
+    for shape in [(128, 256), (1, 256), (3, T._CUBE_BLOCK + 5)]:
+        _assert_cube_bits(g.standard_normal(shape).astype(np.float32))
+    misses = np.array(_F64_CUBE_MISSES, np.uint32).view(np.float32)
+    d = misses.astype(np.float64)
+    assert not np.any((d * d * d).astype(np.float32) == misses**3)
+    _assert_cube_bits(misses)
+    assert T._cube(misses[:1]).view(np.uint32)[0] == 0xC05B21ED
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_reduction_and_reshape_grads(seed):
     _check(lambda x: T.tsum(T.tmean(x, axis=1)), lambda a: a.mean(axis=1).sum(), (3, 4), seed)
