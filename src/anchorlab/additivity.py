@@ -11,16 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoders import EncoderModel, encode_np, pre_embedding
+from .encoders import EncoderModel, encode_np
 from .errors import ConfigError, DegenerateInputError
 from .rng import derive_seed, rng
 from .scene import (  # make_composite and neutral_background are re-exported
-    BackgroundImage,
-    ForegroundInstance,
     make_composite,  # noqa: F401
     neutral_background,
     render,
-    scaled_foreground,
     scene_scale,
 )
 
@@ -48,15 +45,9 @@ def additivity_score(v_a: np.ndarray, v_b: np.ndarray, v_ab: np.ndarray) -> floa
     return float(v @ s / (np.linalg.norm(v) * ns))
 
 
-def triple_rasters(fg: ForegroundInstance, bg: BackgroundImage, seed: int) -> np.ndarray:
-    """Standard probe triple as the float32 rows of one (3, H, W, 3) batch: object on a
-    neutral canvas, background, composite."""
-    return next(_standard_triples([(fg, bg)], [seed]))
-
-
 def _standard_triples(pairs, seeds):
-    """The pairs' triples in triple order, 3 float32 rows a pair as in `triple_rasters`,
-    one `render` batch per _PROBE_CHUNK pairs.
+    """The pairs' standard triples in triple order, 3 float32 rows a pair (object on a
+    neutral canvas, background, composite), one `render` batch per _PROBE_CHUNK pairs.
 
     The isolated-object raster uses the same scale draw and placement as the
     composite, so the two differ only in what sits behind the object, and
@@ -67,38 +58,6 @@ def _standard_triples(pairs, seeds):
     for start in range(0, len(scaled), _PROBE_CHUNK):
         yield render([entry for fg, bg, scale in scaled[start : start + _PROBE_CHUNK]
                       for entry in ((fg, neutral, scale), (None, bg, None), (fg, bg, scale))])
-
-
-def exact_triple_rasters(fg: ForegroundInstance, bg: BackgroundImage,
-                         teacher: EncoderModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Disjoint-support norm-equalized triple, exactly additive under a linear map.
-
-    The object sits in the left half of a black canvas, the background fills
-    the right half, and the composite is the pixelwise sum.  One part is
-    rescaled so both pre-embeddings have equal norm, which makes the sum of
-    the normalized parts parallel to the composite embedding.  Scale and
-    placement are fixed, so the triple depends on no item seed.
-    """
-    H, W = bg.raster.shape[:2]
-    fg_scaled, a = scaled_foreground(fg, 0.45, (H, W))
-    oh, ow = a.shape[:2]
-    I_a = np.zeros((H, W, 3), dtype=np.float32)
-    r0 = (H - oh) // 2
-    c0 = max(0, W // 4 - ow // 2)
-    I_a[r0 : r0 + oh, c0 : c0 + ow] = a * fg_scaled
-    I_b = bg.raster.copy()
-    I_b[:, : W // 2] = 0.0
-    z_a = pre_embedding(teacher, I_a)[0].astype(np.float64)
-    z_b = pre_embedding(teacher, I_b)[0].astype(np.float64)
-    na, nb = np.linalg.norm(z_a), np.linalg.norm(z_b)
-    if na < _EPS or nb < _EPS:
-        raise DegenerateInputError("zero pre-embedding in the exact-triple build")
-    ratio = na / nb
-    if ratio <= 1.0:
-        I_b = I_b * np.float32(ratio)
-    else:
-        I_a = I_a * np.float32(1.0 / ratio)
-    return I_a, I_b, I_a + I_b
 
 
 @dataclass(frozen=True)
@@ -160,28 +119,21 @@ def sample_pairs(foregrounds, backgrounds, n: int, seed: int):
 
 
 def run_probe(model: EncoderModel, foregrounds, backgrounds, n: int, seed: int,
-              mode: str = "standard", part: tuple[int, int] = (0, 1)) -> ProbePart:
+              part: tuple[int, int] = (0, 1)) -> ProbePart:
     """Sample n triples from the world and score part `part=(k, P)` of the probe:
     the k-th of P contiguous runs of whole chunks, rendered, encoded and scored
     with the same rows as in a whole run.  `merge_parts` of the P parts, in order,
     is the report of the whole probe; the default part is the whole probe.
 
-    Each chunk of _PROBE_CHUNK triples is one batch, encoded by one `encode_np`
-    call; in standard mode it is rendered by one `render` call.
+    Each chunk of _PROBE_CHUNK triples is one batch, rendered by one `render` call
+    and encoded by one `encode_np` call.
     """
-    if mode not in ("standard", "exact"):
-        raise ConfigError(f"unknown additivity probe mode {mode!r}")
     pairs = sample_pairs(foregrounds, backgrounds, n, seed)
     k, shares = part
     if not 0 <= k < shares <= probe_chunks(n):
         raise ConfigError(f"part {part} is not one of at most {probe_chunks(n)} shares")
     lo, hi = (_PROBE_CHUNK * (probe_chunks(n) * j // shares) for j in (k, k + 1))
     pairs = pairs[lo:hi]
-    if mode == "exact":
-        batches = (np.stack([r for fg, bg in pairs[i : i + _PROBE_CHUNK]
-                             for r in exact_triple_rasters(fg, bg, model)], dtype=np.float32)
-                   for i in range(0, len(pairs), _PROBE_CHUNK))
-    else:
-        batches = _standard_triples(pairs, [derive_seed(seed, "additivity", fg.id, bg.id, i)
-                                            for i, (fg, bg) in enumerate(pairs, lo)])
-    return score_triples(model, batches)
+    return score_triples(model, _standard_triples(
+        pairs, [derive_seed(seed, "additivity", fg.id, bg.id, i)
+                for i, (fg, bg) in enumerate(pairs, lo)]))

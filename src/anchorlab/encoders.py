@@ -118,11 +118,6 @@ def _pre_embed_planted(model: EncoderModel, batch: np.ndarray) -> np.ndarray:
     return z
 
 
-def pre_embedding(model: EncoderModel, batch: np.ndarray) -> np.ndarray:
-    """Pre-normalization embeddings for a frozen model (plain ndarray path)."""
-    return _forward(model, Tensor(_as_batch(batch, model.input_hw))).data
-
-
 def _as_batch(x: np.ndarray, hw: tuple[int, int]) -> np.ndarray:
     x = np.asarray(x, dtype=np.float32)
     if x.ndim == 3:

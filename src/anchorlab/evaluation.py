@@ -14,14 +14,13 @@ import numpy as np
 from . import tensor as T
 from .encoders import EncoderModel, encode_np
 from .errors import ConfigError, ContractError
-from .rng import derive_seed, rng
+from .rng import rng
 from .scene import (  # composite is re-exported for callers of this module
     ANCHOR_SCALE,
     GroupedDataset,
     RenderMemo,
     composite,  # noqa: F401
     render,
-    scene_scale,
 )
 from .tensor import Tensor
 
@@ -30,9 +29,6 @@ PROBE_LR = 5e-4
 PROBE_BATCH = 128
 
 _BSI_EPS = 1e-8
-# scenes in the background-group probe's train and held-out test sets
-_RETENTION_TRAIN = 600
-_RETENTION_TEST = 300
 
 
 @dataclass
@@ -80,11 +76,10 @@ def init_head(d: int, num_classes: int, g: np.random.Generator) -> ProbeHead:
 
 
 def fit_linear_head(embs: np.ndarray, labels: np.ndarray, num_classes: int,
-                    seed: int, epochs: int = PROBE_EPOCHS, lr: float = PROBE_LR,
-                    weighted: bool = True) -> ProbeHead:
+                    seed: int, epochs: int = PROBE_EPOCHS, lr: float = PROBE_LR) -> ProbeHead:
     """Class-weighted cross-entropy linear head on fixed embeddings."""
     n, d = embs.shape
-    weights = class_weights(labels, num_classes) if weighted else None
+    weights = class_weights(labels, num_classes)
     head = init_head(d, num_classes, rng(seed, "probe-init"))
 
     def loss(idx):
@@ -198,58 +193,3 @@ def bsi_protocol(encoder: EncoderModel, foregrounds, backgrounds,
         emb_b = encode_np(encoder, rasters[n_pairs:])
         per_class[y] = bsi(emb_a, emb_b)
     return BsiReport(per_class=per_class, mean=float(np.mean(list(per_class.values()))))
-
-
-# ---------------------------------------------------------------------------
-# background-information retention
-
-
-def _background_probe_accuracy(encoder: EncoderModel, backgrounds, foregrounds,
-                               seed: int) -> float:
-    """Background-group probe on scene embeddings, held-out backgrounds.
-
-    Probing backgrounds in context (behind a random foreground) rather than
-    in isolation: in-context decodability is the quantity the alignment
-    phase regularizes, and shallow encoders keep isolated backgrounds
-    linearly separable no matter how hard the scene-level cue is crushed.
-    """
-    by_group: dict[int, list] = {}
-    for bg in backgrounds:
-        by_group.setdefault(bg.g, []).append(bg)
-    train_bgs, test_bgs = [], []
-    for grp in sorted(by_group):
-        pool = sorted(by_group[grp], key=lambda b: b.id)
-        order = rng(seed, "retention-split", grp).permutation(len(pool))
-        k = max(1, len(pool) // 5)
-        test_bgs.extend(pool[i] for i in order[:k])
-        train_bgs.extend(pool[i] for i in order[k:])
-    fgs = sorted(foregrounds, key=lambda f: f.id)
-
-    memo = RenderMemo()
-
-    def scenes(pool, n, tag):
-        g = rng(seed, "retention", tag)
-        items = []
-        for i in range(n):
-            bg = pool[int(g.integers(0, len(pool)))]
-            fg = fgs[int(g.integers(0, len(fgs)))]
-            items.append((fg, bg, scene_scale(derive_seed(seed, "retention", tag, i))))
-        return render(items, memo=memo), np.array([bg.g for _, bg, _ in items])
-
-    X_tr, y_tr = scenes(train_bgs, _RETENTION_TRAIN, "train")
-    X_te, y_te = scenes(test_bgs, _RETENTION_TEST, "test")
-    head = fit_linear_head(encode_np(encoder, X_tr), y_tr, int(y_tr.max()) + 1,
-                           derive_seed(seed, "retention-head"), epochs=20,
-                           weighted=False)
-    return float((head_predict(head, encode_np(encoder, X_te)) == y_te).mean())
-
-
-def retention_eval(encoder_before: EncoderModel, encoder_after: EncoderModel,
-                   backgrounds, foregrounds, seed: int = 0) -> tuple[float, float]:
-    """How much in-context background-group information each encoder retains."""
-    if len({bg.g for bg in backgrounds}) < 2:
-        raise ConfigError("retention_eval needs >= 2 background groups")
-    before = _background_probe_accuracy(encoder_before, backgrounds, foregrounds, seed)
-    after = _background_probe_accuracy(encoder_after, backgrounds, foregrounds, seed)
-    return before, after
-

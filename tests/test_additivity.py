@@ -1,4 +1,8 @@
-"""Additivity probe: hand-computed scores, exactness on the planted map."""
+"""Additivity probe: hand-computed scores, exactness on the planted map.
+
+Also home to the exact-triple probe, criterion 2's instrument: a gate-only
+measurement that no command runs, so it lives with its tests, not in `src/`.
+"""
 
 import math
 
@@ -10,20 +14,71 @@ from anchorlab.additivity import (
     _PROBE_CHUNK,
     ProbePart,
     additivity_score,
-    exact_triple_rasters,
     merge_parts,
     neutral_background,
     probe_chunks,
     run_probe,
     sample_pairs,
     score_triples,
-    triple_rasters,
 )
-from anchorlab.encoders import encode_np, planted_teacher, pre_embedding
+from anchorlab.encoders import _pre_embed_planted, encode_np, planted_teacher
 from anchorlab.errors import ConfigError, DegenerateInputError
 from anchorlab import scene
 from anchorlab.rng import derive_seed
 from anchorlab.scene import BackgroundImage, gen_world, make_composite, scaled_foreground
+
+
+def triple_rasters(fg, bg, seed: int) -> np.ndarray:
+    """Standard probe triple as the float32 rows of one (3, H, W, 3) batch: object on a
+    neutral canvas, background, composite."""
+    return next(additivity._standard_triples([(fg, bg)], [seed]))
+
+
+def _pre_embedding(teacher, raster: np.ndarray) -> np.ndarray:
+    """A planted teacher's pre-normalization embedding of one raster, in float64."""
+    return _pre_embed_planted(teacher, raster[None].astype(np.float32))[0].astype(np.float64)
+
+
+def exact_triple_rasters(fg, bg, teacher) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Disjoint-support norm-equalized triple, exactly additive under a linear map.
+
+    The object sits in the left half of a black canvas, the background fills
+    the right half, and the composite is the pixelwise sum.  One part is
+    rescaled so both pre-embeddings have equal norm, which makes the sum of
+    the normalized parts parallel to the composite embedding.  Scale and
+    placement are fixed, so the triple depends on no item seed.
+    """
+    H, W = bg.raster.shape[:2]
+    fg_scaled, a = scaled_foreground(fg, 0.45, (H, W))
+    oh, ow = a.shape[:2]
+    I_a = np.zeros((H, W, 3), dtype=np.float32)
+    r0 = (H - oh) // 2
+    c0 = max(0, W // 4 - ow // 2)
+    I_a[r0 : r0 + oh, c0 : c0 + ow] = a * fg_scaled
+    I_b = bg.raster.copy()
+    I_b[:, : W // 2] = 0.0
+    z_a = _pre_embedding(teacher, I_a)
+    z_b = _pre_embedding(teacher, I_b)
+    na, nb = np.linalg.norm(z_a), np.linalg.norm(z_b)
+    if na < additivity._EPS or nb < additivity._EPS:
+        raise DegenerateInputError("zero pre-embedding in the exact-triple build")
+    ratio = na / nb
+    if ratio <= 1.0:
+        I_b = I_b * np.float32(ratio)
+    else:
+        I_a = I_a * np.float32(1.0 / ratio)
+    return I_a, I_b, I_a + I_b
+
+
+def exact_probe(teacher, foregrounds, backgrounds, n: int, seed: int) -> ProbePart:
+    """Criterion 2's instrument: S of n exact triples over the pairs `run_probe`
+    samples.  Each chunk of _PROBE_CHUNK triples is one float32 batch, stacked here
+    and encoded by one `score_triples` call."""
+    pairs = sample_pairs(foregrounds, backgrounds, n, seed)
+    return score_triples(teacher, (
+        np.stack([r for fg, bg in pairs[i : i + _PROBE_CHUNK]
+                  for r in exact_triple_rasters(fg, bg, teacher)], dtype=np.float32)
+        for i in range(0, n, _PROBE_CHUNK)))
 
 
 def _triple(v_a, v_b, v_ab):
@@ -78,7 +133,7 @@ def test_batch_mean_matches_arithmetic(micro_world, micro_teacher):
 
 def test_exact_mode_planted_alpha0_is_one(micro_world, micro_teacher):
     fgs, bgs = micro_world
-    part = run_probe(micro_teacher, fgs[:4], bgs[:4], 8, 9, mode="exact")
+    part = exact_probe(micro_teacher, fgs[:4], bgs[:4], 8, 9)
     assert merge_parts([part]).mean == pytest.approx(1.0, abs=1e-5)
     assert np.all(np.abs(part.scores - 1.0) < 1e-5)
 
@@ -86,7 +141,7 @@ def test_exact_mode_planted_alpha0_is_one(micro_world, micro_teacher):
 def test_exact_mode_nonlinearity_lowers_scores(micro_world):
     fgs, bgs = micro_world
     bent = planted_teacher(7, d=16, input_hw=(32, 32), alpha=2.0)
-    report = merge_parts([run_probe(bent, fgs[:4], bgs[:4], 8, 9, mode="exact")])
+    report = merge_parts([exact_probe(bent, fgs[:4], bgs[:4], 8, 9)])
     assert report.mean < 1.0 - 1e-4
 
 
@@ -97,8 +152,8 @@ def test_exact_triple_disjoint_support(micro_world, micro_teacher):
     assert float((np.abs(I_a) * np.abs(I_b)).sum()) == 0.0
     assert np.allclose(I_ab, I_a + I_b)
     # parts have equal pre-embedding norm after rescaling
-    za = pre_embedding(micro_teacher, I_a)[0]
-    zb = pre_embedding(micro_teacher, I_b)[0]
+    za = _pre_embedding(micro_teacher, I_a)
+    zb = _pre_embedding(micro_teacher, I_b)
     assert np.linalg.norm(za) == pytest.approx(np.linalg.norm(zb), rel=1e-4)
 
 
@@ -117,8 +172,8 @@ def test_exact_triple_object_is_the_scaled_foreground(micro_world, micro_teacher
         placed[r0 : r0 + oh, c0 : c0 + ow] = a * fg_scaled
         bg_half = bg.raster.copy()
         bg_half[:, : W // 2] = 0.0
-        ratio = (np.linalg.norm(pre_embedding(micro_teacher, placed)[0].astype(np.float64))
-                 / np.linalg.norm(pre_embedding(micro_teacher, bg_half)[0].astype(np.float64)))
+        ratio = (np.linalg.norm(_pre_embedding(micro_teacher, placed))
+                 / np.linalg.norm(_pre_embedding(micro_teacher, bg_half)))
         factor = np.float32(1.0) if ratio <= 1.0 else np.float32(1.0 / ratio)
         assert np.array_equal(I_a, placed * factor)
         factors.add(factor == 1.0)
@@ -171,12 +226,6 @@ def test_sample_pairs_distinct_and_seeded(micro_world):
         sample_pairs([], bgs, 1, 0)
 
 
-def test_run_probe_rejects_unknown_mode(micro_world, micro_teacher):
-    fgs, bgs = micro_world
-    with pytest.raises(ConfigError, match="mode"):
-        run_probe(micro_teacher, fgs, bgs, 4, 8, mode="Exact")
-
-
 def _per_triple_probe(model, foregrounds, backgrounds, n, seed, mode):
     """The probe as it ran before chunking: one triple, one render, one 3-row encode."""
     pairs = sample_pairs(foregrounds, backgrounds, n, seed)
@@ -203,7 +252,7 @@ def _per_triple_probe(model, foregrounds, backgrounds, n, seed, mode):
 def test_run_probe_matches_the_per_triple_loop(mode, alpha, hw, d, n):
     fgs, bgs = gen_world(31, 2, 2, 5, 12, hw)
     model = planted_teacher(5, d=d, input_hw=hw, alpha=alpha)
-    part = run_probe(model, fgs, bgs, n, 17, mode=mode)
+    part = (exact_probe if mode == "exact" else run_probe)(model, fgs, bgs, n, 17)
     report = merge_parts([part])
     scores, excluded = _per_triple_probe(model, fgs, bgs, n, 17, mode)
     assert (report.n, report.excluded) == (scores.size, excluded) == (n, 0)
@@ -257,15 +306,13 @@ def test_run_probe_deterministic(micro_world, micro_teacher):
     assert np.array_equal(a.scores, b.scores)
 
 
-
-@pytest.mark.parametrize("mode", ["standard", "exact"])
-def test_the_parts_of_a_probe_merge_to_the_whole(micro_world, micro_teacher, mode):
+def test_the_parts_of_a_probe_merge_to_the_whole(micro_world, micro_teacher):
     fgs, bgs = micro_world
     n = 4 * _PROBE_CHUNK + 3
-    whole_part = run_probe(micro_teacher, fgs, bgs, n, 8, mode=mode)
+    whole_part = run_probe(micro_teacher, fgs, bgs, n, 8)
     whole = merge_parts([whole_part])
     for shares in range(1, probe_chunks(n) + 1):
-        parts = [run_probe(micro_teacher, fgs, bgs, n, 8, mode=mode, part=(k, shares))
+        parts = [run_probe(micro_teacher, fgs, bgs, n, 8, part=(k, shares))
                  for k in range(shares)]
         # contiguous runs of whole chunks, as even as whole chunks allow
         chunks = [probe_chunks(part.scores.size) for part in parts]
@@ -277,7 +324,7 @@ def test_the_parts_of_a_probe_merge_to_the_whole(micro_world, micro_teacher, mod
             whole.mean, whole.std, whole.n, whole.excluded)
     for part in ((0, 0), (1, 1), (-1, 2), (0, probe_chunks(n) + 1)):
         with pytest.raises(ConfigError, match="part"):
-            run_probe(micro_teacher, fgs, bgs, n, 8, mode=mode, part=part)
+            run_probe(micro_teacher, fgs, bgs, n, 8, part=part)
 
 
 def test_merged_parts_are_checked_whole_not_per_part():

@@ -13,9 +13,8 @@ from anchorlab.encoders import (
     freeze,
     init_encoder,
     planted_teacher,
-    pre_embedding,
 )
-from anchorlab.errors import ConfigError, DimensionError
+from anchorlab.errors import ConfigError, ContractError, DimensionError
 from anchorlab.tensor import GradTape, Tensor
 
 from conftest import param_checksum
@@ -27,21 +26,21 @@ def _rand_raster(seed, hw=(32, 32), n=1):
 
 
 def test_planted_alpha0_is_linear(micro_teacher):
-    x1 = _rand_raster(1)[0]
-    x2 = _rand_raster(2)[0]
-    z1 = pre_embedding(micro_teacher, x1)[0]
-    z2 = pre_embedding(micro_teacher, x2)[0]
-    z12 = pre_embedding(micro_teacher, x1 + x2)[0]
+    x1 = _rand_raster(1)
+    x2 = _rand_raster(2)
+    z1 = _pre_embed_planted(micro_teacher, x1)[0]
+    z2 = _pre_embed_planted(micro_teacher, x2)[0]
+    z12 = _pre_embed_planted(micro_teacher, x1 + x2)[0]
     assert np.allclose(z12, z1 + z2, atol=1e-4)
 
 
 def test_planted_alpha_breaks_linearity():
     t = planted_teacher(7, d=16, input_hw=(32, 32), alpha=2.0)
-    x1 = _rand_raster(1)[0]
-    x2 = _rand_raster(2)[0]
-    z1 = pre_embedding(t, x1)[0]
-    z2 = pre_embedding(t, x2)[0]
-    z12 = pre_embedding(t, x1 + x2)[0]
+    x1 = _rand_raster(1)
+    x2 = _rand_raster(2)
+    z1 = _pre_embed_planted(t, x1)[0]
+    z2 = _pre_embed_planted(t, x2)[0]
+    z12 = _pre_embed_planted(t, x1 + x2)[0]
     assert not np.allclose(z12, z1 + z2, atol=1e-3)
 
 
@@ -53,8 +52,7 @@ def test_planted_alpha_term_is_float32_arithmetic():
     assert W.dtype == P.dtype == np.float32
     explicit = x.reshape(B, -1) @ W + 2.0 * ((_avg_pool4(x) ** 2).reshape(B, -1) @ P)
     assert explicit.dtype == np.float32
-    assert _pre_embed_planted(t, x).dtype == np.float32
-    z = pre_embedding(t, x)
+    z = _pre_embed_planted(t, x)
     assert z.dtype == np.float32
     assert np.array_equal(z, explicit)
 
@@ -152,3 +150,13 @@ def test_bad_inputs():
         encode_np(model, np.zeros((2, 8, 8, 3), dtype=np.float32))
     with pytest.raises(ConfigError):
         init_encoder("transformer", 1)
+
+
+@pytest.mark.parametrize("arch", ["linear", "mlp"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_raster_is_rejected(arch, bad):
+    model = init_encoder(arch, 6, d=4, input_hw=(8, 8))
+    batch = _rand_raster(5, hw=(8, 8), n=3)
+    batch[1, 2, 3, 0] = bad
+    with pytest.raises(ContractError):
+        encode_batch(model, batch)

@@ -1,22 +1,102 @@
-"""Metrics: probes, group accuracies, background sensitivity."""
+"""Metrics: probes, group accuracies, background sensitivity.
+
+Also home to the background-retention probe, criterion 12's instrument: a
+gate-only measurement that no command runs, so it lives with its tests, not in
+`src/`.
+"""
 
 import numpy as np
 import pytest
 
+from anchorlab import tensor as T
 from anchorlab.encoders import encode_np, freeze, init_encoder
 from anchorlab.errors import ConfigError, ContractError
 from anchorlab.evaluation import (
+    PROBE_BATCH,
+    PROBE_LR,
     bsi,
     bsi_protocol,
     class_weights,
     fit_linear_head,
     group_metrics,
     head_predict,
+    init_head,
     nearest_prototype,
-    retention_eval,
     train_probe,
 )
-from anchorlab.scene import build_test_split, build_train_split
+from anchorlab.rng import derive_seed, rng
+from anchorlab.scene import RenderMemo, build_test_split, build_train_split, render, scene_scale
+from anchorlab.tensor import Tensor
+
+# scenes in the background-group probe's train and held-out test sets
+_RETENTION_TRAIN = 600
+_RETENTION_TEST = 300
+
+
+def _fit_unweighted_head(embs, labels, num_classes: int, seed: int, epochs: int):
+    """`evaluation.fit_linear_head`'s recipe without the class weights; it must stay
+    that recipe, which `test_the_unweighted_head_is_fit_linear_heads_recipe` pins."""
+    n, d = embs.shape
+    head = init_head(d, num_classes, rng(seed, "probe-init"))
+
+    def loss(idx):
+        logits = T.matmul(Tensor(embs[idx]), head.W) + head.b
+        return T.softmax_cross_entropy(logits, labels[idx])
+
+    T.fit(head.params(), lambda epoch: (rng(seed, "probe-order", epoch).permutation(n),),
+          loss, n=n, batch_size=PROBE_BATCH, epochs=epochs, lr=PROBE_LR, weight_decay=0.0,
+          warmup_frac=0.10)
+    return head
+
+
+def _background_probe_accuracy(encoder, backgrounds, foregrounds, seed: int) -> float:
+    """Background-group probe on scene embeddings, held-out backgrounds.
+
+    Probing backgrounds in context (behind a random foreground) rather than
+    in isolation: in-context decodability is the quantity the alignment
+    phase regularizes, and shallow encoders keep isolated backgrounds
+    linearly separable no matter how hard the scene-level cue is crushed.
+    The head is `_fit_unweighted_head`.
+    """
+    by_group: dict[int, list] = {}
+    for bg in backgrounds:
+        by_group.setdefault(bg.g, []).append(bg)
+    train_bgs, test_bgs = [], []
+    for grp in sorted(by_group):
+        pool = sorted(by_group[grp], key=lambda b: b.id)
+        order = rng(seed, "retention-split", grp).permutation(len(pool))
+        k = max(1, len(pool) // 5)
+        test_bgs.extend(pool[i] for i in order[:k])
+        train_bgs.extend(pool[i] for i in order[k:])
+    fgs = sorted(foregrounds, key=lambda f: f.id)
+
+    memo = RenderMemo()
+
+    def scenes(pool, n, tag):
+        g = rng(seed, "retention", tag)
+        items = []
+        for i in range(n):
+            bg = pool[int(g.integers(0, len(pool)))]
+            fg = fgs[int(g.integers(0, len(fgs)))]
+            items.append((fg, bg, scene_scale(derive_seed(seed, "retention", tag, i))))
+        return render(items, memo=memo), np.array([bg.g for _, bg, _ in items])
+
+    X_tr, y_tr = scenes(train_bgs, _RETENTION_TRAIN, "train")
+    X_te, y_te = scenes(test_bgs, _RETENTION_TEST, "test")
+    head = _fit_unweighted_head(encode_np(encoder, X_tr), y_tr, int(y_tr.max()) + 1,
+                                derive_seed(seed, "retention-head"), epochs=20)
+    return float((head_predict(head, encode_np(encoder, X_te)) == y_te).mean())
+
+
+def retention_eval(encoder_before, encoder_after, backgrounds, foregrounds,
+                   seed: int = 0) -> tuple[float, float]:
+    """Criterion 12's instrument: how much in-context background-group information
+    each encoder retains."""
+    if len({bg.g for bg in backgrounds}) < 2:
+        raise ConfigError("retention_eval needs >= 2 background groups")
+    before = _background_probe_accuracy(encoder_before, backgrounds, foregrounds, seed)
+    after = _background_probe_accuracy(encoder_after, backgrounds, foregrounds, seed)
+    return before, after
 
 
 # ---------------------------------------------------------------------------
@@ -45,6 +125,20 @@ def test_fit_linear_head_separable():
     assert (preds == labels).mean() == 1.0
     again = fit_linear_head(embs, labels, 2, seed=1, epochs=10, lr=5e-2)
     assert np.array_equal(head.W.data, again.W.data)
+
+
+def test_the_unweighted_head_is_fit_linear_heads_recipe():
+    # balanced classes weigh 1 each, so the class-weighted fit and the
+    # unweighted one agree bit for bit, ragged last batch included
+    g = np.random.default_rng(3)
+    n = PROBE_BATCH + 31
+    embs = g.normal(size=(n, 5)).astype(np.float32)
+    labels = np.arange(n) % 3
+    weighted = fit_linear_head(embs, labels, 3, seed=4, epochs=10)
+    plain = _fit_unweighted_head(embs, labels, 3, seed=4, epochs=10)
+    assert np.any(plain.b.data != 0.0)
+    assert np.array_equal(weighted.W.data, plain.W.data)
+    assert np.array_equal(weighted.b.data, plain.b.data)
 
 
 def test_train_probe_requires_frozen(micro_world, micro_teacher):

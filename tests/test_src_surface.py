@@ -18,8 +18,6 @@ ALLOWED_UNREFERENCED = {
     "scene.read_manifest": "manifest format: reads what gen-data writes",
     "scene.regenerate_from_manifest": "manifest format: rebuilds the rasters a manifest names",
     "scene.make_composite": "perfbench's tracer tests pin its re-exports",
-    "additivity.triple_rasters": "gate instrument: one standard probe triple",
-    "evaluation.retention_eval": "gate instrument: background information kept",
     "cli.ExperimentConfig.to_json": "the writer side of `from_json`: a config round-trips",
     "tensor.Tensor.item": "the tests read a scalar loss with it, as numpy's `item` does",
 }
@@ -152,18 +150,20 @@ def test_only_fork_shares_asks_whether_to_fork():
 
 def raster_stacks() -> set[str]:
     """`module:line` of each `np.stack` call in `src/` whose arguments read an attribute
-    `.raster`."""
+    `.raster` or call a function whose name contains `raster`."""
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     return {f"{module}:{n.lineno}" for module, tree in trees.items() for n in ast.walk(tree)
             if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
             and n.func.attr == "stack"
             and any(isinstance(a, ast.Attribute) and a.attr == "raster"
+                    or isinstance(a, ast.Call) and any("raster" in name for name in _uses(a.func))
                     for arg in (*n.args, *(k.value for k in n.keywords)) for a in ast.walk(arg))}
 
 
 def test_no_function_in_src_stacks_rasters():
     # `scene.render` is the one builder of raster batches: it writes each row once,
-    # in float32, where a stack of `.raster` arrays makes a second, float64 for stripes
+    # in float32, where a stack of `.raster` arrays, or of rows a raster-building
+    # helper made, is a second builder (float64 for stripes)
     assert raster_stacks() == set()
 
 
