@@ -162,23 +162,22 @@ def train_orthogonal(teacher: EncoderModel, targets: list[np.ndarray],
 
 
 def train_control(teacher: EncoderModel, foregrounds, bg_pool, cfg: AlignConfig,
-                  probe_epochs: int = CONTROL_WARMUP_EPOCHS,
                   memo: RenderMemo | None = None) -> tuple[EncoderModel, T.FitLog]:
     """Budget-matched cross-entropy control on the exact same composite stream.
 
     Consumes exactly the epochs an alignment run would, in two stages within
-    that budget: the first `probe_epochs` epochs update the head only
+    that budget: the first CONTROL_WARMUP_EPOCHS epochs update the head only
     (frozen-encoder warm-up), the remainder fine-tune everything.  The
     classification head is discarded; only the encoder is returned.
     """
-    if probe_epochs >= cfg.epochs:
+    if CONTROL_WARMUP_EPOCHS >= cfg.epochs:
         raise ConfigError("probe stage must leave at least one fine-tuning epoch")
     student = clone_unfrozen(teacher)
     head = init_head(student.d, len({fg.y for fg in foregrounds}),
                      rng(derive_seed(cfg.seed, "control-head"), "head"))
     loss = ce_loss(student, head, lambda fg, bg: fg.y)
     return student, _train_loop(student, loss, foregrounds, bg_pool, cfg, head=head,
-                                head_only_epochs=probe_epochs, memo=memo)
+                                head_only_epochs=CONTROL_WARMUP_EPOCHS, memo=memo)
 
 
 def pretrain_teacher(foregrounds, backgrounds, seed: int, epochs: int = 6,

@@ -416,22 +416,6 @@ def cmd_gen_data(cfg: ExperimentConfig, seed: int, out) -> list[Path]:
     return paths
 
 
-def _probe_share(run: tuple, k: int, shares: int) -> list[tuple]:
-    """(`ProbePart`, seconds) of each alpha of `run`, a (config, global seed,
-    foregrounds, backgrounds, planted map) tuple: part (k, shares) of its probe,
-    scored by the planted teacher of that alpha, which shares the map's `W` and `P`."""
-    cfg, seed, fgs, bgs, planted = run
-    parts = []
-    for alpha in cfg.additivity_alphas:
-        t0 = time.perf_counter()
-        teacher = EncoderModel(planted.arch, planted.d, planted.input_hw, {},
-                               {**planted.consts, "alpha": np.float64(alpha)}, frozen=True)
-        part = run_probe(teacher, fgs, bgs, cfg.additivity_n,
-                         derive_seed(seed, "additivity", alpha), part=(k, shares))
-        parts.append((part, time.perf_counter() - t0))
-    return parts
-
-
 def cmd_probe_additivity(cfg: ExperimentConfig, seed: int, out) -> Path:
     """One run record per alpha and the table built from them.
 
@@ -451,8 +435,22 @@ def cmd_probe_additivity(cfg: ExperimentConfig, seed: int, out) -> Path:
         planted = planted_teacher(derive_seed(seed, "additivity-teacher"), d=cfg.d,
                                   input_hw=(cfg.hw, cfg.hw))
         shares = min(_usable_cpus(), probe_chunks(cfg.additivity_n))
-        per_share = _fork_shares(_probe_share, (cfg, seed, fgs, bgs, planted),
-                                 [(k, shares) for k in range(shares)])
+
+        def probe_share(k: int) -> list[tuple]:
+            # (`ProbePart`, seconds) of each alpha: part (k, shares) of its probe, scored
+            # by the planted teacher of that alpha, which shares the map's `W` and `P`
+            parts = []
+            for alpha in cfg.additivity_alphas:
+                t0 = time.perf_counter()
+                teacher = EncoderModel(planted.arch, planted.d, planted.input_hw, {},
+                                       {**planted.consts, "alpha": np.float64(alpha)},
+                                       frozen=True)
+                part = run_probe(teacher, fgs, bgs, cfg.additivity_n,
+                                 derive_seed(seed, "additivity", alpha), part=(k, shares))
+                parts.append((part, time.perf_counter() - t0))
+            return parts
+
+        per_share = _fork_shares(probe_share, shares)
         run_ids = []
         for alpha, timed in zip(cfg.additivity_alphas, zip(*per_share)):
             rep = merge_parts([part for part, _ in timed])
@@ -469,23 +467,15 @@ def cmd_probe_additivity(cfg: ExperimentConfig, seed: int, out) -> Path:
                           rows)
 
 
-def _k_share(run: tuple, ks: tuple[int, ...]) -> anchors.KSweepReport:
-    """`anchors.k_sweep` of the ascending K values `ks`, on `run`, a (config, global
-    seed, teacher, swept foregrounds, background pool, its embeddings, class
-    prototypes, render memo) tuple."""
-    cfg, seed, teacher, fgs, bgs, bg_embs, protos, memo = run
-    return anchors.k_sweep(teacher, fgs, bgs, bg_embs, ks, protos, derive_seed(seed, "ksweep"),
-                           var_trials=cfg.var_trials, memo=memo)
-
-
 def cmd_k_ablation(cfg: ExperimentConfig, seed: int, out) -> Path:
     """One run record per K and the table built from them.
 
     The teacher, its class prototypes and the pool's one `background_embeddings` are
     built first.  The K grid is then dealt by `_deal`, a K costing K, into
     min(usable CPUs, len(k_grid)) shares; `_fork_shares` runs them, each share its K
-    values in ascending order.  A K's results do not depend on the others, so joined in grid order they
-    are the same however the grid is dealt; the slope is fitted over the whole grid.
+    values in ascending order.  A K's results do not depend on the others, so joined
+    in grid order they are the same however the grid is dealt; the slope is fitted
+    over the whole grid.
     """
     out = _ensure_out(out)
     ctx = SeedContext(cfg, derive_seed(seed, "run", 0))
@@ -493,11 +483,17 @@ def cmd_k_ablation(cfg: ExperimentConfig, seed: int, out) -> Path:
         fgs, bgs = ctx.world
         teacher = ctx.teacher
         protos = anchors.compute_prototypes(teacher, fgs, memo=ctx.memo)
-        run = (cfg, seed, teacher, _first_per_class(fgs, 25), bgs,
-               anchors.background_embeddings(teacher, bgs), protos, ctx.memo)
+        swept = _first_per_class(fgs, 25)
+        bg_embs = anchors.background_embeddings(teacher, bgs)
         dealt = _deal(cfg.k_grid, min(_usable_cpus(), len(cfg.k_grid)), int)
+
+        def k_share(i: int) -> anchors.KSweepReport:
+            return anchors.k_sweep(teacher, swept, bgs, bg_embs, tuple(sorted(dealt[i])), protos,
+                                   derive_seed(seed, "ksweep"), var_trials=cfg.var_trials,
+                                   memo=ctx.memo)
+
         grid, fg_sim, bg_sim_max, var_eps = zip(*sorted(
-            row for rep in _fork_shares(_k_share, run, [(tuple(sorted(ks)),) for ks in dealt])
+            row for rep in _fork_shares(k_share, len(dealt))
             for row in zip(rep.k_grid, rep.fg_sim, rep.bg_sim_max, rep.var_eps)))
         logk = np.log(np.asarray(grid, dtype=np.float64))
         logv = np.log(np.asarray(var_eps, dtype=np.float64))
@@ -591,18 +587,18 @@ def _run_cells(ctx: SeedContext, out: Path, cells) -> None:
             ctx.release(name, rho)
 
 
-# (function, state) of the shares a forked child runs, set in it by its pool's initializer
-_inherited: tuple | None = None
+# the function whose shares a forked child runs, set in it by its pool's initializer
+_inherited = None
 _PR_SET_PDEATHSIG = 1  # prctl(2): the signal a process gets when its parent dies
 
 
-def _inherit(fn, state, parent: int) -> None:
-    """Run first in each forked child: keep `fn` and `state` for its shares, and have
-    the kernel SIGKILL the child when `parent`, the process that forked it, dies; so
-    no child, nor a child of its own, outlives a killed caller or a pool that
-    terminated it.  A parent already gone by then ends the child at once."""
+def _inherit(fn, parent: int) -> None:
+    """Run first in each forked child: keep `fn` for its shares, and have the kernel
+    SIGKILL the child when `parent`, the process that forked it, dies; so no child,
+    nor a child of its own, outlives a killed caller or a pool that terminated it.  A
+    parent already gone by then ends the child at once."""
     global _inherited
-    _inherited = fn, state
+    _inherited = fn
     prctl = ctypes.CDLL(None).prctl
     prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
     prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
@@ -610,30 +606,29 @@ def _inherit(fn, state, parent: int) -> None:
         os._exit(1)
 
 
-def _run_inherited(*args):
-    fn, state = _inherited
-    return fn(state, *args)
+def _run_inherited(i: int):
+    return _inherited(i)
 
 
-def _fork_shares(fn, state, shares: list[tuple]) -> list:
-    """`[fn(state, *args) for args in shares]`, and the one place in the lab that
-    decides to fork.  Given more than one share where this process may fork
-    (`_may_fork`), it runs each share in its own child forked from it while it waits;
-    otherwise it runs the shares here in turn.  Each child inherits `fn` and `state`
-    unpickled, so only the `args` and the results cross the pipe, and dies with its
-    parent (`_inherit`).  The pool forks all its children at the first submit, before
-    it starts its manager thread, so each child is single-threaded and may call
-    `_fork_shares` itself.  A share's error reaches the caller with its type, and a
-    child that dies raises `BrokenProcessPool`; the children are joined before this
+def _fork_shares(fn, shares: int) -> list:
+    """`[fn(i) for i in range(shares)]`, and the one place in the lab that decides to
+    fork.  Given more than one share where this process may fork (`_may_fork`), it
+    runs each share in its own child forked from it while it waits; otherwise it runs
+    the shares here in turn.  Each child inherits `fn`, and all it closes over,
+    unpickled, so only the share index and the result cross the pipe, and dies with
+    its parent (`_inherit`).  The pool forks all its children at the first submit,
+    before it starts its manager thread, so each child is single-threaded and may
+    call `_fork_shares` itself.  A share's error reaches the caller with its type, and
+    a child that dies raises `BrokenProcessPool`; the children are joined before this
     returns or raises."""
-    if len(shares) == 1 or not _may_fork():
-        return [fn(state, *args) for args in shares]
+    if shares == 1 or not _may_fork():
+        return [fn(i) for i in range(shares)]
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(len(shares), mp_context=multiprocessing.get_context("fork"),
-                             initializer=_inherit, initargs=(fn, state, os.getpid())) as pool:
-        forked = [pool.submit(_run_inherited, *args) for args in shares]
+    with ProcessPoolExecutor(shares, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_inherit, initargs=(fn, os.getpid())) as pool:
+        forked = [pool.submit(_run_inherited, i) for i in range(shares)]
         return [future.result() for future in forked]
 
 
@@ -649,13 +644,11 @@ def _run_seed(out: Path, cfg: ExperimentConfig, run_seed: int, groups) -> None:
     for rho in dict.fromkeys(rho for group in groups for _, _, rho, _ in group):
         _leakage_check(*ctx.datasets(rho))
     ctx.teacher  # built now, so that a forked group inherits it
-    _fork_shares(_run_cells, ctx, [(out, group) for group in groups])
 
+    def run_group(i: int) -> None:
+        _run_cells(ctx, out, groups[i])
 
-def _run_seeds(out: Path, jobs) -> None:
-    """`_run_seed` of each (config, run seed, cell groups) job in `jobs`, in turn."""
-    for job in jobs:
-        _run_seed(out, *job)
+    _fork_shares(run_group, len(groups))
 
 
 def _usable_cpus() -> int:
@@ -785,17 +778,18 @@ def _run_jobs(out: Path, jobs) -> None:
     cpus = _usable_cpus()
     dealt = _seed_jobs(jobs, cpus)
     shares = min(len(dealt), cpus)
-    _fork_shares(_run_seeds, out, [(dealt[w::shares],) for w in range(shares)])
+
+    def run_share(w: int) -> None:
+        for job in dealt[w::shares]:
+            _run_seed(out, *job)
+
+    _fork_shares(run_share, shares)
 
 
-def cmd_run_matrix(cfg: ExperimentConfig, seed: int, out,
-                   methods=None, rhos=None) -> Path:
-    """The method x rho x seed grid: one run record per cell, then the two CSVs built
-    from those records, in grid order (seed, rho, method).  Each seed is one
-    `_run_jobs` job, whose records carry the seed's index as `run_index`."""
-    # the records carry the grid that runs; a bad override raises ConfigError here
-    cfg = replace(cfg, methods=tuple(cfg.methods if methods is None else methods),
-                  rhos=tuple(cfg.rhos if rhos is None else rhos))
+def cmd_run_matrix(cfg: ExperimentConfig, seed: int, out) -> Path:
+    """The `cfg.methods` x `cfg.rhos` x seed grid: one run record per cell, then the
+    two CSVs built from those records, in grid order (seed, rho, method).  Each seed
+    is one `_run_jobs` job, whose records carry the seed's index as `run_index`."""
     out = _ensure_out(out)
     cells = [[(f"{method}-rho{rho:g}-s{i}", method, rho, {"run_index": i})
               for rho in cfg.rhos for method in cfg.methods] for i in range(cfg.num_seeds)]
@@ -939,13 +933,14 @@ def main(argv=None) -> int:
             print(f"wrote {cmd_k_ablation(cfg, args.seed, args.out)}")
         elif args.command == "run-matrix":
             # only an absent flag falls back to the config's grid; an empty one is an error
-            methods = None if args.methods is None else args.methods.split(",")
+            grid = {} if args.methods is None else {"methods": tuple(args.methods.split(","))}
             try:
-                rhos = None if args.rho is None else [float(r) for r in args.rho.split(",")]
+                if args.rho is not None:
+                    grid["rhos"] = tuple(float(r) for r in args.rho.split(","))
             except ValueError:
                 raise ConfigError(f"--rho takes comma-separated numbers, got {args.rho!r}") \
                     from None
-            print(f"wrote {cmd_run_matrix(cfg, args.seed, args.out, methods, rhos)}")
+            print(f"wrote {cmd_run_matrix(replace(cfg, **grid), args.seed, args.out)}")
         elif args.command == "ablate":
             print(f"wrote {cmd_ablate(cfg, args.seed, args.out, args.which)}")
     except ConfigError as err:

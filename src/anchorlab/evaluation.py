@@ -164,8 +164,7 @@ def bsi(embeddings_a: np.ndarray, embeddings_b: np.ndarray) -> float:
     return float(np.linalg.norm(mu_a - mu_b) / denom)
 
 
-def bsi_protocol(encoder: EncoderModel, foregrounds, backgrounds,
-                 n_pairs: int = 64, seed: int = 0,
+def bsi_protocol(encoder: EncoderModel, foregrounds, backgrounds, n_pairs: int, seed: int = 0,
                  memo: RenderMemo | None = None) -> BsiReport:
     """Per-class BSI from a paired background swap.
 

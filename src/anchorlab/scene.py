@@ -379,11 +379,11 @@ def _prepare_foreground(fg: ForegroundInstance, degradation: str) -> tuple[np.nd
     return crop
 
 
-def prepare_foregrounds(fgs, degradation: str = "perfect") -> None:
-    """Crop each foreground and refine its alpha for `degradation` now, as `render`
+def prepare_foregrounds(fgs) -> None:
+    """Crop each foreground and refine its alpha for the "perfect" mask now, as `render`
     does on first use: a process forked afterwards inherits them."""
     for fg in fgs:
-        _prepare_foreground(fg, degradation)
+        _prepare_foreground(fg, "perfect")
 
 
 def _scaled_size(fg: ForegroundInstance, scale: float, hw: tuple[int, int],
@@ -469,17 +469,15 @@ def scene_scale(seed: int) -> float:
     return float(rng(seed, "scale").uniform(*SCENE_SCALE_RANGE))
 
 
-def composite(fg: ForegroundInstance, bg: BackgroundImage, scale: float,
-              degradation: str = "perfect") -> np.ndarray:
+def composite(fg: ForegroundInstance, bg: BackgroundImage, scale: float) -> np.ndarray:
     """The float32 raster of one centred composite: a one-item `render`."""
-    return render([(fg, bg, scale)], degradation)[0]
+    return render([(fg, bg, scale)])[0]
 
 
-def make_composite(fg: ForegroundInstance, bg: BackgroundImage, seed: int,
-                   degradation: str = "perfect") -> np.ndarray:
+def make_composite(fg: ForegroundInstance, bg: BackgroundImage, seed: int) -> np.ndarray:
     """The raster of the composite whose scale item seed `seed` draws from
     SCENE_SCALE_RANGE, as a stream item's: it regenerates bitwise from (fg, bg, seed)."""
-    return composite(fg, bg, scene_scale(seed), degradation)
+    return composite(fg, bg, scene_scale(seed))
 
 
 # ---------------------------------------------------------------------------

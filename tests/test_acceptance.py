@@ -67,10 +67,10 @@ def matrix(tmp_path_factory):
     number is the full-precision float of its run record, not the rounded
     `metrics.csv` cell.
     """
-    cfg = ExperimentConfig()
+    cfg = ExperimentConfig(methods=("native-lp", "lp-ft", "control", "bap-lp"))
     out = tmp_path_factory.mktemp("matrix")
     t0 = time.perf_counter()
-    cmd_run_matrix(cfg, GLOBAL_SEED, out, methods=("native-lp", "lp-ft", "control", "bap-lp"))
+    cmd_run_matrix(cfg, GLOBAL_SEED, out)
     wall = time.perf_counter() - t0
 
     def metric(method, rho, i, key):

@@ -107,7 +107,7 @@ def test_train_bap_missing_anchor(micro_world, micro_teacher):
 def test_bap_and_control_share_the_stream(micro_world, micro_teacher, monkeypatch):
     fgs, bgs = micro_world
     aset = build_anchor_set(micro_teacher, fgs, bgs, 2, 1)
-    cfg = _small_cfg()
+    cfg = _small_cfg(epochs=alignment.CONTROL_WARMUP_EPOCHS + 1)
     consumed = []
     real = alignment.composite_stream
 
@@ -118,7 +118,7 @@ def test_bap_and_control_share_the_stream(micro_world, micro_teacher, monkeypatc
 
     monkeypatch.setattr(alignment, "composite_stream", recording)
     for train in (lambda: train_bap(micro_teacher, aset, fgs, bgs, cfg),
-                  lambda: train_control(micro_teacher, fgs, bgs, cfg, probe_epochs=1)):
+                  lambda: train_control(micro_teacher, fgs, bgs, cfg)):
         consumed.append([])
         train()
     bap_stream, control_stream = consumed
@@ -128,12 +128,14 @@ def test_bap_and_control_share_the_stream(micro_world, micro_teacher, monkeypatc
 def test_train_control_probe_budget_error(micro_world, micro_teacher):
     fgs, bgs = micro_world
     with pytest.raises(ConfigError):
-        train_control(micro_teacher, fgs, bgs, _small_cfg(epochs=2), probe_epochs=2)
+        train_control(micro_teacher, fgs, bgs,
+                      _small_cfg(epochs=alignment.CONTROL_WARMUP_EPOCHS))
 
 
 def test_train_control_discards_head(micro_world, micro_teacher):
     fgs, bgs = micro_world
-    student, _ = train_control(micro_teacher, fgs, bgs, _small_cfg(), probe_epochs=1)
+    student, _ = train_control(micro_teacher, fgs, bgs,
+                               _small_cfg(epochs=alignment.CONTROL_WARMUP_EPOCHS + 1))
     assert "head_W" not in student.params
     assert not student.frozen
 

@@ -255,7 +255,7 @@ def test_composite_is_the_centred_blend_of_scaled_foreground(micro_world, mode):
     r0, c0 = (H - oh) // 2, (W - ow) // 2
     region = expected[r0 : r0 + oh, c0 : c0 + ow]
     expected[r0 : r0 + oh, c0 : c0 + ow] = a * fg_scaled + (1.0 - a) * region
-    assert np.array_equal(composite(fgs[1], bg, 0.65, mode), expected.astype(np.float32))
+    assert np.array_equal(render([(fgs[1], bg, 0.65)], mode)[0], expected.astype(np.float32))
 
 
 def test_composite_config_errors(micro_world):
@@ -280,7 +280,7 @@ def test_make_composite_scale_in_range_and_seeded(micro_world):
 def test_make_composite_modes(micro_world):
     fgs, bgs = micro_world
     perfect = make_composite(fgs[0], bgs[0], 5)
-    box = make_composite(fgs[0], bgs[0], 5, degradation="bbox")
+    box = render([(fgs[0], bgs[0], scene_scale(5))], "bbox")[0]
     assert not np.array_equal(perfect, box)
 
 
@@ -295,9 +295,9 @@ def test_crop_cache_is_keyed_by_degradation(micro_world, mode):
     used = fresh()
     for other in DEGRADATIONS:
         if other != mode:
-            make_composite(used, bgs[0], 5, degradation=other)
-    got = make_composite(used, bgs[0], 5, degradation=mode)
-    assert np.array_equal(got, make_composite(fresh(), bgs[0], 5, degradation=mode))
+            render([(used, bgs[0], scene_scale(5))], other)
+    got = render([(used, bgs[0], scene_scale(5))], mode)[0]
+    assert np.array_equal(got, render([(fresh(), bgs[0], scene_scale(5))], mode)[0])
 
 
 def _reference_blend(fg, bg, scale, mode):
@@ -319,8 +319,7 @@ def test_render_rows_are_the_blend_rounded_once(micro_world, mode):
     assert stripes.raster.dtype == np.float64 and checker.raster.dtype == np.float32
     specs = [(fg, bg, seed) for bg in (stripes, checker) for fg in fgs[:2] for seed in (3, 4, 3)]
     items = [(fg, bg, scene_scale(seed)) for fg, bg, seed in specs]
-    expected = [make_composite(fg, bg, seed, mode).astype(np.float32)
-                for fg, bg, seed in specs]
+    expected = [render([item], mode)[0] for item in items]
     memo = RenderMemo()
     miss = render(items, mode, memo)
     assert memo.parts
@@ -555,11 +554,11 @@ def test_rng_seeds_from_the_int_as_from_its_uint64(seed):
 def test_prepared_foregrounds_render_without_preparing_again(monkeypatch):
     fgs, bgs = gen_world(12, 2, 2, 3, 4, (32, 32))
     items = [(fg, bgs[i % len(bgs)], 0.6) for i, fg in enumerate(fgs)]
-    expected = scene.render(items, "noisy")
+    expected = scene.render(items)
     fresh, _ = gen_world(12, 2, 2, 3, 4, (32, 32))
-    scene.prepare_foregrounds(fresh, "noisy")
+    scene.prepare_foregrounds(fresh)
     blurs = []
     real = scene.gaussian_blur
     monkeypatch.setattr(scene, "gaussian_blur", lambda img: blurs.append(1) or real(img))
-    got = scene.render([(fg, bg, scale) for fg, (_, bg, scale) in zip(fresh, items)], "noisy")
+    got = scene.render([(fg, bg, scale) for fg, (_, bg, scale) in zip(fresh, items)])
     assert blurs == [] and np.array_equal(got, expected)

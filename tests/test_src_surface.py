@@ -1,8 +1,10 @@
 """`src/` holds only what the lab runs: every public top-level function and class,
 and every public method of those classes, is used by other code in `src/`, or is on
 an allow-list with its reason; every parameter of a public function and every field
-of a dataclass is read; one function forks, and decides to; `scene.render` builds
-every encoded raster batch; and `tensor._cube` is the one `** 3`."""
+of a dataclass is read; every defaulted parameter is set by some call in `src/`, or
+is on an allow-list with its reason; one function forks, and decides to;
+`scene.render` builds every encoded raster batch; and `tensor._cube` is the one
+`** 3`."""
 
 import ast
 from collections import Counter
@@ -77,6 +79,78 @@ def test_every_parameter_of_a_public_function_in_src_is_read():
     # a parameter nothing reads is a knob that turns nothing, and every caller must
     # still pass it
     assert unread_parameters() == set()
+
+
+# `module.name(parameter)` of defaulted parameters that no call in src/ sets, each with
+# why the option stays
+ALLOWED_TEST_ONLY_OPTIONS = {
+    "cli.main(argv)": "the console entry reads `sys.argv`",
+    "encoders.planted_teacher(alpha)": "criterion 2 sets it; `probe-additivity` shares one "
+                                       "draw across its alphas, where a redraw took 13-26 ms",
+    "scene.degrade_mask(radius)": "criterion 9 checks radii 1 and 2",
+    "tensor.tmean(axis)": "criterion 1 checks its gradient along an axis",
+}
+
+
+def _defaulted(node: ast.FunctionDef, method: bool):
+    """(name, position) of each defaulted parameter of `node`: its index among the
+    arguments a call passes by position (past `self` or `cls` for a method but a
+    static one), None for a keyword-only parameter."""
+    a = node.args
+    positional = [*a.posonlyargs, *a.args]
+    bound = method and not any(_uses(d)["staticmethod"] for d in node.decorator_list)
+    for i in range(len(positional) - len(a.defaults), len(positional)):
+        yield positional[i].arg, i - bound
+    yield from ((p.arg, None) for p, default in zip(a.kwonlyargs, a.kw_defaults) if default)
+
+
+def _sets(call: ast.Call, param: str, position: int | None) -> bool:
+    """Whether `call` sets `param`: by keyword, by `**kwargs`, or, a positional
+    parameter, by position or by `*args`."""
+    if any(k.arg in (param, None) for k in call.keywords):
+        return True
+    return position is not None and (position < len(call.args)
+                                     or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def unset_options() -> set[str]:
+    """`module.name(parameter)` of each defaulted parameter of a public function or
+    method in `src/`, `__init__` included, that no call in `src/` sets.  A call counts
+    where its callee has the function's name (the class's for `__init__`); a function
+    that `src/` passes as a value counts as set for any keyword some call passes."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    calls = [n for tree in trees.values() for n in ast.walk(tree) if isinstance(n, ast.Call)]
+    called = {id(call.func) for call in calls}
+    passed = {n.id if isinstance(n, ast.Name) else n.attr for tree in trees.values()
+              for n in ast.walk(tree) if isinstance(n, (ast.Name, ast.Attribute))
+              and isinstance(n.ctx, ast.Load) and id(n) not in called}
+    keywords = {k.arg for call in calls for k in call.keywords}
+
+    def callee(call) -> str | None:
+        f = call.func
+        return f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+
+    unset = set()
+    for module, tree in trees.items():
+        functions = [(name, node, node.name) for name, node in _public(module, tree)
+                     if isinstance(node, ast.FunctionDef)]
+        functions += [(f"{module}.{top.name}.__init__", node, top.name) for top in tree.body
+                      if isinstance(top, ast.ClassDef) and not top.name.startswith("_")
+                      for node in top.body
+                      if isinstance(node, ast.FunctionDef) and node.name == "__init__"]
+        for name, node, callee_name in functions:
+            for param, position in _defaulted(node, method=name.count(".") == 2):
+                if not (any(callee(call) == callee_name and _sets(call, param, position)
+                            for call in calls)
+                        or node.name in passed and param in keywords):
+                    unset.add(f"{name}({param})")
+    return unset
+
+
+def test_every_option_in_src_is_set_in_src_or_allowed():
+    # an option that only tests set is a second way into its function that the lab
+    # never takes
+    assert unset_options() == set(ALLOWED_TEST_ONLY_OPTIONS)
 
 
 def _loaded_attributes(node) -> Counter:
