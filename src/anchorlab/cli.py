@@ -613,8 +613,8 @@ def _run_inherited(i: int):
 def _fork_shares(fn, shares: int) -> list:
     """`[fn(i) for i in range(shares)]`, and the one place in the lab that decides to
     fork.  Given more than one share where this process may fork (`_may_fork`), it
-    runs each share in its own child forked from it while it waits; otherwise it runs
-    the shares here in turn.  Each child inherits `fn`, and all it closes over,
+    forks one child per share and runs the shares in them while it waits; otherwise
+    it runs the shares here in turn.  Each child inherits `fn`, and all it closes over,
     unpickled, so only the share index and the result cross the pipe, and dies with
     its parent (`_inherit`).  The pool forks all its children at the first submit,
     before it starts its manager thread, so each child is single-threaded and may

@@ -887,9 +887,10 @@ def test_forked_shares_run_a_closure_over_what_cannot_be_pickled():
     with cli._one_blas_thread():
         assert cli._may_fork()
         seen = cli._fork_shares(share, 3)
-    # each share ran in its own child, and the results came back in index order
+    # the shares ran in forked children, and the results came back in index order; a
+    # child that finishes its share first may run the next one too
     assert [value for _, value in seen] == [0, 10, 20]
-    assert len({pid for pid, _ in seen} - {os.getpid()}) == 3
+    assert os.getpid() not in {pid for pid, _ in seen}
 
 
 def test_run_matrix_reraises_a_seed_workers_error(tmp_path, monkeypatch):
