@@ -191,7 +191,7 @@ def pretrain_teacher(foregrounds, backgrounds, seed: int, epochs: int = 6,
     backbone.  Returned frozen, head discarded.
     """
     hw = backgrounds[0].raster.shape[:2]
-    model = init_encoder("mlp", derive_seed(seed, "teacher"), d=d, input_hw=hw)
+    model = init_encoder(derive_seed(seed, "teacher"), d=d, input_hw=hw)
     num_groups = len({bg.g for bg in backgrounds})
     num_classes = len({fg.y for fg in foregrounds})
     head = init_head(d, num_classes * num_groups, rng(derive_seed(seed, "teacher-head"), "head"))

@@ -26,7 +26,6 @@ from .scene import (  # composite is re-exported; perfbench's tracer tests pin t
     render,
 )
 
-DEFAULT_K = 10
 DEFAULT_K_GRID = (1, 2, 3, 5, 8, 10, 15, 20, 30, 40)
 
 _EPS = 1e-8

@@ -8,8 +8,10 @@ Three architectures:
   additivity probe has a ground-truth reference point.  phi squares 4x4
   average-pooled patches, which injects foreground x background interaction
   terms as alpha grows.
-* ``linear`` — trainable W only.
-* ``mlp`` — two layers, hidden 256, GELU.
+* ``linear`` — trainable W only: the trainable clone of a planted teacher
+  (``clone_unfrozen``).
+* ``mlp`` — two layers, hidden 256, GELU: what ``init_encoder`` builds, the
+  learned teacher's backbone.
 
 All encoders emit unit-L2 embeddings; frozen models never register
 gradients and are safe to share across workers.
@@ -86,24 +88,19 @@ def planted_teacher(seed: int, d: int = 64, input_hw: tuple[int, int] = (64, 64)
     )
 
 
-def init_encoder(arch: str, seed: int, d: int = 64, input_hw: tuple[int, int] = (64, 64)) -> EncoderModel:
-    """Fresh trainable encoder of the given architecture."""
-    g = rng(seed, "encoder", arch)
+def init_encoder(seed: int, d: int = 64, input_hw: tuple[int, int] = (64, 64)) -> EncoderModel:
+    """Fresh trainable MLP encoder."""
+    g = rng(seed, "encoder", "mlp")
     D = _flat_dim(input_hw)
-    params: dict[str, Tensor] = {}
-    if arch == "linear":
-        params["W"] = Tensor((g.standard_normal((D, d)) / np.sqrt(D)).astype(np.float32),
-                             requires_grad=True)
-    elif arch == "mlp":
-        params["W1"] = Tensor((g.standard_normal((D, MLP_HIDDEN)) * np.sqrt(2.0 / D)).astype(np.float32),
-                              requires_grad=True)
-        params["b1"] = Tensor(np.zeros(MLP_HIDDEN, dtype=np.float32), requires_grad=True)
-        params["W2"] = Tensor((g.standard_normal((MLP_HIDDEN, d)) * np.sqrt(2.0 / MLP_HIDDEN)).astype(np.float32),
-                              requires_grad=True)
-        params["b2"] = Tensor(np.zeros(d, dtype=np.float32), requires_grad=True)
-    else:
-        raise ConfigError(f"unknown architecture {arch!r}")
-    return EncoderModel(arch=arch, d=d, input_hw=input_hw, params=params,
+    params = {
+        "W1": Tensor((g.standard_normal((D, MLP_HIDDEN)) * np.sqrt(2.0 / D)).astype(np.float32),
+                     requires_grad=True),
+        "b1": Tensor(np.zeros(MLP_HIDDEN, dtype=np.float32), requires_grad=True),
+        "W2": Tensor((g.standard_normal((MLP_HIDDEN, d)) * np.sqrt(2.0 / MLP_HIDDEN)).astype(np.float32),
+                     requires_grad=True),
+        "b2": Tensor(np.zeros(d, dtype=np.float32), requires_grad=True),
+    }
+    return EncoderModel(arch="mlp", d=d, input_hw=input_hw, params=params,
                         consts={}, frozen=False)
 
 
@@ -145,7 +142,7 @@ def encode_batch(model: EncoderModel, batch: np.ndarray) -> Tensor:
     """Unit-norm embeddings [B, d] of rasters; differentiable when the model is
     trainable."""
     z = _forward(model, Tensor(_as_batch(batch, model.input_hw)))
-    return T.l2_normalize(z, axis=-1)
+    return T.l2_normalize(z)
 
 
 def encode_np(model: EncoderModel, batch: np.ndarray) -> np.ndarray:

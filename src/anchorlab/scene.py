@@ -614,11 +614,6 @@ def _numbered_records(path) -> tuple[dict, list[tuple[int, dict]]]:
     return header, items
 
 
-def read_manifest(path) -> tuple[dict, list[dict]]:
-    header, items = _numbered_records(path)
-    return header, [rec for _, rec in items]
-
-
 def _require(rec: dict, fields, where: str) -> None:
     missing = [key for key in fields if key not in rec]
     if missing:

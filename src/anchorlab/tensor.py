@@ -44,15 +44,8 @@ class Tensor:
         return self.data.shape
 
     @property
-    def ndim(self):
-        return self.data.ndim
-
-    @property
     def size(self):
         return self.data.size
-
-    def item(self) -> float:
-        return float(self.data)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -66,9 +59,6 @@ class Tensor:
 
     def __mul__(self, other):
         return mul(self, _coerce(other))
-
-    def __truediv__(self, other):
-        return div(self, _coerce(other))
 
 
 def _coerce(x) -> Tensor:
@@ -168,17 +158,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     )
 
 
-def div(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data / b.data)
-    return _maybe_record(
-        out, (a, b),
-        lambda g: (
-            _unbroadcast(g / b.data, a.shape),
-            _unbroadcast(-g * a.data / (b.data * b.data), b.shape),
-        ),
-    )
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise DimensionError(f"matmul expects 2-D operands, got {a.shape} x {b.shape}")
@@ -188,13 +167,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     # an untracked input (the raster batch, a frozen layer) gets no gradient
     return _maybe_record(out, (a, b), lambda g: (g @ b.data.T if a._tracked else None,
                                                  a.data.T @ g if b._tracked else None))
-
-
-def power(a: Tensor, exponent: float) -> Tensor:
-    out = Tensor(a.data ** np.float32(exponent))
-    return _maybe_record(
-        out, (a,), lambda g: (g * exponent * a.data ** np.float32(exponent - 1.0),)
-    )
 
 
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -209,9 +181,8 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _maybe_record(out, (a,), bwd)
 
 
-def tmean(a: Tensor, axis=None) -> Tensor:
-    n = a.size if axis is None else a.shape[axis]
-    return mul(tsum(a, axis=axis), Tensor(np.float32(1.0 / n)))
+def tmean(a: Tensor) -> Tensor:
+    return mul(tsum(a), Tensor(np.float32(1.0 / a.size)))
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -270,11 +241,6 @@ def gelu(a: Tensor) -> Tensor:
     return _maybe_record(out, (a,), bwd)
 
 
-def relu(a: Tensor) -> Tensor:
-    out = Tensor(np.maximum(a.data, 0.0))
-    return _maybe_record(out, (a,), lambda g: (g * (a.data > 0),))
-
-
 def texp(a: Tensor) -> Tensor:
     out = Tensor(np.exp(a.data))
     return _maybe_record(out, (a,), lambda g: (g * out.data,))
@@ -285,32 +251,23 @@ def tlog(a: Tensor) -> Tensor:
     return _maybe_record(out, (a,), lambda g: (g / a.data,))
 
 
-def l2_normalize(v: Tensor, axis: int = -1) -> Tensor:
-    """Scale `v` to unit L2 norm along `axis`; direction preserved.
+def l2_normalize(v: Tensor) -> Tensor:
+    """Scale `v` to unit L2 norm along its last axis; direction preserved.
 
     Raises DegenerateInputError for (near-)zero norms rather than clamping:
     a zero pre-embedding means a broken encoder and must not pass silently.
     """
-    norms = np.linalg.norm(v.data.astype(np.float64), axis=axis, keepdims=True)
+    norms = np.linalg.norm(v.data.astype(np.float64), axis=-1, keepdims=True)
     if np.any(norms < _EPS_NORM):
         raise DegenerateInputError("l2_normalize of a (near-)zero vector")
     n = norms.astype(np.float32)
     out = Tensor(v.data / n)
 
     def bwd(g):
-        dot = np.sum(g * out.data, axis=axis, keepdims=True)
+        dot = np.sum(g * out.data, axis=-1, keepdims=True)
         return ((g - out.data * dot) / n,)
 
     return _maybe_record(out, (v,), bwd)
-
-
-def cosine_sim(u: Tensor, v: Tensor) -> Tensor:
-    """cos(u, v) as a scalar tensor; both inputs must have nonzero norm."""
-    if u.shape != v.shape or u.data.ndim != 1:
-        raise DimensionError(f"cosine_sim expects equal 1-D shapes, got {u.shape}, {v.shape}")
-    un = l2_normalize(u)
-    vn = l2_normalize(v)
-    return tsum(mul(un, vn))
 
 
 def softmax_cross_entropy(logits: Tensor, labels: np.ndarray,

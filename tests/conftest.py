@@ -23,7 +23,7 @@ def micro_teacher():
 
 @pytest.fixture()
 def tiny_mlp():
-    return init_encoder("mlp", 11, d=8, input_hw=(8, 8))
+    return init_encoder(11, d=8, input_hw=(8, 8))
 
 
 def finite_diff(f, x: np.ndarray, eps: float = 1e-3) -> np.ndarray:

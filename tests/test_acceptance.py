@@ -19,6 +19,7 @@ from anchorlab import tensor as T
 from anchorlab.additivity import merge_parts
 from anchorlab.cli import ExperimentConfig, SeedContext, cmd_run_matrix, evaluate_method, run_seeds
 from anchorlab.encoders import (
+    clone_unfrozen,
     encode_batch,
     encode_np,
     freeze,
@@ -114,7 +115,8 @@ def _forward64(arch, params, batch):
 
 
 def _primitive_checks(seed):
-    """Max FD relative error over every autodiff primitive at one seed."""
+    """Max FD relative error over every autodiff primitive the lab differentiates, at
+    one seed."""
     g = np.random.default_rng(seed)
     worst = 0.0
 
@@ -143,26 +145,22 @@ def _primitive_checks(seed):
     check(lambda x: T.tsum(x + Tensor(cf)), lambda a: (a + c).sum(), x0)
     check(lambda x: T.tsum(Tensor(cf) - x), lambda a: (c - a).sum(), x0)
     check(lambda x: T.tsum(x * Tensor(cf)), lambda a: (a * c).sum(), x0)
-    check(lambda x: T.tsum(x / Tensor(cf)), lambda a: (a / c).sum(), x0)
     w = g.standard_normal((4, 2))
     check(lambda x: T.tsum(T.matmul(x, Tensor(w.astype(np.float32)))),
           lambda a: (a @ w).sum(), x0)
-    check(lambda x: T.tsum(T.power(x, 3.0)), lambda a: (a**3).sum(), x0)
-    check(lambda x: T.tsum(T.tmean(x, axis=1)), lambda a: a.mean(axis=1).sum(), x0)
+    # the row sum without keepdims, as `alignment.cosine_loss` reduces
+    check(lambda x: T.tmean(T.tsum(x * Tensor(cf), axis=1)),
+          lambda a: (a * c).sum(axis=1).mean(), x0)
     check(lambda x: T.tmean(x), lambda a: a.mean(), x0)
     check(lambda x: T.tsum(T.reshape(x, (12,)) * Tensor(np.arange(12, dtype=np.float32))),
           lambda a: (a.reshape(12) * np.arange(12)).sum(), x0)
     check(lambda x: T.tsum(T.gelu(x)), lambda a: _np_gelu(a).sum(), x0)
-    check(lambda x: T.tsum(T.relu(x - 1.0)), lambda a: np.maximum(a - 1.0, 0).sum(), x0)
     check(lambda x: T.tsum(T.texp(x)), lambda a: np.exp(a).sum(), x0)
     check(lambda x: T.tsum(T.tlog(x)), lambda a: np.log(a).sum(), x0)
     t = g.standard_normal(5)
     v0 = g.uniform(0.3, 1.5, size=5)
     check(lambda x: T.tsum(T.l2_normalize(x) * Tensor(t.astype(np.float32))),
           lambda a: float(a / np.linalg.norm(a) @ t), v0)
-    u = g.uniform(0.3, 1.5, size=5)
-    check(lambda x: T.cosine_sim(x, Tensor(u.astype(np.float32))),
-          lambda a: float(a @ u / (np.linalg.norm(a) * np.linalg.norm(u))), v0)
     labels = np.array([0, 2, 1])
 
     def np_ce(a):
@@ -181,7 +179,9 @@ def test_gradients_match_finite_differences():
         worst = max(worst, _primitive_checks(seed))
         for arch in ("linear", "mlp"):
             hw = (8, 8)
-            model = init_encoder(arch, 1000 + seed, d=4, input_hw=hw)
+            # the linear model is the trainable clone of a planted teacher
+            model = (clone_unfrozen(planted_teacher(1000 + seed, d=4, input_hw=hw))
+                     if arch == "linear" else init_encoder(1000 + seed, d=4, input_hw=hw))
             g = np.random.default_rng(seed)
             batch = g.uniform(0, 1, size=(2, *hw, 3)).astype(np.float32)
             target = g.standard_normal((2, 4))

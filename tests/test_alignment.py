@@ -44,16 +44,16 @@ def test_align_loss_oracles(micro_teacher, micro_world):
         return cosine_loss(micro_teacher, lambda fg: anchor)(items, raster[None])
 
     # anchor equal to the embedding: perfect alignment, loss 0
-    assert align_loss(emb).item() == pytest.approx(0.0, abs=1e-5)
+    assert float(align_loss(emb).data) == pytest.approx(0.0, abs=1e-5)
     # antipodal anchor: loss 2
-    assert align_loss(-emb).item() == pytest.approx(2.0, abs=1e-5)
+    assert float(align_loss(-emb).data) == pytest.approx(2.0, abs=1e-5)
     # orthogonal anchor: loss 1
     ortho = np.zeros_like(emb)
     j = int(np.argmin(np.abs(emb)))
     ortho[j] = 1.0
     ortho = ortho - (ortho @ emb) * emb
     ortho /= np.linalg.norm(ortho)
-    assert align_loss(ortho).item() == pytest.approx(1.0, abs=1e-4)
+    assert float(align_loss(ortho).data) == pytest.approx(1.0, abs=1e-4)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from anchorlab import tensor as T
-from anchorlab.encoders import encode_np, freeze, init_encoder
+from anchorlab.encoders import encode_np, init_encoder, planted_teacher
 from anchorlab.errors import ConfigError, ContractError
 from anchorlab.evaluation import (
     PROBE_BATCH,
@@ -144,7 +144,7 @@ def test_the_unweighted_head_is_fit_linear_heads_recipe():
 def test_train_probe_requires_frozen(micro_world, micro_teacher):
     fgs, bgs = micro_world
     train, test = build_train_split(fgs, bgs, 1.0, 8, 3), build_test_split(fgs, bgs, 2, 3)
-    thawed = init_encoder("mlp", 1, d=8, input_hw=(32, 32))
+    thawed = init_encoder(1, d=8, input_hw=(32, 32))
     with pytest.raises(ContractError):
         train_probe(thawed, train)
     head = train_probe(micro_teacher, train, seed=2, epochs=5)
@@ -270,7 +270,7 @@ def test_retention_eval_errors_and_range(micro_world, micro_teacher):
     fgs, bgs = micro_world
     with pytest.raises(ConfigError):
         retention_eval(micro_teacher, micro_teacher, [bg for bg in bgs if bg.g == 0], fgs)
-    other = freeze(init_encoder("linear", 9, d=16, input_hw=(32, 32)))
+    other = planted_teacher(9, d=16, input_hw=(32, 32))
     before, after = retention_eval(micro_teacher, other, bgs, fgs, seed=1)
     assert 0.0 <= before <= 1.0 and 0.0 <= after <= 1.0
 

@@ -28,7 +28,6 @@ from anchorlab.scene import (
     make_background,
     make_composite,
     RenderMemo,
-    read_manifest,
     regenerate_from_manifest,
     render,
     resize_sinc,
@@ -468,8 +467,8 @@ def test_manifest_bitwise_regeneration(tmp_path):
               "data_seed": 55}
     path = tmp_path / "manifest.jsonl"
     write_manifest(path, train, test, header)
-    got_header, items = read_manifest(path)
-    assert got_header["world_seed"] == 31
+    got_header, *items = [json.loads(line) for line in path.read_text().splitlines()]
+    assert got_header["kind"] == "header" and got_header["world_seed"] == 31
     assert len(items) == len(train.batch) + len(test.batch)
     train2, test2 = regenerate_from_manifest(path)
     for orig, back in ((train, train2), (test, test2)):
@@ -533,7 +532,7 @@ def test_manifest_missing_header(tmp_path):
     path = tmp_path / "broken.jsonl"
     path.write_text('{"kind": "item", "fg_id": "x"}\n')
     with pytest.raises(ManifestError, match="header"):
-        read_manifest(path)
+        regenerate_from_manifest(path)
 
 
 def test_item_seed_is_order_independent():

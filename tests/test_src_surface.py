@@ -1,8 +1,9 @@
 """`src/` holds only what the lab runs: every public top-level function and class,
 and every public method of those classes, is used by other code in `src/`, or is on
-an allow-list with its reason; every parameter of a public function and every field
-of a dataclass is read; every defaulted parameter is set by some call in `src/`, or
-is on an allow-list with its reason; one function forks, and decides to;
+an allow-list with its reason; every parameter of a public function, every field of
+a dataclass and every public module-level constant is read, or the constant is on an
+allow-list with its reason; every defaulted parameter is set by some call in `src/`,
+or is on an allow-list with its reason; one function forks, and decides to;
 `scene.render` builds every encoded raster batch; and `tensor._cube` is the one
 `** 3`."""
 
@@ -14,19 +15,18 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "anchorlab"
 
 # public names that no other code in src/ uses, each with why it stays
 ALLOWED_UNREFERENCED = {
-    "tensor.power": "criterion 1 checks its gradient against finite differences",
-    "tensor.relu": "criterion 1 checks its gradient against finite differences",
-    "tensor.cosine_sim": "criterion 1 checks its gradient against finite differences",
-    "scene.read_manifest": "manifest format: reads what gen-data writes",
     "scene.regenerate_from_manifest": "manifest format: rebuilds the rasters a manifest names",
     "scene.make_composite": "perfbench's tracer tests pin its re-exports",
     "cli.ExperimentConfig.to_json": "the writer side of `from_json`: a config round-trips",
-    "tensor.Tensor.item": "the tests read a scalar loss with it, as numpy's `item` does",
 }
 
 # `module.Class.field` of dataclass fields that no code in src/ reads, each with why it
 # stays; none today
 ALLOWED_UNREAD_FIELDS: dict[str, str] = {}
+
+# `module.NAME` of public module-level constants that no code in src/ reads, each with
+# why it stays; none today
+ALLOWED_UNREAD_CONSTANTS: dict[str, str] = {}
 
 
 def _uses(node) -> Counter:
@@ -88,7 +88,6 @@ ALLOWED_TEST_ONLY_OPTIONS = {
     "encoders.planted_teacher(alpha)": "criterion 2 sets it; `probe-additivity` shares one "
                                        "draw across its alphas, where a redraw took 13-26 ms",
     "scene.degrade_mask(radius)": "criterion 9 checks radii 1 and 2",
-    "tensor.tmean(axis)": "criterion 1 checks its gradient along an axis",
 }
 
 
@@ -178,6 +177,26 @@ def unread_dataclass_fields() -> set[str]:
 def test_every_dataclass_field_in_src_is_read_or_allowed():
     # a field nothing reads is computed, stored and carried for no one
     assert unread_dataclass_fields() == set(ALLOWED_UNREAD_FIELDS)
+
+
+def unread_constants() -> set[str]:
+    """`module.NAME` of each public name that a top-level assignment of a module in
+    `src/` binds and that no code in `src/` loads, as a name or as an attribute.  It
+    works by name, as `unread_dataclass_fields` does."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    read = Counter(n.id if isinstance(n, ast.Name) else n.attr
+                   for tree in trees.values() for n in ast.walk(tree)
+                   if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load))
+    return {f"{module}.{n.id}" for module, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            for n in ast.walk(target)
+            if isinstance(n, ast.Name) and not n.id.startswith("_") and not read[n.id]}
+
+
+def test_every_constant_in_src_is_read_or_allowed():
+    # a constant nothing reads is a second default beside the one the lab uses
+    assert unread_constants() == set(ALLOWED_UNREAD_CONSTANTS)
 
 
 def _fork_sites(node) -> Counter:
