@@ -32,7 +32,7 @@ class AdditivityReport:
     mean: float
     std: float
     n: int
-    excluded: int = 0
+    excluded: int
 
 
 def additivity_score(v_a: np.ndarray, v_b: np.ndarray, v_ab: np.ndarray) -> float:
@@ -119,11 +119,11 @@ def sample_pairs(foregrounds, backgrounds, n: int, seed: int):
 
 
 def run_probe(model: EncoderModel, foregrounds, backgrounds, n: int, seed: int,
-              part: tuple[int, int] = (0, 1)) -> ProbePart:
+              part: tuple[int, int]) -> ProbePart:
     """Sample n triples from the world and score part `part=(k, P)` of the probe:
     the k-th of P contiguous runs of whole chunks, rendered, encoded and scored
     with the same rows as in a whole run.  `merge_parts` of the P parts, in order,
-    is the report of the whole probe; the default part is the whole probe.
+    is the report of the whole probe, and part (0, 1) is the whole probe.
 
     Each chunk of _PROBE_CHUNK triples is one batch, rendered by one `render` call
     and encoded by one `encode_np` call.

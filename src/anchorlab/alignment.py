@@ -45,12 +45,12 @@ TEACHER_LR = 1e-3
 
 @dataclass(frozen=True)
 class AlignConfig:
-    epochs: int = 30
-    batch_size: int = 128
-    lr: float = 1e-4
-    weight_decay: float = 0.01
-    warmup_frac: float = 0.10
-    M: int = 5  # contexts per foreground per epoch
+    epochs: int
+    batch_size: int
+    lr: float
+    weight_decay: float
+    warmup_frac: float
+    M: int  # contexts per foreground per epoch
     degradation: str = "perfect"
     seed: int = 0
 
@@ -117,11 +117,10 @@ def ce_loss(student: EncoderModel, head: ProbeHead, label_of):
 
 
 def _train_loop(student: EncoderModel, loss_fn, foregrounds, bg_pool, cfg: AlignConfig,
-                head: ProbeHead | None = None,
-                head_only_epochs: int = 0, memo: RenderMemo | None = None) -> T.FitLog:
+                memo: RenderMemo, head: ProbeHead | None = None,
+                head_only_epochs: int = 0) -> T.FitLog:
     """Fit the student, and `head` with it, on each epoch's composite stream,
-    rendered as the epoch starts."""
-    memo = RenderMemo() if memo is None else memo
+    rendered through `memo` as the epoch starts."""
     head_params = head.params() if head else {}
 
     def epoch_data(epoch):
@@ -138,31 +137,31 @@ def _train_loop(student: EncoderModel, loss_fn, foregrounds, bg_pool, cfg: Align
 
 
 def train_bap(teacher: EncoderModel, anchors: dict[str, np.ndarray], foregrounds, bg_pool,
-              cfg: AlignConfig, memo: RenderMemo | None = None) -> tuple[EncoderModel, T.FitLog]:
+              cfg: AlignConfig, memo: RenderMemo) -> tuple[EncoderModel, T.FitLog]:
     """Anchor-alignment training of a student cloned from the teacher."""
     for fg in foregrounds:
         if fg.id not in anchors:
             raise ManifestError(f"no anchor for foreground {fg.id}")
     student = clone_unfrozen(teacher)
     loss = cosine_loss(student, lambda fg: anchors[fg.id])
-    return student, _train_loop(student, loss, foregrounds, bg_pool, cfg, memo=memo)
+    return student, _train_loop(student, loss, foregrounds, bg_pool, cfg, memo)
 
 
-def train_orthogonal(teacher: EncoderModel, targets: list[np.ndarray],
-                     class_to_target: dict[int, int], foregrounds, bg_pool,
-                     cfg: AlignConfig, memo: RenderMemo | None = None,
+def train_orthogonal(teacher: EncoderModel, targets: dict[int, np.ndarray], foregrounds,
+                     bg_pool, cfg: AlignConfig, memo: RenderMemo,
                      ) -> tuple[EncoderModel, T.FitLog]:
-    """Alignment training toward one static orthogonal vector per class."""
+    """Alignment training toward one static orthogonal vector per class: `targets`
+    maps each class to its vector."""
     for fg in foregrounds:
-        if fg.y not in class_to_target:
+        if fg.y not in targets:
             raise ManifestError(f"class {fg.y} has no target vector assigned")
     student = clone_unfrozen(teacher)
-    loss = cosine_loss(student, lambda fg: targets[class_to_target[fg.y]])
-    return student, _train_loop(student, loss, foregrounds, bg_pool, cfg, memo=memo)
+    loss = cosine_loss(student, lambda fg: targets[fg.y])
+    return student, _train_loop(student, loss, foregrounds, bg_pool, cfg, memo)
 
 
 def train_control(teacher: EncoderModel, foregrounds, bg_pool, cfg: AlignConfig,
-                  memo: RenderMemo | None = None) -> tuple[EncoderModel, T.FitLog]:
+                  memo: RenderMemo) -> tuple[EncoderModel, T.FitLog]:
     """Budget-matched cross-entropy control on the exact same composite stream.
 
     Consumes exactly the epochs an alignment run would, in two stages within
@@ -176,13 +175,12 @@ def train_control(teacher: EncoderModel, foregrounds, bg_pool, cfg: AlignConfig,
     head = init_head(student.d, len({fg.y for fg in foregrounds}),
                      rng(derive_seed(cfg.seed, "control-head"), "head"))
     loss = ce_loss(student, head, lambda fg, bg: fg.y)
-    return student, _train_loop(student, loss, foregrounds, bg_pool, cfg, head=head,
-                                head_only_epochs=CONTROL_WARMUP_EPOCHS, memo=memo)
+    return student, _train_loop(student, loss, foregrounds, bg_pool, cfg, memo, head=head,
+                                head_only_epochs=CONTROL_WARMUP_EPOCHS)
 
 
-def pretrain_teacher(foregrounds, backgrounds, seed: int, epochs: int = 6,
-                     d: int = 64, degradation: str = "perfect",
-                     memo: RenderMemo | None = None) -> EncoderModel:
+def pretrain_teacher(foregrounds, backgrounds, seed: int, epochs: int, d: int,
+                     degradation: str, memo: RenderMemo) -> EncoderModel:
     """Learned teacher: joint (class, background-group) supervised pre-training.
 
     Backgrounds are drawn uniformly regardless of class, and the target is
@@ -195,11 +193,11 @@ def pretrain_teacher(foregrounds, backgrounds, seed: int, epochs: int = 6,
     num_groups = len({bg.g for bg in backgrounds})
     num_classes = len({fg.y for fg in foregrounds})
     head = init_head(d, num_classes * num_groups, rng(derive_seed(seed, "teacher-head"), "head"))
-    cfg = AlignConfig(epochs=epochs, batch_size=128, lr=TEACHER_LR, M=4,
-                      degradation=degradation,
+    cfg = AlignConfig(epochs=epochs, batch_size=128, lr=TEACHER_LR, weight_decay=0.01,
+                      warmup_frac=0.10, M=4, degradation=degradation,
                       seed=derive_seed(seed, "teacher-train"))
     loss = ce_loss(model, head, lambda fg, bg: fg.y * num_groups + bg.g)
-    _train_loop(model, loss, foregrounds, backgrounds, cfg, head=head, memo=memo)
+    _train_loop(model, loss, foregrounds, backgrounds, cfg, memo, head=head)
     return freeze(model)
 
 

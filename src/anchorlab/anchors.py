@@ -51,8 +51,8 @@ def _sample_pool(pool, K: int, g: np.random.Generator) -> list:
 
 
 def extract_anchor(teacher: EncoderModel, fg: ForegroundInstance,
-                   bg_pool: list[BackgroundImage], K: int, seed: int,
-                   degradation: str = "perfect", memo: RenderMemo | None = None) -> np.ndarray:
+                   bg_pool: list[BackgroundImage], K: int, seed: int, memo: RenderMemo,
+                   degradation: str = "perfect") -> np.ndarray:
     """Normalized mean embedding of the foreground over K sampled backgrounds.
 
     Backgrounds are drawn without replacement when the pool allows, with
@@ -80,11 +80,10 @@ def unit_mean(vecs, what: str) -> np.ndarray:
 
 
 def build_anchor_set(teacher: EncoderModel, foregrounds, bg_pool, K: int,
-                     seed: int, degradation: str = "perfect",
-                     memo: RenderMemo | None = None) -> dict[str, np.ndarray]:
+                     seed: int, degradation: str, memo: RenderMemo) -> dict[str, np.ndarray]:
     """The anchor of each foreground, keyed by foreground id."""
-    return {fg.id: extract_anchor(teacher, fg, bg_pool, K, derive_seed(seed, fg.id),
-                                  degradation, memo)
+    return {fg.id: extract_anchor(teacher, fg, bg_pool, K, derive_seed(seed, fg.id), memo,
+                                  degradation)
             for fg in foregrounds}
 
 
@@ -112,7 +111,7 @@ def residual_variance(bg_embs: np.ndarray, K: int, trials: int, mu: np.ndarray,
 
 
 def compute_prototypes(teacher: EncoderModel, foregrounds,
-                       memo: RenderMemo | None = None) -> dict[int, np.ndarray]:
+                       memo: RenderMemo) -> dict[int, np.ndarray]:
     """{class: unit prototype}: the normalized mean embedding of the class's
     foregrounds, each isolated on the neutral canvas at ANCHOR_SCALE."""
     by_class: dict[int, list[ForegroundInstance]] = {}
@@ -127,15 +126,15 @@ def compute_prototypes(teacher: EncoderModel, foregrounds,
 
 
 def k_sweep(teacher: EncoderModel, foregrounds, bg_pool, bg_embs: np.ndarray, k_grid,
-            class_protos: dict[int, np.ndarray], seed: int, var_trials: int = 200,
-            memo: RenderMemo | None = None) -> KSweepReport:
+            class_protos: dict[int, np.ndarray], seed: int, var_trials: int,
+            memo: RenderMemo) -> KSweepReport:
     """Anchor quality versus K: class similarity, background leakage, Var(eps).
 
     `bg_embs` is the pool's `background_embeddings`, row for row.  Leakage is an
     anchor's highest cosine to a background-group prototype, the `unit_mean` of
     that group's rows of `bg_embs`.  Each K's anchors and variance trials draw
     from seeds named by K, so a K's results do not depend on the rest of the grid.
-    The swept anchors render through `memo`, a fresh one when None.
+    The swept anchors render through `memo`.
     """
     k_grid = tuple(int(k) for k in k_grid)
     if not k_grid:
@@ -152,12 +151,11 @@ def k_sweep(teacher: EncoderModel, foregrounds, bg_pool, bg_embs: np.ndarray, k_
     bg_proto_mat = np.stack([unit_mean(bg_embs[groups == g], f"background group {g} prototype")
                              for g in np.unique(groups)])
     fg_sims, bg_sims, var_eps = [], [], []
-    memo = RenderMemo() if memo is None else memo
     for K in k_grid:
         f_acc, b_acc = [], []
         for fg in foregrounds:
             a = extract_anchor(teacher, fg, bg_pool, K, derive_seed(seed, "sweep", fg.id, K),
-                               memo=memo)
+                               memo)
             f_acc.append(T.cosine_sim_np(a, class_protos[fg.y]))
             b_acc.append(float((bg_proto_mat @ a).max()))
         fg_sims.append(float(np.mean(f_acc)))

@@ -144,9 +144,6 @@ class ExperimentConfig:
                                   weight_decay=self.weight_decay,
                                   warmup_frac=self.warmup_frac, M=self.M)
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2)
-
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
         """A config from a JSON object of field overrides; each value must have its
@@ -353,8 +350,7 @@ class SeedContext:
         classes = sorted({fg.y for fg in self.world[0]})
         targets = anchors.orthogonal_targets(self.cfg.d, len(classes),
                                              derive_seed(self.seed, "ortho"))
-        return self._student(alignment.train_orthogonal, targets,
-                             {y: i for i, y in enumerate(classes)})
+        return self._student(alignment.train_orthogonal, dict(zip(classes, targets)))
 
     _BUILDERS = {"native": _build_native, "lp-ft": _build_lp_ft, "control": _build_control,
                  "bap": _build_bap, "ortho": _build_ortho}

@@ -63,7 +63,7 @@ def _avg_pool4(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def planted_teacher(seed: int, d: int = 64, input_hw: tuple[int, int] = (64, 64),
+def planted_teacher(seed: int, d: int, input_hw: tuple[int, int],
                     alpha: float = 0.0) -> EncoderModel:
     """Frozen teacher with tunable foreground/background additivity: `alpha` >= 0
     weighs the non-additive term, a constant of the map beside `W` and `P`.
@@ -88,7 +88,7 @@ def planted_teacher(seed: int, d: int = 64, input_hw: tuple[int, int] = (64, 64)
     )
 
 
-def init_encoder(seed: int, d: int = 64, input_hw: tuple[int, int] = (64, 64)) -> EncoderModel:
+def init_encoder(seed: int, d: int, input_hw: tuple[int, int]) -> EncoderModel:
     """Fresh trainable MLP encoder."""
     g = rng(seed, "encoder", "mlp")
     D = _flat_dim(input_hw)

@@ -76,7 +76,7 @@ def init_head(d: int, num_classes: int, g: np.random.Generator) -> ProbeHead:
 
 
 def fit_linear_head(embs: np.ndarray, labels: np.ndarray, num_classes: int,
-                    seed: int, epochs: int = PROBE_EPOCHS, lr: float = PROBE_LR) -> ProbeHead:
+                    seed: int, epochs: int, lr: float) -> ProbeHead:
     """Class-weighted cross-entropy linear head on fixed embeddings."""
     n, d = embs.shape
     weights = class_weights(labels, num_classes)
@@ -92,7 +92,7 @@ def fit_linear_head(embs: np.ndarray, labels: np.ndarray, num_classes: int,
     return head
 
 
-def train_probe(encoder: EncoderModel, train: GroupedDataset, seed: int = 0,
+def train_probe(encoder: EncoderModel, train: GroupedDataset, seed: int,
                 epochs: int = PROBE_EPOCHS, lr: float = PROBE_LR) -> ProbeHead:
     """Linear probe on a frozen encoder's embeddings of the train split."""
     if not encoder.frozen:
@@ -164,8 +164,8 @@ def bsi(embeddings_a: np.ndarray, embeddings_b: np.ndarray) -> float:
     return float(np.linalg.norm(mu_a - mu_b) / denom)
 
 
-def bsi_protocol(encoder: EncoderModel, foregrounds, backgrounds, n_pairs: int, seed: int = 0,
-                 memo: RenderMemo | None = None) -> BsiReport:
+def bsi_protocol(encoder: EncoderModel, foregrounds, backgrounds, n_pairs: int, seed: int,
+                 memo: RenderMemo) -> BsiReport:
     """Per-class BSI from a paired background swap.
 
     For each class, the same composites are rendered once over group-0 and

@@ -88,7 +88,7 @@ class BackgroundImage:
     raster: np.ndarray
 
 
-def neutral_background(hw: tuple[int, int] = (64, 64)) -> BackgroundImage:
+def neutral_background(hw: tuple[int, int]) -> BackgroundImage:
     """The uniform NEUTRAL_GRAY canvas that isolated objects are shown on."""
     return BackgroundImage(id="neutral", g=-1,
                            raster=np.full((*hw, 3), NEUTRAL_GRAY, dtype=np.float32))
@@ -149,8 +149,7 @@ def _fg_texture(base, H: int, W: int, g: np.random.Generator) -> np.ndarray:
     return np.clip(tex, 0.0, 1.0)
 
 
-def make_foreground(seed: int, fg_id: str, y: int,
-                    hw: tuple[int, int] = (64, 64)) -> ForegroundInstance:
+def make_foreground(seed: int, fg_id: str, y: int, hw: tuple[int, int]) -> ForegroundInstance:
     """Foreground `fg_id` of class `y`, drawn in the class's `CLASS_STYLES` shape."""
     H, W = hw
     shape, base = CLASS_STYLES[y]
@@ -174,8 +173,7 @@ def make_foreground(seed: int, fg_id: str, y: int,
     return ForegroundInstance(id=fg_id, y=y, raster=raster, mask=mask)
 
 
-def make_background(seed: int, bg_id: str, group: int,
-                    hw: tuple[int, int] = (64, 64)) -> BackgroundImage:
+def make_background(seed: int, bg_id: str, group: int, hw: tuple[int, int]) -> BackgroundImage:
     H, W = hw
     family, (col_a, col_b) = GROUP_STYLES[group]
     g = rng(seed, "bg", bg_id)
@@ -201,7 +199,7 @@ def make_background(seed: int, bg_id: str, group: int,
 
 def gen_world(seed: int, num_classes: int, num_bg_groups: int,
               fg_per_class: int, bg_per_group: int,
-              hw: tuple[int, int] = (64, 64)) -> tuple[list[ForegroundInstance], list[BackgroundImage]]:
+              hw: tuple[int, int]) -> tuple[list[ForegroundInstance], list[BackgroundImage]]:
     """Deterministic synthetic world: shapes with class texture, grouped backgrounds."""
     if num_classes > len(CLASS_STYLES):
         raise ConfigError(f"at most {len(CLASS_STYLES)} classes available")
@@ -400,7 +398,7 @@ def _scaled_size(fg: ForegroundInstance, scale: float, hw: tuple[int, int],
 
 
 def scaled_foreground(fg: ForegroundInstance, scale: float, hw: tuple[int, int],
-                      degradation: str = "perfect") -> tuple[np.ndarray, np.ndarray]:
+                      degradation: str) -> tuple[np.ndarray, np.ndarray]:
     """Foreground crop and its [0, 1] alpha (oh x ow x 1), long side rescaled to
     `scale` of the `hw` canvas's shorter extent: the one place a foreground is resized."""
     oh, ow = _scaled_size(fg, scale, hw, degradation)
@@ -528,7 +526,7 @@ def _split_cells(foregrounds: list[ForegroundInstance], backgrounds: list[Backgr
 
 def build_train_split(foregrounds: list[ForegroundInstance],
                       backgrounds: list[BackgroundImage], rho: float, per_class: int,
-                      seed: int, memo: RenderMemo | None = None) -> GroupedDataset:
+                      seed: int, memo: RenderMemo) -> GroupedDataset:
     """Two-class / two-group train split correlated at `rho`: class y's majority
     background group is y."""
     if not (0.5 <= rho <= 1.0):
@@ -550,7 +548,7 @@ def build_train_split(foregrounds: list[ForegroundInstance],
 
 def build_test_split(foregrounds: list[ForegroundInstance],
                      backgrounds: list[BackgroundImage], per_cell: int, seed: int,
-                     memo: RenderMemo | None = None) -> GroupedDataset:
+                     memo: RenderMemo) -> GroupedDataset:
     """Balanced test split, `per_cell` items per (class, group) cell; it does not
     depend on the train split's correlation rate."""
     classes, groups, fg_by_class, bg_by_group = _split_cells(foregrounds, backgrounds,

@@ -325,7 +325,7 @@ class AdamW:
     through two scratch buffers, so it allocates nothing per step.
     """
 
-    def __init__(self, params: dict[str, Tensor], lr: float, weight_decay: float = 0.0):
+    def __init__(self, params: dict[str, Tensor], lr: float, weight_decay: float):
         for name, p in params.items():
             # a flat view of a non-contiguous array is a copy, and the update would be lost
             if not p.data.flags.c_contiguous:
@@ -388,7 +388,7 @@ class LrSchedule:
     base: float
     warmup_frac: float
     total_steps: int
-    floor: float = 0.0
+    floor: float
 
     def __post_init__(self):
         if not (0.0 <= self.warmup_frac < 1.0) or self.total_steps < 1:

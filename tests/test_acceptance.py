@@ -30,6 +30,7 @@ from anchorlab.errors import ConfigError
 from anchorlab.rng import derive_seed, rng
 from anchorlab.scene import (
     ANCHOR_SCALE,
+    RenderMemo,
     composite,
     degrade_mask,
     gen_world,
@@ -298,7 +299,7 @@ def test_k_sweep_directionality(probe_world):
     t0 = time.perf_counter()
     fgs, bgs, teacher = probe_world
     assert len(fgs) >= 50
-    protos = anchors.compute_prototypes(teacher, fgs)
+    protos = anchors.compute_prototypes(teacher, fgs, RenderMemo())
     # a background group's prototype: the unit mean of its pure backgrounds' embeddings
     pools = [[bg for bg in bgs if bg.g == g] for g in sorted({bg.g for bg in bgs})]
     bg_mat = np.stack([anchors.unit_mean(anchors.background_embeddings(teacher, pool),
@@ -306,9 +307,9 @@ def test_k_sweep_directionality(probe_world):
     fg_wins = bg_wins = 0
     for fg in fgs:
         a1 = anchors.extract_anchor(teacher, fg, bgs, 1,
-                                    derive_seed(GLOBAL_SEED, "sweep", fg.id, 1))
+                                    derive_seed(GLOBAL_SEED, "sweep", fg.id, 1), RenderMemo())
         a40 = anchors.extract_anchor(teacher, fg, bgs, 40,
-                                     derive_seed(GLOBAL_SEED, "sweep", fg.id, 40))
+                                     derive_seed(GLOBAL_SEED, "sweep", fg.id, 40), RenderMemo())
         proto = protos[fg.y]
         fg_wins += float(a40 @ proto) > float(a1 @ proto)
         bg_wins += float((bg_mat @ a40).max()) < float((bg_mat @ a1).max())
@@ -362,7 +363,7 @@ def test_orthogonal_targets_destroy_transfer(ctx0):
     fgs7, _ = gen_world(derive_seed(s0, "ood-world"), 7, 2, 40, 150, (64, 64))
     pair = [fg for fg in fgs7 if fg.y in (5, 6)]
     _, bg_test = ctx0.bg_pools
-    protos = anchors.compute_prototypes(ctx0.teacher, pair)
+    protos = anchors.compute_prototypes(ctx0.teacher, pair, RenderMemo())
     g = rng(s0, "ood-eval")
     rasters, ys, gs = [], [], []
     for i in range(400):

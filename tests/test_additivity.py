@@ -49,7 +49,7 @@ def exact_triple_rasters(fg, bg, teacher) -> tuple[np.ndarray, np.ndarray, np.nd
     placement are fixed, so the triple depends on no item seed.
     """
     H, W = bg.raster.shape[:2]
-    fg_scaled, a = scaled_foreground(fg, 0.45, (H, W))
+    fg_scaled, a = scaled_foreground(fg, 0.45, (H, W), "perfect")
     oh, ow = a.shape[:2]
     I_a = np.zeros((H, W, 3), dtype=np.float32)
     r0 = (H - oh) // 2
@@ -165,7 +165,7 @@ def test_exact_triple_object_is_the_scaled_foreground(micro_world, micro_teacher
     for fg, bg in [(fg, bgs[3 * i]) for i, fg in enumerate(fgs[:4])] + [(fgs[5], dim)]:
         I_a, _, _ = exact_triple_rasters(fg, bg, micro_teacher)
         H, W = bg.raster.shape[:2]
-        fg_scaled, a = scaled_foreground(fg, 0.45, (H, W))
+        fg_scaled, a = scaled_foreground(fg, 0.45, (H, W), "perfect")
         oh, ow = a.shape[:2]
         r0, c0 = (H - oh) // 2, max(0, W // 4 - ow // 2)
         placed = np.zeros((H, W, 3), dtype=np.float32)
@@ -252,7 +252,8 @@ def _per_triple_probe(model, foregrounds, backgrounds, n, seed, mode):
 def test_run_probe_matches_the_per_triple_loop(mode, alpha, hw, d, n):
     fgs, bgs = gen_world(31, 2, 2, 5, 12, hw)
     model = planted_teacher(5, d=d, input_hw=hw, alpha=alpha)
-    part = (exact_probe if mode == "exact" else run_probe)(model, fgs, bgs, n, 17)
+    part = (exact_probe(model, fgs, bgs, n, 17) if mode == "exact"
+            else run_probe(model, fgs, bgs, n, 17, (0, 1)))
     report = merge_parts([part])
     scores, excluded = _per_triple_probe(model, fgs, bgs, n, 17, mode)
     assert (report.n, report.excluded) == (scores.size, excluded) == (n, 0)
@@ -274,7 +275,7 @@ def test_run_probe_renders_and_encodes_once_per_chunk(micro_world, micro_teacher
                         lambda items: renders.append(len(items)) or real_render(items))
     monkeypatch.setattr(additivity, "encode_np",
                         lambda model, rows: encodes.append(len(rows)) or real_encode(model, rows))
-    report = merge_parts([run_probe(micro_teacher, fgs, bgs, n, 8)])
+    report = merge_parts([run_probe(micro_teacher, fgs, bgs, n, 8, (0, 1))])
     assert report.n == n
     chunks = math.ceil(n / _PROBE_CHUNK)
     assert renders == [3 * _PROBE_CHUNK] * (chunks - 1) + [3]
@@ -301,15 +302,15 @@ def test_score_triples_counts_a_degenerate_triple_past_a_chunk(micro_world, micr
 
 def test_run_probe_deterministic(micro_world, micro_teacher):
     fgs, bgs = micro_world
-    a = run_probe(micro_teacher, fgs, bgs, 12, 8)
-    b = run_probe(micro_teacher, fgs, bgs, 12, 8)
+    a = run_probe(micro_teacher, fgs, bgs, 12, 8, (0, 1))
+    b = run_probe(micro_teacher, fgs, bgs, 12, 8, (0, 1))
     assert np.array_equal(a.scores, b.scores)
 
 
 def test_the_parts_of_a_probe_merge_to_the_whole(micro_world, micro_teacher):
     fgs, bgs = micro_world
     n = 4 * _PROBE_CHUNK + 3
-    whole_part = run_probe(micro_teacher, fgs, bgs, n, 8)
+    whole_part = run_probe(micro_teacher, fgs, bgs, n, 8, (0, 1))
     whole = merge_parts([whole_part])
     for shares in range(1, probe_chunks(n) + 1):
         parts = [run_probe(micro_teacher, fgs, bgs, n, 8, part=(k, shares))

@@ -19,13 +19,14 @@ from anchorlab.anchors import build_anchor_set, orthogonal_targets
 from anchorlab.encoders import encode_np
 from anchorlab.errors import ConfigError, ManifestError
 from anchorlab.evaluation import ProbeHead, group_metrics, head_predict
-from anchorlab.scene import build_test_split, build_train_split
+from anchorlab.scene import RenderMemo, build_test_split, build_train_split
 
 from conftest import param_checksum
 
 
 def _small_cfg(**kw):
-    base = dict(epochs=3, batch_size=16, lr=1e-3, M=2, seed=5)
+    base = dict(epochs=3, batch_size=16, lr=1e-3, weight_decay=0.01, warmup_frac=0.10, M=2,
+                seed=5)
     base.update(kw)
     return AlignConfig(**base)
 
@@ -85,9 +86,9 @@ def test_composite_stream_counts(micro_world):
 
 def test_train_bap_runs_and_logs(micro_world, micro_teacher):
     fgs, bgs = micro_world
-    aset = build_anchor_set(micro_teacher, fgs, bgs, 3, 1)
+    aset = build_anchor_set(micro_teacher, fgs, bgs, 3, 1, "perfect", RenderMemo())
     cfg = _small_cfg()
-    student, log = train_bap(micro_teacher, aset, fgs, bgs, cfg)
+    student, log = train_bap(micro_teacher, aset, fgs, bgs, cfg, RenderMemo())
     assert not student.frozen
     assert len(log.epoch_loss) == cfg.epochs
     assert param_checksum(student) != param_checksum(micro_teacher)
@@ -101,12 +102,12 @@ def test_train_bap_runs_and_logs(micro_world, micro_teacher):
 def test_train_bap_missing_anchor(micro_world, micro_teacher):
     fgs, bgs = micro_world
     with pytest.raises(ManifestError):
-        train_bap(micro_teacher, {}, fgs, bgs, _small_cfg())
+        train_bap(micro_teacher, {}, fgs, bgs, _small_cfg(), RenderMemo())
 
 
 def test_bap_and_control_share_the_stream(micro_world, micro_teacher, monkeypatch):
     fgs, bgs = micro_world
-    aset = build_anchor_set(micro_teacher, fgs, bgs, 2, 1)
+    aset = build_anchor_set(micro_teacher, fgs, bgs, 2, 1, "perfect", RenderMemo())
     cfg = _small_cfg(epochs=alignment.CONTROL_WARMUP_EPOCHS + 1)
     consumed = []
     real = alignment.composite_stream
@@ -117,8 +118,8 @@ def test_bap_and_control_share_the_stream(micro_world, micro_teacher, monkeypatc
         return stream
 
     monkeypatch.setattr(alignment, "composite_stream", recording)
-    for train in (lambda: train_bap(micro_teacher, aset, fgs, bgs, cfg),
-                  lambda: train_control(micro_teacher, fgs, bgs, cfg)):
+    for train in (lambda: train_bap(micro_teacher, aset, fgs, bgs, cfg, RenderMemo()),
+                  lambda: train_control(micro_teacher, fgs, bgs, cfg, RenderMemo())):
         consumed.append([])
         train()
     bap_stream, control_stream = consumed
@@ -129,13 +130,14 @@ def test_train_control_probe_budget_error(micro_world, micro_teacher):
     fgs, bgs = micro_world
     with pytest.raises(ConfigError):
         train_control(micro_teacher, fgs, bgs,
-                      _small_cfg(epochs=alignment.CONTROL_WARMUP_EPOCHS))
+                      _small_cfg(epochs=alignment.CONTROL_WARMUP_EPOCHS), RenderMemo())
 
 
 def test_train_control_discards_head(micro_world, micro_teacher):
     fgs, bgs = micro_world
     student, _ = train_control(micro_teacher, fgs, bgs,
-                               _small_cfg(epochs=alignment.CONTROL_WARMUP_EPOCHS + 1))
+                               _small_cfg(epochs=alignment.CONTROL_WARMUP_EPOCHS + 1),
+                               RenderMemo())
     assert "head_W" not in student.params
     assert not student.frozen
 
@@ -144,28 +146,29 @@ def test_train_orthogonal_unmapped_class(micro_world, micro_teacher):
     fgs, bgs = micro_world
     targets = orthogonal_targets(micro_teacher.d, 2, 4)
     with pytest.raises(ManifestError):
-        train_orthogonal(micro_teacher, targets, {0: 0}, fgs, bgs, _small_cfg())
+        train_orthogonal(micro_teacher, {0: targets[0]}, fgs, bgs, _small_cfg(), RenderMemo())
 
 
 def test_train_orthogonal_pulls_toward_targets(micro_world, micro_teacher):
     fgs, bgs = micro_world
     targets = orthogonal_targets(micro_teacher.d, 2, 4)
     cfg = _small_cfg(epochs=6, lr=3e-3)
-    student, log = train_orthogonal(micro_teacher, targets, {0: 0, 1: 1}, fgs, bgs, cfg)
+    student, log = train_orthogonal(micro_teacher, dict(zip((0, 1), targets)), fgs, bgs, cfg,
+                                    RenderMemo())
     assert log.epoch_loss[-1] < log.epoch_loss[0]
 
 
 def test_align_config_validation():
     with pytest.raises(ConfigError):
-        AlignConfig(epochs=0)
+        _small_cfg(epochs=0)
     with pytest.raises(ConfigError):
-        AlignConfig(lr=0.0)
+        _small_cfg(lr=0.0)
     with pytest.raises(ConfigError):
-        AlignConfig(M=0)
+        _small_cfg(M=0)
     with pytest.raises(ConfigError):
-        AlignConfig(warmup_frac=1.0)
+        _small_cfg(warmup_frac=1.0)
     with pytest.raises(ConfigError):
-        AlignConfig(weight_decay=-0.01)
+        _small_cfg(weight_decay=-0.01)
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +177,8 @@ def test_align_config_validation():
 
 def test_pretrain_teacher_frozen_deterministic(micro_world):
     fgs, bgs = micro_world
-    a = pretrain_teacher(fgs, bgs, 3, epochs=1, d=8)
-    b = pretrain_teacher(fgs, bgs, 3, epochs=1, d=8)
+    a = pretrain_teacher(fgs, bgs, 3, epochs=1, d=8, degradation="perfect", memo=RenderMemo())
+    b = pretrain_teacher(fgs, bgs, 3, epochs=1, d=8, degradation="perfect", memo=RenderMemo())
     assert a.frozen
     assert param_checksum(a) == param_checksum(b)
     assert "head_W" not in a.params
@@ -183,8 +186,8 @@ def test_pretrain_teacher_frozen_deterministic(micro_world):
 
 def test_finetune_traces(micro_world, micro_teacher):
     fgs, bgs = micro_world
-    train = build_train_split(fgs, bgs, 1.0, 16, 8)
-    test = build_test_split(fgs, bgs, 4, 8)
+    train = build_train_split(fgs, bgs, 1.0, 16, 8, RenderMemo())
+    test = build_test_split(fgs, bgs, 4, 8, RenderMemo())
     cfg = _small_cfg(epochs=2)
     model, head, traces = finetune_on_correlated(micro_teacher, train, test, cfg)
     assert len(traces["wga"]) == cfg.epochs + 1

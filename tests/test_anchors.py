@@ -16,13 +16,13 @@ from anchorlab.anchors import (
 from anchorlab.encoders import encode_np
 from anchorlab.errors import ConfigError, DegenerateInputError, DimensionError
 from anchorlab.rng import rng
-from anchorlab.scene import ANCHOR_SCALE, composite
+from anchorlab.scene import ANCHOR_SCALE, RenderMemo, composite
 
 
 def test_extract_anchor_k1_matches_single_embedding(micro_world, micro_teacher):
     fgs, bgs = micro_world
     fg = fgs[0]
-    a = extract_anchor(micro_teacher, fg, bgs, 1, 77)
+    a = extract_anchor(micro_teacher, fg, bgs, 1, 77, RenderMemo())
     # reconstruct the single draw the extractor makes
     g = rng(77, "anchor", fg.id, 1)
     idx = g.choice(len(bgs), size=1, replace=False)[0]
@@ -34,8 +34,8 @@ def test_extract_anchor_k1_matches_single_embedding(micro_world, micro_teacher):
 
 def test_extract_anchor_unit_norm_and_deterministic(micro_world, micro_teacher):
     fgs, bgs = micro_world
-    a = extract_anchor(micro_teacher, fgs[1], bgs, 5, 3)
-    b = extract_anchor(micro_teacher, fgs[1], bgs, 5, 3)
+    a = extract_anchor(micro_teacher, fgs[1], bgs, 5, 3, RenderMemo())
+    b = extract_anchor(micro_teacher, fgs[1], bgs, 5, 3, RenderMemo())
     assert np.array_equal(a, b)
     assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-5)
 
@@ -43,17 +43,18 @@ def test_extract_anchor_unit_norm_and_deterministic(micro_world, micro_teacher):
 def test_extract_anchor_errors(micro_world, micro_teacher):
     fgs, bgs = micro_world
     with pytest.raises(ConfigError):
-        extract_anchor(micro_teacher, fgs[0], bgs, 0, 1)
+        extract_anchor(micro_teacher, fgs[0], bgs, 0, 1, RenderMemo())
     with pytest.raises(ConfigError):
-        extract_anchor(micro_teacher, fgs[0], [], 3, 1)
+        extract_anchor(micro_teacher, fgs[0], [], 3, 1, RenderMemo())
 
 
 def test_build_anchor_set_covers_every_foreground(micro_world, micro_teacher):
     fgs, bgs = micro_world
-    aset = build_anchor_set(micro_teacher, fgs, bgs, 3, 11)
+    aset = build_anchor_set(micro_teacher, fgs, bgs, 3, 11, "perfect", RenderMemo())
     assert set(aset) == {fg.id for fg in fgs}
     # a pool smaller than K is drawn with replacement
-    small = build_anchor_set(micro_teacher, fgs[:1], bgs[:2], 5, 11)
+    small = build_anchor_set(micro_teacher, fgs[:1], bgs[:2], 5, 11, "perfect",
+                             RenderMemo())
     assert set(small) == {fgs[0].id}
     assert np.linalg.norm(small[fgs[0].id]) == pytest.approx(1.0, abs=1e-5)
 
@@ -81,7 +82,7 @@ def test_residual_variance_decreases_with_k(micro_world, micro_teacher):
 
 def test_compute_prototypes(micro_world, micro_teacher, monkeypatch):
     fgs, _ = micro_world
-    protos = compute_prototypes(micro_teacher, fgs)
+    protos = compute_prototypes(micro_teacher, fgs, RenderMemo())
     assert set(protos) == {0, 1}
     for v in protos.values():
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-5)
@@ -89,25 +90,26 @@ def test_compute_prototypes(micro_world, micro_teacher, monkeypatch):
     monkeypatch.setattr(anchors, "encode_np", lambda teacher, rasters: np.array(
         [[1.0, 0.0], [-1.0, 0.0]] * (len(rasters) // 2), dtype=np.float32))
     with pytest.raises(DegenerateInputError):
-        compute_prototypes(micro_teacher, fgs)
+        compute_prototypes(micro_teacher, fgs, RenderMemo())
 
 
 def test_k_sweep_report_and_errors(micro_world, micro_teacher):
     fgs, bgs = micro_world
-    protos = compute_prototypes(micro_teacher, fgs)
+    protos = compute_prototypes(micro_teacher, fgs, RenderMemo())
     embs = background_embeddings(micro_teacher, bgs)
-    report = k_sweep(micro_teacher, fgs[:2], bgs, embs, (1, 4), protos, 6, var_trials=50)
+    report = k_sweep(micro_teacher, fgs[:2], bgs, embs, (1, 4), protos, 6, var_trials=50,
+                     memo=RenderMemo())
     assert report.k_grid == (1, 4)
     assert len(report.fg_sim) == len(report.bg_sim_max) == len(report.var_eps) == 2
     assert report.var_eps[1] < report.var_eps[0]
     with pytest.raises(ConfigError):
-        k_sweep(micro_teacher, fgs[:2], bgs, embs, (), protos, 6)
+        k_sweep(micro_teacher, fgs[:2], bgs, embs, (), protos, 6, 200, RenderMemo())
     with pytest.raises(ConfigError):
-        k_sweep(micro_teacher, fgs[:2], bgs, embs, (4, 1), protos, 6)
+        k_sweep(micro_teacher, fgs[:2], bgs, embs, (4, 1), protos, 6, 200, RenderMemo())
     with pytest.raises(ConfigError):
-        k_sweep(micro_teacher, fgs[:2], bgs, embs, (1,), {}, 6)
+        k_sweep(micro_teacher, fgs[:2], bgs, embs, (1,), {}, 6, 200, RenderMemo())
     with pytest.raises(ConfigError):
-        k_sweep(micro_teacher, fgs[:2], [], embs[:0], (1,), protos, 6)
+        k_sweep(micro_teacher, fgs[:2], [], embs[:0], (1,), protos, 6, 200, RenderMemo())
 
 
 def test_orthogonal_targets_properties():

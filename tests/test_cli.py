@@ -13,7 +13,7 @@ import time
 import warnings
 import weakref
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +52,9 @@ MINI = dict(
     methods=("native-lp", "bap-zs"), num_seeds=1,
 )
 
+# a config file's text; its tests' ids are this text
+MINI_JSON = json.dumps(asdict(ExperimentConfig(**MINI)), sort_keys=True, indent=2)
+
 
 needs_proc_maps = pytest.mark.skipif(not os.path.exists("/proc/self/maps"),
                                      reason="loaded libraries are found in /proc/self/maps")
@@ -66,8 +69,11 @@ def mini_cfg():
 # config plumbing
 
 
-def test_config_json_roundtrip(mini_cfg):
-    back = ExperimentConfig.from_json(mini_cfg.to_json())
+def test_config_json_roundtrip(tmp_path, mini_cfg):
+    # a run record's `config` is the one written form of a config
+    run_id = cli._write_run_record(tmp_path, "roundtrip", mini_cfg, 0, {})
+    record, = cli._read_run_records(tmp_path, [run_id])
+    back = ExperimentConfig.from_json(json.dumps(record["config"]))
     assert back == mini_cfg
     assert isinstance(back.rhos, tuple) and isinstance(back.k_grid, tuple)
 
@@ -79,7 +85,7 @@ def test_config_rejects_unknown_keys():
 
 def test_config_load(tmp_path, mini_cfg):
     path = tmp_path / "cfg.json"
-    path.write_text(mini_cfg.to_json())
+    path.write_text(json.dumps(asdict(mini_cfg)))
     assert ExperimentConfig.load(path) == mini_cfg
 
 
@@ -1378,7 +1384,7 @@ def test_report_traces_only_the_runs_behind_metrics_csv(tmp_path, mini_cfg):
 
 def test_main_gen_data(tmp_path, mini_cfg):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(mini_cfg.to_json())
+    cfg_path.write_text(json.dumps(asdict(mini_cfg)))
     rc = main(["gen-data", "--config", str(cfg_path), "--seed", "3",
                "--out", str(tmp_path / "out")])
     assert rc == 0
@@ -1387,7 +1393,7 @@ def test_main_gen_data(tmp_path, mini_cfg):
 
 def test_main_run_matrix_subset(tmp_path, mini_cfg):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(mini_cfg.to_json())
+    cfg_path.write_text(json.dumps(asdict(mini_cfg)))
     rc = main(["run-matrix", "--config", str(cfg_path), "--seed", "3",
                "--out", str(tmp_path / "out"), "--methods", "native-zs",
                "--rho", "1.0"])
@@ -1401,17 +1407,17 @@ def test_main_run_matrix_subset(tmp_path, mini_cfg):
     ('{"epochs": 2.5}', []),
     ('{"epochs": ', []),
     (None, []),  # no config file at the path
-    (ExperimentConfig(**MINI).to_json(), ["--rho", "abc"]),
-    (ExperimentConfig(**MINI).to_json(), ["--methods", "dro"]),
+    (MINI_JSON, ["--rho", "abc"]),
+    (MINI_JSON, ["--methods", "dro"]),
     # an empty flag value is an error, not the config's default grid
-    (ExperimentConfig(**MINI).to_json(), ["--methods", ""]),
-    (ExperimentConfig(**MINI).to_json(), ["--rho", ""]),
+    (MINI_JSON, ["--methods", ""]),
+    (MINI_JSON, ["--rho", ""]),
     # control cannot run at 2 epochs: the override fails before the first seed
-    (ExperimentConfig(**MINI).to_json(), ["--methods", "native-lp,bap-lp,control"]),
-    (ExperimentConfig(**MINI).to_json(), ["--rho", "0.3"]),
+    (MINI_JSON, ["--methods", "native-lp,bap-lp,control"]),
+    (MINI_JSON, ["--rho", "0.3"]),
     # two cells of one name would write one record and repeat its row
-    (ExperimentConfig(**MINI).to_json(), ["--methods", "native-lp,native-lp"]),
-    (ExperimentConfig(**MINI).to_json(), ["--rho", "1.0,1"]),
+    (MINI_JSON, ["--methods", "native-lp,native-lp"]),
+    (MINI_JSON, ["--rho", "1.0,1"]),
 ])
 def test_main_reports_a_bad_config_and_writes_nothing(tmp_path, capsys, config, flags):
     cfg_path = tmp_path / "cfg.json"

@@ -134,7 +134,7 @@ def test_the_unweighted_head_is_fit_linear_heads_recipe():
     n = PROBE_BATCH + 31
     embs = g.normal(size=(n, 5)).astype(np.float32)
     labels = np.arange(n) % 3
-    weighted = fit_linear_head(embs, labels, 3, seed=4, epochs=10)
+    weighted = fit_linear_head(embs, labels, 3, seed=4, epochs=10, lr=PROBE_LR)
     plain = _fit_unweighted_head(embs, labels, 3, seed=4, epochs=10)
     assert np.any(plain.b.data != 0.0)
     assert np.array_equal(weighted.W.data, plain.W.data)
@@ -143,10 +143,11 @@ def test_the_unweighted_head_is_fit_linear_heads_recipe():
 
 def test_train_probe_requires_frozen(micro_world, micro_teacher):
     fgs, bgs = micro_world
-    train, test = build_train_split(fgs, bgs, 1.0, 8, 3), build_test_split(fgs, bgs, 2, 3)
+    train = build_train_split(fgs, bgs, 1.0, 8, 3, RenderMemo())
+    test = build_test_split(fgs, bgs, 2, 3, RenderMemo())
     thawed = init_encoder(1, d=8, input_hw=(32, 32))
     with pytest.raises(ContractError):
-        train_probe(thawed, train)
+        train_probe(thawed, train, seed=0)
     head = train_probe(micro_teacher, train, seed=2, epochs=5)
     preds = head_predict(head, encode_np(micro_teacher, test.batch))
     assert preds.shape == (len(test.batch),)
@@ -257,13 +258,13 @@ def test_bsi_invariances():
 
 def test_bsi_protocol(micro_world, micro_teacher):
     fgs, bgs = micro_world
-    report = bsi_protocol(micro_teacher, fgs, bgs, n_pairs=8, seed=4)
+    report = bsi_protocol(micro_teacher, fgs, bgs, n_pairs=8, seed=4, memo=RenderMemo())
     assert set(report.per_class) == {0, 1}
     assert all(v >= 0 for v in report.per_class.values())
     assert report.mean == pytest.approx(float(np.mean(list(report.per_class.values()))))
     only_g0 = [bg for bg in bgs if bg.g == 0]
     with pytest.raises(ConfigError):
-        bsi_protocol(micro_teacher, fgs, only_g0, n_pairs=4)
+        bsi_protocol(micro_teacher, fgs, only_g0, n_pairs=4, seed=0, memo=RenderMemo())
 
 
 def test_retention_eval_errors_and_range(micro_world, micro_teacher):

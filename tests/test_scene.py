@@ -213,11 +213,11 @@ def test_gen_world_shapes_and_determinism():
 
 def test_gen_world_config_errors():
     with pytest.raises(ConfigError):
-        gen_world(1, len(CLASS_STYLES) + 1, 2, 1, 1)
+        gen_world(1, len(CLASS_STYLES) + 1, 2, 1, 1, (64, 64))
     with pytest.raises(ConfigError):
-        gen_world(1, 2, len(GROUP_STYLES) + 1, 1, 1)
+        gen_world(1, 2, len(GROUP_STYLES) + 1, 1, 1, (64, 64))
     with pytest.raises(ConfigError):
-        gen_world(1, 2, 2, 0, 1)
+        gen_world(1, 2, 2, 0, 1, (64, 64))
 
 
 def test_background_families_differ():
@@ -261,7 +261,7 @@ def test_composite_config_errors(micro_world):
     fgs, bgs = micro_world
     for scale in (0.0, -0.2, 1.5):
         with pytest.raises(ConfigError):
-            scaled_foreground(fgs[0], scale, (32, 32))
+            scaled_foreground(fgs[0], scale, (32, 32), "perfect")
         with pytest.raises(ConfigError):
             composite(fgs[0], bgs[0], scale)
 
@@ -396,8 +396,8 @@ def test_split_backgrounds_disjoint_stratified(micro_world):
 
 def test_build_grouped_dataset_counts(micro_world):
     fgs, bgs = micro_world
-    train = build_train_split(fgs, bgs, 0.9, 20, 17)
-    test = build_test_split(fgs, bgs, 5, 17)
+    train = build_train_split(fgs, bgs, 0.9, 20, 17, RenderMemo())
+    test = build_test_split(fgs, bgs, 5, 17, RenderMemo())
     assert len(train.batch) == 40 and len(test.batch) == 20
     for y in (0, 1):
         majority = int(((train.labels == y) & (train.groups == y)).sum())
@@ -412,30 +412,31 @@ def test_build_grouped_dataset_counts(micro_world):
 
 def test_test_split_does_not_depend_on_the_rate(micro_world):
     fgs, bgs = micro_world
-    test = build_test_split(fgs, bgs, 3, 17)
-    again = build_test_split(fgs, bgs, 3, 17)
+    test = build_test_split(fgs, bgs, 3, 17, RenderMemo())
+    again = build_test_split(fgs, bgs, 3, 17, RenderMemo())
     assert np.array_equal(again.batch, test.batch)
     assert again.seeds == test.seeds
     # every rate's train split draws from the backgrounds the test split leaves out
     for rho in (1.0, 0.9, 0.5):
-        train = build_train_split(fgs, bgs, rho, 6, 17)
+        train = build_train_split(fgs, bgs, rho, 6, 17, RenderMemo())
         assert set(train.bg_ids) & set(test.bg_ids) == set()
 
 
 def test_build_grouped_dataset_errors(micro_world):
     fgs, bgs = micro_world
     with pytest.raises(ConfigError):
-        build_train_split(fgs, bgs, 0.4, 4, 1)
+        build_train_split(fgs, bgs, 0.4, 4, 1, RenderMemo())
     three, _ = gen_world(2, 3, 2, 1, 2, (32, 32))
     with pytest.raises(ConfigError):
-        build_train_split(three, bgs, 0.9, 4, 1)
+        build_train_split(three, bgs, 0.9, 4, 1, RenderMemo())
     with pytest.raises(ConfigError):
-        build_test_split(three, bgs, 2, 1)
+        build_test_split(three, bgs, 2, 1, RenderMemo())
 
 
 def test_dataset_columns_align_with_one_read_only_batch(micro_world, tmp_path):
     fgs, bgs = micro_world
-    train, test = build_train_split(fgs, bgs, 0.9, 5, 8), build_test_split(fgs, bgs, 2, 8)
+    train = build_train_split(fgs, bgs, 0.9, 5, 8, RenderMemo())
+    test = build_test_split(fgs, bgs, 2, 8, RenderMemo())
     path = tmp_path / "manifest.jsonl"
     write_manifest(path, train, test, {"world_seed": 4242, "num_classes": 2,
                                        "num_bg_groups": 2, "fg_per_class": 4,
@@ -461,7 +462,8 @@ def test_dataset_columns_align_with_one_read_only_batch(micro_world, tmp_path):
 
 def test_manifest_bitwise_regeneration(tmp_path):
     fgs, bgs = gen_world(31, 2, 2, 2, 5, (32, 32))
-    train, test = build_train_split(fgs, bgs, 1.0, 4, 55), build_test_split(fgs, bgs, 2, 55)
+    train = build_train_split(fgs, bgs, 1.0, 4, 55, RenderMemo())
+    test = build_test_split(fgs, bgs, 2, 55, RenderMemo())
     header = {"world_seed": 31, "num_classes": 2, "num_bg_groups": 2,
               "fg_per_class": 2, "bg_per_group": 5, "hw": [32, 32], "rho": 1.0,
               "data_seed": 55}
@@ -479,7 +481,8 @@ def test_manifest_bitwise_regeneration(tmp_path):
 
 def test_manifest_split_with_mixed_degradations_is_rejected(tmp_path):
     fgs, bgs = gen_world(31, 2, 2, 2, 5, (32, 32))
-    train, test = build_train_split(fgs, bgs, 1.0, 4, 55), build_test_split(fgs, bgs, 2, 55)
+    train = build_train_split(fgs, bgs, 1.0, 4, 55, RenderMemo())
+    test = build_test_split(fgs, bgs, 2, 55, RenderMemo())
     header = {"world_seed": 31, "num_classes": 2, "num_bg_groups": 2,
               "fg_per_class": 2, "bg_per_group": 5, "hw": [32, 32], "rho": 1.0}
     path = tmp_path / "manifest.jsonl"
@@ -499,7 +502,8 @@ def test_manifest_split_with_mixed_degradations_is_rejected(tmp_path):
 ])
 def test_malformed_manifest_raises_manifest_error(tmp_path, lineno, edit, named):
     fgs, bgs = gen_world(31, 2, 2, 2, 5, (32, 32))
-    train, test = build_train_split(fgs, bgs, 1.0, 4, 55), build_test_split(fgs, bgs, 2, 55)
+    train = build_train_split(fgs, bgs, 1.0, 4, 55, RenderMemo())
+    test = build_test_split(fgs, bgs, 2, 55, RenderMemo())
     header = {"world_seed": 31, "num_classes": 2, "num_bg_groups": 2,
               "fg_per_class": 2, "bg_per_group": 5, "hw": [32, 32], "rho": 1.0}
     path = tmp_path / "manifest.jsonl"
@@ -513,7 +517,8 @@ def test_malformed_manifest_raises_manifest_error(tmp_path, lineno, edit, named)
 
 def test_manifest_is_written_whole_or_not_at_all(tmp_path, monkeypatch):
     fgs, bgs = gen_world(31, 2, 2, 2, 5, (32, 32))
-    train, test = build_train_split(fgs, bgs, 1.0, 4, 55), build_test_split(fgs, bgs, 2, 55)
+    train = build_train_split(fgs, bgs, 1.0, 4, 55, RenderMemo())
+    test = build_test_split(fgs, bgs, 2, 55, RenderMemo())
     path = tmp_path / "manifest.jsonl"
     write_manifest(path, train, test, {"rho": 1.0})
     before = path.read_bytes()

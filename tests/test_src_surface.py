@@ -3,12 +3,18 @@ and every public method of those classes, is used by other code in `src/`, or is
 an allow-list with its reason; every parameter of a public function, every field of
 a dataclass and every public module-level constant is read, or the constant is on an
 allow-list with its reason; every defaulted parameter is set by some call in `src/`,
-or is on an allow-list with its reason; one function forks, and decides to;
-`scene.render` builds every encoded raster batch; and `tensor._cube` is the one
-`** 3`."""
+and every default is taken by one, or is on an allow-list with its reason; one
+function forks, and decides to; `scene.render` builds every encoded raster batch;
+and `tensor._cube` is the one `** 3`.
+
+The guards match by name, not by type: a call counts for every function of its
+callee's name, and a use counts for every definition of its name.  So a public
+member that shares its name with a numpy attribute read in `src/`, such as
+`Tensor.size` or `Tensor.shape`, is never flagged as unused, whatever reads it."""
 
 import ast
 from collections import Counter
+from functools import cache
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "anchorlab"
@@ -17,7 +23,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "anchorlab"
 ALLOWED_UNREFERENCED = {
     "scene.regenerate_from_manifest": "manifest format: rebuilds the rasters a manifest names",
     "scene.make_composite": "perfbench's tracer tests pin its re-exports",
-    "cli.ExperimentConfig.to_json": "the writer side of `from_json`: a config round-trips",
 }
 
 # `module.Class.field` of dataclass fields that no code in src/ reads, each with why it
@@ -27,6 +32,13 @@ ALLOWED_UNREAD_FIELDS: dict[str, str] = {}
 # `module.NAME` of public module-level constants that no code in src/ reads, each with
 # why it stays; none today
 ALLOWED_UNREAD_CONSTANTS: dict[str, str] = {}
+
+
+@cache
+def _trees() -> dict[str, ast.Module]:
+    """The parsed tree of each module of `src/`, by module name: parsed once, and read,
+    never changed, by every guard."""
+    return {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
 
 
 def _uses(node) -> Counter:
@@ -47,7 +59,7 @@ def _public(module: str, tree):
 
 
 def unreferenced_public_names() -> set[str]:
-    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    trees = _trees()
     total = sum((_uses(tree) for tree in trees.values()), Counter())
     return {name for module, tree in trees.items() for name, node in _public(module, tree)
             if total[node.name] == _uses(node)[node.name]}
@@ -60,7 +72,7 @@ def test_every_public_name_in_src_is_used_or_allowed():
 def unread_parameters() -> set[str]:
     """`module.name(parameter)` of each parameter, but `self` and `cls`, of a public
     function or method in `src/` that its body, nested callbacks included, never reads."""
-    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    trees = _trees()
     unread = set()
     for module, tree in trees.items():
         for name, node in _public(module, tree):
@@ -112,34 +124,55 @@ def _sets(call: ast.Call, param: str, position: int | None) -> bool:
                                      or any(isinstance(a, ast.Starred) for a in call.args))
 
 
+def _calls() -> list[ast.Call]:
+    return [n for tree in _trees().values() for n in ast.walk(tree) if isinstance(n, ast.Call)]
+
+
+def _callee(call: ast.Call) -> str | None:
+    f = call.func
+    return f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+
+
+def _passed_names() -> set[str]:
+    """Each name `src/` loads, bare or as an attribute, other than as the function of a
+    call or within an annotation: the functions and classes it passes as values."""
+    skip = {id(call.func) for call in _calls()}
+    for tree in _trees().values():
+        for node in ast.walk(tree):
+            hints = [node.annotation] if isinstance(node, (ast.arg, ast.AnnAssign)) else []
+            hints += [node.returns] if isinstance(node, ast.FunctionDef) else []
+            skip |= {id(n) for hint in hints if hint is not None for n in ast.walk(hint)}
+    return {n.id if isinstance(n, ast.Name) else n.attr for tree in _trees().values()
+            for n in ast.walk(tree) if isinstance(n, (ast.Name, ast.Attribute))
+            and isinstance(n.ctx, ast.Load) and id(n) not in skip}
+
+
+def _public_functions(module: str, tree):
+    """(dotted name, node, the name a call to it has) of each public function and
+    method of a module, and of the `__init__` of each public class."""
+    for name, node in _public(module, tree):
+        if isinstance(node, ast.FunctionDef):
+            yield name, node, node.name
+    for top in tree.body:
+        if isinstance(top, ast.ClassDef) and not top.name.startswith("_"):
+            for node in top.body:
+                if isinstance(node, ast.FunctionDef) and node.name == "__init__":
+                    yield f"{module}.{top.name}.__init__", node, top.name
+
+
 def unset_options() -> set[str]:
     """`module.name(parameter)` of each defaulted parameter of a public function or
     method in `src/`, `__init__` included, that no call in `src/` sets.  A call counts
     where its callee has the function's name (the class's for `__init__`); a function
     that `src/` passes as a value counts as set for any keyword some call passes."""
-    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-    calls = [n for tree in trees.values() for n in ast.walk(tree) if isinstance(n, ast.Call)]
-    called = {id(call.func) for call in calls}
-    passed = {n.id if isinstance(n, ast.Name) else n.attr for tree in trees.values()
-              for n in ast.walk(tree) if isinstance(n, (ast.Name, ast.Attribute))
-              and isinstance(n.ctx, ast.Load) and id(n) not in called}
+    calls = _calls()
+    passed = _passed_names()
     keywords = {k.arg for call in calls for k in call.keywords}
-
-    def callee(call) -> str | None:
-        f = call.func
-        return f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-
     unset = set()
-    for module, tree in trees.items():
-        functions = [(name, node, node.name) for name, node in _public(module, tree)
-                     if isinstance(node, ast.FunctionDef)]
-        functions += [(f"{module}.{top.name}.__init__", node, top.name) for top in tree.body
-                      if isinstance(top, ast.ClassDef) and not top.name.startswith("_")
-                      for node in top.body
-                      if isinstance(node, ast.FunctionDef) and node.name == "__init__"]
-        for name, node, callee_name in functions:
+    for module, tree in _trees().items():
+        for name, node, callee in _public_functions(module, tree):
             for param, position in _defaulted(node, method=name.count(".") == 2):
-                if not (any(callee(call) == callee_name and _sets(call, param, position)
+                if not (any(_callee(call) == callee and _sets(call, param, position)
                             for call in calls)
                         or node.name in passed and param in keywords):
                     unset.add(f"{name}({param})")
@@ -150,6 +183,68 @@ def test_every_option_in_src_is_set_in_src_or_allowed():
     # an option that only tests set is a second way into its function that the lab
     # never takes
     assert unset_options() == set(ALLOWED_TEST_ONLY_OPTIONS)
+
+
+# `module.name(parameter)` or `module.Class.field` of defaults that no call in src/
+# takes, each with why the default stays; none today
+ALLOWED_UNTAKEN_DEFAULTS: dict[str, str] = {}
+
+
+def _field_defaults(node: ast.ClassDef):
+    """(name, position) of each defaulted field of a dataclass: its index among the
+    fields its `__init__` takes.  A `field(...)` with neither `default` nor
+    `default_factory` gives none."""
+    fields = [stmt for stmt in node.body if isinstance(stmt, ast.AnnAssign)]
+    for i, stmt in enumerate(fields):
+        value = stmt.value
+        if value is None or (isinstance(value, ast.Call) and _uses(value.func)["field"]
+                             and not {"default", "default_factory"}
+                             & {k.arg for k in value.keywords}):
+            continue
+        yield stmt.target.id, i
+
+
+def _takes(call: ast.Call, param: str, position: int | None) -> bool:
+    """Whether `call` leaves `param` at its default: it passes `*args` or `**kwargs`,
+    which count as taking it, or sets `param` neither by keyword nor by position."""
+    if any(k.arg is None for k in call.keywords) or any(isinstance(a, ast.Starred)
+                                                         for a in call.args):
+        return True
+    return (all(k.arg != param for k in call.keywords)
+            and (position is None or position >= len(call.args)))
+
+
+def untaken_defaults() -> set[str]:
+    """`module.name(parameter)` of each defaulted parameter of a public function or
+    method in `src/`, `__init__` included, and `module.Class.field` of each defaulted
+    field of a public dataclass, that no call in `src/` leaves at its default.  A call
+    counts where its callee has the function's name (the class's for `__init__` and
+    fields); a function or class that `src/` passes as a value counts as taking all
+    its defaults."""
+    calls = _calls()
+    passed = _passed_names()
+    untaken = set()
+    for module, tree in _trees().items():
+        # (what the guard reports, the callee's name, the default's name and position)
+        defaults = [(f"{name}({param})", callee, param, position)
+                    for name, node, callee in _public_functions(module, tree)
+                    for param, position in _defaulted(node, method=name.count(".") == 2)]
+        defaults += [(f"{module}.{top.name}.{field}", top.name, field, position)
+                     for top in tree.body if isinstance(top, ast.ClassDef)
+                     and not top.name.startswith("_")
+                     and any(_uses(decorator)["dataclass"] for decorator in top.decorator_list)
+                     for field, position in _field_defaults(top)]
+        untaken |= {label for label, callee, param, position in defaults
+                    if callee not in passed
+                    and not any(_callee(call) == callee and _takes(call, param, position)
+                                for call in calls)}
+    return untaken
+
+
+def test_every_default_in_src_is_taken_in_src_or_allowed():
+    # a default that every call overrides restates a value its callers decide, and
+    # can contradict theirs
+    assert untaken_defaults() == set(ALLOWED_UNTAKEN_DEFAULTS)
 
 
 def _loaded_attributes(node) -> Counter:
@@ -164,7 +259,7 @@ def unread_dataclass_fields() -> set[str]:
     """`module.Class.field` of each field of a dataclass defined in `src/` whose name
     no code in `src/` loads as an attribute.  It works by name, so a field that shares
     its name with an attribute read elsewhere passes."""
-    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    trees = _trees()
     read = sum((_loaded_attributes(tree) for tree in trees.values()), Counter())
     return {f"{module}.{node.name}.{stmt.target.id}"
             for module, tree in trees.items() for node in tree.body
@@ -183,7 +278,7 @@ def unread_constants() -> set[str]:
     """`module.NAME` of each public name that a top-level assignment of a module in
     `src/` binds and that no code in `src/` loads, as a name or as an attribute.  It
     works by name, as `unread_dataclass_fields` does."""
-    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    trees = _trees()
     read = Counter(n.id if isinstance(n, ast.Name) else n.attr
                    for tree in trees.values() for n in ast.walk(tree)
                    if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load))
@@ -217,7 +312,7 @@ def _fork_sites(node) -> Counter:
 def test_one_function_in_src_forks():
     # every forked share runs through `cli._fork_shares`, whose contract (children
     # forked from a single-threaded, waiting caller) a second fork site would bypass
-    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    trees = _trees()
     fork_shares = next(node for node in trees["cli"].body
                        if isinstance(node, ast.FunctionDef) and node.name == "_fork_shares")
     assert set(_fork_sites(fork_shares)) == {"ProcessPoolExecutor", 'get_context("fork")'}
@@ -229,7 +324,7 @@ def test_only_fork_shares_asks_whether_to_fork():
     # `cli._fork_shares` alone decides whether to fork; a caller that asks `_may_fork`
     # itself makes a second decision, which a switch such as `cli._may_fork = lambda:
     # False` would have to reach too
-    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    trees = _trees()
     fork_shares = next(node for node in trees["cli"].body
                        if isinstance(node, ast.FunctionDef) and node.name == "_fork_shares")
 
@@ -244,7 +339,7 @@ def test_only_fork_shares_asks_whether_to_fork():
 def raster_stacks() -> set[str]:
     """`module:line` of each `np.stack` call in `src/` whose arguments read an attribute
     `.raster` or call a function whose name contains `raster`."""
-    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    trees = _trees()
     return {f"{module}:{n.lineno}" for module, tree in trees.items() for n in ast.walk(tree)
             if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
             and n.func.attr == "stack"
@@ -263,7 +358,7 @@ def test_no_function_in_src_stacks_rasters():
 def cube_sites() -> set[str]:
     """`module.function:line` of each `** 3` in `src/` outside `tensor._cube`, named by
     its top-level function or class."""
-    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    trees = _trees()
     return {f"{module}.{getattr(top, 'name', '')}:{n.lineno}"
             for module, tree in trees.items() for top in tree.body for n in ast.walk(top)
             if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Pow)

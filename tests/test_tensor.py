@@ -212,7 +212,7 @@ def test_adamw_rejects_nan_grad():
     p = Tensor(np.array([1.0], dtype=np.float32), requires_grad=True)
     p.grad = np.array([np.nan], dtype=np.float32)
     with pytest.raises(ContractError):
-        AdamW({"p": p}, lr=0.1).step()
+        AdamW({"p": p}, lr=0.1, weight_decay=0.0).step()
 
 
 def _reference_adamw_step(p, g, m, v, t, lr, wd, b1=0.9, b2=0.999, eps=1e-8):
@@ -268,7 +268,7 @@ def test_adamw_rejects_non_contiguous_param():
     w = Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
     w.data = w.data.T
     with pytest.raises(ContractError, match="contiguous"):
-        AdamW({"w": w}, lr=0.1)
+        AdamW({"w": w}, lr=0.1, weight_decay=0.0)
 
 
 def test_matmul_backward_skips_untracked_input():
@@ -301,7 +301,7 @@ def test_lr_schedule_shape():
     with pytest.raises(ConfigError):
         LrSchedule(base=0.1, warmup_frac=0.1, total_steps=10, floor=0.2)
     with pytest.raises(ConfigError):
-        LrSchedule(base=0.1, warmup_frac=1.0, total_steps=10)
+        LrSchedule(base=0.1, warmup_frac=1.0, total_steps=10, floor=0.0)
 
 
 # ---------------------------------------------------------------------------
